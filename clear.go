@@ -166,7 +166,8 @@ func ComboFor(names []string, rec RecoveryKind) (Combo, error) {
 // Technique is one pluggable resilience technique: identity (name, stack
 // layer, applicable cores) plus hardware cost. Optional capability
 // interfaces (GammaContributor, ProgramTransformer, CommitHooker,
-// TechniqueRecoveryCompat, FFProtector, CampaignTagger) extend it; a
+// CheckerHooker, TechniqueRecoveryCompat, FFProtector, CampaignTagger)
+// extend it; a
 // registered technique participates in enumeration, evaluation, cost
 // tables, and the sweep CLI without any engine changes.
 type Technique = technique.Technique
@@ -196,6 +197,10 @@ type (
 	ProgramTransformer = technique.Transformer
 	// CommitHooker attaches a commit-stream checker to injection runs.
 	CommitHooker = technique.Hooker
+	// CheckerHooker is a CommitHooker whose checker exposes its state as
+	// a Checker, so the technique's campaigns warm-start from checkpoints,
+	// prune and run packed instead of replaying every injection from reset.
+	CheckerHooker = technique.CheckerHooker
 	// TechniqueRecoveryCompat declares which recovery mechanisms the
 	// technique's detections can drive (enumeration constraints).
 	TechniqueRecoveryCompat = technique.RecoveryCompat
@@ -224,6 +229,11 @@ type CommitHook = sim.CommitHook
 
 // CommitEvent is one retired instruction as seen by a CommitHook.
 type CommitEvent = sim.CommitEvent
+
+// Checker is a commit-stream checker with savable state: Observe is its
+// commit hook, and Clone, CopyFrom and Equal save, load or copy, and
+// compare that state. A CheckerHooker returns one per injection core.
+type Checker = sim.Checker
 
 // RegisterTechnique adds a technique to the default registry. Registration
 // order defines the canonical ordering used by combination names,

@@ -1,0 +1,49 @@
+package main
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"clear"
+)
+
+// TestFlowGuardColdPathPinned pins the example's third-party checker to the
+// results it produced before built-in checkers became checkpointable.
+// flowGuard exposes only a closure hook, so its campaigns — alone or
+// chained with DFC — must stay on the from-reset path and keep their exact
+// numbers.
+func TestFlowGuardColdPathPinned(t *testing.T) {
+	t.Setenv("CLEAR_CACHE_DIR", t.TempDir())
+	fg := flowGuard{clear.TechniqueInfo{TechName: "FlowGuard", TechLayer: clear.LayerArchitecture}}
+	if _, ok := any(fg).(clear.CheckerHooker); ok {
+		t.Fatal("flowGuard unexpectedly implements CheckerHooker; this test pins the cold path")
+	}
+	if err := clear.RegisterTechnique(fg); err != nil {
+		t.Fatal(err)
+	}
+	defer clear.UnregisterTechnique(fg.Name())
+	eng := clear.NewEngine(clear.InO)
+	eng.SamplesBase, eng.SamplesTech = 1, 1
+	b := clear.BenchmarkByName("inner_product")
+	for _, tc := range []struct {
+		v    clear.Variant
+		want string
+	}{
+		{clear.Variant{Extra: []string{fg.Name()}}, "{N:1127 Vanished:866 OMM:84 UT:59 Hang:0 ED:118} lat=449/118 ff=59da8dafde1b70fc"},
+		{clear.Variant{DFC: true, Extra: []string{fg.Name()}}, "{N:1127 Vanished:802 OMM:45 UT:50 Hang:0 ED:230} lat=1161/230 ff=60e0608f407f3f8c"},
+	} {
+		r, err := eng.Campaign(b, tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, st := range r.PerFF {
+			fmt.Fprintf(h, "%d,%d,%d,%d,%d;", st.N, st.OMM, st.UT, st.Hang, st.ED)
+		}
+		got := fmt.Sprintf("%+v lat=%d/%d ff=%016x", r.Totals, r.DetLatSum, r.DetN, h.Sum64())
+		if got != tc.want {
+			t.Errorf("%s: got %s\nwant %s", tc.v.Tag(), got, tc.want)
+		}
+	}
+}

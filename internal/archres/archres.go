@@ -9,6 +9,8 @@
 package archres
 
 import (
+	"slices"
+
 	"clear/internal/isa"
 	"clear/internal/power"
 	"clear/internal/prog"
@@ -25,12 +27,14 @@ const (
 
 // ---- DFC: dataflow + control-flow signature checking ----
 
-// dfc holds the checker state for one run.
+// dfc holds the checker for one run: the program's static block
+// signatures, shared read-only by every copy, and the run state that
+// Clone/CopyFrom/Equal save, load and compare (entered, curBlock, blockPos,
+// runHash).
 type dfc struct {
 	p        *prog.Program
 	static   []uint32 // per-block static dataflow signature
 	startOf  map[int]int
-	lastPC   int
 	curBlock int
 	blockPos int // next expected pc within the current block
 	runHash  uint32
@@ -44,8 +48,8 @@ func sigStep(h, word uint32) uint32 {
 	return h
 }
 
-// NewDFC returns a commit hook implementing DFC+CFC for p.
-func NewDFC(p *prog.Program) sim.CommitHook {
+// NewDFCChecker returns a DFC+CFC checker for p in its reset state.
+func NewDFCChecker(p *prog.Program) sim.Checker {
 	d := &dfc{p: p, startOf: map[int]int{}}
 	d.static = make([]uint32, len(p.Blocks))
 	for i, blk := range p.Blocks {
@@ -56,16 +60,38 @@ func NewDFC(p *prog.Program) sim.CommitHook {
 		d.static[i] = h
 		d.startOf[blk.Start] = i
 	}
-	return d.observe
+	return d
 }
+
+// NewDFC returns a commit hook implementing DFC+CFC for p.
+func NewDFC(p *prog.Program) sim.CommitHook { return NewDFCChecker(p).Observe }
 
 // DFCHookFactory adapts NewDFC for injection campaigns.
 func DFCHookFactory() func(*prog.Program) sim.CommitHook {
 	return func(p *prog.Program) sim.CommitHook { return NewDFC(p) }
 }
 
-// observe checks one committed instruction; true means "error detected".
-func (d *dfc) observe(ev sim.CommitEvent) bool {
+// Clone implements sim.Checker.
+func (d *dfc) Clone() sim.Checker {
+	c := *d
+	return &c
+}
+
+// CopyFrom implements sim.Checker.
+func (d *dfc) CopyFrom(src sim.Checker) {
+	s := src.(*dfc)
+	d.curBlock, d.blockPos, d.runHash, d.entered = s.curBlock, s.blockPos, s.runHash, s.entered
+}
+
+// Equal implements sim.Checker.
+func (d *dfc) Equal(other sim.Checker) bool {
+	o := other.(*dfc)
+	return d.curBlock == o.curBlock && d.blockPos == o.blockPos &&
+		d.runHash == o.runHash && d.entered == o.entered
+}
+
+// Observe checks one committed instruction; true means "error detected".
+func (d *dfc) Observe(ev sim.CommitEvent) bool {
 	pc := int(ev.PC)
 	if !d.entered {
 		// first commit must be the program entry
@@ -174,19 +200,47 @@ type monitor struct {
 	haveExp  bool
 }
 
-// NewMonitor returns a commit hook implementing a DIVA-style checker core.
-func NewMonitor(p *prog.Program) sim.CommitHook {
+// NewMonitorChecker returns a DIVA-style checker core for p in its reset
+// state. Its saved state is the shadow register file and memory plus the
+// expected next PC.
+func NewMonitorChecker(p *prog.Program) sim.Checker {
 	m := &monitor{p: p, mem: make([]uint32, p.MemWords)}
 	copy(m.mem, p.Data)
-	return m.observe
+	return m
 }
+
+// NewMonitor returns a commit hook implementing a DIVA-style checker core.
+func NewMonitor(p *prog.Program) sim.CommitHook { return NewMonitorChecker(p).Observe }
 
 // MonitorHookFactory adapts NewMonitor for injection campaigns.
 func MonitorHookFactory() func(*prog.Program) sim.CommitHook {
 	return func(p *prog.Program) sim.CommitHook { return NewMonitor(p) }
 }
 
-func (m *monitor) observe(ev sim.CommitEvent) bool {
+// Clone implements sim.Checker.
+func (m *monitor) Clone() sim.Checker {
+	c := *m
+	c.mem = append([]uint32(nil), m.mem...)
+	return &c
+}
+
+// CopyFrom implements sim.Checker without allocating.
+func (m *monitor) CopyFrom(src sim.Checker) {
+	s := src.(*monitor)
+	m.regs, m.expectPC, m.haveExp = s.regs, s.expectPC, s.haveExp
+	copy(m.mem, s.mem)
+}
+
+// Equal implements sim.Checker.
+func (m *monitor) Equal(other sim.Checker) bool {
+	o := other.(*monitor)
+	return m.regs == o.regs && m.expectPC == o.expectPC && m.haveExp == o.haveExp &&
+		slices.Equal(m.mem, o.mem)
+}
+
+// Observe re-executes one committed instruction; true means "error
+// detected".
+func (m *monitor) Observe(ev sim.CommitEvent) bool {
 	pc := int(ev.PC)
 	// control-flow check: the commit stream must follow the monitor's own
 	// next-PC computation

@@ -343,6 +343,81 @@ func (v Variant) hookFactory() func(*prog.Program) sim.CommitHook {
 	}
 }
 
+// checkerFactory is hookFactory's checkpointable form: when every active
+// Hooker of the variant implements technique.CheckerHooker it returns a
+// factory of the same checker chain as a sim.Checker — one checker alone,
+// or a checkerChain ORing the detections of several — and nil otherwise
+// (no hookers, or one opaque hook, which keeps the from-reset path).
+func (v Variant) checkerFactory() func(*prog.Program) sim.Checker {
+	var hookers []technique.CheckerHooker
+	for _, t := range technique.Default().Techniques() {
+		if !v.activeName(t.Name()) {
+			continue
+		}
+		if _, ok := t.(technique.Hooker); !ok {
+			continue
+		}
+		ch, ok := t.(technique.CheckerHooker)
+		if !ok {
+			return nil
+		}
+		hookers = append(hookers, ch)
+	}
+	if len(hookers) == 0 {
+		return nil
+	}
+	return func(p *prog.Program) sim.Checker {
+		if len(hookers) == 1 {
+			return hookers[0].Checker(p)
+		}
+		chain := make(checkerChain, len(hookers))
+		for i, h := range hookers {
+			chain[i] = h.Checker(p)
+		}
+		return chain
+	}
+}
+
+// checkerChain runs several checkers over one commit stream, ORing their
+// detections like hookFactory's chain: every checker observes every event,
+// so each one's state evolves exactly as it would alone.
+type checkerChain []sim.Checker
+
+// Observe, Clone, CopyFrom and Equal implement sim.Checker member by
+// member; CopyFrom and Equal take a chain of the same checkers.
+func (c checkerChain) Observe(ev sim.CommitEvent) bool {
+	det := false
+	for _, k := range c {
+		if k.Observe(ev) {
+			det = true
+		}
+	}
+	return det
+}
+
+func (c checkerChain) Clone() sim.Checker {
+	out := make(checkerChain, len(c))
+	for i, k := range c {
+		out[i] = k.Clone()
+	}
+	return out
+}
+
+func (c checkerChain) CopyFrom(src sim.Checker) {
+	for i, k := range src.(checkerChain) {
+		c[i].CopyFrom(k)
+	}
+}
+
+func (c checkerChain) Equal(other sim.Checker) bool {
+	for i, k := range other.(checkerChain) {
+		if !c[i].Equal(k) {
+			return false
+		}
+	}
+	return true
+}
+
 // Campaign runs (or loads) the injection campaign for a benchmark under a
 // variant. Concurrent callers asking for the same (benchmark, variant) are
 // deduplicated: the campaign is computed exactly once and shared.
@@ -381,8 +456,13 @@ func (e *Engine) Campaign(b *bench.Benchmark, v Variant) (*inject.Result, error)
 		// Panic isolation: a crash deep in the simulator becomes a
 		// classified *resilient.PanicError shared with every joined caller
 		// instead of unwinding (and killing) whichever worker happened to
-		// own the singleflight.
+		// own the singleflight. Checkpointable checkers take the warm,
+		// pruned and packed paths; an opaque hook replays every injection
+		// from reset. Both compute the same Result.
 		r, err := resilient.Safe(func() (*inject.Result, error) {
+			if cf := v.checkerFactory(); cf != nil {
+				return e.Inj.CampaignChecked(cfg, p, cf)
+			}
 			return e.Inj.Campaign(cfg, p, v.hookFactory())
 		})
 		if err != nil {

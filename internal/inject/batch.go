@@ -25,11 +25,20 @@ package inject
 //     likely to reconverge (a struck value still draining through the
 //     pipeline).
 //
+// Checked campaigns (RunChecked) give the carrier and every lane core a
+// checker of their own: the carrier's is loaded from the reference with
+// the carrier's snapshot, and a lane's is copied from the carrier's at the
+// fork. The checker is part of the state a prune needs — a lane whose core
+// matches the carrier but whose checker does not (a corrupted signature
+// still waiting for its block end) has not reconverged, so it counts as a
+// DiffAux divergence and is evicted, never pruned.
+//
 // Lanes still live at the window's end, and lanes that could not fork
 // (carrier finished first, delayed flips, out-of-range checkpoint index)
-// are likewise finished through the scalar warm bodies. Only hookless,
-// sinkless campaigns run packed: commit hooks cannot be checkpointed, and
-// the scalar per-worker-per-bit loop is what guarantees the record sink's
+// are likewise finished through the scalar warm bodies. Campaigns with an
+// opaque commit hook never run packed, because its state cannot be copied
+// at a fork; nor do sink-carrying ones, because the scalar
+// per-worker-per-bit loop is what guarantees the record sink's
 // deterministic per-bit arrival order.
 
 import (
@@ -42,8 +51,8 @@ import (
 	"clear/internal/sim"
 )
 
-// Packed selects the gang-batched engine for eligible campaigns (hookless,
-// sinkless, checkpointed). It only affects campaign running time: results
+// Packed selects the gang-batched engine for eligible campaigns (no opaque
+// hook, sinkless, checkpointed). It only affects campaign running time: results
 // are bit-for-bit identical either way for a fixed Config.Seed, so — like
 // CheckpointInterval — it is deliberately not part of Config and does not
 // key the on-disk campaign cache. The -packed=false flag on clearsweep,
@@ -152,18 +161,21 @@ func planPacked(cfg Config, ref *Reference, nomCycles, nStrikes int, strikes []i
 
 // gangWorker is one campaign worker's packed execution state: the carrier,
 // a lazily grown lane-core pool, a scalar core for spills and unforked
-// lanes, and the compact per-population tallies merged into the Result
-// under the campaign mutex.
+// lanes — each with its own checker in a checked campaign (nil otherwise)
+// — and the compact per-population tallies merged into the Result under
+// the campaign mutex.
 type gangWorker struct {
 	in        *Injector
 	kind      CoreKind
 	p         *prog.Program
 	ref       *Reference
+	cf        func(*prog.Program) sim.Checker
 	nomCycles int
 
-	carrier sim.Core
-	cores   [GangWidth]sim.Core
-	scalar  sim.Core
+	carrier, scalar       sim.Core
+	carrierChk, scalarChk sim.Checker
+	cores                 [GangWidth]sim.Core
+	chks                  [GangWidth]sim.Checker
 
 	local        []FFStats
 	totals       Counts
@@ -175,9 +187,20 @@ type gangWorker struct {
 // cores per worker.
 func (w *gangWorker) lane(slot int) sim.Core {
 	if w.cores[slot] == nil {
-		w.cores[slot] = NewCore(w.kind, w.p)
+		w.cores[slot], w.chks[slot] = newChecked(w.kind, w.p, w.cf)
 	}
 	return w.cores[slot]
+}
+
+// laneDiff classifies a lane against the carrier like sim.GangCore.DiffFrom,
+// counting a checker mismatch behind identical cores as DiffAux: the lane
+// has not reconverged until its checker has too.
+func laneDiff(lc, car sim.Core, lchk, carChk sim.Checker) uint8 {
+	d := lc.(sim.GangCore).DiffFrom(car)
+	if d == 0 && lchk != nil && !lchk.Equal(carChk) {
+		d = sim.DiffAux
+	}
+	return d
 }
 
 // tally accumulates one decided lane, mirroring the scalar campaign loop's
@@ -206,14 +229,14 @@ func (w *gangWorker) tally(ln packedLane, out Outcome, det int) {
 // itself was already counted by the gang).
 func (w *gangWorker) replay(ln packedLane) {
 	if w.scalar == nil {
-		w.scalar = NewCore(w.kind, w.p)
+		w.scalar, w.scalarChk = newChecked(w.kind, w.p, w.cf)
 	}
 	var out Outcome
 	var det int
 	if ln.sc == nil {
-		out, det = w.in.runOneWarm(w.scalar, w.p, w.ref, ln.bit, ln.cycle, w.nomCycles)
+		out, det = w.in.runOneWarm(w.scalar, w.scalarChk, w.p, w.ref, ln.bit, ln.cycle, w.nomCycles)
 	} else {
-		out, det = w.in.runScenarioWarm(w.scalar, w.p, w.ref, ln.sc, ln.cycle, w.nomCycles)
+		out, det = w.in.runScenarioWarm(w.scalar, w.scalarChk, w.p, w.ref, ln.sc, ln.cycle, w.nomCycles)
 	}
 	w.tally(ln, out, det)
 }
@@ -242,11 +265,10 @@ func (w *gangWorker) runGang(g laneGang) {
 		return
 	}
 	if w.carrier == nil {
-		w.carrier = NewCore(w.kind, w.p)
+		w.carrier, w.carrierChk = newChecked(w.kind, w.p, w.cf)
 	}
 	car := w.carrier
-	car.Restore(w.ref.Ckpts[g.ckpt])
-	car.SetCommitHook(nil)
+	w.ref.restore(car, w.carrierChk, g.ckpt)
 	windowEnd := (g.ckpt + 1) * w.ref.Interval
 
 	var live lanes.Mask
@@ -258,6 +280,9 @@ func (w *gangWorker) runGang(g laneGang) {
 			s := live.FirstFree()
 			lc := w.lane(s)
 			lc.(sim.GangCore).CopyStateFrom(car)
+			if w.chks[s] != nil {
+				w.chks[s].CopyFrom(w.carrierChk)
+			}
 			ln := g.lanes[next]
 			if ln.sc == nil {
 				lc.State().FlipBit(ln.bit)
@@ -286,20 +311,21 @@ func (w *gangWorker) runGang(g laneGang) {
 				live.Clear(s)
 				continue
 			}
-			switch d := lc.(sim.GangCore).DiffFrom(car); {
+			switch d := laneDiff(lc, car, w.chks[s], w.carrierChk); {
 			case d == 0:
 				// Gang prune: bit-identical to the fault-free carrier at the
-				// same cycle, so the lane's future is the reference future —
-				// provably Vanished, same accounting as a boundary prune.
+				// same cycle, checker included, so the lane's future is the
+				// reference future — provably Vanished, same accounting as a
+				// boundary prune.
 				w.in.injPruned.Add(1)
 				w.in.pruneCycles.Observe(int64(lc.Cycles() - slot[s].cycle))
 				w.tally(slot[s], Vanished, -1)
 				live.Clear(s)
 			case d&(sim.DiffCtl|sim.DiffAux) != 0:
 				// Control flow left the reference trajectory, or side state
-				// (memory/output/SRAMs) diverged: reconvergence is no longer
-				// cheap to detect, so continue the lane scalar-style.
-				out, det := w.in.finishInjected(lc, w.p, w.ref, slot[s].cycle, w.nomCycles)
+				// (memory/output/SRAMs/checker) diverged: reconvergence is no
+				// longer cheap to detect, so continue the lane scalar-style.
+				out, det := w.in.finishInjected(lc, w.chks[s], w.p, w.ref, slot[s].cycle, w.nomCycles)
 				w.tally(slot[s], out, det)
 				live.Clear(s)
 			}
@@ -309,7 +335,7 @@ func (w *gangWorker) runGang(g laneGang) {
 	// state and run the scalar tail from here.
 	for m := live; !m.Empty(); {
 		s := m.PopLowest()
-		out, det := w.in.finishInjected(w.lane(s), w.p, w.ref, slot[s].cycle, w.nomCycles)
+		out, det := w.in.finishInjected(w.lane(s), w.chks[s], w.p, w.ref, slot[s].cycle, w.nomCycles)
 		w.tally(slot[s], out, det)
 	}
 	// Lanes whose fork point the carrier never reached (it halted first):
@@ -325,7 +351,8 @@ func (w *gangWorker) runGang(g laneGang) {
 // Identical per-(bit, cycle) outcomes summed by commutative tallies make
 // the filled Result byte-identical to the scalar loop's.
 func (in *Injector) runPacked(res *Result, cfg Config, p *prog.Program, ref *Reference,
-	nomCycles, nStrikes int, strikes []int, ssb bool, model FaultModel, env *ModelEnv) bool {
+	cf func(*prog.Program) sim.Checker, nomCycles, nStrikes int, strikes []int, ssb bool,
+	model FaultModel, env *ModelEnv) bool {
 	if _, ok := NewCore(cfg.Core, p).(sim.GangCore); !ok {
 		return false
 	}
@@ -343,7 +370,7 @@ func (in *Injector) runPacked(res *Result, cfg Config, p *prog.Program, ref *Ref
 		go func() {
 			defer wg.Done()
 			w := &gangWorker{
-				in: in, kind: cfg.Core, p: p, ref: ref, nomCycles: nomCycles,
+				in: in, kind: cfg.Core, p: p, ref: ref, cf: cf, nomCycles: nomCycles,
 				local: make([]FFStats, nStrikes),
 			}
 			for g := range gangs {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"clear/internal/archres"
 	"clear/internal/isa"
 	"clear/internal/prog"
 )
@@ -170,7 +171,7 @@ func TestPackedDelayedScenarioSpill(t *testing.T) {
 
 	packedRes := &Result{Config: cfg, NomCycles: nomCycles, PerFF: make([]FFStats, nBits)}
 	inP := NewInjector()
-	if !inP.runPacked(packedRes, cfg, p, ref, nomCycles, nBits, nil, false, model, env) {
+	if !inP.runPacked(packedRes, cfg, p, ref, nil, nomCycles, nBits, nil, false, model, env) {
 		t.Fatal("runPacked reported no gang capability")
 	}
 
@@ -268,12 +269,17 @@ func fuzzCampaignProgram(t testing.TB, data []byte) *prog.Program {
 // arbitrary generated program, core, registered fault model, and checkpoint
 // interval — including interval 1, where every lane hits a window boundary
 // after one cycle, and the divergence-eviction edges any failing lane takes —
-// the packed campaign must equal the scalar one bit for bit.
+// the packed campaign must equal the scalar one bit for bit. Selector bit 5
+// attaches the DFC checker: the cold hooked campaign (every injection from
+// reset with a fresh checker), the warm scalar checked one and the packed
+// checked one must then all agree.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint64(1), uint8(0))
 	f.Add([]byte{0x11, 0x47, 0xA3, 0x09, 0xEE}, uint64(0xC1EA5), uint8(3))
 	f.Add([]byte{0xFF, 0x80, 0x42}, uint64(99), uint8(5))
 	f.Add([]byte{0x07, 0x31}, uint64(0xDEAD), uint8(14))
+	f.Add([]byte{0x11, 0x47, 0xA3, 0x09, 0xEE}, uint64(0xC1EA5), uint8(0x20|0x08))
+	f.Add([]byte{0x3C, 0x05, 0x92}, uint64(7), uint8(0x20|0x01|0x02))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64, sel uint8) {
 		p := fuzzCampaignProgram(t, data)
 		kind := InO
@@ -283,10 +289,28 @@ func FuzzPackedEquivalence(f *testing.F) {
 		tag := []string{"", "mbu/f", "uncore/f", "set/f"}[(sel>>1)%4]
 		setInterval(t, []int{1, 32, 64, 256}[(sel>>3)%4])
 		cfg := Config{Core: kind, Bench: "fuzzpacked", Tag: tag, SamplesPerFF: 1, Seed: seed}
-		scalar, packed := runBothEngines(t, cfg, p)
-		if !reflect.DeepEqual(scalar, packed) {
-			t.Fatalf("%v/%s interval=%d: packed differs from scalar\nscalar: %+v\npacked: %+v",
-				kind, tag, CheckpointInterval, scalar.Totals, packed.Totals)
+		if sel&0x20 == 0 {
+			scalar, packed := runBothEngines(t, cfg, p)
+			if !reflect.DeepEqual(scalar, packed) {
+				t.Fatalf("%v/%s interval=%d: packed differs from scalar\nscalar: %+v\npacked: %+v",
+					kind, tag, CheckpointInterval, scalar.Totals, packed.Totals)
+			}
+			return
+		}
+		cold, err := NewInjector().Run(cfg, p, archres.DFCHookFactory())
+		if err != nil {
+			t.Fatalf("cold hooked run: %v", err)
+		}
+		for _, on := range []bool{false, true} {
+			setPacked(t, on)
+			warm, err := NewInjector().RunChecked(cfg, p, archres.NewDFCChecker)
+			if err != nil {
+				t.Fatalf("checked run (packed=%v): %v", on, err)
+			}
+			if !reflect.DeepEqual(cold, warm) {
+				t.Fatalf("%v/%s interval=%d packed=%v: checked differs from cold hooked\ncold: %+v\nwarm: %+v",
+					kind, tag, CheckpointInterval, on, cold.Totals, warm.Totals)
+			}
 		}
 	})
 }

@@ -199,6 +199,20 @@ func Campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.C
 
 // Campaign is the scoped form of the package-level Campaign.
 func (in *Injector) Campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
+	return in.campaign(cfg, p, hookFactory, nil)
+}
+
+// CampaignChecked is Campaign for a campaign checked by cf's checkers: a
+// cache miss computes through RunChecked. Results and cache entries are
+// identical to Campaign's with cf's checkers as plain hooks.
+func (in *Injector) CampaignChecked(cfg Config, p *prog.Program, cf func(*prog.Program) sim.Checker) (*Result, error) {
+	return in.campaign(cfg, p, nil, cf)
+}
+
+// campaign is the cache-fronted body of Campaign and CampaignChecked (at
+// most one of hookFactory and cf is non-nil).
+func (in *Injector) campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
+	cf func(*prog.Program) sim.Checker) (*Result, error) {
 	start := time.Now()
 	wantModel, _ := SplitModelTag(cfg.Tag)
 	path := filepath.Join(CacheDir(), cacheKey(cfg, p))
@@ -217,7 +231,7 @@ func (in *Injector) Campaign(cfg Config, p *prog.Program, hookFactory func(*prog
 		}
 	}
 	in.cacheMisses.Add(1)
-	r, err := in.Run(cfg, p, hookFactory)
+	r, err := in.run(cfg, p, hookFactory, cf)
 	if err != nil {
 		return nil, err
 	}

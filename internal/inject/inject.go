@@ -253,11 +253,14 @@ const nomBudget = 8_000_000
 // Hookless campaigns amortize simulation work through the fault-free
 // reference trajectory (see CheckpointInterval and RunOneFrom): each
 // injection warm-starts from the nearest snapshot and prunes as soon as its
-// state reconverges with the reference. Hookless, sinkless campaigns
-// further batch up to 64 same-window injections into gangs that share one
-// carrier replay of the window prefix and gang-prune reconverged lanes
-// every cycle (see Packed and batch.go). Results are bit-for-bit identical
-// to the from-reset path for a fixed Config.Seed.
+// state reconverges with the reference. Sinkless campaigns further batch up
+// to 64 same-window injections into gangs that share one carrier replay of
+// the window prefix and gang-prune reconverged lanes every cycle (see Packed
+// and batch.go). A hookFactory is an opaque closure whose state the engine
+// cannot save, so a hooked Run replays every injection from reset; a
+// checker with savable state takes the warm, pruned and packed paths
+// through RunChecked instead. Results are bit-for-bit identical to the
+// from-reset path for a fixed Config.Seed.
 //
 // The package-level function counts against the default injection scope;
 // use the Injector method to attribute the work to a specific scope.
@@ -270,6 +273,29 @@ func Run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.Commit
 // the campaign — they never feed back into it, so results are identical
 // whichever scope runs the campaign.
 func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
+	return in.run(cfg, p, hookFactory, nil)
+}
+
+// RunChecked runs a campaign checked by the commit-stream checker cf
+// builds. It returns exactly what Run returns with cf's checkers as plain
+// hooks (func(p) { return cf(p).Observe }), but because a sim.Checker's
+// state can be saved, restored and compared, the campaign warm-starts from
+// the reference, prunes when core and checker both reconverge, and runs on
+// the packed gang engine like a hookless one. Each worker core owns one
+// checker for the whole campaign instead of building one per injection.
+func (in *Injector) RunChecked(cfg Config, p *prog.Program, cf func(*prog.Program) sim.Checker) (*Result, error) {
+	return in.run(cfg, p, nil, cf)
+}
+
+// hooksOf adapts a checker factory to a plain hook factory.
+func hooksOf(cf func(*prog.Program) sim.Checker) func(*prog.Program) sim.CommitHook {
+	return func(p *prog.Program) sim.CommitHook { return cf(p).Observe }
+}
+
+// run is the campaign body behind Run (hookFactory, run from reset) and
+// RunChecked (cf, run warm); at most one of the two is non-nil.
+func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
+	cf func(*prog.Program) sim.Checker) (*Result, error) {
 	if p.Expected == nil {
 		return nil, fmt.Errorf("inject: %s has no golden output", p.Name)
 	}
@@ -289,13 +315,17 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 		env = EnvFor(cfg.Core)
 		strikes = model.Bits(env)
 	}
+	if cf != nil && CheckpointInterval <= 0 {
+		// No reference to warm-start from: the checker runs as a plain hook.
+		hookFactory, cf = hooksOf(cf), nil
+	}
 	var ref *Reference
 	var nomRes prog.Result
 	var nomRet int64
 	if hookFactory == nil && CheckpointInterval > 0 {
 		var nomC sim.Core
 		var refErr error
-		ref, nomRes, nomC, refErr = buildReferenceCore(cfg.Core, p, CheckpointInterval, nomBudget)
+		ref, nomRes, nomC, refErr = buildReferenceCore(cfg.Core, p, CheckpointInterval, nomBudget, cf)
 		if refErr != nil {
 			return nil, refErr
 		}
@@ -331,10 +361,9 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 	// Eligible campaigns run on the packed (gang-batched) engine — see
 	// batch.go for the eligibility reasoning. Results are bit-identical to
 	// the scalar loop below, which remains both the -packed=false escape
-	// hatch and the path for hooked or sink-carrying campaigns.
-	if Packed && hookFactory == nil && in.Sink == nil &&
-		ref != nil && ref.Interval > 0 && len(ref.Ckpts) > 0 {
-		if in.runPacked(res, cfg, p, ref, nomCycles, nStrikes, strikes, ssb, model, env) {
+	// hatch and the path for opaque-hook or sink-carrying campaigns.
+	if Packed && hookFactory == nil && in.Sink == nil && ref.usable() {
+		if in.runPacked(res, cfg, p, ref, cf, nomCycles, nStrikes, strikes, ssb, model, env) {
 			in.addOutcomes(res.Totals)
 			return res, nil
 		}
@@ -352,7 +381,7 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			core := NewCore(cfg.Core, p)
+			core, chk := newChecked(cfg.Core, p, cf)
 			// Tallies are indexed by the compact strike population, not the
 			// full flip-flop space: a restricted model (uncore) strikes a
 			// few hundred bits and must not pay a full-space slice per
@@ -372,10 +401,10 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 						var out Outcome
 						var det int
 						if ssb {
-							out, det = in.RunOneFrom(core, p, ref, bit, cycle, nomCycles, hookFactory)
+							out, det = in.runOneFrom(core, chk, p, ref, bit, cycle, nomCycles, hookFactory)
 						} else {
 							sc := model.Expand(env, bit, cycle, h)
-							out, det = in.RunScenarioFrom(core, p, ref, sc, cycle, nomCycles, hookFactory)
+							out, det = in.runScenarioFrom(core, chk, p, ref, sc, cycle, nomCycles, hookFactory)
 						}
 						if out == ED && det >= cycle {
 							latSum += int64(det - cycle)

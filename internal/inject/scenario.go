@@ -114,29 +114,36 @@ func RunScenarioFrom(c sim.Core, p *prog.Program, ref *Reference, sc Scenario, c
 // RunScenarioFrom is the scoped form of the package-level RunScenarioFrom.
 func (in *Injector) RunScenarioFrom(c sim.Core, p *prog.Program, ref *Reference, sc Scenario,
 	cycle, nomCycles int, hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
+	return in.runScenarioFrom(c, nil, p, ref, sc, cycle, nomCycles, hookFactory)
+}
+
+// runScenarioFrom is RunScenarioFrom for a core that may carry a checker
+// (see newChecked); a checked caller passes a nil hookFactory and a usable
+// ref.
+func (in *Injector) runScenarioFrom(c sim.Core, chk sim.Checker, p *prog.Program, ref *Reference,
+	sc Scenario, cycle, nomCycles int, hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
 	in.injTotal.Add(1)
 	if len(sc) == 0 {
 		return Vanished, -1
 	}
-	if hookFactory != nil || ref == nil || ref.Interval <= 0 || len(ref.Ckpts) == 0 {
+	if hookFactory != nil || !ref.usable() {
 		return runScenarioColdObs(in, c, p, sc, cycle, nomCycles, hookFactory)
 	}
-	return in.runScenarioWarm(c, p, ref, sc, cycle, nomCycles)
+	return in.runScenarioWarm(c, chk, p, ref, sc, cycle, nomCycles)
 }
 
 // runScenarioWarm is the warm-started scenario injection body shared by
 // RunScenarioFrom and the packed engine's spill replays (batch.go); the
 // caller has already tallied the injection, ruled out the cold fallback,
 // and ensured the scenario is non-empty.
-func (in *Injector) runScenarioWarm(c sim.Core, p *prog.Program, ref *Reference, sc Scenario,
-	cycle, nomCycles int) (Outcome, int) {
+func (in *Injector) runScenarioWarm(c sim.Core, chk sim.Checker, p *prog.Program, ref *Reference,
+	sc Scenario, cycle, nomCycles int) (Outcome, int) {
 	maxDelay := sc.normalize()
 	idx := cycle / ref.Interval
 	if idx >= len(ref.Ckpts) {
 		idx = len(ref.Ckpts) - 1
 	}
-	c.Restore(ref.Ckpts[idx])
-	c.SetCommitHook(nil)
+	ref.restore(c, chk, idx)
 	for c.Cycles() < cycle && !c.Done() {
 		c.Step()
 	}
@@ -152,7 +159,7 @@ func (in *Injector) runScenarioWarm(c sim.Core, p *prog.Program, ref *Reference,
 		}
 		applied += sc.applyAt(c, applied, off)
 	}
-	out, det := in.finishInjected(c, p, ref, cycle, nomCycles)
+	out, det := in.finishInjected(c, chk, p, ref, cycle, nomCycles)
 	if sinkOn {
 		in.emit(rec, out, det)
 	}

@@ -24,6 +24,33 @@ type CommitEvent struct {
 // prog.StatusDetected.
 type CommitHook func(ev CommitEvent) bool
 
+// Checker is the optional checkpointable form of a commit hook: a
+// commit-stream checker whose internal state is explicit, so the
+// fault-injection engine can save it beside each reference checkpoint,
+// restore it with the core, compare it when pruning, and copy it when
+// forking a lane (DESIGN.md §6). Observe is the hook; an installed Observe
+// must be the only thing that changes the checker's state, and that state
+// must be a deterministic function of the commit events observed.
+//
+// A checker that satisfies this contract lets a hooked campaign warm-start
+// and prune exactly like a hookless one: a run whose core state and checker
+// state both equal the fault-free reference's at the same cycle shares the
+// reference's future, in which the checker detects nothing.
+type Checker interface {
+	// Observe checks one committed instruction; true signals a detection.
+	Observe(ev CommitEvent) bool
+	// Clone saves the checker's state: it returns an independent checker
+	// holding a copy of it. A saved checker is never observed again and is
+	// safe to share read-only across goroutines.
+	Clone() Checker
+	// CopyFrom makes this checker's state identical to src's — loading a
+	// saved state or copying a live checker. src must be a checker of the
+	// same kind built for the same program.
+	CopyFrom(src Checker)
+	// Equal reports whether this checker's state is identical to other's.
+	Equal(other Checker) bool
+}
+
 // InFlightInst describes one instruction occupying a pipeline structure at a
 // clock boundary: the structure's functional-unit name (matching the unit
 // strings of the core's ff.Space), the slot inside it (the entry index for
@@ -88,7 +115,7 @@ type Core interface {
 	Snapshot() *Checkpoint
 	// Restore rewinds the core to a previously captured checkpoint taken
 	// from the same (design, program) pair. The installed commit hook is
-	// left untouched.
+	// left untouched; a Checker's state is restored separately.
 	Restore(ck *Checkpoint)
 	// Matches reports whether the core's current state is bit-for-bit
 	// identical to the checkpoint, without allocating. Two identical states

@@ -13,6 +13,8 @@
 //   - GammaContributor — flip-flop / execution-time γ overheads (Sec 2.1);
 //   - Transformer      — program transformation (software/algorithm layers);
 //   - Hooker           — a commit-stream checker (architecture layer);
+//   - CheckerHooker    — a Hooker whose checker state can be checkpointed,
+//     so its campaigns warm-start, prune and run packed;
 //   - RecoveryCompat   — which recovery mechanisms the technique's
 //     detections can drive (the enumeration constraints of Table 18);
 //   - FFProtector      — participates in Heuristic 1 selective circuit/
@@ -132,6 +134,19 @@ type Transformer interface {
 // layer). The hook is instantiated once per run on the transformed program.
 type Hooker interface {
 	Hook(p *prog.Program) sim.CommitHook
+}
+
+// CheckerHooker is the optional checkpointable form of Hooker: Checker
+// returns the same checker as Hook, in its reset state, with its state
+// exposed through sim.Checker. When every active Hooker of a variant
+// implements it, the variant's campaigns warm-start from the fault-free
+// reference, prune on reconvergence and run on the packed gang engine
+// instead of replaying every injection from reset; results are identical
+// either way. Hook must stay consistent with Checker (Hook(p) behaves like
+// Checker(p).Observe).
+type CheckerHooker interface {
+	Hooker
+	Checker(p *prog.Program) sim.Checker
 }
 
 // RecoveryCompat declares which hardware recovery mechanisms a technique's
