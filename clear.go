@@ -139,11 +139,21 @@ const (
 
 // InjectOne flips one flip-flop bit at the given cycle of a fresh run of p
 // on a core of the given kind and classifies the outcome. nomCycles is the
-// fault-free execution time (used for the 2x hang cutoff).
-func InjectOne(kind CoreKind, p *Program, bit, cycle, nomCycles int) InjectionOutcome {
-	c := inject.NewCore(kind, p)
-	out, _ := inject.RunOne(c, p, bit, cycle, nomCycles, nil)
-	return out
+// fault-free execution time (used for the 2x hang cutoff). It rejects a bit
+// outside the core's flip-flop space, a negative cycle and a non-positive
+// nomCycles.
+func InjectOne(kind CoreKind, p *Program, bit, cycle, nomCycles int) (InjectionOutcome, error) {
+	if n := inject.SpaceBits(kind); bit < 0 || bit >= n {
+		return Vanished, fmt.Errorf("clear: bit %d outside the %v flip-flop space [0, %d)", bit, kind, n)
+	}
+	if cycle < 0 {
+		return Vanished, fmt.Errorf("clear: negative injection cycle %d", cycle)
+	}
+	if nomCycles <= 0 {
+		return Vanished, fmt.Errorf("clear: nominal cycle count %d must be positive", nomCycles)
+	}
+	out, _ := inject.RunOne(inject.NewCore(kind, p), p, bit, cycle, nomCycles, nil)
+	return out, nil
 }
 
 // Enumerate returns the valid cross-layer combinations of a core

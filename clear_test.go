@@ -40,7 +40,11 @@ func TestPublicInjection(t *testing.T) {
 	seen := map[InjectionOutcome]bool{}
 	for cycle := 10; cycle < nom; cycle += nom / 20 {
 		for bit := 0; bit < c.SpaceOf().NumBits(); bit += 97 {
-			seen[InjectOne(InO, p, bit, cycle, nom)] = true
+			out, err := InjectOne(InO, p, bit, cycle, nom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[out] = true
 		}
 		if len(seen) >= 3 {
 			break
@@ -51,6 +55,40 @@ func TestPublicInjection(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatal("injection produced only one outcome class")
+	}
+}
+
+// TestInjectOneRejectsOutOfRange pins InjectOne's input checks at the edges
+// of the in-order core's 1,127-bit flip-flop space, which packs into 18
+// 64-bit words: the last flip-flop is accepted, while bits past the space
+// — the word padding up to 1151 and the first bit beyond it — are rejected
+// instead of flipping padding or panicking, as are -1, a negative cycle and
+// a non-positive nominal length.
+func TestInjectOneRejectsOutOfRange(t *testing.T) {
+	p, err := BenchmarkByName("inner_product").Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCore(InO, p)
+	nom := c.Run(1_000_000).Steps
+	if n := c.SpaceOf().NumBits(); n != 1127 {
+		t.Fatalf("in-order space has %d flip-flops, want 1127", n)
+	}
+	if _, err := InjectOne(InO, p, 1126, nom/2, nom); err != nil {
+		t.Fatalf("last flip-flop rejected: %v", err)
+	}
+	for _, bit := range []int{-1, 1127, 1151, 1152} {
+		if _, err := InjectOne(InO, p, bit, nom/2, nom); err == nil {
+			t.Errorf("bit %d accepted", bit)
+		}
+	}
+	if _, err := InjectOne(InO, p, 0, -1, nom); err == nil {
+		t.Error("negative cycle accepted")
+	}
+	for _, n := range []int{0, -1} {
+		if _, err := InjectOne(InO, p, 0, 0, n); err == nil {
+			t.Errorf("nomCycles %d accepted", n)
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"clear/internal/inject"
 	"clear/internal/isa"
 	"clear/internal/obs"
-	"clear/internal/tcode"
 )
 
 func main() {
@@ -37,10 +36,7 @@ func main() {
 	z := flag.Float64("z", 1.96, "z-score for the AVF confidence intervals (1.96 = 95%)")
 	recordsOut := flag.String("records", "",
 		"also write the per-injection attribution records as JSONL to this file (empty = off)")
-	compiled := flag.Bool("compiled", true,
-		"execute programs as pre-translated threaded code (false = decode-switch interpreter; bit-identical escape hatch)")
 	flag.Parse()
-	tcode.SetEnabled(*compiled)
 
 	var kind inject.CoreKind
 	switch strings.ToLower(*coreName) {

@@ -49,7 +49,6 @@ import (
 	"clear/internal/recovery"
 	"clear/internal/resilient"
 	"clear/internal/sweep"
-	"clear/internal/tcode"
 	"clear/internal/technique"
 )
 
@@ -78,13 +77,7 @@ func main() {
 		"serve /metrics, /debug/vars and /debug/pprof on this address while the sweep runs (e.g. 127.0.0.1:9090; empty = off)")
 	traceOut := flag.String("trace-out", "",
 		"write a JSONL event trace (sweep events + campaign records) to this file (empty = off)")
-	compiled := flag.Bool("compiled", true,
-		"execute programs as pre-translated threaded code (false = decode-switch interpreter; bit-identical escape hatch)")
-	packed := flag.Bool("packed", true,
-		"batch campaign injections into 64-way gangs with shared prefix replay (false = scalar loop; bit-identical escape hatch)")
 	flag.Parse()
-	tcode.SetEnabled(*compiled)
-	inject.Packed = *packed
 
 	var kind inject.CoreKind
 	switch strings.ToLower(*coreName) {

@@ -22,7 +22,6 @@ import (
 	"clear/internal/obs"
 	"clear/internal/resilient"
 	"clear/internal/stats"
-	"clear/internal/tcode"
 )
 
 func main() {
@@ -34,20 +33,12 @@ func main() {
 		"fault model for the campaign: "+strings.Join(inject.ModelNames(), ", "))
 	monitor := flag.Bool("monitor", false, "attach the monitor core")
 	top := flag.Int("top", 10, "show the N most vulnerable structures")
-	ckptInterval := flag.Int("ckpt-interval", inject.CheckpointInterval,
-		"cycles between reference checkpoints (0 replays every injection from reset)")
 	retries := flag.Int("retries", 2, "retry budget for transient campaign failures")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics, /debug/vars and /debug/pprof on this address during the campaign (e.g. 127.0.0.1:9090; empty = off)")
 	traceOut := flag.String("trace-out", "",
 		"write a JSONL campaign trace to this file (empty = off)")
-	compiled := flag.Bool("compiled", true,
-		"execute programs as pre-translated threaded code (false = decode-switch interpreter; bit-identical escape hatch)")
-	packed := flag.Bool("packed", true,
-		"batch campaign injections into 64-way gangs with shared prefix replay (false = scalar loop; bit-identical escape hatch)")
 	flag.Parse()
-	tcode.SetEnabled(*compiled)
-	inject.Packed = *packed
 
 	var kind inject.CoreKind
 	switch strings.ToLower(*coreName) {
@@ -58,7 +49,6 @@ func main() {
 	default:
 		log.Fatalf("unknown -core %q (accepted: InO, OoO)", *coreName)
 	}
-	inject.CheckpointInterval = *ckptInterval
 	b := bench.ByName(*benchName)
 	if b == nil {
 		log.Fatalf("unknown benchmark %q (have: %v)", *benchName, bench.Names())

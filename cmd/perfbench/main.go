@@ -6,7 +6,7 @@
 //
 // For each core × execution mode it reports nominal simulation speed
 // (cycles/sec over repeated fault-free runs) and injection-campaign
-// throughput (simulated cycles/sec through inject.Run, which bypasses the
+// throughput (simulated cycles/sec through Injector.Run, which bypasses the
 // on-disk campaign cache), plus the one-time threaded-code translation cost
 // of the benchmark program. The interpreted and compiled cells run the
 // scalar campaign loop (preserving the BENCH_7 baseline definition); the
@@ -174,7 +174,7 @@ func main() {
 }
 
 // measure runs the nominal-speed and campaign measurements for one
-// (core, execution mode) cell. The campaign always computes (inject.Run,
+// (core, execution mode) cell. The campaign always computes (Injector.Run,
 // never the disk cache), with a fixed seed so all modes simulate the
 // identical injection workload. packed selects the gang-batched campaign
 // engine; the non-packed cells force the scalar loop so the interpreted and
@@ -204,7 +204,7 @@ func measure(kind inject.CoreKind, p *prog.Program, name string, compiled, packe
 
 	cfg := inject.Config{Core: kind, Bench: name, SamplesPerFF: samples, Seed: 0xC1EA5}
 	t0 = time.Now()
-	res, err := inject.Run(cfg, p, nil)
+	res, err := inject.NewInjector().Run(cfg, p, nil)
 	if err != nil {
 		log.Fatalf("%s/%s campaign: %v", kind, name, err)
 	}

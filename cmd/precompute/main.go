@@ -25,28 +25,18 @@ import (
 	"clear/internal/inject"
 	"clear/internal/obs"
 	"clear/internal/resilient"
-	"clear/internal/tcode"
 )
 
 func main() {
 	only := flag.String("only", "", "restrict to a phase: base, ino, ooo, abft")
 	faultModel := flag.String("fault-model", inject.DefaultModel,
 		"fault model to warm the cache under: "+strings.Join(inject.ModelNames(), ", "))
-	ckptInterval := flag.Int("ckpt-interval", inject.CheckpointInterval,
-		"cycles between reference checkpoints (0 replays every injection from reset)")
 	retries := flag.Int("retries", 2, "retry budget for transiently failing campaigns")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics, /debug/vars and /debug/pprof on this address while warming (e.g. 127.0.0.1:9090; empty = off)")
 	traceOut := flag.String("trace-out", "",
 		"write a JSONL campaign trace to this file (empty = off)")
-	compiled := flag.Bool("compiled", true,
-		"execute programs as pre-translated threaded code (false = decode-switch interpreter; bit-identical escape hatch)")
-	packed := flag.Bool("packed", true,
-		"batch campaign injections into 64-way gangs with shared prefix replay (false = scalar loop; bit-identical escape hatch)")
 	flag.Parse()
-	tcode.SetEnabled(*compiled)
-	inject.Packed = *packed
-	inject.CheckpointInterval = *ckptInterval
 	log.SetFlags(log.Ltime)
 	start := time.Now()
 

@@ -22,7 +22,12 @@ func ExampleInjectOne() {
 
 	// a flip in a dead status register always vanishes
 	statusBit := c.SpaceOf().BitsOf("w.s.tba")[0]
-	fmt.Println(clear.InjectOne(clear.InO, p, statusBit, nominal.Steps/2, nominal.Steps))
+	out, err := clear.InjectOne(clear.InO, p, statusBit, nominal.Steps/2, nominal.Steps)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println(out)
 	// Output: Vanished
 }
 

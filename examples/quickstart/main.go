@@ -32,7 +32,10 @@ func main() {
 	for i := 0; i < n; i++ {
 		bit := rng.Intn(nBits)
 		cycle := rng.Intn(nominal.Steps)
-		out := clear.InjectOne(clear.InO, p, bit, cycle, nominal.Steps)
+		out, err := clear.InjectOne(clear.InO, p, bit, cycle, nominal.Steps)
+		if err != nil {
+			log.Fatal(err)
+		}
 		counts[out]++
 	}
 

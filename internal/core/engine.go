@@ -114,7 +114,7 @@ type Engine struct {
 // caller's in-flight computation. A sweep observer reads successive
 // snapshots to report cache effectiveness.
 type EngineStats struct {
-	CampaignsRun    int64 // campaigns computed (inject.Campaign invoked)
+	CampaignsRun    int64 // campaigns computed (Injector.Campaign invoked)
 	CampaignsCached int64 // served from the in-memory memo map
 	CampaignsJoined int64 // joined another caller's in-flight campaign
 	ProgramsBuilt   int64 // transformed programs constructed

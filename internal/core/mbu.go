@@ -83,6 +83,7 @@ func clusterDetected(groupIdx []int, cluster []int) bool {
 func EvalMBUGrouping(env *inject.ModelEnv, g parity.Grouping, r *inject.Result) MBUGroupingEval {
 	groupIdx := groupOf(len(r.PerFF), g)
 	var ev MBUGroupingEval
+	var cluster []int
 	for bit, st := range r.PerFF {
 		if st.N == 0 {
 			continue
@@ -90,7 +91,7 @@ func EvalMBUGrouping(env *inject.ModelEnv, g parity.Grouping, r *inject.Result) 
 		ev.Strikes++
 		sdc := float64(st.OMM)
 		ev.BaseSDC += sdc
-		if clusterDetected(groupIdx, env.Cluster(bit)) {
+		if cluster = env.Cluster(bit, cluster[:0]); clusterDetected(groupIdx, cluster) {
 			ev.Detected++
 		} else {
 			ev.ResidualSDC += sdc

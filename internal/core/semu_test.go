@@ -87,7 +87,7 @@ func TestSEMUDoubleFlipSemantics(t *testing.T) {
 	// construction).
 	corrupted := 0
 	for cycle := 50; cycle < nom.Steps; cycle += nom.Steps / 40 {
-		out, _ := inject.RunPair(core, p, bitA, bitB, cycle, nom.Steps, nil)
+		out, _ := inject.RunScenario(core, p, inject.Scenario{bitA, bitB}, cycle, nom.Steps, nil)
 		if out != inject.Vanished {
 			corrupted++
 		}

@@ -104,13 +104,13 @@ func observe(c sim.Core, bit, cycle int) Record {
 }
 
 // emit completes an observed record with the run's classification and
-// forwards it to the sink. DetLat mirrors the campaign accounting: cycles
-// from injection to detection, only meaningful for ED outcomes whose
-// detection fired at or after the injection cycle.
-func (in *Injector) emit(rec Record, out Outcome, det int) {
+// forwards it to sink. DetLat mirrors the campaign accounting: cycles from
+// injection to detection, only meaningful for ED outcomes whose detection
+// fired at or after the injection cycle.
+func emit(sink RecordSink, rec Record, out Outcome, det int) {
 	rec.Outcome = out
 	if out == ED && det >= rec.Cycle {
 		rec.DetLat = det - rec.Cycle
 	}
-	in.Sink.Record(rec)
+	sink.Record(rec)
 }

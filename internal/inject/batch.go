@@ -17,10 +17,9 @@ package inject
 //     reconvergence instead of at the next checkpoint boundary;
 //   - control-flow divergence (PC/done/status/counters) or side-state
 //     divergence (memory/output/SRAMs) ⇒ the lane is evicted from the gang
-//     and continued through finishInjected, the exact tail the scalar
-//     RunOneFrom/RunScenarioFrom paths run — the lane already holds the
-//     state the scalar path would have at that cycle, so outcomes stay bit
-//     identical;
+//     and continued through finishInjected, the warm body's exact tail —
+//     the lane already holds the state the warm body would have at that
+//     cycle, so outcomes stay bit identical;
 //   - pure latch divergence ⇒ the lane stays in lockstep, the state most
 //     likely to reconverge (a struck value still draining through the
 //     pipeline).
@@ -33,60 +32,53 @@ package inject
 // still waiting for its block end) has not reconverged, so it counts as a
 // DiffAux divergence and is evicted, never pruned.
 //
-// Lanes still live at the window's end, and lanes that could not fork
-// (carrier finished first, delayed flips, out-of-range checkpoint index)
-// are likewise finished through the scalar warm bodies. Campaigns with an
-// opaque commit hook never run packed, because its state cannot be copied
-// at a fork; nor do sink-carrying ones, because the scalar
-// per-worker-per-bit loop is what guarantees the record sink's
-// deterministic per-bit arrival order.
+// Lanes still live at the window's end are likewise finished through
+// finishInjected. Every planned lane forks: a sampled cycle lies below
+// nomCycles, so its checkpoint window exists and the fault-free carrier is
+// still running when it gets there. Campaigns with an opaque commit hook
+// never run packed, because its state cannot be copied at a fork; nor do
+// sink-carrying ones, because the scalar per-worker-per-bit loop is what
+// guarantees the record sink's deterministic per-bit arrival order.
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"clear/internal/lanes"
-	"clear/internal/prog"
 	"clear/internal/sim"
 )
 
 // Packed selects the gang-batched engine for eligible campaigns (no opaque
-// hook, sinkless, checkpointed). It only affects campaign running time: results
-// are bit-for-bit identical either way for a fixed Config.Seed, so — like
-// CheckpointInterval — it is deliberately not part of Config and does not
-// key the on-disk campaign cache. The -packed=false flag on clearsweep,
-// precompute and faultinject is the escape hatch back to per-injection
-// scalar replay.
+// hook, sinkless, checkpointed). It only affects campaign running time:
+// results are bit-for-bit identical either way for a fixed Config.Seed, so
+// — like CheckpointInterval — it is deliberately not part of Config and
+// does not key the on-disk campaign cache. Tests and cmd/perfbench turn it
+// off to run the scalar loop the packed engine is checked against.
 var Packed = true
 
 // GangWidth is the number of fault scenarios one packed batch carries.
 const GangWidth = lanes.Width
 
 // packedLane is one planned injection: its compact strike-population index
-// (the worker tally slot), the struck bit (first-applied flip for
-// scenarios), the injection cycle, and the expanded scenario (nil for the
-// ssb model's single-bit strike).
+// (the worker tally slot), the struck bit, the injection cycle, and the
+// sample hash, from which the fork re-expands the lane's scenario.
 type packedLane struct {
 	pop   int
 	bit   int
 	cycle int
-	sc    Scenario
+	h     uint64
 }
 
-// laneGang is one batch of lanes sharing a checkpoint window. ckpt < 0
-// marks a spill gang: lanes the packed engine cannot fork (delayed flips,
-// out-of-range checkpoint index), replayed through the scalar warm bodies.
+// laneGang is one batch of lanes sharing the checkpoint window ckpt.
 type laneGang struct {
 	ckpt  int
 	lanes []packedLane
 }
 
 // packedPlan is a campaign's sampled population sorted into gangs plus the
-// empty-scenario strikes that are Vanished by construction.
+// bits of the empty-scenario strikes, which are Vanished by construction.
 type packedPlan struct {
 	gangs    []laneGang
-	vanished []packedLane
+	vanished []int
 }
 
 // planPacked samples the campaign's (bit, cycle) population — the identical
@@ -95,42 +87,20 @@ type packedPlan struct {
 // chunked into gangs of at most GangWidth. Sorting before chunking keeps
 // each gang's forks inside a short time slice of the window, so a gang's
 // carrier stops stepping as soon as its slice is decided.
-func planPacked(cfg Config, ref *Reference, nomCycles, nStrikes int, strikes []int,
-	ssb bool, model FaultModel, env *ModelEnv) packedPlan {
+func planPacked(c *campaign) packedPlan {
 	var plan packedPlan
 	byWindow := make(map[int][]packedLane)
-	var spill []packedLane
-	for i := 0; i < nStrikes; i++ {
-		bit := i
-		if strikes != nil {
-			bit = strikes[i]
-		}
-		for s := 0; s < cfg.SamplesPerFF; s++ {
-			h := splitmix64(cfg.Seed ^ uint64(bit)<<20 ^ uint64(s))
-			cycle := int(h % uint64(nomCycles))
-			ln := packedLane{pop: i, bit: bit, cycle: cycle}
-			if !ssb {
-				sc := model.Expand(env, bit, cycle, h)
-				if len(sc) == 0 {
-					plan.vanished = append(plan.vanished, ln)
-					continue
-				}
-				ln.sc = sc
-				if sc.normalize() > 0 {
-					// Delayed flips re-diverge a lane after it may already
-					// match the carrier, so they cannot be gang-pruned;
-					// no registered model emits them, but the seam stays
-					// correct if one does.
-					spill = append(spill, ln)
-					continue
-				}
-			}
-			idx := cycle / ref.Interval
-			if idx >= len(ref.Ckpts) {
-				spill = append(spill, ln)
+	var sc Scenario
+	for i := 0; i < c.nStrikes; i++ {
+		bit := c.bit(i)
+		for s := 0; s < c.cfg.SamplesPerFF; s++ {
+			h, cycle := c.sample(bit, s)
+			if sc = c.model.Expand(c.env, bit, cycle, h, sc[:0]); len(sc) == 0 {
+				plan.vanished = append(plan.vanished, bit)
 				continue
 			}
-			byWindow[idx] = append(byWindow[idx], ln)
+			idx := cycle / c.ref.Interval
+			byWindow[idx] = append(byWindow[idx], packedLane{pop: i, bit: bit, cycle: cycle, h: h})
 		}
 	}
 	windows := make([]int, 0, len(byWindow))
@@ -142,44 +112,27 @@ func planPacked(cfg Config, ref *Reference, nomCycles, nStrikes int, strikes []i
 		lns := byWindow[idx]
 		sort.SliceStable(lns, func(i, j int) bool { return lns[i].cycle < lns[j].cycle })
 		for lo := 0; lo < len(lns); lo += GangWidth {
-			hi := lo + GangWidth
-			if hi > len(lns) {
-				hi = len(lns)
-			}
-			plan.gangs = append(plan.gangs, laneGang{ckpt: idx, lanes: lns[lo:hi]})
+			plan.gangs = append(plan.gangs, laneGang{ckpt: idx, lanes: lns[lo:min(lo+GangWidth, len(lns))]})
 		}
-	}
-	for lo := 0; lo < len(spill); lo += GangWidth {
-		hi := lo + GangWidth
-		if hi > len(spill) {
-			hi = len(spill)
-		}
-		plan.gangs = append(plan.gangs, laneGang{ckpt: -1, lanes: spill[lo:hi]})
 	}
 	return plan
 }
 
-// gangWorker is one campaign worker's packed execution state: the carrier,
-// a lazily grown lane-core pool, a scalar core for spills and unforked
-// lanes — each with its own checker in a checked campaign (nil otherwise)
-// — and the compact per-population tallies merged into the Result under
-// the campaign mutex.
+// gangWorker is one campaign worker's packed execution state: the carrier
+// and a lazily grown lane-core pool — each with its own checker in a
+// checked campaign (nil otherwise) — the scenario buffer forks expand
+// into, and the worker's compact tally.
 type gangWorker struct {
-	in        *Injector
-	kind      CoreKind
-	p         *prog.Program
-	ref       *Reference
-	cf        func(*prog.Program) sim.Checker
-	nomCycles int
+	in *Injector
+	c  *campaign
 
-	carrier, scalar       sim.Core
-	carrierChk, scalarChk sim.Checker
-	cores                 [GangWidth]sim.Core
-	chks                  [GangWidth]sim.Checker
+	carrier    sim.Core
+	carrierChk sim.Checker
+	cores      [GangWidth]sim.Core
+	chks       [GangWidth]sim.Checker
+	sc         Scenario
 
-	local        []FFStats
-	totals       Counts
-	latSum, latN int64
+	tally
 }
 
 // lane returns the pool core for a slot, creating it on first use so a
@@ -187,7 +140,7 @@ type gangWorker struct {
 // cores per worker.
 func (w *gangWorker) lane(slot int) sim.Core {
 	if w.cores[slot] == nil {
-		w.cores[slot], w.chks[slot] = newChecked(w.kind, w.p, w.cf)
+		w.cores[slot], w.chks[slot] = newChecked(w.c.cfg.Core, w.c.p, w.c.cf)
 	}
 	return w.cores[slot]
 }
@@ -203,80 +156,33 @@ func laneDiff(lc, car sim.Core, lchk, carChk sim.Checker) uint8 {
 	return d
 }
 
-// tally accumulates one decided lane, mirroring the scalar campaign loop's
-// accounting exactly (including the detection-latency guard).
-func (w *gangWorker) tally(ln packedLane, out Outcome, det int) {
-	if out == ED && det >= ln.cycle {
-		w.latSum += int64(det - ln.cycle)
-		w.latN++
-	}
-	st := &w.local[ln.pop]
-	st.N++
-	switch out {
-	case OMM:
-		st.OMM++
-	case UT:
-		st.UT++
-	case Hang:
-		st.Hang++
-	case ED:
-		st.ED++
-	}
-	w.totals.Add(out)
-}
-
-// replay finishes one lane through the scalar warm bodies (the injection
-// itself was already counted by the gang).
-func (w *gangWorker) replay(ln packedLane) {
-	if w.scalar == nil {
-		w.scalar, w.scalarChk = newChecked(w.kind, w.p, w.cf)
-	}
-	var out Outcome
-	var det int
-	if ln.sc == nil {
-		out, det = w.in.runOneWarm(w.scalar, w.scalarChk, w.p, w.ref, ln.bit, ln.cycle, w.nomCycles)
-	} else {
-		out, det = w.in.runScenarioWarm(w.scalar, w.scalarChk, w.p, w.ref, ln.sc, ln.cycle, w.nomCycles)
-	}
-	w.tally(ln, out, det)
-}
-
-// classifyDone classifies a lane that finished during lockstep, mirroring
-// the scalar tail's Done branch.
-func classifyDone(p *prog.Program, c sim.Core) (Outcome, int) {
-	res := c.Result()
-	out := Classify(p, res)
-	det := -1
-	if out == ED {
-		det = res.Steps
-	}
-	return out, det
+// finish continues the lane in slot s from its current state through the
+// warm body's tail and tallies the outcome.
+func (w *gangWorker) finish(s int, ln packedLane) {
+	out, det := w.in.finishInjected(w.lane(s), w.chks[s], w.c.p, w.c.ref, ln.cycle, w.c.nomCycles)
+	w.add(ln.pop, ln.cycle, out, det)
 }
 
 // runGang executes one gang: replay the window prefix on the carrier, fork
 // each lane at its cycle, lockstep-and-classify until every lane is
-// decided or the window ends, then finish the survivors scalar-style.
+// decided or the window ends, then finish the survivors through the warm
+// body's tail.
 func (w *gangWorker) runGang(g laneGang) {
+	c := w.c
 	w.in.injTotal.Add(int64(len(g.lanes)))
-	if g.ckpt < 0 {
-		for _, ln := range g.lanes {
-			w.replay(ln)
-		}
-		return
-	}
 	if w.carrier == nil {
-		w.carrier, w.carrierChk = newChecked(w.kind, w.p, w.cf)
+		w.carrier, w.carrierChk = newChecked(c.cfg.Core, c.p, c.cf)
 	}
 	car := w.carrier
-	w.ref.restore(car, w.carrierChk, g.ckpt)
-	windowEnd := (g.ckpt + 1) * w.ref.Interval
+	c.ref.restore(car, w.carrierChk, g.ckpt)
+	windowEnd := (g.ckpt + 1) * c.ref.Interval
 
 	var live lanes.Mask
 	var slot [GangWidth]packedLane
 	next := 0
 	for {
 		t := car.Cycles()
-		for next < len(g.lanes) && g.lanes[next].cycle == t && !car.Done() {
+		for next < len(g.lanes) && g.lanes[next].cycle == t {
 			s := live.FirstFree()
 			lc := w.lane(s)
 			lc.(sim.GangCore).CopyStateFrom(car)
@@ -284,15 +190,8 @@ func (w *gangWorker) runGang(g laneGang) {
 				w.chks[s].CopyFrom(w.carrierChk)
 			}
 			ln := g.lanes[next]
-			if ln.sc == nil {
-				lc.State().FlipBit(ln.bit)
-			} else {
-				// All flips are delay-0 (planPacked spills the rest), applied
-				// in the scenario's normalized order like applyAt.
-				for _, f := range ln.sc {
-					lc.State().FlipBit(f.Bit)
-				}
-			}
+			w.sc = c.model.Expand(c.env, ln.bit, ln.cycle, ln.h, w.sc[:0])
+			strike(lc, w.sc)
 			slot[s] = ln
 			live.Set(s)
 			next++
@@ -306,8 +205,8 @@ func (w *gangWorker) runGang(g laneGang) {
 			lc := w.lane(s)
 			lc.Step()
 			if lc.Done() {
-				out, det := classifyDone(w.p, lc)
-				w.tally(slot[s], out, det)
+				out, det := classifyRun(c.p, lc.Result())
+				w.add(slot[s].pop, slot[s].cycle, out, det)
 				live.Clear(s)
 				continue
 			}
@@ -319,94 +218,40 @@ func (w *gangWorker) runGang(g laneGang) {
 				// boundary prune.
 				w.in.injPruned.Add(1)
 				w.in.pruneCycles.Observe(int64(lc.Cycles() - slot[s].cycle))
-				w.tally(slot[s], Vanished, -1)
+				w.add(slot[s].pop, slot[s].cycle, Vanished, -1)
 				live.Clear(s)
 			case d&(sim.DiffCtl|sim.DiffAux) != 0:
 				// Control flow left the reference trajectory, or side state
 				// (memory/output/SRAMs/checker) diverged: reconvergence is no
-				// longer cheap to detect, so continue the lane scalar-style.
-				out, det := w.in.finishInjected(lc, w.chks[s], w.p, w.ref, slot[s].cycle, w.nomCycles)
-				w.tally(slot[s], out, det)
+				// longer cheap to detect, so continue the lane on its own.
+				w.finish(s, slot[s])
 				live.Clear(s)
 			}
 		}
 	}
 	// Window over (or carrier finished): survivors keep their exact lane
-	// state and run the scalar tail from here.
+	// state and run the warm body's tail from here.
 	for m := live; !m.Empty(); {
 		s := m.PopLowest()
-		out, det := w.in.finishInjected(w.lane(s), w.chks[s], w.p, w.ref, slot[s].cycle, w.nomCycles)
-		w.tally(slot[s], out, det)
-	}
-	// Lanes whose fork point the carrier never reached (it halted first):
-	// the scalar warm bodies reproduce the inject-into-finished-state case.
-	for ; next < len(g.lanes); next++ {
-		w.replay(g.lanes[next])
+		w.finish(s, slot[s])
 	}
 }
 
-// runPacked executes the campaign through the gang engine, filling res. It
-// reports false — leaving res untouched — when the core design lacks the
-// gang hooks, in which case the caller falls back to the scalar loop.
+// runPacked executes the campaign through the gang engine, filling res.
 // Identical per-(bit, cycle) outcomes summed by commutative tallies make
 // the filled Result byte-identical to the scalar loop's.
-func (in *Injector) runPacked(res *Result, cfg Config, p *prog.Program, ref *Reference,
-	cf func(*prog.Program) sim.Checker, nomCycles, nStrikes int, strikes []int, ssb bool,
-	model FaultModel, env *ModelEnv) bool {
-	if _, ok := NewCore(cfg.Core, p).(sim.GangCore); !ok {
-		return false
-	}
-	plan := planPacked(cfg, ref, nomCycles, nStrikes, strikes, ssb, model, env)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
-	gangs := make(chan laneGang, workers)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := &gangWorker{
-				in: in, kind: cfg.Core, p: p, ref: ref, cf: cf, nomCycles: nomCycles,
-				local: make([]FFStats, nStrikes),
-			}
-			for g := range gangs {
-				w.runGang(g)
-			}
-			mu.Lock()
-			for i := range w.local {
-				bit := i
-				if strikes != nil {
-					bit = strikes[i]
-				}
-				res.PerFF[bit].N += w.local[i].N
-				res.PerFF[bit].OMM += w.local[i].OMM
-				res.PerFF[bit].UT += w.local[i].UT
-				res.PerFF[bit].Hang += w.local[i].Hang
-				res.PerFF[bit].ED += w.local[i].ED
-			}
-			res.Totals.Merge(w.totals)
-			res.DetLatSum += w.latSum
-			res.DetN += w.latN
-			mu.Unlock()
-		}()
-	}
-	for _, g := range plan.gangs {
-		gangs <- g
-	}
-	close(gangs)
-	wg.Wait()
-
+func (in *Injector) runPacked(res *Result, c *campaign) {
+	plan := planPacked(c)
+	fanOut(len(plan.gangs), func() (func(int), func()) {
+		w := &gangWorker{in: in, c: c, tally: tally{local: make([]FFStats, c.nStrikes)}}
+		return func(g int) { w.runGang(plan.gangs[g]) }, func() { w.mergeInto(res, c) }
+	})
 	// Strikes the fault model says latch nothing: Vanished by construction,
-	// no simulation — the same bookkeeping RunScenarioFrom's empty-scenario
+	// no simulation — the same bookkeeping runScenarioFrom's empty-scenario
 	// path performs.
-	for _, ln := range plan.vanished {
+	for _, bit := range plan.vanished {
 		in.injTotal.Add(1)
-		res.PerFF[ln.bit].N++
+		res.PerFF[bit].N++
 		res.Totals.Add(Vanished)
 	}
-	return true
 }

@@ -20,20 +20,23 @@ func setPacked(t testing.TB, on bool) {
 }
 
 // runBothEngines runs the same campaign through the scalar loop and the
-// packed engine and returns both results.
+// packed engine and returns both results. Each engine must tally exactly
+// one injection per sample, Vanished-by-construction strikes included.
 func runBothEngines(t testing.TB, cfg Config, p *prog.Program) (scalar, packed *Result) {
 	t.Helper()
-	setPacked(t, false)
-	scalar, err := Run(cfg, p, nil)
-	if err != nil {
-		t.Fatalf("scalar run: %v", err)
+	run := func(on bool) *Result {
+		setPacked(t, on)
+		in := NewInjector()
+		r, err := in.Run(cfg, p, nil)
+		if err != nil {
+			t.Fatalf("packed=%v run: %v", on, err)
+		}
+		if _, total := in.PruneStats(); total != int64(r.Totals.N) {
+			t.Fatalf("packed=%v: %d injections tallied, want %d", on, total, r.Totals.N)
+		}
+		return r
 	}
-	setPacked(t, true)
-	packed, err = Run(cfg, p, nil)
-	if err != nil {
-		t.Fatalf("packed run: %v", err)
-	}
-	return scalar, packed
+	return run(false), run(true)
 }
 
 // requireIdentical asserts two campaign results are equal as values AND as
@@ -58,18 +61,52 @@ func requireIdentical(t testing.TB, label string, scalar, packed *Result) {
 	}
 }
 
+// mixModel is a test-only fault model mixing the planner inputs no
+// registered model emits side by side: empty scenarios (Vanished by
+// construction) and two- and three-flip scenarios whose flips are not in
+// ascending order.
+type mixModel struct{}
+
+func (mixModel) Name() string         { return "zmix" }
+func (mixModel) Bits(*ModelEnv) []int { return nil }
+func (mixModel) Expand(env *ModelEnv, bit, _ int, _ uint64, dst Scenario) Scenario {
+	n := env.Pl.Space.NumBits()
+	switch bit % 5 {
+	case 0:
+		return dst
+	case 1:
+		return append(dst, bit, (bit+n-3)%n, (bit+7)%n)
+	default:
+		return append(dst, bit, (bit+1)%n)
+	}
+}
+
+// registerTestModel adds m to the fault-model registry for the duration of
+// one test.
+func registerTestModel(t testing.TB, m FaultModel) {
+	t.Helper()
+	RegisterModel(m)
+	t.Cleanup(func() {
+		modelsMu.Lock()
+		delete(models, m.Name())
+		modelsMu.Unlock()
+	})
+}
+
 // TestPackedCampaignEquivalence pins the tentpole contract: for fixed
 // seeds, packed campaigns are bit-identical to scalar ones — DeepEqual
-// results and identical cache bytes — on both cores and under every
-// registered fault model.
+// results and identical cache bytes — on both cores, under every
+// registered fault model and under mixModel's empty and multi-flip
+// scenarios.
 func TestPackedCampaignEquivalence(t *testing.T) {
 	p := tinyProgram(t)
+	registerTestModel(t, mixModel{})
 	for _, kind := range []CoreKind{InO, OoO} {
 		samples := 2
 		if kind == OoO && testing.Short() {
 			samples = 1
 		}
-		for _, tag := range []string{"", "mbu/x", "uncore/x", "set/x"} {
+		for _, tag := range []string{"", "mbu/x", "uncore/x", "set/x", "zmix/x"} {
 			cfg := Config{Core: kind, Bench: "tiny", Tag: tag, SamplesPerFF: samples, Seed: 0xC1EA5}
 			scalar, packed := runBothEngines(t, cfg, p)
 			requireIdentical(t, kind.String()+"/"+tag, scalar, packed)
@@ -129,87 +166,6 @@ func TestPackedRestrictedPopulation(t *testing.T) {
 	}
 	if packed.Totals.N != want {
 		t.Fatalf("Totals.N = %d, want %d", packed.Totals.N, want)
-	}
-}
-
-// delaySpillModel is an unregistered fault model whose scenarios exercise
-// the packed planner's spill paths: empty scenarios (Vanished by
-// construction), delayed flips (unforkable, replayed scalar-style), and
-// plain multi-flip strikes. No registered model emits delays, so this is
-// the only way to pin the seam.
-type delaySpillModel struct{ nBits int }
-
-func (delaySpillModel) Name() string         { return "zdelayspill" }
-func (delaySpillModel) Bits(*ModelEnv) []int { return nil }
-func (m delaySpillModel) Expand(env *ModelEnv, bit, cycle int, h uint64) Scenario {
-	switch bit % 5 {
-	case 0:
-		return nil
-	case 1:
-		return Scenario{{Bit: bit}, {Bit: (bit + 3) % m.nBits, Delay: 2}}
-	default:
-		return Scenario{{Bit: bit}, {Bit: (bit + 1) % m.nBits}}
-	}
-}
-
-// TestPackedDelayedScenarioSpill drives runPacked directly with a model the
-// registry does not carry, covering every planner disposition at once, and
-// checks the result against a hand-rolled scalar loop over the identical
-// sample stream.
-func TestPackedDelayedScenarioSpill(t *testing.T) {
-	p := tinyProgram(t)
-	nBits := SpaceBits(InO)
-	model := delaySpillModel{nBits: nBits}
-	env := EnvFor(InO)
-	cfg := Config{Core: InO, Bench: "tiny", Tag: "zdelayspill/x", SamplesPerFF: 1, Seed: 0xABCDE}
-
-	ref, nomRes, err := BuildReference(InO, p, CheckpointInterval, 8_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nomCycles := nomRes.Steps
-
-	packedRes := &Result{Config: cfg, NomCycles: nomCycles, PerFF: make([]FFStats, nBits)}
-	inP := NewInjector()
-	if !inP.runPacked(packedRes, cfg, p, ref, nil, nomCycles, nBits, nil, false, model, env) {
-		t.Fatal("runPacked reported no gang capability")
-	}
-
-	scalarRes := &Result{Config: cfg, NomCycles: nomCycles, PerFF: make([]FFStats, nBits)}
-	inS := NewInjector()
-	core := NewCore(InO, p)
-	for bit := 0; bit < nBits; bit++ {
-		for s := 0; s < cfg.SamplesPerFF; s++ {
-			h := splitmix64(cfg.Seed ^ uint64(bit)<<20 ^ uint64(s))
-			cycle := int(h % uint64(nomCycles))
-			sc := model.Expand(env, bit, cycle, h)
-			out, det := inS.RunScenarioFrom(core, p, ref, sc, cycle, nomCycles, nil)
-			if out == ED && det >= cycle {
-				scalarRes.DetLatSum += int64(det - cycle)
-				scalarRes.DetN++
-			}
-			st := &scalarRes.PerFF[bit]
-			st.N++
-			switch out {
-			case OMM:
-				st.OMM++
-			case UT:
-				st.UT++
-			case Hang:
-				st.Hang++
-			case ED:
-				st.ED++
-			}
-			scalarRes.Totals.Add(out)
-		}
-	}
-	if !reflect.DeepEqual(scalarRes, packedRes) {
-		t.Fatalf("packed spill result differs from scalar\nscalar: %+v\npacked: %+v",
-			scalarRes.Totals, packedRes.Totals)
-	}
-	pruned, total := inP.PruneStats()
-	if total != int64(nBits*cfg.SamplesPerFF) {
-		t.Fatalf("packed injTotal = %d, want %d (pruned %d)", total, nBits*cfg.SamplesPerFF, pruned)
 	}
 }
 

@@ -188,16 +188,8 @@ func (in *Injector) quarantine(path string) {
 // failures never fail the campaign: a corrupt or truncated entry is
 // quarantined and the campaign recomputed; a decodable entry that does not
 // demonstrably belong to this campaign (stored Config mismatch, implausible
-// shape — a key collision or hand-edited file) is discarded as stale.
-//
-// The package-level function counts against the default injection scope;
-// use the Injector method to attribute cache traffic (and the campaign
-// trace record) to a specific scope.
-func Campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
-	return std.Campaign(cfg, p, hookFactory)
-}
-
-// Campaign is the scoped form of the package-level Campaign.
+// shape — a key collision or hand-edited file) is discarded as stale. Cache
+// traffic and the campaign trace record land on this injector.
 func (in *Injector) Campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
 	return in.campaign(cfg, p, hookFactory, nil)
 }

@@ -16,7 +16,7 @@ func TestCampaignRecomputesTruncatedCache(t *testing.T) {
 
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 11}
-	r1, err := Campaign(cfg, p, nil)
+	r1, err := NewInjector().Campaign(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestCampaignRecomputesTruncatedCache(t *testing.T) {
 	}
 
 	before := QuarantineStats()
-	r2, err := Campaign(cfg, p, nil)
+	r2, err := NewInjector().Campaign(cfg, p, nil)
 	if err != nil {
 		t.Fatalf("campaign failed on truncated cache entry: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestCampaignRecomputesTruncatedCache(t *testing.T) {
 		t.Fatalf("quarantine files = %v, want exactly one", corrupt)
 	}
 	// The rewritten entry round-trips cleanly.
-	if _, err := Campaign(cfg, p, nil); err != nil {
+	if _, err := NewInjector().Campaign(cfg, p, nil); err != nil {
 		t.Fatalf("rewritten entry unreadable: %v", err)
 	}
 	if more, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(more) != 1 {
@@ -66,7 +66,7 @@ func TestCampaignDetectsBitrotViaCRC(t *testing.T) {
 
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 12}
-	r1, err := Campaign(cfg, p, nil)
+	r1, err := NewInjector().Campaign(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCampaignDetectsBitrotViaCRC(t *testing.T) {
 	if _, _, err := decodeCache(data); err == nil {
 		t.Fatal("decodeCache accepted a bit-rotted payload under the CRC trailer")
 	}
-	r2, err := Campaign(cfg, p, nil)
+	r2, err := NewInjector().Campaign(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCampaignDetectsBitrotViaCRC(t *testing.T) {
 func TestDecodeCacheLegacyTrailerless(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 13}
-	r, err := Run(cfg, p, nil)
+	r, err := NewInjector().Run(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,13 +55,14 @@ func TestRunOneFromEquivalence(t *testing.T) {
 		}
 		direct := NewCore(kind, p)
 		warm := NewCore(kind, p)
+		in := NewInjector()
 		nBits := SpaceBits(kind)
 		for s := 0; s < 300; s++ {
 			h := splitmix64(uint64(s) ^ 0xFEED)
 			bit := int(h % uint64(nBits))
 			cycle := int((h >> 24) % uint64(nom))
 			o1, d1 := RunOne(direct, p, bit, cycle, nom, nil)
-			o2, d2 := RunOneFrom(warm, p, ref, bit, cycle, nom, nil)
+			o2, d2 := in.RunOneFrom(warm, p, ref, bit, cycle, nom, nil)
 			if o1 != o2 || d1 != d2 {
 				t.Fatalf("%v bit=%d cycle=%d: from-reset (%v,%d) vs checkpointed (%v,%d)",
 					kind, bit, cycle, o1, d1, o2, d2)
@@ -75,7 +76,7 @@ func TestRunOneFromEquivalence(t *testing.T) {
 			cycle := int((h >> 24) % uint64(nom))
 			hf := boundsHook(1 << 20)
 			o1, d1 := RunOne(direct, p, bit, cycle, nom, hf)
-			o2, d2 := RunOneFrom(warm, p, ref, bit, cycle, nom, hf)
+			o2, d2 := in.RunOneFrom(warm, p, ref, bit, cycle, nom, hf)
 			if o1 != o2 || d1 != d2 {
 				t.Fatalf("%v hooked bit=%d cycle=%d: (%v,%d) vs (%v,%d)",
 					kind, bit, cycle, o1, d1, o2, d2)
@@ -99,14 +100,14 @@ func TestCampaignBitIdentical(t *testing.T) {
 		return buf.Bytes()
 	}
 	setInterval(t, 0)
-	r0, err := Run(cfg, p, nil)
+	r0, err := NewInjector().Run(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := encode(r0)
 	for _, interval := range []int{64, 256, 1024} {
 		CheckpointInterval = interval
-		r, err := Run(cfg, p, nil)
+		r, err := NewInjector().Run(cfg, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,12 +125,12 @@ func TestCampaignBitIdenticalHooked(t *testing.T) {
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 7}
 	hf := boundsHook(1 << 20)
 	setInterval(t, 0)
-	r0, err := Run(cfg, p, hf)
+	r0, err := NewInjector().Run(cfg, p, hf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	CheckpointInterval = 256
-	r1, err := Run(cfg, p, hf)
+	r1, err := NewInjector().Run(cfg, p, hf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestSamplesPerFFRange(t *testing.T) {
 	p := tinyProgram(t)
 	for _, n := range []int{70000, 1 << 16, -1} {
 		cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: n, Seed: 1}
-		if _, err := Run(cfg, p, nil); err == nil {
+		if _, err := NewInjector().Run(cfg, p, nil); err == nil {
 			t.Fatalf("SamplesPerFF=%d: want counter-range error, got nil", n)
 		}
 	}
@@ -158,7 +159,7 @@ func TestCampaignCacheRejectsForeign(t *testing.T) {
 	p := tinyProgram(t)
 
 	cfgA := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 1}
-	rA, err := Campaign(cfgA, p, nil)
+	rA, err := NewInjector().Campaign(cfgA, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestCampaignCacheRejectsForeign(t *testing.T) {
 	cfgB.Seed = 2
 	pathB := filepath.Join(dir, cacheKey(cfgB, p))
 	plant(rA, pathB)
-	rB, err := Campaign(cfgB, p, nil)
+	rB, err := NewInjector().Campaign(cfgB, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestCampaignCacheRejectsForeign(t *testing.T) {
 	forged := *rB
 	forged.NomCycles = 0
 	plant(&forged, pathB)
-	rB2, err := Campaign(cfgB, p, nil)
+	rB2, err := NewInjector().Campaign(cfgB, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func BenchmarkCampaignInO(b *testing.B) {
 	run := func(b *testing.B, interval int) {
 		setInterval(b, interval)
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(cfg, p, nil); err != nil {
+			if _, err := NewInjector().Run(cfg, p, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,8 @@
-// Package inject is the fault-injection engine: it flips single flip-flop
-// bits at uniformly sampled (flip-flop, cycle) points while a core runs an
-// application benchmark, classifies each run's outcome, and aggregates
-// per-flip-flop vulnerability statistics.
+// Package inject is the fault-injection engine: at uniformly sampled
+// (flip-flop, cycle) points it flips the flip-flops a fault model says one
+// strike upsets while a core runs an application benchmark, classifies
+// each run's outcome, and aggregates per-flip-flop vulnerability
+// statistics.
 //
 // Outcome classes follow the paper (Sec 2.1):
 //
@@ -107,30 +108,13 @@ func Classify(p *prog.Program, res prog.Result) Outcome {
 	}
 }
 
-// RunOne performs a single injection: run core to cycle, flip bit, run to
-// completion or the hang cutoff, classify. hookFactory, when non-nil,
-// supplies a fresh commit-stream checker for the run (its detections
-// classify as ED). The returned detectCycle is the cycle at which a
-// detection fired (-1 otherwise).
-func RunOne(c sim.Core, p *prog.Program, bit, cycle, nomCycles int,
-	hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
-	c.Reset(p)
-	if hookFactory != nil {
-		c.SetCommitHook(hookFactory(p))
-	} else {
-		c.SetCommitHook(nil)
+// classifyRun classifies a finished run and reports the cycle a detection
+// fired at (-1 unless the outcome is ED).
+func classifyRun(p *prog.Program, res prog.Result) (Outcome, int) {
+	if out := Classify(p, res); out != ED {
+		return out, -1
 	}
-	for i := 0; i < cycle && !c.Done(); i++ {
-		c.Step()
-	}
-	c.State().FlipBit(bit)
-	res := c.Run(HangFactor * nomCycles)
-	out := Classify(p, res)
-	det := -1
-	if out == ED {
-		det = res.Steps
-	}
-	return out, det
+	return ED, res.Steps
 }
 
 // Counts aggregates outcome tallies.
@@ -248,7 +232,8 @@ const nomBudget = 8_000_000
 // (software-protected) variant; hookFactory attaches an architecture-level
 // checker. A "<model>/" prefix on cfg.Tag selects a registered fault model
 // (mbu, uncore, set — see model.go); the unprefixed form is the paper's
-// single-bit model and runs the exact legacy path.
+// single-bit model, ssb. Every sample expands through its model into a
+// Scenario and runs through the injection kernel (scenario.go).
 //
 // Hookless campaigns amortize simulation work through the fault-free
 // reference trajectory (see CheckpointInterval and RunOneFrom): each
@@ -262,16 +247,9 @@ const nomBudget = 8_000_000
 // through RunChecked instead. Results are bit-for-bit identical to the
 // from-reset path for a fixed Config.Seed.
 //
-// The package-level function counts against the default injection scope;
-// use the Injector method to attribute the work to a specific scope.
-func Run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
-	return std.Run(cfg, p, hookFactory)
-}
-
-// Run is the scoped form of the package-level Run: injections, prunes, and
-// outcome tallies land on this injector's counters. Counters only observe
-// the campaign — they never feed back into it, so results are identical
-// whichever scope runs the campaign.
+// Injections, prunes, and outcome tallies land on this injector's
+// counters. Counters only observe the campaign — they never feed back into
+// it, so results are identical whichever injector runs the campaign.
 func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
 	return in.run(cfg, p, hookFactory, nil)
 }
@@ -292,184 +270,215 @@ func hooksOf(cf func(*prog.Program) sim.Checker) func(*prog.Program) sim.CommitH
 	return func(p *prog.Program) sim.CommitHook { return cf(p).Observe }
 }
 
-// run is the campaign body behind Run (hookFactory, run from reset) and
-// RunChecked (cf, run warm); at most one of the two is non-nil.
-func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
-	cf func(*prog.Program) sim.Checker) (*Result, error) {
+// nominal is the prologue every campaign shares. It checks that p has a
+// golden output and that samples fits the uint16 per-flip-flop counters,
+// then performs the fault-free nominal run: it records the warm-start
+// reference (under cf's checker, when non-nil) unless an opaque
+// hookFactory or a zero CheckpointInterval rules warm starts out, in which
+// case it runs cold under the hook. The run must halt with the golden
+// output. It returns the reference (nil for a cold campaign), the nominal
+// cycle count, and the retired-instruction count.
+func nominal(k CoreKind, p *prog.Program, bench, tag string, samples int,
+	hookFactory func(*prog.Program) sim.CommitHook, cf func(*prog.Program) sim.Checker) (*Reference, int, int64, error) {
 	if p.Expected == nil {
-		return nil, fmt.Errorf("inject: %s has no golden output", p.Name)
+		return nil, 0, 0, fmt.Errorf("inject: %s has no golden output", p.Name)
 	}
-	if cfg.SamplesPerFF < 0 || cfg.SamplesPerFF > math.MaxUint16 {
-		return nil, fmt.Errorf("inject: SamplesPerFF %d outside the per-FF counter range [0, %d]",
-			cfg.SamplesPerFF, math.MaxUint16)
-	}
-	// Resolve the fault model from the tag's "<model>/" prefix (see
-	// model.go). The unprefixed legacy form is the ssb model and keeps the
-	// exact pre-model code path, so ssb campaigns stay byte-identical.
-	modelName, _ := SplitModelTag(cfg.Tag)
-	model := LookupModel(modelName)
-	ssb := modelName == DefaultModel
-	var env *ModelEnv
-	var strikes []int
-	if !ssb {
-		env = EnvFor(cfg.Core)
-		strikes = model.Bits(env)
-	}
-	if cf != nil && CheckpointInterval <= 0 {
-		// No reference to warm-start from: the checker runs as a plain hook.
-		hookFactory, cf = hooksOf(cf), nil
+	if samples < 0 || samples > math.MaxUint16 {
+		return nil, 0, 0, fmt.Errorf("inject: %d samples outside the per-FF counter range [0, %d]",
+			samples, math.MaxUint16)
 	}
 	var ref *Reference
-	var nomRes prog.Result
-	var nomRet int64
+	var res prog.Result
+	var nom sim.Core
 	if hookFactory == nil && CheckpointInterval > 0 {
-		var nomC sim.Core
-		var refErr error
-		ref, nomRes, nomC, refErr = buildReferenceCore(cfg.Core, p, CheckpointInterval, nomBudget, cf)
-		if refErr != nil {
-			return nil, refErr
+		var err error
+		if ref, res, nom, err = buildReferenceCore(k, p, CheckpointInterval, nomBudget, cf); err != nil {
+			return nil, 0, 0, err
 		}
-		nomRet = nomC.Retired()
 	} else {
-		nom := NewCore(cfg.Core, p)
+		nom = NewCore(k, p)
 		if hookFactory != nil {
 			nom.SetCommitHook(hookFactory(p))
 		}
-		nomRes = nom.Run(nomBudget)
-		nomRet = nom.Retired()
+		res = nom.Run(nomBudget)
 	}
-	if nomRes.Status != prog.StatusHalted || !p.OutputsEqual(nomRes.Output) {
-		return nil, fmt.Errorf("inject: nominal run of %s/%s failed: %v", cfg.Bench, cfg.Tag, nomRes.Status)
+	if res.Status != prog.StatusHalted || !p.OutputsEqual(res.Output) {
+		return nil, 0, 0, fmt.Errorf("inject: nominal run of %s/%s failed: %v", bench, tag, res.Status)
 	}
-	nomCycles := nomRes.Steps
-	nBits := SpaceBits(cfg.Core)
-	// The strike population: every flip-flop, unless the model restricts
-	// it (uncore). PerFF is always full-space sized and indexed by the
-	// struck bit, so per-structure reporting works across models.
-	nStrikes := nBits
-	if strikes != nil {
-		nStrikes = len(strikes)
-	}
+	return ref, res.Steps, nom.Retired(), nil
+}
 
-	res := &Result{
-		Config:    cfg,
-		NomCycles: nomCycles,
-		NomRet:    nomRet,
-		PerFF:     make([]FFStats, nBits),
-	}
+// campaign is one computed campaign's fixed inputs, shared read-only by its
+// workers: the strike population is strikes (nil = every flip-flop), and
+// sample s of population index i strikes bit(i) at a splitmix64-drawn
+// cycle, expanded through model. At most one of hookFactory and cf is
+// non-nil.
+type campaign struct {
+	cfg         Config
+	p           *prog.Program
+	ref         *Reference
+	hookFactory func(*prog.Program) sim.CommitHook
+	cf          func(*prog.Program) sim.Checker
+	nomCycles   int
+	nStrikes    int
+	strikes     []int
+	model       FaultModel
+	env         *ModelEnv
+}
 
-	// Eligible campaigns run on the packed (gang-batched) engine — see
-	// batch.go for the eligibility reasoning. Results are bit-identical to
-	// the scalar loop below, which remains both the -packed=false escape
-	// hatch and the path for opaque-hook or sink-carrying campaigns.
-	if Packed && hookFactory == nil && in.Sink == nil && ref.usable() {
-		if in.runPacked(res, cfg, p, ref, cf, nomCycles, nStrikes, strikes, ssb, model, env) {
-			in.addOutcomes(res.Totals)
-			return res, nil
-		}
+// bit returns the flip-flop at population index i.
+func (c *campaign) bit(i int) int {
+	if c.strikes != nil {
+		return c.strikes[i]
 	}
+	return i
+}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
+// sample draws sample s of bit: its hash and injection cycle. The stream
+// is frozen — cached results depend on it.
+func (c *campaign) sample(bit, s int) (h uint64, cycle int) {
+	h = splitmix64(c.cfg.Seed ^ uint64(bit)<<20 ^ uint64(s))
+	return h, int(h % uint64(c.nomCycles))
+}
+
+// tally is one worker's compact outcome accounting, indexed by strike
+// population, merged into the Result once the worker is done. A
+// restricted model (uncore) strikes a few hundred bits and must not pay a
+// full-space slice per worker.
+type tally struct {
+	local        []FFStats
+	totals       Counts
+	latSum, latN int64
+}
+
+// add accounts one decided injection of population index pop struck at
+// cycle.
+func (t *tally) add(pop, cycle int, out Outcome, det int) {
+	if out == ED && det >= cycle {
+		t.latSum += int64(det - cycle)
+		t.latN++
 	}
-	type chunk struct{ lo, hi int }
-	chunks := make(chan chunk, workers)
+	st := &t.local[pop]
+	st.N++
+	switch out {
+	case OMM:
+		st.OMM++
+	case UT:
+		st.UT++
+	case Hang:
+		st.Hang++
+	case ED:
+		st.ED++
+	}
+	t.totals.Add(out)
+}
+
+// mergeInto scatters the tally back to res's full-space, bit-indexed PerFF.
+func (t *tally) mergeInto(res *Result, c *campaign) {
+	for i, l := range t.local {
+		st := &res.PerFF[c.bit(i)]
+		st.N += l.N
+		st.OMM += l.OMM
+		st.UT += l.UT
+		st.Hang += l.Hang
+		st.ED += l.ED
+	}
+	res.Totals.Merge(t.totals)
+	res.DetLatSum += t.latSum
+	res.DetN += t.latN
+}
+
+// fanOut runs work items 0..items-1 on GOMAXPROCS workers. newWorker runs
+// once on each worker and returns the worker's item body and its merge
+// step, which runs under a mutex shared by all workers.
+func fanOut(items int, newWorker func() (do func(item int), merge func())) {
+	workers := max(runtime.GOMAXPROCS(0), 1)
+	next := make(chan int)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			core, chk := newChecked(cfg.Core, p, cf)
-			// Tallies are indexed by the compact strike population, not the
-			// full flip-flop space: a restricted model (uncore) strikes a
-			// few hundred bits and must not pay a full-space slice per
-			// worker. The merge below scatters back to PerFF's bit indexing.
-			local := make([]FFStats, nStrikes)
-			var totals Counts
-			var latSum, latN int64
-			for ch := range chunks {
-				for i := ch.lo; i < ch.hi; i++ {
-					bit := i
-					if strikes != nil {
-						bit = strikes[i]
-					}
-					for s := 0; s < cfg.SamplesPerFF; s++ {
-						h := splitmix64(cfg.Seed ^ uint64(bit)<<20 ^ uint64(s))
-						cycle := int(h % uint64(nomCycles))
-						var out Outcome
-						var det int
-						if ssb {
-							out, det = in.runOneFrom(core, chk, p, ref, bit, cycle, nomCycles, hookFactory)
-						} else {
-							sc := model.Expand(env, bit, cycle, h)
-							out, det = in.runScenarioFrom(core, chk, p, ref, sc, cycle, nomCycles, hookFactory)
-						}
-						if out == ED && det >= cycle {
-							latSum += int64(det - cycle)
-							latN++
-						}
-						st := &local[i]
-						st.N++
-						switch out {
-						case OMM:
-							st.OMM++
-						case UT:
-							st.UT++
-						case Hang:
-							st.Hang++
-						case ED:
-							st.ED++
-						}
-						totals.Add(out)
-					}
-				}
+			do, merge := newWorker()
+			for item := range next {
+				do(item)
 			}
 			mu.Lock()
-			for i := range local {
-				bit := i
-				if strikes != nil {
-					bit = strikes[i]
-				}
-				res.PerFF[bit].N += local[i].N
-				res.PerFF[bit].OMM += local[i].OMM
-				res.PerFF[bit].UT += local[i].UT
-				res.PerFF[bit].Hang += local[i].Hang
-				res.PerFF[bit].ED += local[i].ED
-			}
-			res.Totals.Merge(totals)
-			res.DetLatSum += latSum
-			res.DetN += latN
+			merge()
 			mu.Unlock()
 		}()
 	}
-	const step = 64
-	for lo := 0; lo < nStrikes; lo += step {
-		hi := lo + step
-		if hi > nStrikes {
-			hi = nStrikes
-		}
-		chunks <- chunk{lo, hi}
+	for item := 0; item < items; item++ {
+		next <- item
 	}
-	close(chunks)
+	close(next)
 	wg.Wait()
+}
+
+// scalarChunk is the number of strike-population bits one scalar work item
+// covers.
+const scalarChunk = 64
+
+// run is the campaign body behind Run (hookFactory, run from reset) and
+// RunChecked (cf, run warm); at most one of the two is non-nil.
+func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
+	cf func(*prog.Program) sim.Checker) (*Result, error) {
+	if cf != nil && CheckpointInterval <= 0 {
+		// No reference to warm-start from: the checker runs as a plain hook.
+		hookFactory, cf = hooksOf(cf), nil
+	}
+	ref, nomCycles, nomRet, err := nominal(cfg.Core, p, cfg.Bench, cfg.Tag, cfg.SamplesPerFF, hookFactory, cf)
+	if err != nil {
+		return nil, err
+	}
+	modelName, _ := SplitModelTag(cfg.Tag)
+	c := &campaign{cfg: cfg, p: p, ref: ref, hookFactory: hookFactory, cf: cf, nomCycles: nomCycles,
+		model: LookupModel(modelName), env: EnvFor(cfg.Core)}
+	// The strike population: every flip-flop, unless the model restricts
+	// it (uncore). PerFF is always full-space sized and indexed by the
+	// struck bit, so per-structure reporting works across models.
+	nBits := SpaceBits(cfg.Core)
+	c.strikes = c.model.Bits(c.env)
+	c.nStrikes = nBits
+	if c.strikes != nil {
+		c.nStrikes = len(c.strikes)
+	}
+	res := &Result{Config: cfg, NomCycles: nomCycles, NomRet: nomRet, PerFF: make([]FFStats, nBits)}
+
+	// Eligible campaigns run on the packed (gang-batched) engine — see
+	// batch.go for the eligibility reasoning. Results are bit-identical to
+	// the scalar loop below, which the equivalence tests compare against
+	// and which runs opaque-hook and sink-carrying campaigns.
+	if Packed && hookFactory == nil && in.Sink == nil && ref.usable() {
+		in.runPacked(res, c)
+	} else {
+		in.runScalar(res, c)
+	}
 	in.addOutcomes(res.Totals)
 	return res, nil
 }
 
-// RunPair performs a single-event multiple-upset (SEMU) injection: two
-// flip-flops struck by one particle flip in the same cycle. The paper's
-// layout constraint (Tables 5/6) exists precisely because an even number
-// of flips inside one parity group is invisible to an XOR tree. The
-// returned detect cycle is the cycle a detection fired at (-1 unless the
-// outcome is ED).
-//
-// The injection and its outcome are tallied on the default injection scope;
-// use the Injector method (or RunPairFrom / RunPairs, see pair.go) to
-// attribute SEMU work to a specific scope or to warm-start it from a
-// reference trajectory.
-func RunPair(c sim.Core, p *prog.Program, bitA, bitB, cycle, nomCycles int,
-	hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
-	return std.RunPair(c, p, bitA, bitB, cycle, nomCycles, hookFactory)
+// runScalar executes the campaign one injection at a time, filling res:
+// each worker takes chunks of the strike population and runs every sample
+// of a bit in order, which keeps a record sink's per-bit arrival order
+// deterministic.
+func (in *Injector) runScalar(res *Result, c *campaign) {
+	fanOut((c.nStrikes+scalarChunk-1)/scalarChunk, func() (func(int), func()) {
+		core, chk := newChecked(c.cfg.Core, c.p, c.cf)
+		t := tally{local: make([]FFStats, c.nStrikes)}
+		var sc Scenario
+		do := func(chunk int) {
+			for i := chunk * scalarChunk; i < min((chunk+1)*scalarChunk, c.nStrikes); i++ {
+				bit := c.bit(i)
+				for s := 0; s < c.cfg.SamplesPerFF; s++ {
+					h, cycle := c.sample(bit, s)
+					sc = c.model.Expand(c.env, bit, cycle, h, sc[:0])
+					out, det := in.runScenarioFrom(core, chk, c.p, c.ref, sc, cycle, c.nomCycles, c.hookFactory)
+					t.add(i, cycle, out, det)
+				}
+			}
+		}
+		return do, func() { t.mergeInto(res, c) }
+	})
 }

@@ -90,7 +90,7 @@ func TestRunOneDeterministic(t *testing.T) {
 func TestCampaignSmall(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 42}
-	r, err := Run(cfg, p, nil)
+	r, err := NewInjector().Run(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestCampaignSmall(t *testing.T) {
 func TestCampaignDeterminism(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 1}
-	r1, err := Run(cfg, p, nil)
+	r1, err := NewInjector().Run(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg, p, nil)
+	r2, err := NewInjector().Run(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCampaignCache(t *testing.T) {
 
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 9}
-	r1, err := Campaign(cfg, p, nil)
+	r1, err := NewInjector().Campaign(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCampaignCache(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("cache files: %v", files)
 	}
-	r2, err := Campaign(cfg, p, nil)
+	r2, err := NewInjector().Campaign(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCampaignCache(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := Campaign(cfg, p, nil)
+	r3, err := NewInjector().Campaign(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,19 +231,21 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
+// TestRunPairSEMU covers the two-flip scenario of a single-event multiple
+// upset on the cold body.
 func TestRunPairSEMU(t *testing.T) {
 	p := tinyProgram(t)
 	c := NewCore(InO, p)
 	nom := NewCore(InO, p).Run(100000)
 	// deterministic
-	o1, _ := RunPair(c, p, 3, 40, 20, nom.Steps, nil)
-	o2, _ := RunPair(c, p, 3, 40, 20, nom.Steps, nil)
+	o1, _ := RunScenario(c, p, Scenario{3, 40}, 20, nom.Steps, nil)
+	o2, _ := RunScenario(c, p, Scenario{3, 40}, 20, nom.Steps, nil)
 	if o1 != o2 {
-		t.Fatalf("RunPair nondeterministic: %v vs %v", o1, o2)
+		t.Fatalf("pair injection nondeterministic: %v vs %v", o1, o2)
 	}
 	// flipping the same bit twice in one strike is the identity: outcome
 	// must equal the fault-free classification
-	if out, _ := RunPair(c, p, 7, 7, 10, nom.Steps, nil); out != Vanished {
+	if out, _ := RunScenario(c, p, Scenario{7, 7}, 10, nom.Steps, nil); out != Vanished {
 		t.Fatalf("double flip of one bit should vanish, got %v", out)
 	}
 }

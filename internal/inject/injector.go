@@ -12,10 +12,10 @@ import (
 // prune and quarantine counters were process-global atomics, so two
 // concurrent sweeps in one process conflated each other's numbers: an
 // event from the in-order sweep could report prune work done by the
-// out-of-order sweep. Each engine now owns an Injector; the package-level
-// Campaign/Run/RunOneFrom functions and the PruneStats/QuarantineStats
-// accessors remain as compatibility wrappers over a default instance and
-// an aggregation across every instance, respectively.
+// out-of-order sweep. Each engine now owns an Injector, and every campaign
+// and warm injection runs through one (Run, RunChecked, Campaign,
+// CampaignChecked, RunPairs, RunOneFrom). The package-level PruneStats and
+// QuarantineStats aggregate across every instance.
 //
 // An Injector additionally carries the obs instruments of the injection
 // hot path (per-outcome counters, the convergence-prune cycle histogram,
@@ -30,22 +30,21 @@ type Injector struct {
 	// completed Campaign call (cache hits included, marked as such).
 	Tracer *obs.Tracer
 
-	// Sink, when non-nil, receives one attribution Record per injection
-	// performed through RunOneFrom/RunScenarioFrom/RunPairFrom — and
-	// therefore per campaign injection (see record.go). The sink observes
-	// only: outcomes, Result contents, and cache bytes are identical with
-	// or without one, and a nil Sink adds a single pointer check to the
-	// hot path. Sinks must be safe for concurrent use (campaign workers
+	// Sink, when non-nil, receives one attribution Record per executed
+	// injection, campaign injections included (see record.go). The sink
+	// observes only: outcomes, Result contents, and cache bytes are
+	// identical with or without one, and a nil Sink adds a single pointer
+	// check to the hot path. Sinks must be safe for concurrent use (campaign workers
 	// emit in parallel). Note that Campaign cache hits replay no
 	// injections and thus emit no records; attach the sink and use Run to
 	// (re)collect attribution.
 	Sink RecordSink
 
-	injTotal    obs.Counter   // injections performed (RunOneFrom entries)
+	injTotal    obs.Counter   // injections performed, empty scenarios included
 	injPruned   obs.Counter   // injections ended early by convergence pruning
 	pruneCycles obs.Histogram // cycles simulated post-injection before the prune hit
 
-	outVanished obs.Counter // outcome tallies (computed campaigns + standalone pair probes)
+	outVanished obs.Counter // outcome tallies of computed campaigns
 	outOMM      obs.Counter
 	outUT       obs.Counter
 	outHang     obs.Counter
@@ -73,10 +72,6 @@ func NewInjector() *Injector {
 	injectorsMu.Unlock()
 	return in
 }
-
-// std is the default scope behind the package-level Campaign/Run/
-// RunOneFrom wrappers.
-var std = NewInjector()
 
 // Snapshot is a point-in-time view of an injector's counters, taken with
 // one atomic load per field.

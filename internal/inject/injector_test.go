@@ -63,21 +63,29 @@ func TestInjectorScopedCounters(t *testing.T) {
 }
 
 // TestInjectorScopedResultsIdentical guards the observability invariant:
-// a campaign computed through a scoped injector is bit-identical to the
-// same campaign through the package-level path.
+// a campaign is bit-identical whichever injector computes it — a fresh one,
+// or one whose counters are published to a registry, whose tracer is on,
+// and which already carries another campaign's work.
 func TestInjectorScopedResultsIdentical(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 33}
-	r1, err := Run(cfg, p, nil)
+	r1, err := NewInjector().Run(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewInjector().Run(cfg, p, nil)
+	busy := NewInjector()
+	busy.Instrument(obs.NewRegistry(), "inject.ino.")
+	var trace bytes.Buffer
+	busy.Tracer = obs.NewTracer(&trace)
+	if _, err := busy.Run(Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 34}, p, nil); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := busy.Run(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1, r2) {
-		t.Fatal("scoped Run result differs from package-level Run")
+		t.Fatal("Run result depends on the injector that computed it")
 	}
 }
 

@@ -13,20 +13,20 @@ import (
 
 // Pluggable fault models (ROADMAP item 4): a FaultModel deterministically
 // expands a sampled (flip-flop, cycle) point into a fault scenario — the
-// set of simultaneous or time-offset bit flips one physical event causes.
-// The sampling loop is model-independent (same splitmix64 stream, same
-// uniform cycle draw); only the expansion differs, so two models disagree
-// exactly where the physics says they should.
+// set of flip-flops one physical event flips together at the injection
+// cycle. The sampling loop is model-independent (same splitmix64 stream,
+// same uniform cycle draw); only the expansion differs, so two models
+// disagree exactly where the physics says they should.
 //
 // Four models are registered:
 //
 //	ssb    — single-bit upset in core flip-flops: the paper's model and
-//	         the default. Campaigns run the exact pre-model code path and
-//	         are bit-identical (results, cache gobs) to it.
+//	         the default. Its one-flip scenarios reproduce the pre-model
+//	         results and cache gobs bit for bit.
 //	mbu    — spatial multi-bit upset: one particle flips the struck
 //	         flip-flop and every neighbour within layout.SEMURadius of it
 //	         (the Table 5/6 cluster population). This is the k-flip
-//	         generalization of the RunPair SEMU machinery.
+//	         generalization of the RunPairs SEMU campaigns.
 //	uncore — single flips restricted to memory-interface state (load
 //	         unit, store queue, fetch buffer, cache interface registers),
 //	         after Cho et al., "Understanding Soft Errors in Uncore
@@ -45,24 +45,18 @@ import (
 // without changing the gob schema — adding a Config field would alter the
 // type descriptor of every cached campaign and break ssb byte-identity.
 
-// Flip is one bit flip of a fault scenario: the flip-flop to flip and the
-// cycle offset (>= 0) from the scenario's injection cycle at which it
-// lands. Delay 0 flips are applied together at the injection point.
-type Flip struct {
-	Bit   int
-	Delay int
-}
-
-// Scenario is the ordered flip set one fault event expands to, sorted by
-// (Delay, Bit). An empty scenario is a strike that latches nothing: the
-// run is Vanished by construction and never simulated.
-type Scenario []Flip
+// Scenario is the set of flip-flops one strike flips together at the
+// injection cycle. Attribution records report its first flip as the struck
+// bit. An empty scenario is a strike that latches nothing: the run is
+// Vanished by construction and never simulated.
+type Scenario []int
 
 // FaultModel deterministically expands sampled (bit, cycle) points into
 // fault scenarios. Implementations must be pure: the same (env, bit,
 // cycle, h) must always yield the same scenario, because campaign results
 // — and the on-disk campaign cache keyed on Config — depend only on
-// (Config, program).
+// (Config, program). The packed engine relies on it too: it expands each
+// strike once to plan it and again at its fork.
 type FaultModel interface {
 	// Name is the model's registry key ("ssb", "mbu", ...): lowercase,
 	// non-empty, free of the "/" tag separator.
@@ -72,10 +66,12 @@ type FaultModel interface {
 	// SamplesPerFF cycles for each returned bit using the same per-bit
 	// hash stream as the ssb model.
 	Bits(env *ModelEnv) []int
-	// Expand turns one sampled strike into its flip scenario. h is the
-	// sample's splitmix64 draw (the same value that chose the cycle), the
-	// model's only entropy source.
-	Expand(env *ModelEnv, bit, cycle int, h uint64) Scenario
+	// Expand appends one sampled strike's scenario to dst and returns the
+	// extended slice, so the campaign loop expands into a buffer it reuses.
+	// The appended flips depend only on (env, bit, cycle, h), never on what
+	// dst holds. h is the sample's splitmix64 draw (the same value that
+	// chose the cycle), the model's only entropy source.
+	Expand(env *ModelEnv, bit, cycle int, h uint64, dst Scenario) Scenario
 }
 
 // ModelEnv is the per-core context models expand against: the flip-flop
@@ -89,22 +85,22 @@ type ModelEnv struct {
 	uncoreBits []int   // bits of the memory-interface units, ascending
 }
 
-// Cluster returns the SEMU cluster of a strike at bit: the bit itself plus
-// every flip-flop within layout.SEMURadius, in ascending bit order.
-func (env *ModelEnv) Cluster(bit int) []int {
+// Cluster appends the SEMU cluster of a strike at bit to dst and returns
+// the extended slice: the bit itself plus every flip-flop within
+// layout.SEMURadius, in ascending bit order. An out-of-range bit appends
+// nothing.
+func (env *ModelEnv) Cluster(bit int, dst []int) []int {
 	if bit < 0 || bit >= len(env.neighbors) {
-		return nil
+		return dst
 	}
 	nbrs := env.neighbors[bit]
-	out := make([]int, 0, len(nbrs)+1)
 	pos := 0
 	for pos < len(nbrs) && nbrs[pos] < bit {
-		out = append(out, nbrs[pos])
 		pos++
 	}
-	out = append(out, bit)
-	out = append(out, nbrs[pos:]...)
-	return out
+	dst = append(dst, nbrs[:pos]...)
+	dst = append(dst, bit)
+	return append(dst, nbrs[pos:]...)
 }
 
 // UncoreBits returns the memory-interface strike population of the core.
@@ -222,34 +218,29 @@ func SplitModelTag(tag string) (model, baseTag string) {
 
 // --- registered models ---
 
-// ssbModel is the paper's single-bit upset model. Campaigns tagged with it
-// never reach Expand: the campaign loop dispatches unprefixed tags to the
-// exact legacy RunOneFrom path, keeping ssb results byte-identical. Expand
-// is still implemented (one flip, no delay) so generic scenario tooling —
-// the determinism fuzz target, external drivers — treats ssb uniformly.
+// ssbModel is the paper's single-bit upset model: one flip, the struck
+// bit.
 type ssbModel struct{}
 
 func (ssbModel) Name() string         { return "ssb" }
 func (ssbModel) Bits(*ModelEnv) []int { return nil }
-func (ssbModel) Expand(_ *ModelEnv, bit, _ int, _ uint64) Scenario {
-	return Scenario{{Bit: bit}}
+func (ssbModel) Expand(_ *ModelEnv, bit, _ int, _ uint64, dst Scenario) Scenario {
+	return append(dst, bit)
 }
 
 // mbuModel is the spatial multi-bit upset model: the strike flips the
 // sampled flip-flop and every neighbour within layout.SEMURadius, all in
-// the injection cycle — the k-flip generalization of the RunPair SEMU
+// the injection cycle — the k-flip generalization of the RunPairs SEMU
 // studies, over the Table 5/6 cluster population the placement produces.
+// The cluster is fixed by the placement, so h plays no part, and
+// core.EvalMBUGrouping relies on that when it re-derives the cluster of a
+// struck bit.
 type mbuModel struct{}
 
 func (mbuModel) Name() string         { return "mbu" }
 func (mbuModel) Bits(*ModelEnv) []int { return nil }
-func (mbuModel) Expand(env *ModelEnv, bit, _ int, _ uint64) Scenario {
-	cluster := env.Cluster(bit)
-	sc := make(Scenario, len(cluster))
-	for i, b := range cluster {
-		sc[i] = Flip{Bit: b}
-	}
-	return sc
+func (mbuModel) Expand(env *ModelEnv, bit, _ int, _ uint64, dst Scenario) Scenario {
+	return env.Cluster(bit, dst)
 }
 
 // uncoreModel restricts single-bit strikes to the memory-interface state
@@ -259,8 +250,8 @@ type uncoreModel struct{}
 
 func (uncoreModel) Name() string             { return "uncore" }
 func (uncoreModel) Bits(env *ModelEnv) []int { return env.UncoreBits() }
-func (uncoreModel) Expand(_ *ModelEnv, bit, _ int, _ uint64) Scenario {
-	return Scenario{{Bit: bit}}
+func (uncoreModel) Expand(_ *ModelEnv, bit, _ int, _ uint64, dst Scenario) Scenario {
+	return append(dst, bit)
 }
 
 // SETMaxPulse is the widest transient pulse the set model samples, in gate
@@ -278,12 +269,12 @@ type setModel struct{}
 
 func (setModel) Name() string         { return "set" }
 func (setModel) Bits(*ModelEnv) []int { return nil }
-func (setModel) Expand(env *ModelEnv, bit, _ int, h uint64) Scenario {
+func (setModel) Expand(env *ModelEnv, bit, _ int, h uint64, dst Scenario) Scenario {
 	pulse := 1 + int((h>>32)%SETMaxPulse)
 	if env.Pl.Slack[bit] >= pulse {
-		return nil
+		return dst
 	}
-	return Scenario{{Bit: bit}}
+	return append(dst, bit)
 }
 
 func init() {

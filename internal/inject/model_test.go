@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"clear/internal/prog"
@@ -49,9 +50,9 @@ func TestRegisterModelValidation(t *testing.T) {
 
 type badModel struct{ name string }
 
-func (m badModel) Name() string                              { return m.name }
-func (badModel) Bits(*ModelEnv) []int                        { return nil }
-func (badModel) Expand(*ModelEnv, int, int, uint64) Scenario { return nil }
+func (m badModel) Name() string                                                { return m.name }
+func (badModel) Bits(*ModelEnv) []int                                          { return nil }
+func (badModel) Expand(_ *ModelEnv, _, _ int, _ uint64, dst Scenario) Scenario { return dst }
 
 func TestModelTagRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -92,24 +93,21 @@ func TestMBUClusterExpansion(t *testing.T) {
 		model := LookupModel("mbu")
 		nBits := SpaceBits(kind)
 		for _, bit := range []int{0, 1, nBits / 2, nBits - 1} {
-			cluster := env.Cluster(bit)
-			sc := model.Expand(env, bit, 100, 12345)
-			if len(sc) != len(cluster) {
-				t.Fatalf("%v bit %d: scenario %d flips, cluster %d bits", kind, bit, len(sc), len(cluster))
+			cluster := env.Cluster(bit, nil)
+			sc := model.Expand(env, bit, 100, 12345, nil)
+			if !reflect.DeepEqual([]int(sc), cluster) {
+				t.Fatalf("%v bit %d: scenario %v, cluster %v", kind, bit, sc, cluster)
 			}
 			seen := false
 			for i, f := range sc {
-				if f.Bit == bit {
+				if f == bit {
 					seen = true
 				}
-				if f.Delay != 0 {
-					t.Fatalf("%v bit %d: mbu flip has delay %d", kind, bit, f.Delay)
-				}
-				if i > 0 && sc[i-1].Bit >= f.Bit {
+				if i > 0 && sc[i-1] >= f {
 					t.Fatalf("%v bit %d: cluster not ascending: %v", kind, bit, sc)
 				}
-				if d := env.Pl.WithinRadius(bit, 1.0); f.Bit != bit && !containsInt(d, f.Bit) {
-					t.Fatalf("%v bit %d: flip %d outside the SEMU radius", kind, bit, f.Bit)
+				if d := env.Pl.WithinRadius(bit, 1.0); f != bit && !containsInt(d, f) {
+					t.Fatalf("%v bit %d: flip %d outside the SEMU radius", kind, bit, f)
 				}
 			}
 			if !seen {
@@ -151,9 +149,9 @@ func TestUncoreBitsPopulation(t *testing.T) {
 				t.Fatalf("%v: uncore bits not ascending", kind)
 			}
 		}
-		sc := model.Expand(env, bits[0], 5, 99)
-		if len(sc) != 1 || sc[0] != (Flip{Bit: bits[0]}) {
-			t.Fatalf("%v: uncore expansion %v, want single undelayed flip", kind, sc)
+		sc := model.Expand(env, bits[0], 5, 99, nil)
+		if len(sc) != 1 || sc[0] != bits[0] {
+			t.Fatalf("%v: uncore expansion %v, want the single flip %d", kind, sc, bits[0])
 		}
 	}
 }
@@ -166,9 +164,9 @@ func TestSETSlackGate(t *testing.T) {
 		for h := uint64(0); h < 4; h++ {
 			draw := h << 32 // pulse = 1 + (h>>32)%SETMaxPulse
 			pulse := 1 + int(h%SETMaxPulse)
-			sc := model.Expand(env, bit, 7, draw)
+			sc := model.Expand(env, bit, 7, draw, nil)
 			if env.Pl.Slack[bit] < pulse {
-				if len(sc) != 1 || sc[0].Bit != bit {
+				if len(sc) != 1 || sc[0] != bit {
 					t.Fatalf("bit %d slack %d pulse %d: want latch, got %v",
 						bit, env.Pl.Slack[bit], pulse, sc)
 				}
@@ -188,8 +186,7 @@ func TestSETSlackGate(t *testing.T) {
 }
 
 // TestScenarioWarmColdEquivalence pins the core scenario contract: the
-// warm-started, convergence-pruned path must classify every scenario —
-// including time-offset flips — identically to the from-reset path.
+// warm body must classify every scenario identically to the cold body.
 func TestScenarioWarmColdEquivalence(t *testing.T) {
 	p := tinyProgram(t)
 	ref, nomRes, err := BuildReference(InO, p, 16, 100000)
@@ -199,22 +196,54 @@ func TestScenarioWarmColdEquivalence(t *testing.T) {
 	nom := nomRes.Steps
 	cold := NewCore(InO, p)
 	warm := NewCore(InO, p)
+	in := NewInjector()
 	scenarios := []Scenario{
-		{{Bit: 3}},
-		{{Bit: 3}, {Bit: 9}},
-		{{Bit: 3}, {Bit: 9, Delay: 2}},
-		{{Bit: 1, Delay: 5}, {Bit: 2, Delay: 1}, {Bit: 3}},
-		{{Bit: 7}, {Bit: 7}}, // double flip of one bit: a no-op
+		{3},
+		{3, 9},
+		{9, 3},
+		{1, 2, 3},
+		{7, 7}, // double flip of one bit: a no-op
 	}
 	for _, sc := range scenarios {
 		for _, cycle := range []int{1, nom / 3, nom - 2} {
-			scCold := append(Scenario(nil), sc...)
-			scWarm := append(Scenario(nil), sc...)
-			o1, d1 := runScenarioCold(cold, p, scCold, cycle, nom, nil)
-			o2, d2 := RunScenarioFrom(warm, p, ref, scWarm, cycle, nom, nil)
+			o1, d1 := RunScenario(cold, p, sc, cycle, nom, nil)
+			o2, d2 := in.runScenarioFrom(warm, nil, p, ref, sc, cycle, nom, nil)
 			if o1 != o2 || d1 != d2 {
 				t.Fatalf("scenario %v cycle %d: cold (%v,%d) vs warm (%v,%d)",
 					sc, cycle, o1, d1, o2, d2)
+			}
+		}
+	}
+}
+
+// TestWarmInjectionAllocFree pins the kernel's allocation contract: a warm
+// ssb injection and a warm mbu injection — expansion into the caller's
+// reused buffer, then the warm body — allocate nothing on either core.
+func TestWarmInjectionAllocFree(t *testing.T) {
+	p := tinyProgram(t)
+	for _, kind := range []CoreKind{InO, OoO} {
+		ref, nomRes, err := BuildReference(kind, p, CheckpointInterval, nomBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nom := nomRes.Steps
+		env := EnvFor(kind)
+		c := NewCore(kind, p)
+		in := NewInjector()
+		for _, name := range []string{"ssb", "mbu"} {
+			model := LookupModel(name)
+			bit, cycle := SpaceBits(kind)/2, nom/2
+			for len(env.Cluster(bit, nil)) < 2 {
+				bit++ // strike a bit with placement neighbours
+			}
+			var sc Scenario
+			inject := func() {
+				sc = model.Expand(env, bit, cycle, 0xC1EA5, sc[:0])
+				in.runScenarioFrom(c, nil, p, ref, sc, cycle, nom, nil)
+			}
+			inject() // grow the buffer once
+			if n := testing.AllocsPerRun(20, inject); n != 0 {
+				t.Errorf("%v/%s: %v allocations per warm injection, want 0", kind, name, n)
 			}
 		}
 	}
@@ -224,7 +253,7 @@ func TestEmptyScenarioVanishesWithoutSimulation(t *testing.T) {
 	p := tinyProgram(t)
 	in := NewInjector()
 	c := NewCore(InO, p)
-	out, det := in.RunScenarioFrom(c, p, nil, nil, 10, 100, nil)
+	out, det := in.runScenarioFrom(c, nil, p, nil, nil, 10, 100, nil)
 	if out != Vanished || det != -1 {
 		t.Fatalf("empty scenario = (%v, %d), want (Vanished, -1)", out, det)
 	}
@@ -240,11 +269,11 @@ func TestModelCampaignDeterminism(t *testing.T) {
 	p := tinyProgram(t)
 	for _, model := range []string{"mbu", "uncore", "set"} {
 		cfg := Config{Core: InO, Bench: "tiny", Tag: ModelTag(model, "base"), SamplesPerFF: 1, Seed: 42}
-		r1, err := Run(cfg, p, nil)
+		r1, err := NewInjector().Run(cfg, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Run(cfg, p, nil)
+		r2, err := NewInjector().Run(cfg, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +295,7 @@ func TestModelCampaignDeterminism(t *testing.T) {
 func TestUncoreCampaignOnlyStrikesUncore(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", Tag: "uncore/base", SamplesPerFF: 1, Seed: 7}
-	r, err := Run(cfg, p, nil)
+	r, err := NewInjector().Run(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,9 +384,8 @@ func TestCacheSSBFormatPinned(t *testing.T) {
 }
 
 // TestPairCampaignDetLatency exercises the detection-latency accounting on
-// the multi-flip path: with an always-detecting hook every pair injection
-// is ED and must contribute to DetLatSum/DetN (the counters RunPair used
-// to drop).
+// the multi-flip path: every ED pair injection must contribute to
+// DetLatSum/DetN.
 func TestPairCampaignDetLatency(t *testing.T) {
 	p := tinyProgram(t)
 	// A bounds checker: silent in the nominal run (tiny's values are
@@ -375,7 +403,7 @@ func TestPairCampaignDetLatency(t *testing.T) {
 		pairs = append(pairs, [2]int{i, i + 1})
 	}
 	cfg := PairConfig{Core: InO, Bench: "tiny", Tag: "hooked", SamplesPerPair: 2, Seed: 3}
-	res, err := RunPairs(cfg, p, pairs, hf)
+	res, err := NewInjector().RunPairs(cfg, p, pairs, hf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +420,11 @@ func TestPairCampaignDetLatency(t *testing.T) {
 
 // FuzzScenarioDeterminism is the FaultModel purity fuzz target: for any
 // (model, bit, cycle, hash) draw, Expand must return the same scenario
-// twice, every flip must stay inside the flip-flop space with a
-// non-negative delay, and ssb/mbu scenarios must contain the struck bit.
+// twice, and the flips it appends must not depend on what dst holds or on
+// its capacity — dst is the campaign's reused buffer, so its old contents
+// and spare room vary from call to call. Every flip must stay inside the
+// flip-flop space, and ssb/mbu/uncore scenarios must contain the struck
+// bit.
 func FuzzScenarioDeterminism(f *testing.F) {
 	f.Add(uint8(0), uint16(3), uint16(100), uint64(12345))
 	f.Add(uint8(1), uint16(0), uint16(0), uint64(0))
@@ -409,20 +440,33 @@ func FuzzScenarioDeterminism(f *testing.F) {
 			bit = bits[int(bitRaw)%len(bits)]
 		}
 		cycle := int(cycleRaw)
-		sc1 := model.Expand(env, bit, cycle, h)
-		sc2 := model.Expand(env, bit, cycle, h)
-		if !reflect.DeepEqual(sc1, sc2) {
+		sc1 := model.Expand(env, bit, cycle, h, nil)
+		sc2 := model.Expand(env, bit, cycle, h, nil)
+		if !slices.Equal(sc1, sc2) {
 			t.Fatalf("%s expansion not deterministic: %v vs %v", model.Name(), sc1, sc2)
+		}
+		// A held prefix must survive untouched ahead of the same flips.
+		prefix := Scenario{-1, nBits, bit}
+		held := model.Expand(env, bit, cycle, h, slices.Clone(prefix))
+		if !slices.Equal(held[:len(prefix)], prefix) || !slices.Equal(held[len(prefix):], sc1) {
+			t.Fatalf("%s expansion after %v = %v, want the prefix then %v", model.Name(), prefix, held, sc1)
+		}
+		// Stale contents past len and any capacity yield the same flips.
+		for _, capacity := range []int{0, 1, 64} {
+			dirty := make(Scenario, capacity)
+			for i := range dirty {
+				dirty[i] = int(h>>7) + i
+			}
+			if got := model.Expand(env, bit, cycle, h, dirty[:0]); !slices.Equal(got, sc1) {
+				t.Fatalf("%s expansion into a cap-%d buffer = %v, want %v", model.Name(), capacity, got, sc1)
+			}
 		}
 		struck := false
 		for _, fl := range sc1 {
-			if fl.Bit < 0 || fl.Bit >= nBits {
-				t.Fatalf("%s flip outside the space: %v", model.Name(), fl)
+			if fl < 0 || fl >= nBits {
+				t.Fatalf("%s flip outside the space: %d", model.Name(), fl)
 			}
-			if fl.Delay < 0 {
-				t.Fatalf("%s flip with negative delay: %v", model.Name(), fl)
-			}
-			if fl.Bit == bit {
+			if fl == bit {
 				struck = true
 			}
 		}
@@ -442,7 +486,7 @@ func TestCampaignRejectsCrossModelCache(t *testing.T) {
 
 	mbuCfg := Config{Core: InO, Bench: "tiny", Tag: "mbu/base", SamplesPerFF: 1, Seed: 9}
 	ssbCfg := Config{Core: InO, Bench: "tiny", Tag: "base", SamplesPerFF: 1, Seed: 9}
-	mbuRes, err := Campaign(mbuCfg, p, nil)
+	mbuRes, err := NewInjector().Campaign(mbuCfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

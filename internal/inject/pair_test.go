@@ -6,11 +6,11 @@ import (
 	"clear/internal/prog"
 )
 
-// TestRunPairFromEquivalence drives a randomized grid of (bitA, bitB, cycle)
-// double-flip injection points through both the from-reset RunPair path and
-// the warm-started RunPairFrom path on both cores and requires identical
-// outcome classifications — the regression test for the SEMU cold-start bug.
-func TestRunPairFromEquivalence(t *testing.T) {
+// TestPairWarmColdEquivalence drives a randomized grid of (bitA, bitB,
+// cycle) double-flip injection points through both the cold and the warm
+// body on both cores and requires identical outcome classifications — the
+// regression test for the SEMU cold-start bug.
+func TestPairWarmColdEquivalence(t *testing.T) {
 	p := tinyProgram(t)
 	for _, kind := range []CoreKind{InO, OoO} {
 		ref, nomRes, err := BuildReference(kind, p, 16, 100000)
@@ -27,32 +27,31 @@ func TestRunPairFromEquivalence(t *testing.T) {
 		}
 		cold := NewCore(kind, p)
 		warm := NewCore(kind, p)
+		in := NewInjector()
 		nBits := SpaceBits(kind)
 		for s := 0; s < 200; s++ {
 			h := splitmix64(uint64(s) ^ 0x5EED)
-			bitA := int(h % uint64(nBits))
-			bitB := int((h >> 20) % uint64(nBits))
+			sc := Scenario{int(h % uint64(nBits)), int((h >> 20) % uint64(nBits))}
 			cycle := int((h >> 40) % uint64(nom))
-			o1, d1 := RunPair(cold, p, bitA, bitB, cycle, nom, nil)
-			o2, d2 := RunPairFrom(warm, p, ref, bitA, bitB, cycle, nom, nil)
+			o1, d1 := RunScenario(cold, p, sc, cycle, nom, nil)
+			o2, d2 := in.runScenarioFrom(warm, nil, p, ref, sc, cycle, nom, nil)
 			if o1 != o2 || d1 != d2 {
-				t.Fatalf("%v bits=(%d,%d) cycle=%d: from-reset (%v,%d) vs checkpointed (%v,%d)",
-					kind, bitA, bitB, cycle, o1, d1, o2, d2)
+				t.Fatalf("%v bits=%v cycle=%d: from-reset (%v,%d) vs checkpointed (%v,%d)",
+					kind, sc, cycle, o1, d1, o2, d2)
 			}
 		}
 		// hook-carrying pair injections must keep the exact from-reset path
 		// (stateful hooks cannot warm-start) and still agree
 		for s := 0; s < 40; s++ {
 			h := splitmix64(uint64(s) ^ 0xD0B1E)
-			bitA := int(h % uint64(nBits))
-			bitB := int((h >> 20) % uint64(nBits))
+			sc := Scenario{int(h % uint64(nBits)), int((h >> 20) % uint64(nBits))}
 			cycle := int((h >> 40) % uint64(nom))
 			hf := boundsHook(1 << 20)
-			o1, d1 := RunPair(cold, p, bitA, bitB, cycle, nom, hf)
-			o2, d2 := RunPairFrom(warm, p, ref, bitA, bitB, cycle, nom, hf)
+			o1, d1 := RunScenario(cold, p, sc, cycle, nom, hf)
+			o2, d2 := in.runScenarioFrom(warm, nil, p, ref, sc, cycle, nom, hf)
 			if o1 != o2 || d1 != d2 {
-				t.Fatalf("%v hooked bits=(%d,%d) cycle=%d: (%v,%d) vs (%v,%d)",
-					kind, bitA, bitB, cycle, o1, d1, o2, d2)
+				t.Fatalf("%v hooked bits=%v cycle=%d: (%v,%d) vs (%v,%d)",
+					kind, sc, cycle, o1, d1, o2, d2)
 			}
 		}
 	}
@@ -68,7 +67,7 @@ func TestRunPairsCampaign(t *testing.T) {
 		nBits := SpaceBits(kind)
 		pairs := [][2]int{{0, 1}, {1, 2}, {5, nBits - 1}, {nBits - 2, nBits - 1}}
 		cfg := PairConfig{Core: kind, Bench: "tiny", SamplesPerPair: 3, Seed: 0x5E30}
-		res, err := RunPairs(cfg, p, pairs, nil)
+		res, err := NewInjector().RunPairs(cfg, p, pairs, nil)
 		if err != nil {
 			t.Fatalf("%v RunPairs: %v", kind, err)
 		}
@@ -88,7 +87,7 @@ func TestRunPairsCampaign(t *testing.T) {
 		if want := len(pairs) * cfg.SamplesPerPair; res.Totals.N != want {
 			t.Fatalf("%v: totals.N = %d, want %d", kind, res.Totals.N, want)
 		}
-		again, err := RunPairs(cfg, p, pairs, nil)
+		again, err := NewInjector().RunPairs(cfg, p, pairs, nil)
 		if err != nil {
 			t.Fatalf("%v RunPairs repeat: %v", kind, err)
 		}
@@ -111,59 +110,39 @@ func TestRunPairsCampaign(t *testing.T) {
 func TestRunPairsValidation(t *testing.T) {
 	p := tinyProgram(t)
 	noGolden := &prog.Program{Name: "nogolden", MemWords: 16}
-	if _, err := RunPairs(PairConfig{Core: InO, SamplesPerPair: 1}, noGolden, nil, nil); err == nil {
+	if _, err := NewInjector().RunPairs(PairConfig{Core: InO, SamplesPerPair: 1}, noGolden, nil, nil); err == nil {
 		t.Error("RunPairs accepted a program with no golden output")
 	}
-	if _, err := RunPairs(PairConfig{Core: InO, SamplesPerPair: 1}, p,
+	if _, err := NewInjector().RunPairs(PairConfig{Core: InO, SamplesPerPair: 1}, p,
 		[][2]int{{0, SpaceBits(InO)}}, nil); err == nil {
 		t.Error("RunPairs accepted an out-of-range pair bit")
 	}
-	if _, err := RunPairs(PairConfig{Core: InO, SamplesPerPair: -1}, p, nil, nil); err == nil {
+	if _, err := NewInjector().RunPairs(PairConfig{Core: InO, SamplesPerPair: -1}, p, nil, nil); err == nil {
 		t.Error("RunPairs accepted a negative sample count")
 	}
 }
 
 // TestInjectorScopedPairCounters extends the scoped-injector coverage to
-// pair injections: standalone RunPair probes and RunPairs campaigns must
-// tally injections and outcomes on the owning Injector, not bypass it.
+// pair injections: a RunPairs campaign must tally injections and outcomes
+// on the owning Injector, and only there.
 func TestInjectorScopedPairCounters(t *testing.T) {
 	p := tinyProgram(t)
-	in := NewInjector()
-	nom := NewCore(InO, p).Run(100000).Steps
-
-	c := NewCore(InO, p)
-	out, _ := in.RunPair(c, p, 1, 2, nom/2, nom, nil)
-	if got := in.Snapshot().TotalInjections; got != 1 {
-		t.Fatalf("after one RunPair: TotalInjections = %d, want 1", got)
-	}
-	if got := in.outcomeTotal(); got != 1 {
-		t.Fatalf("after one RunPair (%v): outcome tallies sum to %d, want 1", out, got)
-	}
-
+	in, other := NewInjector(), NewInjector()
 	pairs := [][2]int{{0, 1}, {2, 3}}
 	cfg := PairConfig{Core: InO, Bench: "tiny", SamplesPerPair: 2, Seed: 7}
 	res, err := in.RunPairs(cfg, p, pairs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantInj := int64(1 + len(pairs)*cfg.SamplesPerPair)
+	wantInj := int64(len(pairs) * cfg.SamplesPerPair)
 	if got := in.Snapshot().TotalInjections; got != wantInj {
 		t.Fatalf("after RunPairs: TotalInjections = %d, want %d", got, wantInj)
 	}
-	if got, want := in.outcomeTotal(), int64(1+res.Totals.N); got != want {
+	if got, want := in.outcomeTotal(), int64(res.Totals.N); got != want {
 		t.Fatalf("after RunPairs: outcome tallies sum to %d, want %d", got, want)
 	}
-
-	// The default scope must be untouched by the scoped campaign above:
-	// run one probe through the package-level wrapper and check only std
-	// moved.
-	before := std.Snapshot().TotalInjections
-	RunPair(c, p, 3, 4, nom/3, nom, nil) //nolint — probe for its counter effect
-	if got := std.Snapshot().TotalInjections; got != before+1 {
-		t.Fatalf("package RunPair: std TotalInjections %d -> %d, want +1", before, got)
-	}
-	if got := in.Snapshot().TotalInjections; got != wantInj {
-		t.Fatalf("package RunPair leaked into scoped injector: %d, want %d", got, wantInj)
+	if got := other.Snapshot().TotalInjections + other.outcomeTotal(); got != 0 {
+		t.Fatalf("RunPairs leaked %d tallies into an unrelated injector", got)
 	}
 }
 

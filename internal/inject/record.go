@@ -9,13 +9,14 @@ import (
 )
 
 // Attribution-carrying injection records: the per-injection observation the
-// campaign loop used to discard. Every warm-started injection
-// (RunOneFrom / RunScenarioFrom / RunPairFrom, and therefore every
-// campaign) emits one Record through the injector's pluggable Sink when one
-// is attached; a nil Sink costs a single pointer check and keeps the
-// engine's behavior — outcomes, Result contents, cache bytes — exactly as
-// before. Records never enter Result or the on-disk cache: the gob format
-// is frozen (DESIGN.md §13), so attribution flows only through the sink.
+// campaign loop used to discard. Both bodies of the injection kernel
+// (scenario.go) emit one Record per executed scenario through the
+// injector's pluggable Sink when one is attached, so every RunOneFrom call
+// and every campaign injection is attributed; a nil Sink costs a single
+// pointer check and keeps the engine's behavior — outcomes, Result
+// contents, cache bytes — exactly as before. Records never enter Result or
+// the on-disk cache: the gob format is frozen (DESIGN.md §13), so
+// attribution flows only through the sink.
 
 // NoRootPC marks a record whose struck structure held no attributable
 // instruction at the injection cycle (an empty buffer slot, a
@@ -29,7 +30,8 @@ const NoRootPC = ^uint32(0)
 // detection; -1 unless the outcome is ED), and the PC of the static
 // instruction occupying the struck structure at the injection cycle
 // (NoRootPC when the structure was empty). For multi-flip scenarios Bit is
-// the first-applied flip.
+// the scenario's first flip (the lowest bit of an mbu cluster, which
+// expands in ascending order).
 type Record struct {
 	Bit     int
 	Unit    string

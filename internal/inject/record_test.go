@@ -126,9 +126,9 @@ func TestRecordsWellFormed(t *testing.T) {
 	}
 }
 
-// TestScenarioSinkOneRecord pins the scenario contract: one record per
-// executed scenario with Bit = the first-applied flip, and nothing for the
-// empty scenario.
+// TestScenarioSinkOneRecord pins the scenario contract on both bodies: one
+// record per executed scenario with Bit = the scenario's first flip, and
+// nothing for the empty scenario.
 func TestScenarioSinkOneRecord(t *testing.T) {
 	p := tinyProgram(t)
 	nom := NewCore(InO, p).Run(100000)
@@ -136,21 +136,22 @@ func TestScenarioSinkOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := &RecordBuffer{}
-	in := NewInjector()
-	in.Sink = buf
-	c := NewCore(InO, p)
-	sc := Scenario{{Bit: 9, Delay: 1}, {Bit: 3, Delay: 0}}
-	in.RunScenarioFrom(c, p, ref, sc, 40, nom.Steps, nil)
-	if buf.Len() != 1 {
-		t.Fatalf("records = %d, want 1", buf.Len())
-	}
-	if got := buf.Records()[0].Bit; got != 3 {
-		t.Fatalf("record bit = %d, want the first-applied flip 3", got)
-	}
-	in.RunScenarioFrom(c, p, ref, Scenario{}, 40, nom.Steps, nil)
-	if buf.Len() != 1 {
-		t.Fatal("empty scenario emitted a record")
+	for _, warm := range []*Reference{ref, nil} {
+		buf := &RecordBuffer{}
+		in := NewInjector()
+		in.Sink = buf
+		c := NewCore(InO, p)
+		in.runScenarioFrom(c, nil, p, warm, Scenario{9, 3}, 40, nom.Steps, nil)
+		if buf.Len() != 1 {
+			t.Fatalf("warm=%v: records = %d, want 1", warm != nil, buf.Len())
+		}
+		if got := buf.Records()[0].Bit; got != 9 {
+			t.Fatalf("warm=%v: record bit = %d, want the first flip 9", warm != nil, got)
+		}
+		in.runScenarioFrom(c, nil, p, warm, Scenario{}, 40, nom.Steps, nil)
+		if buf.Len() != 1 {
+			t.Fatalf("warm=%v: empty scenario emitted a record", warm != nil)
+		}
 	}
 }
 

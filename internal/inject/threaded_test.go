@@ -170,12 +170,12 @@ func TestCompiledCampaignEquivalence(t *testing.T) {
 			{Core: kind, Bench: "tiny", SamplesPerFF: 2, Seed: 0x7E57},
 		} {
 			setCompiled(t, true)
-			rc, err := Run(cfg, p, nil)
+			rc, err := NewInjector().Run(cfg, p, nil)
 			if err != nil {
 				t.Fatalf("%v compiled: %v", kind, err)
 			}
 			setCompiled(t, false)
-			ri, err := Run(cfg, p, nil)
+			ri, err := NewInjector().Run(cfg, p, nil)
 			if err != nil {
 				t.Fatalf("%v interpreted: %v", kind, err)
 			}
@@ -249,7 +249,7 @@ func BenchmarkCampaignModes(b *testing.B) {
 				setCompiled(b, mode.on)
 				cfg := Config{Core: kind, Bench: "tiny", SamplesPerFF: 1, Seed: 0xC1EA5}
 				for i := 0; i < b.N; i++ {
-					if _, err := Run(cfg, p, nil); err != nil {
+					if _, err := NewInjector().Run(cfg, p, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

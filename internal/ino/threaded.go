@@ -13,9 +13,8 @@ import (
 // and the latches live in the unpacked mirror (unpacked.go) instead of the
 // packed bit array — packed state is materialized only at observation
 // points. The interpreter in ino.go is deliberately left untouched so the
-// two paths stay independently checkable (FuzzThreadedEquivalence pins them
-// to each other) and `-compiled=false` falls back to genuinely different
-// code.
+// two paths stay independently checkable: FuzzThreadedEquivalence pins them
+// to each other, and tcode.SetEnabled(false) runs genuinely different code.
 
 // dec returns the translation of latch word w whose stage believes it sits
 // at pc. The per-PC table hits whenever the latch is uncorrupted program

@@ -13,9 +13,9 @@ import (
 // and every ROB/IQ/SQ/rename/latch access running on the unpacked mirror
 // (unpacked.go) instead of the packed bit array — packed state is
 // materialized only at observation points. The interpreter in core.go is
-// deliberately left untouched so the two paths stay independently checkable
-// (FuzzThreadedEquivalence pins them to each other) and `-compiled=false`
-// falls back to genuinely different code.
+// deliberately left untouched so the two paths stay independently checkable:
+// FuzzThreadedEquivalence pins them to each other, and
+// tcode.SetEnabled(false) runs genuinely different code.
 
 // dec returns the translation of instruction word w that the machine
 // associates with pc. Uncorrupted program text hits the per-PC table;

@@ -16,10 +16,10 @@
 // The equivalence is pinned by fuzz and campaign-level tests
 // (FuzzThreadedEquivalence, TestCompiledCampaignEquivalence).
 //
-// Compiled execution is on by default and gated by SetEnabled — the
-// `-compiled=false` escape hatch on cmd/{clearsweep,precompute,faultinject}
-// — so any suspected translation bug can be cross-checked against the
-// decode-switch interpreter, which remains untouched.
+// Compiled execution is on by default and gated by SetEnabled, which the
+// equivalence tests and cmd/perfbench use to run the decode-switch
+// interpreter — left untouched as the reference any suspected translation
+// bug can be cross-checked against.
 package tcode
 
 import (
@@ -38,7 +38,7 @@ func init() { enabled.Store(true) }
 
 // SetEnabled turns compiled (threaded-code) execution on or off for cores
 // bound after the call. The interpreter and compiled paths are bit-identical;
-// the switch exists as a perf escape hatch and for equivalence testing.
+// the switch exists for equivalence testing and interpreter measurements.
 func SetEnabled(on bool) { enabled.Store(on) }
 
 // Enabled reports whether cores should execute threaded code.

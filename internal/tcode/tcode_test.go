@@ -122,7 +122,7 @@ func TestCacheDecode(t *testing.T) {
 	}
 }
 
-// TestEnabledGate covers the process-wide gate used by the -compiled flag.
+// TestEnabledGate covers the process-wide gate the equivalence tests flip.
 func TestEnabledGate(t *testing.T) {
 	if !Enabled() {
 		t.Fatal("compiled execution must default to on")
