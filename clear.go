@@ -209,7 +209,8 @@ type (
 	CommitHooker = technique.Hooker
 	// CheckerHooker is a CommitHooker whose checker exposes its state as
 	// a Checker, so the technique's campaigns warm-start from checkpoints,
-	// prune and run packed instead of replaying every injection from reset.
+	// prune and run on the gang engine instead of replaying every injection
+	// from reset.
 	CheckerHooker = technique.CheckerHooker
 	// TechniqueRecoveryCompat declares which recovery mechanisms the
 	// technique's detections can drive (enumeration constraints).

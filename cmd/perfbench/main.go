@@ -1,20 +1,17 @@
 // Command perfbench measures compiled (threaded-code) execution against the
-// decode-switch interpreter — and the gang-packed campaign engine against
-// the scalar compiled loop — and writes the comparison as JSON: the
+// decode-switch interpreter and writes the comparison as JSON: the
 // before/after evidence behind the repo's BENCH_*.json files and the CI
-// guard that neither compiled execution nor packed batching regresses.
+// guard that compiled execution does not regress.
 //
 // For each core × execution mode it reports nominal simulation speed
 // (cycles/sec over repeated fault-free runs) and injection-campaign
 // throughput (simulated cycles/sec through Injector.Run, which bypasses the
 // on-disk campaign cache), plus the one-time threaded-code translation cost
-// of the benchmark program. The interpreted and compiled cells run the
-// scalar campaign loop (preserving the BENCH_7 baseline definition); the
-// packed cell runs the compiled 64-way gang engine. The process exits
-// nonzero if compiled campaign throughput is below the interpreter's on any
-// measured core, fails to strictly beat it on the out-of-order core, or if
-// packed campaign throughput fails to strictly beat scalar compiled on
-// either core — so CI can gate on the file it uploads.
+// of the benchmark program. Both campaign cells run the 64-way gang engine,
+// the only campaign engine. The process exits nonzero if compiled campaign
+// throughput is below the interpreter's on any measured core or fails to
+// strictly beat it on the out-of-order core — so CI can gate on the file it
+// uploads.
 //
 //	perfbench -bench gzip -samples 1 -out BENCH_8.json
 package main
@@ -44,12 +41,8 @@ type modeStats struct {
 type coreStats struct {
 	Interpreted     modeStats `json:"interpreted"`
 	Compiled        modeStats `json:"compiled"`
-	Packed          modeStats `json:"packed"`
 	CampaignSpeedup float64   `json:"campaign_speedup"`
 	NominalSpeedup  float64   `json:"nominal_speedup"`
-	// PackedSpeedup is packed vs scalar compiled campaign throughput — the
-	// gang engine's win over the PR 7 baseline on the same compiled cores.
-	PackedSpeedup float64 `json:"packed_speedup"`
 }
 
 type report struct {
@@ -103,9 +96,8 @@ func main() {
 	failed := false
 	for _, kind := range []inject.CoreKind{inject.InO, inject.OoO} {
 		var cs coreStats
-		cs.Interpreted = measure(kind, p, b.Name, false, false, *samples, *nomReps)
-		cs.Compiled = measure(kind, p, b.Name, true, false, *samples, *nomReps)
-		cs.Packed = measure(kind, p, b.Name, true, true, *samples, *nomReps)
+		cs.Interpreted = measure(kind, p, b.Name, false, *samples, *nomReps)
+		cs.Compiled = measure(kind, p, b.Name, true, *samples, *nomReps)
 		// Guard the speedup denominators: a degenerate measurement (zero
 		// throughput) must fail the cell, not poison the report with NaN/Inf
 		// that json.MarshalIndent rejects.
@@ -125,13 +117,11 @@ func main() {
 		}
 		cs.CampaignSpeedup = cs.Compiled.CampaignCyclesPerSec / cs.Interpreted.CampaignCyclesPerSec
 		cs.NominalSpeedup = cs.Compiled.NominalCyclesPerSec / cs.Interpreted.NominalCyclesPerSec
-		cs.PackedSpeedup = cs.Packed.CampaignCyclesPerSec / cs.Compiled.CampaignCyclesPerSec
 		rep.Cores[kind.String()] = cs
-		fmt.Printf("%s: nominal %.0f -> %.0f cycles/sec (%.2fx), campaign %.0f -> %.0f cycles/sec (%.2fx), packed %.0f cycles/sec (%.2fx over compiled)\n",
+		fmt.Printf("%s: nominal %.0f -> %.0f cycles/sec (%.2fx), campaign %.0f -> %.0f cycles/sec (%.2fx)\n",
 			kind,
 			cs.Interpreted.NominalCyclesPerSec, cs.Compiled.NominalCyclesPerSec, cs.NominalSpeedup,
-			cs.Interpreted.CampaignCyclesPerSec, cs.Compiled.CampaignCyclesPerSec, cs.CampaignSpeedup,
-			cs.Packed.CampaignCyclesPerSec, cs.PackedSpeedup)
+			cs.Interpreted.CampaignCyclesPerSec, cs.Compiled.CampaignCyclesPerSec, cs.CampaignSpeedup)
 		// Gate: compiled must not lose to the interpreter anywhere, and on
 		// the OoO core — where the unpacked mirror is supposed to pay off —
 		// it must strictly win.
@@ -142,14 +132,6 @@ func main() {
 		} else if kind == inject.OoO && cs.CampaignSpeedup <= 1.0 {
 			fmt.Fprintf(os.Stderr, "perfbench: compiled campaign did not beat interpreted on %s (%.2fx)\n",
 				kind, cs.CampaignSpeedup)
-			failed = true
-		}
-		// Gate: the packed gang engine must strictly beat the scalar
-		// compiled loop on both cores — anything less means the batching
-		// overhead ate its own win and the default engine choice is wrong.
-		if cs.PackedSpeedup <= 1.0 {
-			fmt.Fprintf(os.Stderr, "perfbench: packed campaign did not beat scalar compiled on %s (%.2fx)\n",
-				kind, cs.PackedSpeedup)
 			failed = true
 		}
 	}
@@ -176,16 +158,11 @@ func main() {
 // measure runs the nominal-speed and campaign measurements for one
 // (core, execution mode) cell. The campaign always computes (Injector.Run,
 // never the disk cache), with a fixed seed so all modes simulate the
-// identical injection workload. packed selects the gang-batched campaign
-// engine; the non-packed cells force the scalar loop so the interpreted and
-// compiled baselines keep the BENCH_7 definition.
-func measure(kind inject.CoreKind, p *prog.Program, name string, compiled, packed bool, samples, nomReps int) modeStats {
+// identical injection workload.
+func measure(kind inject.CoreKind, p *prog.Program, name string, compiled bool, samples, nomReps int) modeStats {
 	prior := tcode.Enabled()
 	tcode.SetEnabled(compiled)
 	defer tcode.SetEnabled(prior)
-	priorPacked := inject.Packed
-	inject.Packed = packed
-	defer func() { inject.Packed = priorPacked }()
 
 	var s modeStats
 	c := inject.NewCore(kind, p)

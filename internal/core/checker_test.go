@@ -52,10 +52,9 @@ func cachedCampaign(t *testing.T, run func() (*inject.Result, error)) (*inject.R
 
 // TestCheckedCampaignEquivalence is the checkpointable-checker contract:
 // for every hook-carrying tag that enumerates on each core, under the fault
-// models, the warm-started, pruned campaign on the scalar loop and on the
-// packed gang engine returns a Result DeepEqual to — and writes cache bytes
-// identical to — the cold hooked path that replays every injection from
-// reset with a fresh checker.
+// models, the warm-started, pruned campaign on the gang engine returns a
+// Result DeepEqual to — and writes cache bytes identical to — the cold
+// hooked path that replays every injection from reset with a fresh checker.
 //
 // Every tag runs under all four models, except that OoO tags with an ABFT
 // kernel run only under uncore and set: a from-reset OoO ssb or mbu
@@ -63,13 +62,10 @@ func cachedCampaign(t *testing.T, run func() (*inject.Result, error)) (*inject.R
 // checker path the same way on both cores — the InO tags cover every
 // transform with DFC under all four models, and the untransformed OoO tags
 // cover mon, dfc and dfc+mon under all four. A race-detector build runs a
-// sample that still drives the checked scalar and packed workers on both
-// cores: InO dfc under all four models and OoO dfc+mon under uncore and
-// set.
+// sample that still drives the checked gang workers on both cores: InO dfc
+// under all four models and OoO dfc+mon under uncore and set.
 func TestCheckedCampaignEquivalence(t *testing.T) {
 	b := bench.ByName("inner_product")
-	prevPacked := inject.Packed
-	t.Cleanup(func() { inject.Packed = prevPacked })
 	for _, kind := range []inject.CoreKind{inject.InO, inject.OoO} {
 		e := NewEngine(kind)
 		vs := hookedTags(kind)
@@ -100,18 +96,15 @@ func TestCheckedCampaignEquivalence(t *testing.T) {
 				cold, coldBytes := cachedCampaign(t, func() (*inject.Result, error) {
 					return e.Inj.Campaign(cfg, p, v.hookFactory())
 				})
-				for _, packed := range []bool{false, true} {
-					inject.Packed = packed
-					warm, warmBytes := cachedCampaign(t, func() (*inject.Result, error) {
-						return e.Inj.CampaignChecked(cfg, p, cf)
-					})
-					if !reflect.DeepEqual(cold, warm) {
-						t.Fatalf("%s packed=%v: checked result differs from cold hooked\ncold: %+v\nwarm: %+v",
-							label, packed, cold.Totals, warm.Totals)
-					}
-					if !bytes.Equal(coldBytes, warmBytes) {
-						t.Fatalf("%s packed=%v: cache bytes differ", label, packed)
-					}
+				warm, warmBytes := cachedCampaign(t, func() (*inject.Result, error) {
+					return e.Inj.CampaignChecked(cfg, p, cf)
+				})
+				if !reflect.DeepEqual(cold, warm) {
+					t.Fatalf("%s: checked result differs from cold hooked\ncold: %+v\nwarm: %+v",
+						label, cold.Totals, warm.Totals)
+				}
+				if !bytes.Equal(coldBytes, warmBytes) {
+					t.Fatalf("%s: cache bytes differ", label)
 				}
 				if cold.Totals.ED == 0 {
 					t.Fatalf("%s: checker detected nothing; the campaign does not exercise it", label)

@@ -457,8 +457,8 @@ func (e *Engine) Campaign(b *bench.Benchmark, v Variant) (*inject.Result, error)
 		// classified *resilient.PanicError shared with every joined caller
 		// instead of unwinding (and killing) whichever worker happened to
 		// own the singleflight. Checkpointable checkers take the warm,
-		// pruned and packed paths; an opaque hook replays every injection
-		// from reset. Both compute the same Result.
+		// pruned gang path; an opaque hook replays every injection from
+		// reset. Both compute the same Result.
 		r, err := resilient.Safe(func() (*inject.Result, error) {
 			if cf := v.checkerFactory(); cf != nil {
 				return e.Inj.CampaignChecked(cfg, p, cf)
@@ -483,29 +483,6 @@ func (e *Engine) Campaign(b *bench.Benchmark, v Variant) (*inject.Result, error)
 // Base returns the baseline (unprotected) campaign for a benchmark.
 func (e *Engine) Base(b *bench.Benchmark) (*inject.Result, error) {
 	return e.Campaign(b, Variant{})
-}
-
-// SEMU runs a pair-injection (single-event multiple-upset) campaign for a
-// benchmark under a variant: samplesPerPair uniform-random cycles for every
-// flip-flop pair in pairs (typically the layout's adjacent pairs — the ones
-// a single particle can strike). The work runs through the engine's scoped
-// injector, so SEMU campaigns appear in the per-engine inject.* counters
-// exactly like single-flip campaigns.
-func (e *Engine) SEMU(b *bench.Benchmark, v Variant, pairs [][2]int, samplesPerPair int) (*inject.PairResult, error) {
-	p, err := e.BuildProgram(b, v)
-	if err != nil {
-		return nil, err
-	}
-	cfg := inject.PairConfig{
-		Core:           e.Kind,
-		Bench:          b.Name,
-		Tag:            v.Tag(),
-		SamplesPerPair: samplesPerPair,
-		Seed:           e.Seed,
-	}
-	return resilient.Safe(func() (*inject.PairResult, error) {
-		return e.Inj.RunPairs(cfg, p, pairs, v.hookFactory())
-	})
 }
 
 // ExecOverhead measures the error-free execution-time overhead of a variant

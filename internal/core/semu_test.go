@@ -109,29 +109,3 @@ func TestSEMUDoubleFlipSemantics(t *testing.T) {
 	}
 	t.Logf("single-bit flips corrupted %d/40 (all detectable by per-group parity)", single)
 }
-
-// TestEngineSEMU drives the engine-level SEMU campaign: physically adjacent
-// pairs from the layout, warm-started through the shared reference
-// machinery, with all work attributed to the engine's own injection scope.
-func TestEngineSEMU(t *testing.T) {
-	e := NewEngine(inject.InO)
-	pairs := e.Pl.AdjacentPairs()
-	if len(pairs) > 8 {
-		pairs = pairs[:8]
-	}
-	before := e.Inj.Snapshot().TotalInjections
-	res, err := e.SEMU(bench.ByName("gap"), Variant{}, pairs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(pairs); res.Totals.N != want {
-		t.Fatalf("SEMU totals.N = %d, want %d", res.Totals.N, want)
-	}
-	after := e.Inj.Snapshot().TotalInjections
-	if got, want := after-before, int64(len(pairs)); got != want {
-		t.Fatalf("engine injector tallied %d injections, want %d — SEMU work bypassed the scope", got, want)
-	}
-	if res.Config.Core != inject.InO || res.Config.Bench != "gap" {
-		t.Fatalf("SEMU result carries wrong config: %+v", res.Config)
-	}
-}

@@ -86,31 +86,47 @@ func (t *attrTable) rootPC(flights []sim.InFlightInst, bit int) uint32 {
 	return root
 }
 
+// recorder records injections for a RecordSink. It owns the in-flight
+// buffer observe fills, so a campaign worker, which keeps one recorder for
+// the whole campaign, observes its strikes without allocating once the
+// buffer has grown. A nil *recorder records nothing.
+type recorder struct {
+	sink    RecordSink
+	flights []sim.InFlightInst
+}
+
+// newRecorder returns a recorder emitting to sink, or nil without a sink.
+func newRecorder(sink RecordSink) *recorder {
+	if sink == nil {
+		return nil
+	}
+	return &recorder{sink: sink}
+}
+
 // observe captures the attribution half of a Record right before the flip
 // lands: the struck structure and the PC occupying it at the injection
 // cycle. Outcome and detection latency are filled in by emit once the run
 // classifies.
-func observe(c sim.Core, bit, cycle int) Record {
+func (r *recorder) observe(c sim.Core, bit, cycle int) Record {
 	t := attrOf(c.SpaceOf())
-	var buf [160]sim.InFlightInst
-	flights := c.InFlight(buf[:0])
+	r.flights = c.InFlight(r.flights[:0])
 	return Record{
 		Bit:    bit,
 		Unit:   t.unit[bit],
 		Cycle:  cycle,
 		DetLat: -1,
-		RootPC: t.rootPC(flights, bit),
+		RootPC: t.rootPC(r.flights, bit),
 	}
 }
 
 // emit completes an observed record with the run's classification and
-// forwards it to sink. DetLat mirrors the campaign accounting: cycles from
-// injection to detection, only meaningful for ED outcomes whose detection
-// fired at or after the injection cycle.
-func emit(sink RecordSink, rec Record, out Outcome, det int) {
+// forwards it to the sink. DetLat mirrors the campaign accounting: cycles
+// from injection to detection, only meaningful for ED outcomes whose
+// detection fired at or after the injection cycle.
+func (r *recorder) emit(rec Record, out Outcome, det int) {
 	rec.Outcome = out
 	if out == ED && det >= rec.Cycle {
 		rec.DetLat = det - rec.Cycle
 	}
-	sink.Record(rec)
+	r.sink.Record(rec)
 }

@@ -1,14 +1,20 @@
 package inject
 
-// Packed (gang-batched) campaign execution — ROADMAP item 2(a), DESIGN.md
-// §14. A campaign's injections are grouped by the checkpoint window their
-// injection cycle falls in; each group is split into gangs of up to
-// lanes.Width scenarios. One fault-free carrier core replays the window's
-// shared prefix from the PR 1 reference checkpoint exactly once per gang;
-// every lane forks off the carrier at its injection cycle with a
-// zero-allocation state clone (sim.GangCore.CopyStateFrom), takes its
-// flips, and then steps in lockstep with the carrier. Each cycle, a lane is
-// compared against the carrier (sim.GangCore.DiffFrom):
+// The campaign engine — DESIGN.md §14. Injector.run plans every campaign
+// once: planCampaign draws the frozen splitmix64 sample stream, sets the
+// strikes the fault model expands to nothing aside (Vanished by
+// construction), and groups the rest by the checkpoint window their
+// injection cycle falls in, each window's lanes sorted by cycle and split
+// into gangs of up to lanes.Width. One executor, worker.run, then takes
+// each gang through one of the two kernel bodies.
+//
+// A campaign without an opaque commit hook runs each gang on the gang
+// engine. One fault-free carrier core replays the window's shared prefix
+// from the reference checkpoint exactly once per gang; every lane forks off
+// the carrier at its injection cycle with a zero-allocation state clone
+// (sim.GangCore.CopyStateFrom), takes its flips, and then steps in lockstep
+// with the carrier. Each cycle, a lane is compared against the carrier
+// (sim.GangCore.DiffFrom):
 //
 //   - identical full state ⇒ the lane is gang-pruned Vanished immediately —
 //     the same soundness argument as boundary pruning (two bit-identical
@@ -35,10 +41,12 @@ package inject
 // Lanes still live at the window's end are likewise finished through
 // finishInjected. Every planned lane forks: a sampled cycle lies below
 // nomCycles, so its checkpoint window exists and the fault-free carrier is
-// still running when it gets there. Campaigns with an opaque commit hook
-// never run packed, because its state cannot be copied at a fork; nor do
-// sink-carrying ones, because the scalar per-worker-per-bit loop is what
-// guarantees the record sink's deterministic per-bit arrival order.
+// still running when it gets there. A record sink observes each lane right
+// after its fork and receives the record when the lane is decided.
+//
+// An opaque commit hook's state cannot be copied at a fork, so a campaign
+// carrying one runs each planned lane from reset through the cold body,
+// runCold, on the worker's one core.
 
 import (
 	"sort"
@@ -47,21 +55,10 @@ import (
 	"clear/internal/sim"
 )
 
-// Packed selects the gang-batched engine for eligible campaigns (no opaque
-// hook, sinkless, checkpointed). It only affects campaign running time:
-// results are bit-for-bit identical either way for a fixed Config.Seed, so
-// — like CheckpointInterval — it is deliberately not part of Config and
-// does not key the on-disk campaign cache. Tests and cmd/perfbench turn it
-// off to run the scalar loop the packed engine is checked against.
-var Packed = true
-
-// GangWidth is the number of fault scenarios one packed batch carries.
-const GangWidth = lanes.Width
-
-// packedLane is one planned injection: its compact strike-population index
+// plannedLane is one planned injection: its compact strike-population index
 // (the worker tally slot), the struck bit, the injection cycle, and the
-// sample hash, from which the fork re-expands the lane's scenario.
-type packedLane struct {
+// sample hash, from which the lane's scenario is re-expanded when it runs.
+type plannedLane struct {
 	pop   int
 	bit   int
 	cycle int
@@ -71,25 +68,26 @@ type packedLane struct {
 // laneGang is one batch of lanes sharing the checkpoint window ckpt.
 type laneGang struct {
 	ckpt  int
-	lanes []packedLane
+	lanes []plannedLane
 }
 
-// packedPlan is a campaign's sampled population sorted into gangs plus the
-// bits of the empty-scenario strikes, which are Vanished by construction.
-type packedPlan struct {
+// campaignPlan is a campaign's sampled population sorted into gangs plus
+// the bits of the empty-scenario strikes, which are Vanished by
+// construction.
+type campaignPlan struct {
 	gangs    []laneGang
 	vanished []int
 }
 
-// planPacked samples the campaign's (bit, cycle) population — the identical
-// splitmix64 stream the scalar loop draws — and groups the resulting lanes
-// by checkpoint window, each window's lanes sorted by injection cycle and
-// chunked into gangs of at most GangWidth. Sorting before chunking keeps
-// each gang's forks inside a short time slice of the window, so a gang's
-// carrier stops stepping as soon as its slice is decided.
-func planPacked(c *campaign) packedPlan {
-	var plan packedPlan
-	byWindow := make(map[int][]packedLane)
+// planCampaign samples the campaign's (bit, cycle) population and groups
+// the resulting lanes by checkpoint window, each window's lanes sorted by
+// injection cycle and chunked into gangs of at most lanes.Width. Sorting
+// before chunking keeps each gang's forks inside a short time slice of the
+// window, so a gang's carrier stops stepping as soon as its slice is
+// decided.
+func planCampaign(c *campaign) campaignPlan {
+	var plan campaignPlan
+	byWindow := make(map[int][]plannedLane)
 	var sc Scenario
 	for i := 0; i < c.nStrikes; i++ {
 		bit := c.bit(i)
@@ -99,8 +97,8 @@ func planPacked(c *campaign) packedPlan {
 				plan.vanished = append(plan.vanished, bit)
 				continue
 			}
-			idx := cycle / c.ref.Interval
-			byWindow[idx] = append(byWindow[idx], packedLane{pop: i, bit: bit, cycle: cycle, h: h})
+			idx := cycle / c.interval
+			byWindow[idx] = append(byWindow[idx], plannedLane{pop: i, bit: bit, cycle: cycle, h: h})
 		}
 	}
 	windows := make([]int, 0, len(byWindow))
@@ -111,38 +109,57 @@ func planPacked(c *campaign) packedPlan {
 	for _, idx := range windows {
 		lns := byWindow[idx]
 		sort.SliceStable(lns, func(i, j int) bool { return lns[i].cycle < lns[j].cycle })
-		for lo := 0; lo < len(lns); lo += GangWidth {
-			plan.gangs = append(plan.gangs, laneGang{ckpt: idx, lanes: lns[lo:min(lo+GangWidth, len(lns))]})
+		for lo := 0; lo < len(lns); lo += lanes.Width {
+			plan.gangs = append(plan.gangs, laneGang{ckpt: idx, lanes: lns[lo:min(lo+lanes.Width, len(lns))]})
 		}
 	}
 	return plan
 }
 
-// gangWorker is one campaign worker's packed execution state: the carrier
-// and a lazily grown lane-core pool — each with its own checker in a
-// checked campaign (nil otherwise) — the scenario buffer forks expand
-// into, and the worker's compact tally.
-type gangWorker struct {
+// worker is one campaign worker's execution state: the carrier and a
+// lazily grown lane-core pool — each with its own checker in a checked
+// campaign (nil otherwise) — the scenario buffer lanes expand into, the
+// worker's compact tally and, when the campaign carries a sink, its
+// recorder and the record observed at each live slot's fork.
+type worker struct {
 	in *Injector
 	c  *campaign
 
 	carrier    sim.Core
 	carrierChk sim.Checker
-	cores      [GangWidth]sim.Core
-	chks       [GangWidth]sim.Checker
+	cores      [lanes.Width]sim.Core
+	chks       [lanes.Width]sim.Checker
 	sc         Scenario
 
 	tally
+
+	rec  *recorder
+	recs []Record
+}
+
+// newWorker returns a campaign worker for c.
+func newWorker(in *Injector, c *campaign) *worker {
+	w := &worker{in: in, c: c, tally: tally{local: make([]FFStats, c.nStrikes)}}
+	if in.Sink != nil {
+		w.rec, w.recs = newRecorder(in.Sink), make([]Record, lanes.Width)
+	}
+	return w
 }
 
 // lane returns the pool core for a slot, creating it on first use so a
 // campaign whose gangs never fill (small populations) never pays for 64
 // cores per worker.
-func (w *gangWorker) lane(slot int) sim.Core {
+func (w *worker) lane(slot int) sim.Core {
 	if w.cores[slot] == nil {
 		w.cores[slot], w.chks[slot] = newChecked(w.c.cfg.Core, w.c.p, w.c.cf)
 	}
 	return w.cores[slot]
+}
+
+// expand re-expands ln's scenario into the worker's buffer.
+func (w *worker) expand(ln plannedLane) Scenario {
+	w.sc = w.c.model.Expand(w.c.env, ln.bit, ln.cycle, ln.h, w.sc[:0])
+	return w.sc
 }
 
 // laneDiff classifies a lane against the carrier like sim.GangCore.DiffFrom,
@@ -156,29 +173,52 @@ func laneDiff(lc, car sim.Core, lchk, carChk sim.Checker) uint8 {
 	return d
 }
 
-// finish continues the lane in slot s from its current state through the
-// warm body's tail and tallies the outcome.
-func (w *gangWorker) finish(s int, ln packedLane) {
-	out, det := w.in.finishInjected(w.lane(s), w.chks[s], w.c.p, w.c.ref, ln.cycle, w.c.nomCycles)
-	w.add(ln.pop, ln.cycle, out, det)
+// run executes one gang: cold, lane by lane, when the campaign carries an
+// opaque hook, and on the gang engine otherwise.
+func (w *worker) run(g laneGang) {
+	w.in.injTotal.Add(int64(len(g.lanes)))
+	if w.c.hookFactory == nil {
+		w.runGang(g)
+		return
+	}
+	core := w.lane(0)
+	for _, ln := range g.lanes {
+		out, det := runCold(w.rec, core, w.c.p, w.expand(ln), ln.cycle, w.c.nomCycles, w.c.hookFactory)
+		w.add(ln.pop, ln.cycle, out, det)
+	}
 }
 
-// runGang executes one gang: replay the window prefix on the carrier, fork
-// each lane at its cycle, lockstep-and-classify until every lane is
-// decided or the window ends, then finish the survivors through the warm
-// body's tail.
-func (w *gangWorker) runGang(g laneGang) {
+// decide tallies the outcome of lane ln, live in slot s, and emits the
+// record observed at its fork.
+func (w *worker) decide(s int, ln plannedLane, out Outcome, det int) {
+	w.add(ln.pop, ln.cycle, out, det)
+	if w.rec != nil {
+		w.rec.emit(w.recs[s], out, det)
+	}
+}
+
+// finish continues lane ln, live in slot s, from its current state through
+// the warm body's tail and decides it.
+func (w *worker) finish(s int, ln plannedLane) {
+	out, det := w.in.finishInjected(w.lane(s), w.chks[s], w.c.p, w.c.ref, ln.cycle, w.c.nomCycles)
+	w.decide(s, ln, out, det)
+}
+
+// runGang executes one gang on the gang engine: replay the window prefix on
+// the carrier, fork each lane at its cycle, lockstep-and-classify until
+// every lane is decided or the window ends, then finish the survivors
+// through the warm body's tail.
+func (w *worker) runGang(g laneGang) {
 	c := w.c
-	w.in.injTotal.Add(int64(len(g.lanes)))
 	if w.carrier == nil {
 		w.carrier, w.carrierChk = newChecked(c.cfg.Core, c.p, c.cf)
 	}
 	car := w.carrier
 	c.ref.restore(car, w.carrierChk, g.ckpt)
-	windowEnd := (g.ckpt + 1) * c.ref.Interval
+	windowEnd := (g.ckpt + 1) * c.interval
 
 	var live lanes.Mask
-	var slot [GangWidth]packedLane
+	var slot [lanes.Width]plannedLane
 	next := 0
 	for {
 		t := car.Cycles()
@@ -190,8 +230,11 @@ func (w *gangWorker) runGang(g laneGang) {
 				w.chks[s].CopyFrom(w.carrierChk)
 			}
 			ln := g.lanes[next]
-			w.sc = c.model.Expand(c.env, ln.bit, ln.cycle, ln.h, w.sc[:0])
-			strike(lc, w.sc)
+			sc := w.expand(ln)
+			if w.rec != nil {
+				w.recs[s] = w.rec.observe(lc, sc[0], ln.cycle)
+			}
+			strike(lc, sc)
 			slot[s] = ln
 			live.Set(s)
 			next++
@@ -206,7 +249,7 @@ func (w *gangWorker) runGang(g laneGang) {
 			lc.Step()
 			if lc.Done() {
 				out, det := classifyRun(c.p, lc.Result())
-				w.add(slot[s].pop, slot[s].cycle, out, det)
+				w.decide(s, slot[s], out, det)
 				live.Clear(s)
 				continue
 			}
@@ -218,7 +261,7 @@ func (w *gangWorker) runGang(g laneGang) {
 				// boundary prune.
 				w.in.injPruned.Add(1)
 				w.in.pruneCycles.Observe(int64(lc.Cycles() - slot[s].cycle))
-				w.add(slot[s].pop, slot[s].cycle, Vanished, -1)
+				w.decide(s, slot[s], Vanished, -1)
 				live.Clear(s)
 			case d&(sim.DiffCtl|sim.DiffAux) != 0:
 				// Control flow left the reference trajectory, or side state
@@ -234,24 +277,5 @@ func (w *gangWorker) runGang(g laneGang) {
 	for m := live; !m.Empty(); {
 		s := m.PopLowest()
 		w.finish(s, slot[s])
-	}
-}
-
-// runPacked executes the campaign through the gang engine, filling res.
-// Identical per-(bit, cycle) outcomes summed by commutative tallies make
-// the filled Result byte-identical to the scalar loop's.
-func (in *Injector) runPacked(res *Result, c *campaign) {
-	plan := planPacked(c)
-	fanOut(len(plan.gangs), func() (func(int), func()) {
-		w := &gangWorker{in: in, c: c, tally: tally{local: make([]FFStats, c.nStrikes)}}
-		return func(g int) { w.runGang(plan.gangs[g]) }, func() { w.mergeInto(res, c) }
-	})
-	// Strikes the fault model says latch nothing: Vanished by construction,
-	// no simulation — the same bookkeeping runScenarioFrom's empty-scenario
-	// path performs.
-	for _, bit := range plan.vanished {
-		in.injTotal.Add(1)
-		res.PerFF[bit].N++
-		res.Totals.Add(Vanished)
 	}
 }

@@ -2,62 +2,121 @@ package inject
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"clear/internal/archres"
 	"clear/internal/isa"
 	"clear/internal/prog"
+	"clear/internal/sim"
 )
 
-// setPacked flips the packed (gang-batched) campaign engine for one test
-// and restores the default afterwards.
-func setPacked(t testing.TB, on bool) {
-	t.Helper()
-	prev := Packed
-	Packed = on
-	t.Cleanup(func() { Packed = prev })
+// noopHook is an opaque commit-hook factory whose hooks never detect: a
+// campaign carrying it runs every injection from reset through the cold
+// body and must produce exactly the hookless campaign's Result.
+func noopHook(*prog.Program) sim.CommitHook {
+	return func(sim.CommitEvent) bool { return false }
 }
 
-// runBothEngines runs the same campaign through the scalar loop and the
-// packed engine and returns both results. Each engine must tally exactly
+// referenceCampaign is the tests' oracle for Injector.Run. It shares no
+// planning or scheduling code with the engine: it performs the nominal run,
+// draws every (bit, sample) of the strike population from the documented
+// splitmix64 stream — h = splitmix64(Seed ^ bit<<20 ^ sample), cycle =
+// h mod nomCycles — expands each draw through the fault model, runs every
+// non-empty scenario from reset through the cold body on one core, and
+// tallies it the way the engine's tally.add does. hookFactory attaches a
+// fresh hook to the nominal run and to every injection; sink, when
+// non-nil, receives every run's record.
+func referenceCampaign(t testing.TB, cfg Config, p *prog.Program,
+	hookFactory func(*prog.Program) sim.CommitHook, sink RecordSink) *Result {
+	t.Helper()
+	nom := NewCore(cfg.Core, p)
+	if hookFactory != nil {
+		nom.SetCommitHook(hookFactory(p))
+	}
+	nomRes := nom.Run(nomBudget)
+	if nomRes.Status != prog.StatusHalted || !p.OutputsEqual(nomRes.Output) {
+		t.Fatalf("reference nominal run: %v", nomRes.Status)
+	}
+	modelName, _ := SplitModelTag(cfg.Tag)
+	model, env := LookupModel(modelName), EnvFor(cfg.Core)
+	bits := model.Bits(env)
+	if bits == nil {
+		for bit := 0; bit < SpaceBits(cfg.Core); bit++ {
+			bits = append(bits, bit)
+		}
+	}
+	res := &Result{Config: cfg, NomCycles: nomRes.Steps, NomRet: nom.Retired(),
+		PerFF: make([]FFStats, SpaceBits(cfg.Core))}
+	c, rec := NewCore(cfg.Core, p), newRecorder(sink)
+	for _, bit := range bits {
+		for s := 0; s < cfg.SamplesPerFF; s++ {
+			h := splitmix64(cfg.Seed ^ uint64(bit)<<20 ^ uint64(s))
+			cycle := int(h % uint64(res.NomCycles))
+			out, det := Vanished, -1
+			if sc := model.Expand(env, bit, cycle, h, nil); len(sc) > 0 {
+				out, det = runCold(rec, c, p, sc, cycle, res.NomCycles, hookFactory)
+			}
+			st := &res.PerFF[bit]
+			st.N++
+			switch out {
+			case OMM:
+				st.OMM++
+			case UT:
+				st.UT++
+			case Hang:
+				st.Hang++
+			case ED:
+				st.ED++
+				if det >= cycle {
+					res.DetLatSum += int64(det - cycle)
+					res.DetN++
+				}
+			}
+			res.Totals.Add(out)
+		}
+	}
+	return res
+}
+
+// runCampaign runs cfg through a fresh injector whose reference spacing is
+// interval (0 keeps CheckpointInterval). The injector must tally exactly
 // one injection per sample, Vanished-by-construction strikes included.
-func runBothEngines(t testing.TB, cfg Config, p *prog.Program) (scalar, packed *Result) {
+func runCampaign(t testing.TB, cfg Config, p *prog.Program, interval int,
+	hookFactory func(*prog.Program) sim.CommitHook) *Result {
 	t.Helper()
-	run := func(on bool) *Result {
-		setPacked(t, on)
-		in := NewInjector()
-		r, err := in.Run(cfg, p, nil)
-		if err != nil {
-			t.Fatalf("packed=%v run: %v", on, err)
-		}
-		if _, total := in.PruneStats(); total != int64(r.Totals.N) {
-			t.Fatalf("packed=%v: %d injections tallied, want %d", on, total, r.Totals.N)
-		}
-		return r
+	in := NewInjector()
+	in.interval = interval
+	r, err := in.Run(cfg, p, hookFactory)
+	if err != nil {
+		t.Fatalf("interval=%d run: %v", interval, err)
 	}
-	return run(false), run(true)
+	if _, total := in.PruneStats(); total != int64(r.Totals.N) {
+		t.Fatalf("interval=%d: %d injections tallied, want %d", interval, total, r.Totals.N)
+	}
+	return r
 }
 
-// requireIdentical asserts two campaign results are equal as values AND as
-// cache bytes — the packed engine's contract is byte-identical results, so
-// existing testdata/cache entries stay valid whichever engine computed them.
-func requireIdentical(t testing.TB, label string, scalar, packed *Result) {
+// requireIdentical asserts a campaign result equals the reference's as a
+// value AND as cache bytes — the engine's contract is byte-identical
+// results, so existing testdata/cache entries stay valid.
+func requireIdentical(t testing.TB, label string, want, got *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(scalar, packed) {
-		t.Fatalf("%s: packed result differs from scalar\nscalar: %+v\npacked: %+v",
-			label, scalar.Totals, packed.Totals)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: campaign differs from the reference\nreference: %+v\ncampaign:  %+v",
+			label, want.Totals, got.Totals)
 	}
-	bs, err := encodeCache(scalar)
+	bw, err := encodeCache(want)
 	if err != nil {
-		t.Fatalf("%s: encode scalar: %v", label, err)
+		t.Fatalf("%s: encode reference: %v", label, err)
 	}
-	bp, err := encodeCache(packed)
+	bg, err := encodeCache(got)
 	if err != nil {
-		t.Fatalf("%s: encode packed: %v", label, err)
+		t.Fatalf("%s: encode campaign: %v", label, err)
 	}
-	if !bytes.Equal(bs, bp) {
-		t.Fatalf("%s: cache bytes differ between engines", label)
+	if !bytes.Equal(bw, bg) {
+		t.Fatalf("%s: cache bytes differ from the reference", label)
 	}
 }
 
@@ -93,8 +152,8 @@ func registerTestModel(t testing.TB, m FaultModel) {
 	})
 }
 
-// TestPackedCampaignEquivalence pins the tentpole contract: for fixed
-// seeds, packed campaigns are bit-identical to scalar ones — DeepEqual
+// TestPackedCampaignEquivalence pins the engine's contract: for fixed
+// seeds, campaigns are bit-identical to the reference campaign — DeepEqual
 // results and identical cache bytes — on both cores, under every
 // registered fault model and under mixModel's empty and multi-flip
 // scenarios.
@@ -108,9 +167,9 @@ func TestPackedCampaignEquivalence(t *testing.T) {
 		}
 		for _, tag := range []string{"", "mbu/x", "uncore/x", "set/x", "zmix/x"} {
 			cfg := Config{Core: kind, Bench: "tiny", Tag: tag, SamplesPerFF: samples, Seed: 0xC1EA5}
-			scalar, packed := runBothEngines(t, cfg, p)
-			requireIdentical(t, kind.String()+"/"+tag, scalar, packed)
-			if packed.Totals.N == 0 {
+			got := runCampaign(t, cfg, p, 0, nil)
+			requireIdentical(t, kind.String()+"/"+tag, referenceCampaign(t, cfg, p, nil, nil), got)
+			if got.Totals.N == 0 {
 				t.Fatalf("%v/%s: campaign ran no injections", kind, tag)
 			}
 		}
@@ -124,25 +183,25 @@ func TestPackedCampaignEquivalence(t *testing.T) {
 // window-end eviction of survivors.
 func TestPackedCheckpointBoundaries(t *testing.T) {
 	p := tinyProgram(t)
-	for _, interval := range []int{1, 32} {
-		setInterval(t, interval)
-		for _, kind := range []CoreKind{InO, OoO} {
-			cfg := Config{Core: kind, Bench: "tiny", SamplesPerFF: 1, Seed: 0xBEEF}
-			scalar, packed := runBothEngines(t, cfg, p)
-			requireIdentical(t, kind.String(), scalar, packed)
+	for _, kind := range []CoreKind{InO, OoO} {
+		cfg := Config{Core: kind, Bench: "tiny", SamplesPerFF: 1, Seed: 0xBEEF}
+		want := referenceCampaign(t, cfg, p, nil, nil)
+		for _, interval := range []int{1, 32} {
+			requireIdentical(t, fmt.Sprintf("%v interval=%d", kind, interval), want,
+				runCampaign(t, cfg, p, interval, nil))
 		}
 	}
 }
 
-// TestPackedRestrictedPopulation checks the packed engine against the
-// uncore model's restricted strike population: results match the scalar
-// engine's and no tally lands outside the population (the compact
-// per-worker tallies must scatter back to the right bits).
+// TestPackedRestrictedPopulation checks the engine against the uncore
+// model's restricted strike population: results match the reference and no
+// tally lands outside the population (the compact per-worker tallies must
+// scatter back to the right bits).
 func TestPackedRestrictedPopulation(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", Tag: "uncore/x", SamplesPerFF: 3, Seed: 7}
-	scalar, packed := runBothEngines(t, cfg, p)
-	requireIdentical(t, "uncore", scalar, packed)
+	got := runCampaign(t, cfg, p, 0, nil)
+	requireIdentical(t, "uncore", referenceCampaign(t, cfg, p, nil, nil), got)
 
 	pop := map[int]bool{}
 	for _, bit := range LookupModel("uncore").Bits(EnvFor(InO)) {
@@ -152,7 +211,7 @@ func TestPackedRestrictedPopulation(t *testing.T) {
 		t.Fatalf("uncore population degenerate: %d of %d bits", len(pop), SpaceBits(InO))
 	}
 	want := 0
-	for bit, st := range packed.PerFF {
+	for bit, st := range got.PerFF {
 		if !pop[bit] {
 			if st != (FFStats{}) {
 				t.Fatalf("bit %d outside the strike population has tallies %+v", bit, st)
@@ -164,8 +223,8 @@ func TestPackedRestrictedPopulation(t *testing.T) {
 		}
 		want += int(st.N)
 	}
-	if packed.Totals.N != want {
-		t.Fatalf("Totals.N = %d, want %d", packed.Totals.N, want)
+	if got.Totals.N != want {
+		t.Fatalf("Totals.N = %d, want %d", got.Totals.N, want)
 	}
 }
 
@@ -221,14 +280,14 @@ func fuzzCampaignProgram(t testing.TB, data []byte) *prog.Program {
 	return p
 }
 
-// FuzzPackedEquivalence is the property behind the packed engine: for an
+// FuzzPackedEquivalence is the property behind the campaign engine: for an
 // arbitrary generated program, core, registered fault model, and checkpoint
 // interval — including interval 1, where every lane hits a window boundary
 // after one cycle, and the divergence-eviction edges any failing lane takes —
-// the packed campaign must equal the scalar one bit for bit. Selector bit 5
-// attaches the DFC checker: the cold hooked campaign (every injection from
-// reset with a fresh checker), the warm scalar checked one and the packed
-// checked one must then all agree.
+// the campaign must equal the reference campaign bit for bit. Selector bit 5
+// attaches the DFC checker: the campaign with DFC as an opaque hook (every
+// injection from reset with a fresh checker) and the checked campaign on
+// the gang engine must then both equal the hooked reference.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint64(1), uint8(0))
 	f.Add([]byte{0x11, 0x47, 0xA3, 0x09, 0xEE}, uint64(0xC1EA5), uint8(3))
@@ -243,30 +302,29 @@ func FuzzPackedEquivalence(f *testing.F) {
 			kind = OoO
 		}
 		tag := []string{"", "mbu/f", "uncore/f", "set/f"}[(sel>>1)%4]
-		setInterval(t, []int{1, 32, 64, 256}[(sel>>3)%4])
+		interval := []int{1, 32, 64, 256}[(sel>>3)%4]
 		cfg := Config{Core: kind, Bench: "fuzzpacked", Tag: tag, SamplesPerFF: 1, Seed: seed}
-		if sel&0x20 == 0 {
-			scalar, packed := runBothEngines(t, cfg, p)
-			if !reflect.DeepEqual(scalar, packed) {
-				t.Fatalf("%v/%s interval=%d: packed differs from scalar\nscalar: %+v\npacked: %+v",
-					kind, tag, CheckpointInterval, scalar.Totals, packed.Totals)
-			}
+		var hf func(*prog.Program) sim.CommitHook
+		if sel&0x20 != 0 {
+			hf = archres.DFCHookFactory()
+		}
+		want := referenceCampaign(t, cfg, p, hf, nil)
+		if got := runCampaign(t, cfg, p, interval, hf); !reflect.DeepEqual(want, got) {
+			t.Fatalf("%v/%s interval=%d hooked=%v: campaign differs from the reference\nreference: %+v\ncampaign:  %+v",
+				kind, tag, interval, hf != nil, want.Totals, got.Totals)
+		}
+		if hf == nil {
 			return
 		}
-		cold, err := NewInjector().Run(cfg, p, archres.DFCHookFactory())
+		in := NewInjector()
+		in.interval = interval
+		checked, err := in.RunChecked(cfg, p, archres.NewDFCChecker)
 		if err != nil {
-			t.Fatalf("cold hooked run: %v", err)
+			t.Fatalf("checked run: %v", err)
 		}
-		for _, on := range []bool{false, true} {
-			setPacked(t, on)
-			warm, err := NewInjector().RunChecked(cfg, p, archres.NewDFCChecker)
-			if err != nil {
-				t.Fatalf("checked run (packed=%v): %v", on, err)
-			}
-			if !reflect.DeepEqual(cold, warm) {
-				t.Fatalf("%v/%s interval=%d packed=%v: checked differs from cold hooked\ncold: %+v\nwarm: %+v",
-					kind, tag, CheckpointInterval, on, cold.Totals, warm.Totals)
-			}
+		if !reflect.DeepEqual(want, checked) {
+			t.Fatalf("%v/%s interval=%d: checked campaign differs from the hooked reference\nreference: %+v\nchecked:   %+v",
+				kind, tag, interval, want.Totals, checked.Totals)
 		}
 	})
 }

@@ -23,8 +23,8 @@ func midBlock(p *prog.Program, pc int) bool {
 // exists for: a lane whose core state is the carrier's — it took no flip —
 // but whose DFC checker saw one mid-block commit with a corrupted word, so
 // only the checker's running signature differs. The gang classifier must
-// call that a DiffAux divergence (evict, not gang-prune), and the scalar
-// tail the evicted lane continues through must not boundary-prune it
+// call that a DiffAux divergence (evict, not gang-prune), and the warm
+// body's tail the evicted lane continues through must not boundary-prune it
 // either, although its core matches the reference at the next checkpoint:
 // the signature mismatch surfaces at the block's end as a detection.
 func TestCheckerDivergenceIsNotPruned(t *testing.T) {

@@ -8,21 +8,18 @@ import (
 )
 
 // CheckpointInterval is the spacing, in cycles, of the fault-free reference
-// snapshots recorded during a campaign's nominal run. Each injection then
-// restores the nearest preceding snapshot and steps at most
-// CheckpointInterval-1 cycles to reach its injection point instead of
+// snapshots recorded during a campaign's nominal run. Each gang of
+// injections restores the snapshot opening its window and steps at most
+// CheckpointInterval-1 cycles to reach its injection points instead of
 // replaying from reset, and the same snapshots drive convergence pruning
 // (see scenario.go). Smaller intervals cut more warm-up cycles but cost
-// more snapshot memory; 0 disables checkpointing entirely, so every
-// injection replays from reset through the cold body — the reference path
-// the equivalence tests compare against.
+// more snapshot memory.
 //
 // The interval only affects campaign running time: results are bit-for-bit
 // identical for any value, so it is deliberately not part of Config and
 // does not key the on-disk campaign cache. The default suits this repo's
-// workloads (nominal runs of a few hundred to a few thousand cycles); scale
-// it with nominal length for longer programs.
-var CheckpointInterval = 256
+// workloads (nominal runs of a few hundred to a few thousand cycles).
+const CheckpointInterval = 256
 
 // Reference is the fault-free trajectory of one (core, program) pair:
 // snapshots taken every Interval cycles during the nominal run. Ckpts[i]
@@ -36,11 +33,6 @@ type Reference struct {
 	Interval int
 	Ckpts    []*sim.Checkpoint
 	Checks   []sim.Checker
-}
-
-// usable reports whether ref can warm-start injections.
-func (ref *Reference) usable() bool {
-	return ref != nil && ref.Interval > 0 && len(ref.Ckpts) > 0
 }
 
 // restore rewinds c to snapshot idx. A checked run (chk non-nil, installed

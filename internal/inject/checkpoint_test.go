@@ -12,14 +12,6 @@ import (
 	"clear/internal/sim"
 )
 
-// setInterval overrides CheckpointInterval for one test.
-func setInterval(t testing.TB, v int) {
-	t.Helper()
-	old := CheckpointInterval
-	CheckpointInterval = v
-	t.Cleanup(func() { CheckpointInterval = old })
-}
-
 // boundsHook returns a stateful commit hook modeled on an architecture-level
 // value checker: it tracks how many instructions retired and flags any
 // committed result above a bound the fault-free run never reaches. The
@@ -86,9 +78,9 @@ func TestRunOneFromEquivalence(t *testing.T) {
 }
 
 // TestCampaignBitIdentical asserts that a fixed-seed campaign produces a
-// byte-identical Result whether checkpointing is disabled (the historical
-// from-reset path), run at a non-default interval, or at the default — the
-// cache-compatibility guarantee for the committed testdata/cache entries.
+// byte-identical Result to the reference campaign's from-reset replay
+// whatever the checkpoint interval — the cache-compatibility guarantee for
+// the committed testdata/cache entries.
 func TestCampaignBitIdentical(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 2, Seed: 0xC1EA5}
@@ -99,44 +91,25 @@ func TestCampaignBitIdentical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	setInterval(t, 0)
-	r0, err := NewInjector().Run(cfg, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := encode(r0)
+	want := encode(referenceCampaign(t, cfg, p, nil, nil))
 	for _, interval := range []int{64, 256, 1024} {
-		CheckpointInterval = interval
-		r, err := NewInjector().Run(cfg, p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, encode(r)) {
-			t.Fatalf("interval %d: campaign result differs from from-reset baseline", interval)
+		if !bytes.Equal(want, encode(runCampaign(t, cfg, p, interval, nil))) {
+			t.Fatalf("interval %d: campaign result differs from the from-reset reference", interval)
 		}
 	}
 }
 
-// TestCampaignBitIdenticalHooked covers the hook-carrying campaign: the
-// checkpointed engine must leave it byte-identical too (it keeps the exact
-// from-reset path).
+// TestCampaignBitIdenticalHooked covers the cold path: a campaign carrying
+// an opaque hook runs every injection from reset. With the stateful
+// boundsHook it must equal the hooked reference campaign; with a hook that
+// never fires it must be byte-identical to the hookless campaign, which
+// runs warm on the gang engine.
 func TestCampaignBitIdenticalHooked(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 7}
 	hf := boundsHook(1 << 20)
-	setInterval(t, 0)
-	r0, err := NewInjector().Run(cfg, p, hf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	CheckpointInterval = 256
-	r1, err := NewInjector().Run(cfg, p, hf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r0.Totals != r1.Totals {
-		t.Fatalf("hooked campaign differs: %+v vs %+v", r0.Totals, r1.Totals)
-	}
+	requireIdentical(t, "boundsHook", referenceCampaign(t, cfg, p, hf, nil), runCampaign(t, cfg, p, 0, hf))
+	requireIdentical(t, "no-op hook", runCampaign(t, cfg, p, 0, nil), runCampaign(t, cfg, p, 0, noopHook))
 }
 
 func TestSamplesPerFFRange(t *testing.T) {
@@ -145,6 +118,31 @@ func TestSamplesPerFFRange(t *testing.T) {
 		cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: n, Seed: 1}
 		if _, err := NewInjector().Run(cfg, p, nil); err == nil {
 			t.Fatalf("SamplesPerFF=%d: want counter-range error, got nil", n)
+		}
+	}
+}
+
+// TestRunValidation pins the campaign prologue's input checking: a
+// program without golden output, a negative sample count, and the first
+// sample count past the uint16 per-flip-flop counters must all fail up
+// front rather than mid-campaign, whether the campaign runs warm or cold.
+func TestRunValidation(t *testing.T) {
+	p := tinyProgram(t)
+	noGolden := &prog.Program{Name: "nogolden", MemWords: 16}
+	for _, tc := range []struct {
+		name    string
+		p       *prog.Program
+		samples int
+	}{
+		{"no golden output", noGolden, 1},
+		{"negative samples", p, -1},
+		{"65536 samples", p, 1 << 16},
+	} {
+		for _, hf := range []func(*prog.Program) sim.CommitHook{nil, noopHook} {
+			cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: tc.samples, Seed: 1}
+			if _, err := NewInjector().Run(cfg, tc.p, hf); err == nil {
+				t.Errorf("%s (hooked=%v): Run accepted it", tc.name, hf != nil)
+			}
 		}
 	}
 }
@@ -205,23 +203,22 @@ func TestCampaignCacheRejectsForeign(t *testing.T) {
 }
 
 // BenchmarkCampaignInO measures the full InO baseline campaign on a real
-// benchmark program, from-reset versus checkpointed. The checkpointed
-// engine's speedup (≥2x) comes from warm-starting each injection near its
-// sampled cycle and from convergence pruning.
+// benchmark program, from reset (an opaque no-op hook sends every
+// injection through the cold body) versus checkpointed. The checkpointed
+// engine's speedup comes from warm-starting each gang near its sampled
+// cycles, sharing the window prefix across the gang, and pruning.
 func BenchmarkCampaignInO(b *testing.B) {
 	p := bench.ByName("gzip").MustProgram()
 	cfg := Config{Core: InO, Bench: "gzip", SamplesPerFF: 1, Seed: 0xC1EA5}
-	def := CheckpointInterval
-	run := func(b *testing.B, interval int) {
-		setInterval(b, interval)
+	run := func(b *testing.B, hf func(*prog.Program) sim.CommitHook) {
 		for i := 0; i < b.N; i++ {
-			if _, err := NewInjector().Run(cfg, p, nil); err != nil {
+			if _, err := NewInjector().Run(cfg, p, hf); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("from-reset", func(b *testing.B) { run(b, 0) })
-	b.Run("checkpointed", func(b *testing.B) { run(b, def) })
+	b.Run("from-reset", func(b *testing.B) { run(b, noopHook) })
+	b.Run("checkpointed", func(b *testing.B) { run(b, nil) })
 }
 
 // TestBuildReferenceRejectsBadInterval checks that a non-positive interval

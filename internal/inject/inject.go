@@ -12,9 +12,17 @@
 //	Hang     — no termination within 2x nominal cycles (DUE-causing)
 //	ED       — a resilience technique flagged the error (DUE-causing when
 //	           no recovery is attached)
+//
+// Every campaign is planned once into gangs of injections that share a
+// checkpoint window (batch.go) and runs through one executor over the two
+// bodies of the injection kernel (scenario.go): gang lanes fork off a
+// fault-free carrier and finish through the warm body's tail, and the
+// lanes of a campaign with an opaque commit hook replay from reset through
+// the cold body.
 package inject
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -235,17 +243,16 @@ const nomBudget = 8_000_000
 // single-bit model, ssb. Every sample expands through its model into a
 // Scenario and runs through the injection kernel (scenario.go).
 //
-// Hookless campaigns amortize simulation work through the fault-free
-// reference trajectory (see CheckpointInterval and RunOneFrom): each
-// injection warm-starts from the nearest snapshot and prunes as soon as its
-// state reconverges with the reference. Sinkless campaigns further batch up
-// to 64 same-window injections into gangs that share one carrier replay of
-// the window prefix and gang-prune reconverged lanes every cycle (see Packed
-// and batch.go). A hookFactory is an opaque closure whose state the engine
-// cannot save, so a hooked Run replays every injection from reset; a
-// checker with savable state takes the warm, pruned and packed paths
-// through RunChecked instead. Results are bit-for-bit identical to the
-// from-reset path for a fixed Config.Seed.
+// Every campaign is planned into gangs of up to 64 same-window injections
+// (batch.go). A hookless campaign amortizes simulation work through the
+// fault-free reference trajectory (see CheckpointInterval): each gang
+// shares one carrier replay of its window prefix, and each injection
+// prunes as soon as its state reconverges with the reference. A
+// hookFactory is an opaque closure whose state the engine cannot save, so
+// a hooked Run replays every injection from reset; a checker with savable
+// state takes the warm, pruned gang path through RunChecked instead.
+// Results are bit-for-bit identical to replaying every injection from
+// reset for a fixed Config.Seed.
 //
 // Injections, prunes, and outcome tallies land on this injector's
 // counters. Counters only observe the campaign — they never feed back into
@@ -259,71 +266,56 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 // hooks (func(p) { return cf(p).Observe }), but because a sim.Checker's
 // state can be saved, restored and compared, the campaign warm-starts from
 // the reference, prunes when core and checker both reconverge, and runs on
-// the packed gang engine like a hookless one. Each worker core owns one
-// checker for the whole campaign instead of building one per injection.
+// the gang engine like a hookless one. Each worker core owns one checker
+// for the whole campaign instead of building one per injection.
 func (in *Injector) RunChecked(cfg Config, p *prog.Program, cf func(*prog.Program) sim.Checker) (*Result, error) {
 	return in.run(cfg, p, nil, cf)
-}
-
-// hooksOf adapts a checker factory to a plain hook factory.
-func hooksOf(cf func(*prog.Program) sim.Checker) func(*prog.Program) sim.CommitHook {
-	return func(p *prog.Program) sim.CommitHook { return cf(p).Observe }
-}
-
-// nominal is the prologue every campaign shares. It checks that p has a
-// golden output and that samples fits the uint16 per-flip-flop counters,
-// then performs the fault-free nominal run: it records the warm-start
-// reference (under cf's checker, when non-nil) unless an opaque
-// hookFactory or a zero CheckpointInterval rules warm starts out, in which
-// case it runs cold under the hook. The run must halt with the golden
-// output. It returns the reference (nil for a cold campaign), the nominal
-// cycle count, and the retired-instruction count.
-func nominal(k CoreKind, p *prog.Program, bench, tag string, samples int,
-	hookFactory func(*prog.Program) sim.CommitHook, cf func(*prog.Program) sim.Checker) (*Reference, int, int64, error) {
-	if p.Expected == nil {
-		return nil, 0, 0, fmt.Errorf("inject: %s has no golden output", p.Name)
-	}
-	if samples < 0 || samples > math.MaxUint16 {
-		return nil, 0, 0, fmt.Errorf("inject: %d samples outside the per-FF counter range [0, %d]",
-			samples, math.MaxUint16)
-	}
-	var ref *Reference
-	var res prog.Result
-	var nom sim.Core
-	if hookFactory == nil && CheckpointInterval > 0 {
-		var err error
-		if ref, res, nom, err = buildReferenceCore(k, p, CheckpointInterval, nomBudget, cf); err != nil {
-			return nil, 0, 0, err
-		}
-	} else {
-		nom = NewCore(k, p)
-		if hookFactory != nil {
-			nom.SetCommitHook(hookFactory(p))
-		}
-		res = nom.Run(nomBudget)
-	}
-	if res.Status != prog.StatusHalted || !p.OutputsEqual(res.Output) {
-		return nil, 0, 0, fmt.Errorf("inject: nominal run of %s/%s failed: %v", bench, tag, res.Status)
-	}
-	return ref, res.Steps, nom.Retired(), nil
 }
 
 // campaign is one computed campaign's fixed inputs, shared read-only by its
 // workers: the strike population is strikes (nil = every flip-flop), and
 // sample s of population index i strikes bit(i) at a splitmix64-drawn
-// cycle, expanded through model. At most one of hookFactory and cf is
-// non-nil.
+// cycle, expanded through model. Injections are planned by the window of
+// interval cycles they fall in. At most one of hookFactory and cf is
+// non-nil; ref is the warm-start reference of a campaign without
+// hookFactory.
 type campaign struct {
 	cfg         Config
 	p           *prog.Program
 	ref         *Reference
 	hookFactory func(*prog.Program) sim.CommitHook
 	cf          func(*prog.Program) sim.Checker
+	interval    int
 	nomCycles   int
 	nStrikes    int
 	strikes     []int
 	model       FaultModel
 	env         *ModelEnv
+}
+
+// nominal performs the campaign's fault-free run and sets ref and
+// nomCycles: a hookless campaign records the warm-start reference (under
+// cf's checker, when non-nil), one with an opaque hookFactory runs cold
+// under the hook. The run must halt with the golden output. It returns the
+// retired-instruction count.
+func (c *campaign) nominal() (int64, error) {
+	var res prog.Result
+	var nom sim.Core
+	if c.hookFactory == nil {
+		var err error
+		if c.ref, res, nom, err = buildReferenceCore(c.cfg.Core, c.p, c.interval, nomBudget, c.cf); err != nil {
+			return 0, err
+		}
+	} else {
+		nom = NewCore(c.cfg.Core, c.p)
+		nom.SetCommitHook(c.hookFactory(c.p))
+		res = nom.Run(nomBudget)
+	}
+	if res.Status != prog.StatusHalted || !c.p.OutputsEqual(res.Output) {
+		return 0, fmt.Errorf("inject: nominal run of %s/%s failed: %v", c.cfg.Bench, c.cfg.Tag, res.Status)
+	}
+	c.nomCycles = res.Steps
+	return nom.Retired(), nil
 }
 
 // bit returns the flip-flop at population index i.
@@ -416,25 +408,29 @@ func fanOut(items int, newWorker func() (do func(item int), merge func())) {
 	wg.Wait()
 }
 
-// scalarChunk is the number of strike-population bits one scalar work item
-// covers.
-const scalarChunk = 64
-
 // run is the campaign body behind Run (hookFactory, run from reset) and
-// RunChecked (cf, run warm); at most one of the two is non-nil.
+// RunChecked (cf, run warm); at most one of the two is non-nil. It checks
+// that p has a golden output and that the sample count fits the uint16
+// per-flip-flop counters, performs the nominal run, plans the campaign, and
+// runs its gangs on GOMAXPROCS workers. Identical per-(bit, cycle) outcomes
+// summed by commutative tallies make the Result independent of how the
+// gangs are scheduled.
 func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
 	cf func(*prog.Program) sim.Checker) (*Result, error) {
-	if cf != nil && CheckpointInterval <= 0 {
-		// No reference to warm-start from: the checker runs as a plain hook.
-		hookFactory, cf = hooksOf(cf), nil
+	if p.Expected == nil {
+		return nil, fmt.Errorf("inject: %s has no golden output", p.Name)
 	}
-	ref, nomCycles, nomRet, err := nominal(cfg.Core, p, cfg.Bench, cfg.Tag, cfg.SamplesPerFF, hookFactory, cf)
+	if cfg.SamplesPerFF < 0 || cfg.SamplesPerFF > math.MaxUint16 {
+		return nil, fmt.Errorf("inject: %d samples outside the per-FF counter range [0, %d]",
+			cfg.SamplesPerFF, math.MaxUint16)
+	}
+	modelName, _ := SplitModelTag(cfg.Tag)
+	c := &campaign{cfg: cfg, p: p, hookFactory: hookFactory, cf: cf, interval: cmp.Or(in.interval, CheckpointInterval),
+		model: LookupModel(modelName), env: EnvFor(cfg.Core)}
+	nomRet, err := c.nominal()
 	if err != nil {
 		return nil, err
 	}
-	modelName, _ := SplitModelTag(cfg.Tag)
-	c := &campaign{cfg: cfg, p: p, ref: ref, hookFactory: hookFactory, cf: cf, nomCycles: nomCycles,
-		model: LookupModel(modelName), env: EnvFor(cfg.Core)}
 	// The strike population: every flip-flop, unless the model restricts
 	// it (uncore). PerFF is always full-space sized and indexed by the
 	// struck bit, so per-structure reporting works across models.
@@ -444,41 +440,20 @@ func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 	if c.strikes != nil {
 		c.nStrikes = len(c.strikes)
 	}
-	res := &Result{Config: cfg, NomCycles: nomCycles, NomRet: nomRet, PerFF: make([]FFStats, nBits)}
+	res := &Result{Config: cfg, NomCycles: c.nomCycles, NomRet: nomRet, PerFF: make([]FFStats, nBits)}
 
-	// Eligible campaigns run on the packed (gang-batched) engine — see
-	// batch.go for the eligibility reasoning. Results are bit-identical to
-	// the scalar loop below, which the equivalence tests compare against
-	// and which runs opaque-hook and sink-carrying campaigns.
-	if Packed && hookFactory == nil && in.Sink == nil && ref.usable() {
-		in.runPacked(res, c)
-	} else {
-		in.runScalar(res, c)
+	plan := planCampaign(c)
+	fanOut(len(plan.gangs), func() (func(int), func()) {
+		w := newWorker(in, c)
+		return func(g int) { w.run(plan.gangs[g]) }, func() { w.mergeInto(res, c) }
+	})
+	// Strikes the fault model says latch nothing: Vanished by construction,
+	// no simulation, no record.
+	in.injTotal.Add(int64(len(plan.vanished)))
+	for _, bit := range plan.vanished {
+		res.PerFF[bit].N++
+		res.Totals.Add(Vanished)
 	}
 	in.addOutcomes(res.Totals)
 	return res, nil
-}
-
-// runScalar executes the campaign one injection at a time, filling res:
-// each worker takes chunks of the strike population and runs every sample
-// of a bit in order, which keeps a record sink's per-bit arrival order
-// deterministic.
-func (in *Injector) runScalar(res *Result, c *campaign) {
-	fanOut((c.nStrikes+scalarChunk-1)/scalarChunk, func() (func(int), func()) {
-		core, chk := newChecked(c.cfg.Core, c.p, c.cf)
-		t := tally{local: make([]FFStats, c.nStrikes)}
-		var sc Scenario
-		do := func(chunk int) {
-			for i := chunk * scalarChunk; i < min((chunk+1)*scalarChunk, c.nStrikes); i++ {
-				bit := c.bit(i)
-				for s := 0; s < c.cfg.SamplesPerFF; s++ {
-					h, cycle := c.sample(bit, s)
-					sc = c.model.Expand(c.env, bit, cycle, h, sc[:0])
-					out, det := in.runScenarioFrom(core, chk, c.p, c.ref, sc, cycle, c.nomCycles, c.hookFactory)
-					t.add(i, cycle, out, det)
-				}
-			}
-		}
-		return do, func() { t.mergeInto(res, c) }
-	})
 }

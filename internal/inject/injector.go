@@ -14,7 +14,7 @@ import (
 // event from the in-order sweep could report prune work done by the
 // out-of-order sweep. Each engine now owns an Injector, and every campaign
 // and warm injection runs through one (Run, RunChecked, Campaign,
-// CampaignChecked, RunPairs, RunOneFrom). The package-level PruneStats and
+// CampaignChecked, RunOneFrom). The package-level PruneStats and
 // QuarantineStats aggregate across every instance.
 //
 // An Injector additionally carries the obs instruments of the injection
@@ -53,6 +53,11 @@ type Injector struct {
 	cacheHits   obs.Counter // campaigns served from the on-disk cache
 	cacheMisses obs.Counter // campaigns computed (cache absent, stale, or corrupt)
 	quarantined obs.Counter // corrupt cache entries renamed *.corrupt
+
+	// interval, when non-zero, replaces CheckpointInterval as the spacing
+	// of this injector's campaign references; tests set it to move window
+	// boundaries. Results do not depend on it.
+	interval int
 }
 
 // Every live Injector is tracked so the package-level accessors can

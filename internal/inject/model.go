@@ -26,7 +26,7 @@ import (
 //	mbu    — spatial multi-bit upset: one particle flips the struck
 //	         flip-flop and every neighbour within layout.SEMURadius of it
 //	         (the Table 5/6 cluster population). This is the k-flip
-//	         generalization of the RunPairs SEMU campaigns.
+//	         generalization of a SEMU pair.
 //	uncore — single flips restricted to memory-interface state (load
 //	         unit, store queue, fetch buffer, cache interface registers),
 //	         after Cho et al., "Understanding Soft Errors in Uncore
@@ -55,8 +55,8 @@ type Scenario []int
 // fault scenarios. Implementations must be pure: the same (env, bit,
 // cycle, h) must always yield the same scenario, because campaign results
 // — and the on-disk campaign cache keyed on Config — depend only on
-// (Config, program). The packed engine relies on it too: it expands each
-// strike once to plan it and again at its fork.
+// (Config, program). The campaign engine relies on it too: it expands each
+// strike once to plan it and again when the strike runs.
 type FaultModel interface {
 	// Name is the model's registry key ("ssb", "mbu", ...): lowercase,
 	// non-empty, free of the "/" tag separator.
@@ -230,8 +230,8 @@ func (ssbModel) Expand(_ *ModelEnv, bit, _ int, _ uint64, dst Scenario) Scenario
 
 // mbuModel is the spatial multi-bit upset model: the strike flips the
 // sampled flip-flop and every neighbour within layout.SEMURadius, all in
-// the injection cycle — the k-flip generalization of the RunPairs SEMU
-// studies, over the Table 5/6 cluster population the placement produces.
+// the injection cycle — the k-flip generalization of a SEMU pair, over the
+// Table 5/6 cluster population the placement produces.
 // The cluster is fixed by the placement, so h plays no part, and
 // core.EvalMBUGrouping relies on that when it re-derives the cluster of a
 // struck bit.

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"clear/internal/prog"
@@ -207,7 +208,7 @@ func TestScenarioWarmColdEquivalence(t *testing.T) {
 	for _, sc := range scenarios {
 		for _, cycle := range []int{1, nom / 3, nom - 2} {
 			o1, d1 := RunScenario(cold, p, sc, cycle, nom, nil)
-			o2, d2 := in.runScenarioFrom(warm, nil, p, ref, sc, cycle, nom, nil)
+			o2, d2 := in.runWarm(nil, warm, nil, p, ref, sc, cycle, nom)
 			if o1 != o2 || d1 != d2 {
 				t.Fatalf("scenario %v cycle %d: cold (%v,%d) vs warm (%v,%d)",
 					sc, cycle, o1, d1, o2, d2)
@@ -239,7 +240,7 @@ func TestWarmInjectionAllocFree(t *testing.T) {
 			var sc Scenario
 			inject := func() {
 				sc = model.Expand(env, bit, cycle, 0xC1EA5, sc[:0])
-				in.runScenarioFrom(c, nil, p, ref, sc, cycle, nom, nil)
+				in.runWarm(nil, c, nil, p, ref, sc, cycle, nom)
 			}
 			inject() // grow the buffer once
 			if n := testing.AllocsPerRun(20, inject); n != 0 {
@@ -249,16 +250,45 @@ func TestWarmInjectionAllocFree(t *testing.T) {
 	}
 }
 
+// emptyModel is a test-only fault model whose every strike latches nothing.
+type emptyModel struct{}
+
+func (emptyModel) Name() string                                                  { return "zempty" }
+func (emptyModel) Bits(*ModelEnv) []int                                          { return nil }
+func (emptyModel) Expand(_ *ModelEnv, _, _ int, _ uint64, dst Scenario) Scenario { return dst }
+
+// TestEmptyScenarioVanishesWithoutSimulation runs a campaign whose every
+// strike expands to the empty scenario: each counts as one Vanished
+// injection, no injection is simulated (the opaque hook factory builds a
+// hook for the nominal run only), and no record is emitted.
 func TestEmptyScenarioVanishesWithoutSimulation(t *testing.T) {
 	p := tinyProgram(t)
-	in := NewInjector()
-	c := NewCore(InO, p)
-	out, det := in.runScenarioFrom(c, nil, p, nil, nil, 10, 100, nil)
-	if out != Vanished || det != -1 {
-		t.Fatalf("empty scenario = (%v, %d), want (Vanished, -1)", out, det)
+	registerTestModel(t, emptyModel{})
+	var runs atomic.Int64
+	hf := func(p *prog.Program) sim.CommitHook {
+		runs.Add(1)
+		return noopHook(p)
 	}
-	if got := in.injTotal.Value(); got != 1 {
-		t.Fatalf("empty scenario tallied %d injections, want 1", got)
+	in := NewInjector()
+	buf := &RecordBuffer{}
+	in.Sink = buf
+	cfg := Config{Core: InO, Bench: "tiny", Tag: "zempty/x", SamplesPerFF: 2, Seed: 1}
+	res, err := in.Run(cfg, p, hf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cfg.SamplesPerFF * SpaceBits(InO)
+	if res.Totals != (Counts{N: n, Vanished: n}) {
+		t.Fatalf("totals %+v, want %d Vanished", res.Totals, n)
+	}
+	if got := in.injTotal.Value(); got != int64(n) {
+		t.Fatalf("tallied %d injections, want %d", got, n)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("hook factory ran %d times, want once for the nominal run", got)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("empty scenarios emitted %d records", buf.Len())
 	}
 }
 
@@ -384,8 +414,9 @@ func TestCacheSSBFormatPinned(t *testing.T) {
 }
 
 // TestPairCampaignDetLatency exercises the detection-latency accounting on
-// the multi-flip path: every ED pair injection must contribute to
-// DetLatSum/DetN.
+// the campaign-level multi-flip path, the mbu model, whose clusters
+// generalize a SEMU pair: every ED injection of a hooked mbu campaign must
+// contribute to DetLatSum/DetN.
 func TestPairCampaignDetLatency(t *testing.T) {
 	p := tinyProgram(t)
 	// A bounds checker: silent in the nominal run (tiny's values are
@@ -397,13 +428,8 @@ func TestPairCampaignDetLatency(t *testing.T) {
 			return n > 1 && ev.Result > 1<<16
 		}
 	}
-	nBits := SpaceBits(InO)
-	var pairs [][2]int
-	for i := 0; i+1 < nBits; i += 7 {
-		pairs = append(pairs, [2]int{i, i + 1})
-	}
-	cfg := PairConfig{Core: InO, Bench: "tiny", Tag: "hooked", SamplesPerPair: 2, Seed: 3}
-	res, err := NewInjector().RunPairs(cfg, p, pairs, hf)
+	cfg := Config{Core: InO, Bench: "tiny", Tag: "mbu/hooked", SamplesPerFF: 1, Seed: 3}
+	res, err := NewInjector().Run(cfg, p, hf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,22 @@
 package inject
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"clear/internal/obs"
 )
 
 // Attribution-carrying injection records: the per-injection observation the
-// campaign loop used to discard. Both bodies of the injection kernel
-// (scenario.go) emit one Record per executed scenario through the
-// injector's pluggable Sink when one is attached, so every RunOneFrom call
-// and every campaign injection is attributed; a nil Sink costs a single
-// pointer check and keeps the engine's behavior — outcomes, Result
-// contents, cache bytes — exactly as before. Records never enter Result or
+// campaign loop used to discard. Every executed scenario — a RunOneFrom
+// call, a cold campaign lane, a gang lane observed right after its fork —
+// emits one Record through the injector's pluggable Sink when one is
+// attached; a nil Sink costs a single pointer check and keeps the engine's
+// behavior — outcomes, Result contents, cache bytes — exactly as before.
+// Records arrive in no particular order, and RecordBuffer sorts them by
+// content. Records never enter Result or
 // the on-disk cache: the gob format is frozen (DESIGN.md §13), so
 // attribution flows only through the sink.
 
@@ -69,16 +71,19 @@ func (b *RecordBuffer) Len() int {
 	return len(b.recs)
 }
 
-// Records returns the buffered records in deterministic order: sorted by
-// struck bit, preserving arrival order within a bit. A campaign runs every
-// sample of one bit sequentially on one worker, so the per-bit suborder is
-// the sample order and the full ordering is reproducible across runs
-// regardless of worker interleaving.
+// Records returns the buffered records sorted by content — Bit, Cycle,
+// Outcome, DetLat, then RootPC — so the order is reproducible whichever
+// order campaign workers and gangs delivered them in. Unit follows from Bit
+// on one core, so records of one core that tie on all five are identical.
 func (b *RecordBuffer) Records() []Record {
 	b.mu.Lock()
-	out := append([]Record(nil), b.recs...)
+	out := slices.Clone(b.recs)
 	b.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Bit < out[j].Bit })
+	slices.SortFunc(out, func(x, y Record) int {
+		return cmp.Or(cmp.Compare(x.Bit, y.Bit), cmp.Compare(x.Cycle, y.Cycle),
+			cmp.Compare(x.Outcome, y.Outcome), cmp.Compare(x.DetLat, y.DetLat),
+			cmp.Compare(x.RootPC, y.RootPC))
+	})
 	return out
 }
 

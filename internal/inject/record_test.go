@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"clear/internal/ff"
@@ -126,9 +129,10 @@ func TestRecordsWellFormed(t *testing.T) {
 	}
 }
 
-// TestScenarioSinkOneRecord pins the scenario contract on both bodies: one
-// record per executed scenario with Bit = the scenario's first flip, and
-// nothing for the empty scenario.
+// TestScenarioSinkOneRecord pins the scenario contract: each body emits
+// one record per run with Bit = the scenario's first flip (the cold and the
+// warm body observe the same strike identically), and a campaign emits one
+// record per executed scenario and none for the empty ones.
 func TestScenarioSinkOneRecord(t *testing.T) {
 	p := tinyProgram(t)
 	nom := NewCore(InO, p).Run(100000)
@@ -136,36 +140,154 @@ func TestScenarioSinkOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, warm := range []*Reference{ref, nil} {
+	buf := &RecordBuffer{}
+	rec := newRecorder(buf)
+	c := NewCore(InO, p)
+	runCold(rec, c, p, Scenario{9, 3}, 40, nom.Steps, nil)
+	NewInjector().runWarm(rec, c, nil, p, ref, Scenario{9, 3}, 40, nom.Steps)
+	recs := buf.Records()
+	if len(recs) != 2 || recs[0].Bit != 9 || recs[0] != recs[1] {
+		t.Fatalf("cold then warm records = %+v, want two identical records of the first flip 9", recs)
+	}
+
+	// mixModel expands every fifth bit's strikes to the empty scenario.
+	registerTestModel(t, mixModel{})
+	cfg := Config{Core: InO, Bench: "tiny", Tag: "zmix/x", SamplesPerFF: 2, Seed: 5}
+	for _, hf := range []func(*prog.Program) sim.CommitHook{nil, noopHook} {
 		buf := &RecordBuffer{}
 		in := NewInjector()
 		in.Sink = buf
-		c := NewCore(InO, p)
-		in.runScenarioFrom(c, nil, p, warm, Scenario{9, 3}, 40, nom.Steps, nil)
-		if buf.Len() != 1 {
-			t.Fatalf("warm=%v: records = %d, want 1", warm != nil, buf.Len())
+		res, err := in.Run(cfg, p, hf)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := buf.Records()[0].Bit; got != 9 {
-			t.Fatalf("warm=%v: record bit = %d, want the first flip 9", warm != nil, got)
-		}
-		in.runScenarioFrom(c, nil, p, warm, Scenario{}, 40, nom.Steps, nil)
-		if buf.Len() != 1 {
-			t.Fatalf("warm=%v: empty scenario emitted a record", warm != nil)
+		empty := cfg.SamplesPerFF * ((SpaceBits(InO) + 4) / 5)
+		if buf.Len() != res.Totals.N-empty {
+			t.Fatalf("hooked=%v: %d records for %d injections of which %d are empty",
+				hf != nil, buf.Len(), res.Totals.N, empty)
 		}
 	}
 }
 
-// TestRecordBufferDeterministicOrder checks Records() sorts by bit while
-// preserving per-bit arrival order.
+// TestRecordBufferDeterministicOrder checks Records() orders by content:
+// the same records delivered in two arrival orders come back identical,
+// sorted by bit, then cycle, outcome, detection latency and root PC.
 func TestRecordBufferDeterministicOrder(t *testing.T) {
-	buf := &RecordBuffer{}
-	buf.Record(Record{Bit: 5, Cycle: 2})
-	buf.Record(Record{Bit: 1, Cycle: 9})
-	buf.Record(Record{Bit: 5, Cycle: 1})
-	got := buf.Records()
-	want := []Record{{Bit: 1, Cycle: 9}, {Bit: 5, Cycle: 2}, {Bit: 5, Cycle: 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Records() = %+v, want %+v", got, want)
+	want := []Record{
+		{Bit: 1, Cycle: 9, Outcome: OMM, DetLat: -1, RootPC: 4},
+		{Bit: 5, Cycle: 1, Outcome: Vanished, DetLat: -1, RootPC: 2},
+		{Bit: 5, Cycle: 2, Outcome: Vanished, DetLat: -1, RootPC: NoRootPC},
+		{Bit: 5, Cycle: 2, Outcome: ED, DetLat: 3, RootPC: 2},
+		{Bit: 5, Cycle: 2, Outcome: ED, DetLat: 7, RootPC: 1},
+		{Bit: 5, Cycle: 2, Outcome: ED, DetLat: 7, RootPC: 6},
+	}
+	for _, order := range [][]int{{5, 3, 0, 4, 1, 2}, {2, 4, 1, 0, 3, 5}} {
+		buf := &RecordBuffer{}
+		for _, i := range order {
+			buf.Record(want[i])
+		}
+		if got := buf.Records(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("arrival order %v: Records() = %+v, want %+v", order, got, want)
+		}
+	}
+}
+
+// TestSinkRecordsMatchReference pins what a sink receives from a campaign
+// on both cores under ssb, mbu and set: the sorted records of a warm
+// campaign (gang lanes observed at their fork) and of a cold campaign with
+// an opaque hook must equal the reference campaign's records, and tally to
+// the Result.
+func TestSinkRecordsMatchReference(t *testing.T) {
+	p := tinyProgram(t)
+	for _, kind := range []CoreKind{InO, OoO} {
+		for _, model := range []string{"ssb", "mbu", "set"} {
+			cfg := Config{Core: kind, Bench: "tiny", Tag: ModelTag(model, "x"), SamplesPerFF: 1, Seed: 0xA77}
+			refBuf := &RecordBuffer{}
+			want := referenceCampaign(t, cfg, p, nil, refBuf)
+			for _, hf := range []func(*prog.Program) sim.CommitHook{nil, noopHook} {
+				label := fmt.Sprintf("%v/%s hooked=%v", kind, model, hf != nil)
+				buf := &RecordBuffer{}
+				in := NewInjector()
+				in.Sink = buf
+				res, err := in.Run(cfg, p, hf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, label, want, res)
+				recs := buf.Records()
+				if !reflect.DeepEqual(recs, refBuf.Records()) {
+					t.Fatalf("%s: %d records differ from the reference's %d", label, len(recs), refBuf.Len())
+				}
+				var got Counts
+				var latSum, latN int64
+				for _, r := range recs {
+					got.Add(r.Outcome)
+					if r.DetLat >= 0 {
+						latSum += int64(r.DetLat)
+						latN++
+					}
+				}
+				vanishedByConstruction := res.Totals.N - len(recs)
+				got.N += vanishedByConstruction
+				got.Vanished += vanishedByConstruction
+				if got != res.Totals || latSum != res.DetLatSum || latN != res.DetN {
+					t.Fatalf("%s: records tally to %+v lat=%d/%d, result %+v lat=%d/%d",
+						label, got, latSum, latN, res.Totals, res.DetLatSum, res.DetN)
+				}
+			}
+		}
+	}
+}
+
+// countSink counts records and keeps nothing.
+type countSink struct{ n atomic.Int64 }
+
+func (s *countSink) Record(Record) { s.n.Add(1) }
+
+// TestSinkCampaignAllocs bounds what attribution costs a campaign in
+// memory: with a counting sink attached, a warm campaign and a cold one
+// with an opaque hook must each allocate at most 64 bytes per injection
+// more than the same campaign without a sink, on both cores. The campaign
+// worker owns the in-flight buffer every observation fills; one worker
+// (GOMAXPROCS 1) keeps the two runs' allocations comparable.
+func TestSinkCampaignAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := tinyProgram(t)
+	for _, kind := range []CoreKind{InO, OoO} {
+		cfg := Config{Core: kind, Bench: "tiny", SamplesPerFF: 1, Seed: 0xA110C}
+		// Build the once-per-process state — model environment, threaded
+		// code, attribution table — before either measured run.
+		warmup := NewInjector()
+		warmup.Sink = &countSink{}
+		if _, err := warmup.Run(cfg, p, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, hf := range []func(*prog.Program) sim.CommitHook{nil, noopHook} {
+			alloc := func(sink RecordSink) (uint64, int) {
+				in := NewInjector()
+				in.Sink = sink
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res, err := in.Run(cfg, p, hf)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return after.TotalAlloc - before.TotalAlloc, res.Totals.N
+			}
+			plain, n := alloc(nil)
+			sink := &countSink{}
+			sunk, _ := alloc(sink)
+			if sink.n.Load() != int64(n) {
+				t.Fatalf("%v hooked=%v: sink counted %d records for %d injections", kind, hf != nil, sink.n.Load(), n)
+			}
+			extra := int64(sunk) - int64(plain)
+			t.Logf("%v hooked=%v: %d injections, %d B without a sink, %+d B with one", kind, hf != nil, n, plain, extra)
+			if extra > 64*int64(n) {
+				t.Fatalf("%v hooked=%v: the sink added %d B over %d injections (%.0f B each), want at most 64 B each",
+					kind, hf != nil, extra, n, float64(extra)/float64(n))
+			}
+		}
 	}
 }
 

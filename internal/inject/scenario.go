@@ -8,14 +8,15 @@ import (
 // The injection kernel. Every strike — a single-bit upset, a SEMU pair, an
 // mbu cluster — is a Scenario: flip-flops flipped together at the
 // injection cycle. It runs through one of two bodies. The cold body
-// (runCold) replays from reset; it is the reference the tests hold the
-// warm body to. The warm body (runWarm) restores the nearest fault-free
-// checkpoint and ends the run as Vanished once the state reconverges. The
-// packed engine (batch.go) forks its lanes off a carrier core instead of
-// restoring, and finishes them through the warm body's tail,
-// finishInjected. All flips go through the packed ff.State (FlipBit), so
-// the compiled-execution latch mirrors (DESIGN.md §11) observe every
-// strike at the same State() boundary.
+// (runCold) replays from reset; it runs every injection of a campaign with
+// an opaque commit hook, and the tests' reference campaign is built on it.
+// The warm body (runWarm) restores the nearest fault-free checkpoint and
+// ends the run as Vanished once the state reconverges. The gang engine
+// (batch.go) forks its lanes off a carrier core instead of restoring, and
+// finishes them through the warm body's tail, finishInjected. All flips go
+// through the packed ff.State (FlipBit), so the compiled-execution latch
+// mirrors (DESIGN.md §11) observe every strike at the same State()
+// boundary.
 
 // RunOne performs a single-bit cold injection: RunScenario with the
 // one-flip scenario {bit}.
@@ -34,9 +35,9 @@ func RunScenario(c sim.Core, p *prog.Program, sc Scenario, cycle, nomCycles int,
 	return runCold(nil, c, p, sc, cycle, nomCycles, hookFactory)
 }
 
-// runCold is the cold body behind RunScenario. A non-nil sink receives the
-// run's attribution Record; sc must then be non-empty.
-func runCold(sink RecordSink, c sim.Core, p *prog.Program, sc Scenario, cycle, nomCycles int,
+// runCold is the cold body behind RunScenario. A non-nil r records the
+// run; sc must then be non-empty.
+func runCold(r *recorder, c sim.Core, p *prog.Program, sc Scenario, cycle, nomCycles int,
 	hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
 	c.Reset(p)
 	var hook sim.CommitHook
@@ -48,13 +49,13 @@ func runCold(sink RecordSink, c sim.Core, p *prog.Program, sc Scenario, cycle, n
 		c.Step()
 	}
 	var rec Record
-	if sink != nil {
-		rec = observe(c, sc[0], cycle)
+	if r != nil {
+		rec = r.observe(c, sc[0], cycle)
 	}
 	strike(c, sc)
 	out, det := classifyRun(p, c.Run(HangFactor*nomCycles))
-	if sink != nil {
-		emit(sink, rec, out, det)
+	if r != nil {
+		r.emit(rec, out, det)
 	}
 	return out, det
 }
@@ -74,49 +75,35 @@ func runCold(sink RecordSink, c sim.Core, p *prog.Program, sc Scenario, cycle, n
 // pruning only replaces a suffix whose outcome is already decided. A commit
 // hook passed as an opaque hookFactory has no state the engine can restore
 // or compare, so such runs take RunOne's exact from-reset path. The
-// injection and any convergence prune are tallied on this injector.
+// injection and any convergence prune are tallied on this injector, and an
+// attached Sink receives the injection's record.
 func (in *Injector) RunOneFrom(c sim.Core, p *prog.Program, ref *Reference, bit, cycle, nomCycles int,
 	hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
-	return in.runScenarioFrom(c, nil, p, ref, Scenario{bit}, cycle, nomCycles, hookFactory)
-}
-
-// runScenarioFrom performs and tallies one injection of sc at cycle. An
-// empty scenario — a strike the fault model says latches nothing — is
-// Vanished by construction and costs no simulation. An opaque hookFactory,
-// or a reference that cannot warm-start, takes the cold body; everything
-// else takes the warm body. chk is the checker newChecked installed on c in
-// a checked campaign (nil otherwise); a checked caller passes a nil
-// hookFactory and a usable ref. With a record sink attached, one Record is
-// emitted per executed scenario and none for the empty one.
-func (in *Injector) runScenarioFrom(c sim.Core, chk sim.Checker, p *prog.Program, ref *Reference,
-	sc Scenario, cycle, nomCycles int, hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
 	in.injTotal.Add(1)
-	switch {
-	case len(sc) == 0:
-		return Vanished, -1
-	case hookFactory != nil || !ref.usable():
-		return runCold(in.Sink, c, p, sc, cycle, nomCycles, hookFactory)
+	if hookFactory != nil {
+		return runCold(newRecorder(in.Sink), c, p, Scenario{bit}, cycle, nomCycles, hookFactory)
 	}
-	return in.runWarm(c, chk, p, ref, sc, cycle, nomCycles)
+	return in.runWarm(newRecorder(in.Sink), c, nil, p, ref, Scenario{bit}, cycle, nomCycles)
 }
 
 // runWarm is the warm body: restore the nearest reference snapshot at or
 // before cycle (core and checker), step to cycle, flip sc, and finish
-// through finishInjected. sc must be non-empty.
-func (in *Injector) runWarm(c sim.Core, chk sim.Checker, p *prog.Program, ref *Reference,
+// through finishInjected. A non-nil r records the run. sc must be
+// non-empty.
+func (in *Injector) runWarm(r *recorder, c sim.Core, chk sim.Checker, p *prog.Program, ref *Reference,
 	sc Scenario, cycle, nomCycles int) (Outcome, int) {
 	ref.restore(c, chk, min(cycle/ref.Interval, len(ref.Ckpts)-1))
 	for c.Cycles() < cycle && !c.Done() {
 		c.Step()
 	}
 	var rec Record
-	if in.Sink != nil {
-		rec = observe(c, sc[0], cycle)
+	if r != nil {
+		rec = r.observe(c, sc[0], cycle)
 	}
 	strike(c, sc)
 	out, det := in.finishInjected(c, chk, p, ref, cycle, nomCycles)
-	if in.Sink != nil {
-		emit(in.Sink, rec, out, det)
+	if r != nil {
+		r.emit(rec, out, det)
 	}
 	return out, det
 }
@@ -132,7 +119,7 @@ func strike(c sim.Core, sc Scenario) {
 // finishInjected runs the already-injected remainder of a warm run: step to
 // each checkpoint boundary, end as Vanished the moment the state — core and
 // checker — reconverges with the fault-free reference, classify at
-// completion or the hang budget. The packed engine continues evicted lanes
+// completion or the hang budget. The gang engine continues evicted lanes
 // through it too: an evicted lane holds exactly the state the warm body
 // would have at the same cycle (lanes step the same deterministic core and
 // carry their own checker copy), so the continuation's boundary checks and
