@@ -18,6 +18,7 @@ import (
 
 	"clear/internal/bench"
 	"clear/internal/core"
+	"clear/internal/ff"
 	"clear/internal/inject"
 	"clear/internal/obs"
 	"clear/internal/resilient"
@@ -121,32 +122,8 @@ func main() {
 			float64(res.DetLatSum)/float64(res.DetN), res.DetN)
 	}
 
-	// most vulnerable structures
-	type structStats struct {
-		name        string
-		n, sdc, due int
-	}
-	byStruct := map[string]*structStats{}
-	for bit, st := range res.PerFF {
-		name, _ := e.Space.NameOf(bit)
-		s := byStruct[name]
-		if s == nil {
-			s = &structStats{name: name}
-			byStruct[name] = s
-		}
-		s.n += int(st.N)
-		s.sdc += int(st.OMM)
-		s.due += int(st.UT) + int(st.Hang) + int(st.ED)
-	}
-	var list []*structStats
-	for _, s := range byStruct {
-		list = append(list, s)
-	}
-	sort.Slice(list, func(i, j int) bool {
-		return list[i].sdc+list[i].due > list[j].sdc+list[j].due
-	})
 	fmt.Printf("\nmost vulnerable structures:\n")
-	for i, s := range list {
+	for i, s := range rankStructures(e.Space, res.PerFF) {
 		if i >= *top {
 			break
 		}
@@ -157,4 +134,39 @@ func main() {
 		fmt.Printf("  %-28s SDC %5.1f%%  DUE %5.1f%%\n", s.name,
 			100*float64(s.sdc)/float64(s.n), 100*float64(s.due)/float64(s.n))
 	}
+}
+
+// structStats tallies the campaign outcomes of one flip-flop structure.
+type structStats struct {
+	name        string
+	n, sdc, due int
+}
+
+// rankStructures sums per-flip-flop outcomes by structure and orders the
+// structures by SDC+DUE count, most vulnerable first. Ties are ordered by
+// name, so the listing is the same on every run.
+func rankStructures(sp *ff.Space, perFF []inject.FFStats) []structStats {
+	idx := map[string]int{}
+	var list []structStats
+	for bit, st := range perFF {
+		name, _ := sp.NameOf(bit)
+		i, ok := idx[name]
+		if !ok {
+			i = len(list)
+			idx[name] = i
+			list = append(list, structStats{name: name})
+		}
+		s := &list[i]
+		s.n += int(st.N)
+		s.sdc += int(st.OMM)
+		s.due += int(st.UT) + int(st.Hang) + int(st.ED)
+	}
+	sort.Slice(list, func(i, j int) bool {
+		fi, fj := list[i].sdc+list[i].due, list[j].sdc+list[j].due
+		if fi != fj {
+			return fi > fj
+		}
+		return list[i].name < list[j].name
+	})
+	return list
 }

@@ -26,7 +26,6 @@ import (
 	"clear/internal/sim"
 	"clear/internal/singleflight"
 	"clear/internal/swres"
-	"clear/internal/tcode"
 	"clear/internal/technique"
 )
 
@@ -235,12 +234,10 @@ func (e *Engine) BuildProgram(b *bench.Benchmark, v Variant) (*prog.Program, err
 		if err != nil {
 			return nil, err
 		}
-		if tcode.Enabled() {
-			// Pre-warm the threaded-code translation inside the flight:
-			// every campaign sharing this (benchmark, variant) program gets
-			// compiled execution without paying translation again.
-			p.Threaded()
-		}
+		// Pre-warm the threaded-code translation inside the flight: every
+		// campaign sharing this (benchmark, variant) program steps it
+		// without paying translation again.
+		p.Threaded()
 		e.statProgramsBuilt.Add(1)
 		e.mu.Lock()
 		e.programs[key] = p

@@ -202,6 +202,22 @@ func TestCampaignCacheRejectsForeign(t *testing.T) {
 	}
 }
 
+// BenchmarkCampaign measures the full campaign loop on the tiny program on
+// both cores.
+func BenchmarkCampaign(b *testing.B) {
+	p := tinyProgram(b)
+	for _, kind := range []CoreKind{InO, OoO} {
+		b.Run(kind.String(), func(b *testing.B) {
+			cfg := Config{Core: kind, Bench: "tiny", SamplesPerFF: 1, Seed: 0xC1EA5}
+			for i := 0; i < b.N; i++ {
+				if _, err := NewInjector().Run(cfg, p, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCampaignInO measures the full InO baseline campaign on a real
 // benchmark program, from reset (an opaque no-op hook sends every
 // injection through the cold body) versus checkpointed. The checkpointed

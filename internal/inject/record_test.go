@@ -404,36 +404,6 @@ func TestCacheBytesGolden(t *testing.T) {
 	}
 }
 
-// TestInFlightCompiledMatchesInterpreter steps both cores through the tiny
-// program under compiled and interpreter execution and requires identical
-// in-flight observations at every sampled cycle — InFlight must read
-// through the latch mirror exactly like State().
-func TestInFlightCompiledMatchesInterpreter(t *testing.T) {
-	p := tinyProgram(t)
-	for _, kind := range []CoreKind{InO, OoO} {
-		sample := func(compiled bool) [][]sim.InFlightInst {
-			setCompiled(t, compiled)
-			c := NewCore(kind, p)
-			var out [][]sim.InFlightInst
-			for i := 0; i < 200 && !c.Done(); i++ {
-				c.Step()
-				if i%7 == 0 {
-					out = append(out, c.InFlight(nil))
-				}
-			}
-			return out
-		}
-		interp := sample(false)
-		comp := sample(true)
-		if !reflect.DeepEqual(interp, comp) {
-			t.Fatalf("%v: in-flight observations differ between execution modes", kind)
-		}
-		if len(interp) == 0 || len(interp[0]) == 0 {
-			t.Fatalf("%v: no in-flight instructions observed", kind)
-		}
-	}
-}
-
 // TestInFlightAppendsToDst checks the allocation contract: InFlight appends
 // to the caller's buffer and always reports the fetch PC.
 func TestInFlightAppendsToDst(t *testing.T) {

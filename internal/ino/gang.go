@@ -11,8 +11,8 @@ var _ sim.GangCore = (*Core)(nil)
 // CopyStateFrom makes the core's state bit-for-bit identical to src, a
 // second in-order core bound to the same program. Both state
 // representations are copied — the packed ff.State and the unpacked latch
-// mirror with its validity flag — so the copy is exact in either execution
-// mode without forcing a pack/unpack round trip. The decode cache and
+// mirror with its validity flag — so the copy is exact whichever
+// representation is current, without forcing a pack/unpack round trip. The decode cache and
 // threaded translation are shared/memoized derivations of the program, not
 // state; the commit hook is left untouched, like Restore.
 func (c *Core) CopyStateFrom(src sim.Core) {
@@ -51,9 +51,8 @@ func (c *Core) pcView() uint32 {
 // core bound to the same program) and returns the first divergence class
 // found: control path, then latch/register state, then memory/output side
 // state. A zero result certifies bit-for-bit identical full state — the
-// same guarantee Matches gives against a checkpoint. When both cores run
-// compiled, the latch comparison is a single struct equality over the
-// unpacked mirrors; mixed representations are packed first (the mirror
+// same guarantee Matches gives against a checkpoint. When both mirrors
+// are live, the latch comparison is a single struct equality over them; mixed representations are packed first (the mirror
 // stays live, exactly as in Matches).
 func (c *Core) DiffFrom(ref sim.Core) uint8 {
 	o := ref.(*Core)

@@ -8,10 +8,10 @@ import "clear/internal/sim"
 // instruction, so every entry uses Slot -1 and the unit name alone
 // identifies the structure.
 //
-// The observation goes through syncU like State(): compiled execution
-// flushes its unpacked mirror first, so both execution modes report the
-// exact packed-state occupancy and the call is safe at any observation
-// point (including right before a fault is injected).
+// The observation goes through syncU like State(): the unpacked mirror is
+// flushed first, so the report reads the exact packed-state occupancy and
+// the call is safe at any observation point (including right before a
+// fault is injected).
 func (c *Core) InFlight(dst []sim.InFlightInst) []sim.InFlightInst {
 	c.syncU()
 	st := c.st

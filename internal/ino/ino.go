@@ -17,7 +17,6 @@ package ino
 
 import (
 	"clear/internal/ff"
-	"clear/internal/isa"
 	"clear/internal/prog"
 	"clear/internal/sim"
 	"clear/internal/tcode"
@@ -120,17 +119,16 @@ type Core struct {
 	recoveryNext uint32
 	nextAtM      uint32
 
-	// tp is the program's threaded-code translation when compiled execution
-	// is enabled (nil runs the decode-switch interpreter); dcache memoizes
-	// decodes of words that miss the per-PC translation (corrupted latches,
-	// bubbles, out-of-range fetches).
+	// tp is the program's threaded-code translation, which Step executes;
+	// dcache memoizes decodes of words that miss the per-PC translation
+	// (corrupted latches, bubbles, out-of-range fetches).
 	tp     *tcode.Program
 	dcache tcode.Cache
 
-	// u is the unpacked latch mirror the compiled path executes on; uValid
-	// marks it current. Observation points (State, Snapshot, Matches,
-	// Restore, Reset, FlushRecover) synchronize it with the packed st so
-	// external code always sees the interpreter's exact bit layout.
+	// u is the unpacked latch mirror Step executes on; uValid marks it
+	// current. Observation points (State, Snapshot, Matches, Restore,
+	// Reset, FlushRecover) synchronize it with the packed st so external
+	// code always sees the exact bit layout of the flip-flop space.
 	u      uLatches
 	uValid bool
 
@@ -288,10 +286,7 @@ func (c *Core) Reset(p *prog.Program) {
 	c.status = prog.StatusHalted
 	c.recoveryNext = 0
 	c.nextAtM = 0
-	c.tp = nil
-	if tcode.Enabled() {
-		c.tp = p.Threaded()
-	}
+	c.tp = p.Threaded()
 	c.uValid = false
 }
 
@@ -339,310 +334,6 @@ func (c *Core) Run(maxCycles int) prog.Result {
 	return c.Result()
 }
 
-// needsRs reports which source registers an instruction format reads.
-func needsRs(op isa.Op) (rs1, rs2 bool) {
-	switch op.Fmt() {
-	case isa.FmtR, isa.FmtStore, isa.FmtBranch:
-		return true, true
-	case isa.FmtI, isa.FmtLoad, isa.FmtJALR, isa.FmtOut:
-		return true, false
-	}
-	return false, false
-}
-
-// Step advances the pipeline by one clock cycle.
-func (c *Core) Step() {
-	if c.tp != nil {
-		c.stepThreaded()
-		return
-	}
-	if c.done {
-		return
-	}
-	c.cycles++
-	st := c.st
-	r := &c.r
-
-	// ---- Snapshot current latches (the "clock edge" read). ----
-	fPC := uint32(r.fPC.Get(st))
-
-	dInst := uint32(r.dInst.Get(st))
-	dPC := uint32(r.dPC.Get(st))
-	dValid := r.dValid.Get(st) == 1
-
-	aInstW := uint32(r.aInst.Get(st))
-	aPC := uint32(r.aPC.Get(st))
-	aValid := r.aValid.Get(st) == 1
-	aRs1 := uint8(r.aRs1.Get(st))
-	aRs2 := uint8(r.aRs2.Get(st))
-
-	eInstW := uint32(r.eInst.Get(st))
-	ePC := uint32(r.ePC.Get(st))
-	eValid := r.eValid.Get(st) == 1
-	eOp1 := uint32(r.eOp1.Get(st))
-	eOp2 := uint32(r.eOp2.Get(st))
-
-	mInstW := uint32(r.mInst.Get(st))
-	mPC := uint32(r.mPC.Get(st))
-	mValid := r.mValid.Get(st) == 1
-	mResult := uint32(r.mResult.Get(st))
-	mStoreVal := uint32(r.mStoreVal.Get(st))
-	mTrap := r.mTrap.Get(st) == 1
-	mICC := r.mICC.Get(st)
-	mY := uint32(r.mY.Get(st))
-
-	xInstW := uint32(r.xInst.Get(st))
-	xPC := uint32(r.xPC.Get(st))
-	xValid := r.xValid.Get(st) == 1
-	xResult := uint32(r.xResult.Get(st))
-	xTrap := r.xTrap.Get(st) == 1
-	xTT := r.xTT.Get(st)
-	xICC := r.xICC.Get(st)
-	xAddr := uint32(r.xAddr.Get(st))
-	xStoreVal := uint32(r.xStoreVal.Get(st))
-
-	wInstW := uint32(r.wInst.Get(st))
-	wPC := uint32(r.wPC.Get(st))
-	wValid := r.wValid.Get(st) == 1
-	wResult := uint32(r.wResult.Get(st))
-	wTrap := r.wTrap.Get(st) == 1
-	wAddr := uint32(r.wAddr.Get(st))
-	wStoreVal := uint32(r.wStoreVal.Get(st))
-
-	eInst := isa.Decode(eInstW)
-	mInst := isa.Decode(mInstW)
-	xInst := isa.Decode(xInstW)
-	wInst := isa.Decode(wInstW)
-	aInst := isa.Decode(aInstW)
-
-	// ---- W: writeback / commit. ----
-	if wValid {
-		c.retired++
-		if wTrap || !wInst.Op.Valid() {
-			c.done = true
-			c.status = prog.StatusTrap
-			r.wSTT.Set(st, r.wTT.Get(st)) // trap type to status reg
-			return
-		}
-		switch wInst.Op {
-		case isa.HALT:
-			c.done = true
-			c.status = prog.StatusHalted
-			return
-		case isa.TRAPD:
-			c.done = true
-			c.status = prog.StatusDetected
-			return
-		case isa.OUT:
-			c.out = append(c.out, wResult)
-		default:
-			if wInst.Op.WritesReg() && wInst.Rd != 0 {
-				c.regfile[wInst.Rd] = wResult
-			}
-		}
-		// Status-register side effects (condition codes, Y): architectural
-		// state that these workloads never read back.
-		r.wSICC.Set(st, xICC)
-		if wInst.Op == isa.MULH {
-			r.wSY.Set(st, uint64(wResult))
-		}
-		if c.hook != nil {
-			ev := sim.CommitEvent{PC: wPC, Word: wInstW, Result: wResult,
-				StoreVal: wStoreVal, Addr: wAddr}
-			if c.hook(ev) {
-				c.done = true
-				c.status = prog.StatusDetected
-				return
-			}
-		}
-	}
-
-	// ---- X: exception stage (pass-through, trap priority resolution). ----
-	r.wInst.Set(st, uint64(xInstW))
-	r.wPC.Set(st, uint64(xPC))
-	r.wValid.Set(st, b2u(xValid))
-	r.wResult.Set(st, uint64(xResult))
-	r.wTrap.Set(st, b2u(xTrap))
-	r.wTT.Set(st, xTT)
-	r.wAddr.Set(st, uint64(xAddr))
-	r.wStoreVal.Set(st, uint64(xStoreVal))
-	r.wSCWP.Set(st, r.eCWP.Get(st)) // window pointer shadow (unused)
-
-	// ---- M: memory access. ----
-	{
-		if mValid {
-			// the instruction in M completes its access this cycle: it is
-			// now beyond the flush-recovery window
-			c.recoveryNext = c.nextAtM
-		}
-		trap := mTrap
-		tt := r.mTT.Get(st)
-		result := mResult
-		addr := mResult
-		if mValid && !trap && mInst.Op.Valid() {
-			switch mInst.Op {
-			case isa.LW:
-				if int(int32(addr)) < 0 || int(int32(addr)) >= len(c.mem) {
-					trap = true
-					tt = 9 // data access exception
-				} else {
-					result = c.mem[int32(addr)]
-				}
-			case isa.SW:
-				if int(int32(addr)) < 0 || int(int32(addr)) >= len(c.mem) {
-					trap = true
-					tt = 9
-				} else {
-					c.mem[int32(addr)] = mStoreVal
-				}
-			}
-		}
-		r.xInst.Set(st, uint64(mInstW))
-		r.xPC.Set(st, uint64(mPC))
-		r.xValid.Set(st, b2u(mValid))
-		r.xResult.Set(st, uint64(result))
-		r.xTrap.Set(st, b2u(trap))
-		r.xTT.Set(st, tt)
-		r.xICC.Set(st, mICC)
-		r.xY.Set(st, uint64(mY))
-		r.xAddr.Set(st, uint64(addr))
-		r.xStoreVal.Set(st, uint64(mStoreVal))
-		r.xNPC.Set(st, uint64(mPC+1))
-	}
-
-	// ---- E: execute, branch resolution, forwarding. ----
-	redirect := false
-	var redirectPC uint32
-	var stall bool
-
-	// forward returns the freshest in-flight value of register idx, falling
-	// back to the register file. Bypass sources are the E/M, M/X and X/W
-	// latches — exactly the wires a hardware bypass network taps.
-	forward := func(idx uint8, raw uint32) uint32 {
-		if idx == 0 {
-			return 0
-		}
-		if mValid && mInst.Op.Valid() && mInst.Op.WritesReg() && mInst.Rd == idx {
-			return mResult
-		}
-		if xValid && xInst.Op.Valid() && xInst.Op.WritesReg() && xInst.Rd == idx {
-			return xResult
-		}
-		if wValid && wInst.Op.Valid() && wInst.Op.WritesReg() && wInst.Rd == idx {
-			return wResult
-		}
-		return raw
-	}
-
-	{
-		trap := false
-		var tt uint64
-		var result, storeVal uint32
-		var y uint32
-		icc := uint64(0)
-		if eValid {
-			if !eInst.Op.Valid() {
-				trap = true
-				tt = 2 // illegal instruction
-			} else {
-				op1 := forward(eInst.Rs1, eOp1)
-				op2raw := eOp2
-				var op2 uint32
-				switch eInst.Op.Fmt() {
-				case isa.FmtR, isa.FmtStore, isa.FmtBranch:
-					op2 = forward(eInst.Rs2, op2raw)
-				default:
-					op2 = op2raw
-				}
-				result, storeVal, y, trap, tt = execALU(eInst, op1, op2, ePC)
-				if !trap && eInst.Op.IsControl() {
-					taken, target := resolveBranch(eInst, op1, op2, ePC)
-					if taken {
-						redirect = true
-						redirectPC = target
-					}
-				}
-				if !trap {
-					// stage the refetch point for when this instruction
-					// finishes its memory access
-					if redirect {
-						c.nextAtM = redirectPC
-					} else {
-						c.nextAtM = ePC + 1
-					}
-				}
-				// condition codes (unread by these workloads)
-				if result == 0 {
-					icc |= 4 // Z
-				}
-				if int32(result) < 0 {
-					icc |= 8 // N
-				}
-			}
-		}
-		r.mInst.Set(st, uint64(eInstW))
-		r.mPC.Set(st, uint64(ePC))
-		r.mValid.Set(st, b2u(eValid))
-		r.mResult.Set(st, uint64(result))
-		r.mStoreVal.Set(st, uint64(storeVal))
-		r.mTrap.Set(st, b2u(trap))
-		r.mTT.Set(st, tt)
-		r.mY.Set(st, uint64(y))
-		r.mICC.Set(st, icc)
-	}
-
-	// ---- A: register access + load-use interlock. ----
-	// Stall when the instruction entering execute needs a register that the
-	// load currently in execute will only produce at the end of memory.
-	if aValid && eValid && eInst.Op == isa.LW && eInst.Rd != 0 {
-		n1, n2 := needsRs(aInst.Op)
-		if (n1 && aInst.Rs1 == eInst.Rd) || (n2 && aInst.Rs2 == eInst.Rd) {
-			stall = true
-		}
-	}
-
-	if redirect || !stall {
-		valid := aValid && !redirect
-		r.eInst.Set(st, uint64(aInstW))
-		r.ePC.Set(st, uint64(aPC))
-		r.eValid.Set(st, b2u(valid))
-		r.eOp1.Set(st, uint64(c.regfile[aRs1]))
-		r.eOp2.Set(st, uint64(c.regfile[aRs2]))
-		r.eY.Set(st, r.mY.Get(st))
-		r.eCWP.Set(st, r.aCWP.Get(st))
-	} else {
-		// Bubble into execute; hold younger stages.
-		r.eValid.Set(st, 0)
-	}
-
-	// ---- D: decode. ----
-	if redirect {
-		r.aValid.Set(st, 0)
-	} else if !stall {
-		in := isa.Decode(dInst)
-		r.aInst.Set(st, uint64(dInst))
-		r.aPC.Set(st, uint64(dPC))
-		r.aValid.Set(st, b2u(dValid))
-		r.aRs1.Set(st, uint64(in.Rs1))
-		r.aRs2.Set(st, uint64(in.Rs2))
-	}
-
-	// ---- F: fetch. ----
-	if redirect {
-		r.dValid.Set(st, 0)
-		r.fPC.Set(st, uint64(redirectPC))
-	} else if !stall {
-		var word uint32 = illegalWord
-		if int(fPC) < len(c.program.Words) {
-			word = c.program.Words[fPC]
-		}
-		r.dInst.Set(st, uint64(word))
-		r.dPC.Set(st, uint64(fPC))
-		r.dValid.Set(st, 1)
-		r.fPC.Set(st, uint64(fPC+1))
-	}
-}
-
 // FlushRecover models micro-architectural flush recovery (paper Fig 5):
 // squash every instruction that has not completed its memory access (fetch
 // through the memory-stage input latch) and refetch from the recovery
@@ -666,110 +357,7 @@ func (c *Core) FlushRecover() {
 	r.fPC.Set(st, uint64(c.recoveryNext))
 }
 
-// execALU computes the execute-stage result for in. It returns the ALU
-// result, the store value, the Y byproduct, and trap information.
-func execALU(in isa.Inst, op1, op2, pc uint32) (result, storeVal, y uint32, trap bool, tt uint64) {
-	switch in.Op {
-	case isa.ADD:
-		result = op1 + op2
-	case isa.SUB:
-		result = op1 - op2
-	case isa.AND:
-		result = op1 & op2
-	case isa.OR:
-		result = op1 | op2
-	case isa.XOR:
-		result = op1 ^ op2
-	case isa.SLL:
-		result = op1 << (op2 & 31)
-	case isa.SRL:
-		result = op1 >> (op2 & 31)
-	case isa.SRA:
-		result = uint32(int32(op1) >> (op2 & 31))
-	case isa.SLT:
-		result = b2u32(int32(op1) < int32(op2))
-	case isa.SLTU:
-		result = b2u32(op1 < op2)
-	case isa.MUL:
-		p := int64(int32(op1)) * int64(int32(op2))
-		result = uint32(p)
-		y = uint32(uint64(p) >> 32)
-	case isa.MULH:
-		p := int64(int32(op1)) * int64(int32(op2))
-		result = uint32(uint64(p) >> 32)
-		y = result
-	case isa.DIV:
-		if op2 == 0 {
-			return 0, 0, 0, true, 10
-		}
-		result = uint32(int32(op1) / int32(op2))
-	case isa.REM:
-		if op2 == 0 {
-			return 0, 0, 0, true, 10
-		}
-		result = uint32(int32(op1) % int32(op2))
-	case isa.ADDI:
-		result = op1 + uint32(in.Imm)
-	case isa.ANDI:
-		result = op1 & uint32(in.Imm)
-	case isa.ORI:
-		result = op1 | uint32(in.Imm)
-	case isa.XORI:
-		result = op1 ^ uint32(in.Imm)
-	case isa.SLLI:
-		result = op1 << (uint32(in.Imm) & 31)
-	case isa.SRLI:
-		result = op1 >> (uint32(in.Imm) & 31)
-	case isa.SRAI:
-		result = uint32(int32(op1) >> (uint32(in.Imm) & 31))
-	case isa.SLTI:
-		result = b2u32(int32(op1) < in.Imm)
-	case isa.LUI:
-		result = uint32(in.Imm) << 16
-	case isa.LW:
-		result = uint32(int32(op1) + in.Imm) // effective address
-	case isa.SW:
-		result = uint32(int32(op1) + in.Imm)
-		storeVal = op2
-	case isa.JAL, isa.JALR:
-		result = pc + 1
-	case isa.OUT:
-		result = op1
-	}
-	return result, storeVal, y, trap, tt
-}
-
-// resolveBranch decides taken/target for control instructions at execute.
-func resolveBranch(in isa.Inst, op1, op2, pc uint32) (taken bool, target uint32) {
-	switch in.Op {
-	case isa.BEQ:
-		taken = op1 == op2
-	case isa.BNE:
-		taken = op1 != op2
-	case isa.BLT:
-		taken = int32(op1) < int32(op2)
-	case isa.BGE:
-		taken = int32(op1) >= int32(op2)
-	case isa.BLTU:
-		taken = op1 < op2
-	case isa.BGEU:
-		taken = op1 >= op2
-	case isa.JAL:
-		return true, pc + uint32(in.Imm)
-	case isa.JALR:
-		return true, uint32(int32(op1) + in.Imm)
-	}
-	return taken, pc + uint32(in.Imm)
-}
-
 func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func b2u32(b bool) uint32 {
 	if b {
 		return 1
 	}

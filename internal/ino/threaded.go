@@ -7,14 +7,14 @@ import (
 	"clear/internal/tcode"
 )
 
-// This file is the compiled-execution twin of Step in ino.go: the same
-// pipeline, cycle for cycle and bit for bit, but every isa.Decode call and
-// execute-stage switch is replaced by a pre-translated tcode.DInst lookup,
-// and the latches live in the unpacked mirror (unpacked.go) instead of the
-// packed bit array — packed state is materialized only at observation
-// points. The interpreter in ino.go is deliberately left untouched so the
-// two paths stay independently checkable: FuzzThreadedEquivalence pins them
-// to each other, and tcode.SetEnabled(false) runs genuinely different code.
+// This file is the in-order core's Step: compiled execution, where every
+// pipeline stage looks up a pre-translated tcode.DInst instead of calling
+// isa.Decode and running execute-stage switches, and the latches live in the
+// unpacked mirror (unpacked.go) instead of the packed bit array — packed
+// state is materialized only at observation points. The decode-switch
+// interpreter in interp_test.go is its independent test oracle:
+// FuzzInterpEquivalence and the lockstep tests there pin Step to it cycle
+// for cycle and bit for bit.
 
 // dec returns the translation of latch word w whose stage believes it sits
 // at pc. The per-PC table hits whenever the latch is uncorrupted program
@@ -29,9 +29,9 @@ func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	return c.dcache.Decode(w)
 }
 
-// stepThreaded advances the pipeline by one clock cycle, mirroring Step
-// stage for stage on the unpacked latch mirror.
-func (c *Core) stepThreaded() {
+// Step advances the pipeline by one clock cycle on the unpacked latch
+// mirror.
+func (c *Core) Step() {
 	if c.done {
 		return
 	}

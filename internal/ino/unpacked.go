@@ -1,12 +1,12 @@
 package ino
 
 // uLatches mirrors every flip-flop field of regs as a plain machine word.
-// Compiled execution (threaded.go) runs the pipeline on this struct and
-// touches the packed ff.State only at observation points: State(),
-// Snapshot(), Matches(), Restore() and Reset() synchronize the two
-// representations, so every external view of the core — fault injection,
-// checkpointing, convergence pruning, state-equality tests — still sees the
-// exact bit layout the interpreter maintains. The round trip is lossless
+// Step (threaded.go) runs the pipeline on this struct and touches the
+// packed ff.State only at observation points: State(), Snapshot(),
+// Matches(), Restore() and Reset() synchronize the two representations, so
+// every external view of the core — fault injection, checkpointing,
+// convergence pruning, state-equality tests — still sees the exact packed
+// bit layout of the flip-flop space. The round trip is lossless
 // because the ff.Space allocates fields back to back with no padding bits,
 // and all values stored here are kept within their field widths (unpack
 // masks through ff.Field.Get; every pipeline write below either copies an

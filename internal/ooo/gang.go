@@ -11,8 +11,8 @@ var _ sim.GangCore = (*Core)(nil)
 // CopyStateFrom makes the core's state bit-for-bit identical to src, a
 // second out-of-order core bound to the same program. Both state
 // representations are copied — the packed ff.State and the unpacked latch
-// mirror with its validity flag — so the copy is exact in either execution
-// mode without forcing a pack/unpack round trip. The decode cache and
+// mirror with its validity flag — so the copy is exact whichever
+// representation is current, without forcing a pack/unpack round trip. The decode cache and
 // threaded translation are shared/memoized derivations of the program, not
 // state; the commit hook is left untouched, like Restore.
 func (c *Core) CopyStateFrom(src sim.Core) {
@@ -57,9 +57,8 @@ func (c *Core) pcView() uint32 {
 // memory/output/SRAM side state (the predictor and cache-metadata arrays
 // carry no architectural values but steer latencies and redirects, so they
 // gate reconvergence exactly as they do in Matches). A zero result
-// certifies bit-for-bit identical full state. When both cores run
-// compiled, the latch comparison is a single struct equality over the
-// unpacked mirrors; mixed representations are packed first (the mirror
+// certifies bit-for-bit identical full state. When both mirrors are
+// live, the latch comparison is a single struct equality over them; mixed representations are packed first (the mirror
 // stays live, exactly as in Matches).
 func (c *Core) DiffFrom(ref sim.Core) uint8 {
 	o := ref.(*Core)

@@ -18,8 +18,8 @@ import "clear/internal/sim"
 // instruction and report nothing; strikes there fall back to unit-level
 // attribution with no root instruction.
 //
-// The observation goes through syncU like State(), so interpreter and
-// compiled/mirror execution report identical occupancies.
+// The observation goes through syncU like State(), so it reads the exact
+// packed-state occupancy whether or not the latch mirror is live.
 func (c *Core) InFlight(dst []sim.InFlightInst) []sim.InFlightInst {
 	c.syncU()
 	st := c.st

@@ -7,15 +7,15 @@ import (
 	"clear/internal/tcode"
 )
 
-// This file holds the compiled-execution twins of every stage in core.go:
-// the same machine, cycle for cycle and bit for bit, with every isa.Decode
-// call and execute switch replaced by a pre-translated tcode.DInst lookup,
-// and every ROB/IQ/SQ/rename/latch access running on the unpacked mirror
-// (unpacked.go) instead of the packed bit array — packed state is
-// materialized only at observation points. The interpreter in core.go is
-// deliberately left untouched so the two paths stay independently checkable:
-// FuzzThreadedEquivalence pins them to each other, and
-// tcode.SetEnabled(false) runs genuinely different code.
+// This file is the out-of-order core's Step: compiled execution, where every
+// unit looks up a pre-translated tcode.DInst instead of calling isa.Decode
+// and running execute switches, and every ROB/IQ/SQ/rename/latch access runs
+// on the unpacked mirror (unpacked.go) instead of the packed bit array —
+// packed state is materialized only at observation points. Each unit is the
+// compiled twin of a unit (commit, execute, ...) of the decode-switch
+// interpreter in interp_test.go, the independent test oracle:
+// FuzzInterpEquivalence and the lockstep tests there pin Step to it cycle
+// for cycle and bit for bit.
 
 // dec returns the translation of instruction word w that the machine
 // associates with pc. Uncorrupted program text hits the per-PC table;
@@ -28,9 +28,8 @@ func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	return c.dcache.Decode(w)
 }
 
-// stepThreaded advances the machine one clock cycle on the unpacked latch
-// mirror, mirroring Step unit for unit.
-func (c *Core) stepThreaded() {
+// Step advances the machine one clock cycle on the unpacked latch mirror.
+func (c *Core) Step() {
 	if c.done {
 		return
 	}
@@ -402,7 +401,7 @@ func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32)
 			c.gshare[h] = ctr - 1
 		}
 		// the packed field is 12 bits wide; mask the shift register exactly
-		// as ff.Field.Set truncates it on the interpreter path
+		// as ff.Field.Set truncates it in the interpreter
 		u.lhist = (u.lhist<<1 | b2u(taken)) & 0xFFF
 	}
 	if taken {
@@ -574,8 +573,9 @@ func (c *Core) renameSourceU(iq, k int, d *tcode.DInst) {
 			u.iqS2Tag[iq], u.iqS2Rdy[iq], u.iqS2Val[iq] = tagV, rdyV, valV
 		}
 	}
-	// the interpreter leaves the tag slot untouched on the ready paths;
-	// preserve the stale tag bits so the packed layouts stay identical
+	// the interpreter's renameSource (interp_test.go) leaves the tag slot
+	// untouched on the ready paths; preserve the stale tag bits so the
+	// packed layouts stay identical
 	if k == 0 {
 		tagV = u.iqS1Tag[iq]
 	} else {

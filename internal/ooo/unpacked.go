@@ -1,24 +1,25 @@
 package ooo
 
 // uLatches mirrors every flip-flop field of regs as a plain machine word.
-// Compiled execution (threaded.go) runs the whole
+// Step (threaded.go) runs the whole
 // fetch/rename/issue/execute/writeback/commit loop on this struct and
 // touches the packed ff.State only at observation points: State(),
 // Snapshot(), Matches(), Restore() and Reset() synchronize the two
 // representations, so every external view of the core — fault injection,
 // checkpointing, convergence pruning, state-equality tests — still sees the
-// exact bit layout the interpreter maintains. The round trip is lossless
+// exact packed bit layout of the flip-flop space. The round trip is lossless
 // because the ff.Space allocates fields back to back with no padding bits,
 // and all values stored here are kept within their field widths (unpack
 // masks through ff.Field.Get; every pipeline write below either copies an
 // already-masked value, computes one that fits by construction, or — for
-// lhist's shift register — masks explicitly where the interpreter relied on
+// lhist's shift register — masks explicitly where a packed write relies on
 // ff.Field.Set truncation).
 //
-// Every field is a uint64 carrying exactly the value the interpreter's
-// ff.Field.Get would return, so the compiled loop's arithmetic (modular ROB
-// ages, wrap-around head/tail pointers) is bit-identical to the
-// interpreter's uint64 arithmetic even for corrupted (injected) values.
+// Every field is a uint64 carrying exactly the value ff.Field.Get would
+// return, so the compiled loop's arithmetic (modular ROB ages, wrap-around
+// head/tail pointers) is bit-identical to uint64 arithmetic on the packed
+// fields — the test oracle's (interp_test.go) — even for corrupted
+// (injected) values.
 type uLatches struct {
 	// fetch
 	pc        uint64

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"clear/internal/isa"
 	"clear/internal/prog"
 )
 
@@ -31,50 +30,5 @@ func TestMirrorRoundTrip(t *testing.T) {
 		if !c.st.Equal(want) {
 			t.Fatalf("iter %d: pack(unpack(state)) != state", iter)
 		}
-	}
-}
-
-// TestMirrorStaysCoherentAcrossObservations runs a compiled core while
-// hitting every observation point and asserts the packed view it exposes is
-// always identical to a lockstep interpreter twin's.
-func TestMirrorStaysCoherentAcrossObservations(t *testing.T) {
-	b := isa.NewBuilder()
-	b.Li(1, 0)
-	b.Li(2, 12)
-	b.Label("loop")
-	b.Addi(1, 1, 3)
-	b.Sw(1, 0, 2)
-	b.Lw(3, 0, 2)
-	b.Bne(1, 2, "loop")
-	b.Out(3)
-	b.Halt()
-	p, err := prog.New("coherent", b.Items(), nil, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ct := New(p) // compiled (tcode enabled by default)
-	ci := New(p)
-	ci.tp = nil // force the interpreter path on the twin
-
-	for cyc := 1; cyc <= 300 && !ci.done; cyc++ {
-		ct.Step()
-		ci.Step()
-		if !ct.State().Equal(ci.State()) {
-			t.Fatalf("cycle %d: packed state diverged from interpreter", cyc)
-		}
-		if cyc%17 == 0 {
-			if !ct.Matches(ci.Snapshot()) {
-				t.Fatalf("cycle %d: Matches failed against interpreter snapshot", cyc)
-			}
-			ck := ct.Snapshot()
-			ct.Restore(ck)
-			if ct.uValid {
-				t.Fatalf("cycle %d: Restore left the mirror marked valid", cyc)
-			}
-		}
-	}
-	if ci.status != ct.status || !ct.Matches(ci.Snapshot()) {
-		t.Fatalf("final state diverged: interp %v vs compiled %v", ci.status, ct.status)
 	}
 }

@@ -125,9 +125,8 @@ type Core interface {
 	// pipeline structure (stage latches, buffers, queues, rename mappings)
 	// to dst and returns the extended slice. It is a pure observation — the
 	// simulated future is unchanged — and reads the same packed flip-flop
-	// state as State(), so interpreter and compiled/mirror execution report
-	// identical occupancies. Callers pass a reusable dst to keep the
-	// injection hot path allocation-free.
+	// state as State(), whatever representation the core steps on. Callers
+	// pass a reusable dst to keep the injection hot path allocation-free.
 	InFlight(dst []InFlightInst) []InFlightInst
 }
 

@@ -8,41 +8,19 @@
 // every pipeline stage of every cycle.
 //
 // Translation is a pure function of the 32-bit instruction word, which is
-// what makes compiled execution bit-identical to the interpreter even under
-// fault injection: a flipped bit in an instruction latch produces a word
-// that simply misses the per-PC translation table and is compiled on demand
-// (memoized in a small per-core Cache), yielding exactly the semantics
-// isa.Decode plus the interpreter switches would give the corrupted word.
-// The equivalence is pinned by fuzz and campaign-level tests
-// (FuzzThreadedEquivalence, TestCompiledCampaignEquivalence).
+// what makes compiled execution exact even under fault injection: a flipped
+// bit in an instruction latch produces a word that simply misses the per-PC
+// translation table and is compiled on demand (memoized in a small per-core
+// Cache), yielding exactly the semantics isa.Decode plus the decode-switch
+// interpreter would give the corrupted word.
 //
-// Compiled execution is on by default and gated by SetEnabled, which the
-// equivalence tests and cmd/perfbench use to run the decode-switch
-// interpreter — left untouched as the reference any suspected translation
-// bug can be cross-checked against.
+// Compiled execution is the cores' only Step. The decode-switch interpreter
+// survives as a test oracle in the interp_test.go files of internal/ino and
+// internal/ooo, where FuzzInterpEquivalence and lockstep tests pin Step to
+// it cycle for cycle.
 package tcode
 
-import (
-	"sync/atomic"
-
-	"clear/internal/isa"
-)
-
-// enabled gates compiled execution process-wide. Cores consult it when they
-// (re)bind to a program, never mid-run, so toggling affects subsequently
-// reset cores only. Atomic because campaign workers construct cores
-// concurrently while tests elsewhere may flip the gate.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns compiled (threaded-code) execution on or off for cores
-// bound after the call. The interpreter and compiled paths are bit-identical;
-// the switch exists for equivalence testing and interpreter measurements.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether cores should execute threaded code.
-func Enabled() bool { return enabled.Load() }
+import "clear/internal/isa"
 
 // ExecFn is the in-order core's execute-stage semantics of one instruction:
 // ALU result, store value, the Y byproduct, and trap information. It mirrors

@@ -121,18 +121,3 @@ func TestCacheDecode(t *testing.T) {
 		}
 	}
 }
-
-// TestEnabledGate covers the process-wide gate the equivalence tests flip.
-func TestEnabledGate(t *testing.T) {
-	if !Enabled() {
-		t.Fatal("compiled execution must default to on")
-	}
-	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("SetEnabled(false) did not take")
-	}
-	SetEnabled(true)
-	if !Enabled() {
-		t.Fatal("SetEnabled(true) did not take")
-	}
-}
