@@ -245,7 +245,7 @@ func main() {
 	if res.Restored > 0 {
 		fmt.Printf("(%d cells restored from %s)\n", res.Restored, *statePath)
 	}
-	if q := inject.QuarantineStats(); q > 0 {
+	if q := e.Inj.QuarantineStats(); q > 0 {
 		fmt.Printf("(%d corrupt cache entries quarantined as *.corrupt and recomputed)\n", q)
 	}
 	if n := len(res.Failures); n > 0 {

@@ -1,7 +1,9 @@
 // Command tables regenerates the paper's evaluation tables and figures.
+// Campaigns come from the campaign cache (see inject.CacheDir): a cold run
+// computes and caches the ones it needs, and precompute warms them all.
 //
 //	tables -exp table19        # one experiment
-//	tables -exp all            # everything (warm the cache first: precompute)
+//	tables -exp all            # everything
 //	tables -list               # available experiment ids
 package main
 

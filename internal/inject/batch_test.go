@@ -100,7 +100,7 @@ func runCampaign(t testing.TB, cfg Config, p *prog.Program, interval int,
 
 // requireIdentical asserts a campaign result equals the reference's as a
 // value AND as cache bytes — the engine's contract is byte-identical
-// results, so existing testdata/cache entries stay valid.
+// results, so existing cache entries stay valid.
 func requireIdentical(t testing.TB, label string, want, got *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(want, got) {

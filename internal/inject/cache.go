@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"clear/internal/prog"
@@ -27,37 +26,18 @@ import (
 // (renamed *.corrupt, preserving the evidence) and recomputed instead of
 // failing the campaign. See DESIGN.md §8.
 
-var (
-	cacheDirOnce sync.Once
-	cacheDirPath string
-)
-
 // CacheDir returns the campaign cache directory: $CLEAR_CACHE_DIR if set
-// (consulted on every call, so tests overriding it do not poison later
-// lookups), else testdata/cache under the enclosing Go module root, else a
-// temp dir (the fallback is memoized).
+// (read on every call, so a process may switch caches between campaigns),
+// else "clear" under the user cache directory (os.UserCacheDir), else
+// "clear-cache" under the temp dir.
 func CacheDir() string {
 	if d := os.Getenv("CLEAR_CACHE_DIR"); d != "" {
 		return d
 	}
-	cacheDirOnce.Do(func() {
-		dir, err := os.Getwd()
-		if err == nil {
-			for {
-				if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-					cacheDirPath = filepath.Join(dir, "testdata", "cache")
-					return
-				}
-				parent := filepath.Dir(dir)
-				if parent == dir {
-					break
-				}
-				dir = parent
-			}
-		}
-		cacheDirPath = filepath.Join(os.TempDir(), "clear-cache")
-	})
-	return cacheDirPath
+	if d, err := os.UserCacheDir(); err == nil {
+		return filepath.Join(d, "clear")
+	}
+	return filepath.Join(os.TempDir(), "clear-cache")
 }
 
 func cacheKey(cfg Config, p *prog.Program) string {
@@ -89,8 +69,7 @@ func nonEmpty(s string) string {
 
 // cacheMagic marks the 8-byte integrity trailer appended to every ssb
 // cache entry: the 4 magic bytes followed by the little-endian CRC32-C of
-// the gob payload. Entries written before the trailer existed lack it and
-// fall back to a plain decode.
+// the gob payload. An entry without a CLRC or CLRM trailer does not decode.
 var cacheMagic = [4]byte{'C', 'L', 'R', 'C'}
 
 // cacheModelMagic marks the model-carrying trailer of non-ssb entries:
@@ -99,14 +78,14 @@ var cacheMagic = [4]byte{'C', 'L', 'R', 'C'}
 // the Tag inside the gob — means a file whose header disagrees with its
 // payload (a hand-renamed or cross-model-copied entry) is rejected before
 // its campaign numbers can leak into the wrong model's sweep. ssb entries
-// keep the legacy CLRC format byte-for-byte, and legacy trailerless or
-// CLRC files always decode as model "ssb".
+// keep the CLRC format byte-for-byte, and CLRC files always decode as
+// model "ssb".
 var cacheModelMagic = [4]byte{'C', 'L', 'R', 'M'}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // encodeCache serializes a campaign result and appends the integrity
-// trailer: CLRC for ssb results (the legacy byte-identical format), CLRM
+// trailer: CLRC for ssb results (a frozen, byte-identical format), CLRM
 // with the embedded model name for every other fault model.
 func encodeCache(r *Result) ([]byte, error) {
 	var buf bytes.Buffer
@@ -125,7 +104,7 @@ func encodeCache(r *Result) ([]byte, error) {
 		// CLRM checksums payload + model + length + magic.
 		sum = crc32.Checksum(buf.Bytes(), castagnoli)
 	} else {
-		// The legacy CLRC trailer checksums only the gob payload (magic
+		// The CLRC trailer checksums only the gob payload (magic
 		// excluded) — frozen, so existing ssb entries stay byte-identical.
 		sum = crc32.Checksum(buf.Bytes(), castagnoli)
 		buf.Write(cacheMagic[:])
@@ -137,13 +116,12 @@ func encodeCache(r *Result) ([]byte, error) {
 }
 
 // decodeCache deserializes a cache entry body, returning the result and
-// the fault model the entry was recorded under. When an integrity trailer
-// is present the CRC is verified before gob sees a single byte;
-// trailerless (legacy) entries decode directly, where gob's own framing is
-// the only truncation defense. Legacy trailerless and CLRC entries are
-// model "ssb" by definition.
+// the fault model the entry was recorded under. The trailer's CRC is
+// verified before gob sees a single byte, and an entry without a trailer
+// is rejected like any corrupt one. CLRC entries are model "ssb" by
+// definition.
 func decodeCache(data []byte) (*Result, string, error) {
-	payload := data
+	var payload []byte
 	model := DefaultModel
 	n := len(data)
 	switch {
@@ -164,6 +142,8 @@ func decodeCache(data []byte) (*Result, string, error) {
 		}
 		model = string(data[n-9-mlen : n-9])
 		payload = data[:n-9-mlen]
+	default:
+		return nil, "", fmt.Errorf("inject: cache entry has no integrity trailer")
 	}
 	var r Result
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&r); err != nil {

@@ -3,57 +3,99 @@ package inject
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
-// TestCampaignRecomputesTruncatedCache is the regression test for the
-// self-healing cache: a valid entry truncated mid-file must not fail the
-// campaign. The campaign recomputes (bit-identically), the bad file is
-// quarantined as *.corrupt, and a fresh valid entry replaces it.
-func TestCampaignRecomputesTruncatedCache(t *testing.T) {
-	dir := t.TempDir()
-	t.Setenv("CLEAR_CACHE_DIR", dir)
+// TestCacheDir pins where campaigns are cached: $CLEAR_CACHE_DIR when it
+// is set, else "clear" under the user cache directory, which honours
+// XDG_CACHE_HOME on Unix systems other than Darwin, else a temp dir when
+// there is no user cache directory.
+func TestCacheDir(t *testing.T) {
+	t.Setenv("CLEAR_CACHE_DIR", "")
+	xdg := t.TempDir()
+	t.Setenv("XDG_CACHE_HOME", xdg)
+	switch runtime.GOOS {
+	case "darwin", "ios", "windows", "plan9":
+	default:
+		if got, want := CacheDir(), filepath.Join(xdg, "clear"); got != want {
+			t.Fatalf("CacheDir() = %q, want %q", got, want)
+		}
+		t.Setenv("XDG_CACHE_HOME", "")
+		t.Setenv("HOME", "")
+		if got, want := CacheDir(), filepath.Join(os.TempDir(), "clear-cache"); got != want {
+			t.Fatalf("CacheDir() = %q without a user cache dir, want %q", got, want)
+		}
+	}
+	override := t.TempDir()
+	t.Setenv("CLEAR_CACHE_DIR", override)
+	if got := CacheDir(); got != override {
+		t.Fatalf("CacheDir() = %q with CLEAR_CACHE_DIR set, want %q", got, override)
+	}
+}
 
+// TestCampaignRecomputesTruncatedCache is the regression test for the
+// self-healing cache: a valid entry truncated mid-file, or stripped of its
+// integrity trailer, must not fail the campaign. The campaign recomputes
+// (bit-identically), the bad file is quarantined as *.corrupt, and a fresh
+// valid entry replaces it.
+func TestCampaignRecomputesTruncatedCache(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 11}
-	r1, err := NewInjector().Campaign(cfg, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gob"))
-	if len(files) != 1 {
-		t.Fatalf("cache files: %v", files)
-	}
-	entry := files[0]
-	data, err := os.ReadFile(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(entry, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		cut  func(data []byte) []byte
+	}{
+		{"mid-file", func(data []byte) []byte { return data[:len(data)/2] }},
+		{"trailer-stripped", func(data []byte) []byte { return data[:len(data)-8] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			t.Setenv("CLEAR_CACHE_DIR", dir)
+			r1, err := NewInjector().Campaign(cfg, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files, _ := filepath.Glob(filepath.Join(dir, "*.gob"))
+			if len(files) != 1 {
+				t.Fatalf("cache files: %v", files)
+			}
+			entry := files[0]
+			data, err := os.ReadFile(entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(entry, tc.cut(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	before := QuarantineStats()
-	r2, err := NewInjector().Campaign(cfg, p, nil)
-	if err != nil {
-		t.Fatalf("campaign failed on truncated cache entry: %v", err)
-	}
-	if r2.Totals != r1.Totals {
-		t.Fatalf("recomputed campaign differs: %+v vs %+v", r2.Totals, r1.Totals)
-	}
-	if got := QuarantineStats() - before; got != 1 {
-		t.Fatalf("quarantine counter advanced by %d, want 1", got)
-	}
-	corrupt, _ := filepath.Glob(filepath.Join(dir, "*.corrupt"))
-	if len(corrupt) != 1 {
-		t.Fatalf("quarantine files = %v, want exactly one", corrupt)
-	}
-	// The rewritten entry round-trips cleanly.
-	if _, err := NewInjector().Campaign(cfg, p, nil); err != nil {
-		t.Fatalf("rewritten entry unreadable: %v", err)
-	}
-	if more, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(more) != 1 {
-		t.Fatalf("clean reload quarantined again: %v", more)
+			in := NewInjector()
+			r2, err := in.Campaign(cfg, p, nil)
+			if err != nil {
+				t.Fatalf("campaign failed on damaged cache entry: %v", err)
+			}
+			if r2.Totals != r1.Totals {
+				t.Fatalf("recomputed campaign differs: %+v vs %+v", r2.Totals, r1.Totals)
+			}
+			if s := in.Snapshot(); s.Quarantined != 1 || s.CacheMisses != 1 {
+				t.Fatalf("injector counters = %+v, want one quarantine and one miss", s)
+			}
+			corrupt, _ := filepath.Glob(filepath.Join(dir, "*.corrupt"))
+			if len(corrupt) != 1 {
+				t.Fatalf("quarantine files = %v, want exactly one", corrupt)
+			}
+			// The rewritten entry round-trips cleanly.
+			again := NewInjector()
+			if _, err := again.Campaign(cfg, p, nil); err != nil {
+				t.Fatalf("rewritten entry unreadable: %v", err)
+			}
+			if s := again.Snapshot(); s.CacheHits != 1 || s.Quarantined != 0 {
+				t.Fatalf("reload counters = %+v, want one clean cache hit", s)
+			}
+			if more, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(more) != 1 {
+				t.Fatalf("clean reload quarantined again: %v", more)
+			}
+		})
 	}
 }
 
@@ -97,33 +139,6 @@ func TestCampaignDetectsBitrotViaCRC(t *testing.T) {
 	}
 }
 
-// TestDecodeCacheLegacyTrailerless keeps the pre-trailer cache corpus
-// (testdata/cache holds hundreds of such entries) readable: a plain gob
-// encoding without the CRC trailer must still decode.
-func TestDecodeCacheLegacyTrailerless(t *testing.T) {
-	p := tinyProgram(t)
-	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 13}
-	r, err := NewInjector().Run(cfg, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := encodeCache(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := data[:len(data)-8] // strip magic + CRC: the legacy format
-	got, gotModel, err := decodeCache(legacy)
-	if err != nil {
-		t.Fatalf("legacy trailerless entry rejected: %v", err)
-	}
-	if got.Totals != r.Totals || got.Config != cfg {
-		t.Fatalf("legacy decode mismatch: %+v", got.Totals)
-	}
-	if gotModel != DefaultModel {
-		t.Fatalf("legacy trailerless entry decoded as model %q, want %q", gotModel, DefaultModel)
-	}
-}
-
 // FuzzCacheDecode attacks the cache decoder with arbitrary bytes: it must
 // never panic, and any successful decode must return a result object.
 func FuzzCacheDecode(f *testing.F) {
@@ -140,7 +155,7 @@ func FuzzCacheDecode(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:len(valid)-8]) // legacy trailerless form
+	f.Add(valid[:len(valid)-8]) // trailer stripped
 	f.Add([]byte{})
 	f.Add([]byte("CLRC"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -79,8 +79,8 @@ func TestRunOneFromEquivalence(t *testing.T) {
 
 // TestCampaignBitIdentical asserts that a fixed-seed campaign produces a
 // byte-identical Result to the reference campaign's from-reset replay
-// whatever the checkpoint interval — the cache-compatibility guarantee for
-// the committed testdata/cache entries.
+// whatever the checkpoint interval, so a cached entry is valid whichever
+// interval computed it.
 func TestCampaignBitIdentical(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 2, Seed: 0xC1EA5}

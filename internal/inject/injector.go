@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"sync"
 	"time"
 
 	"clear/internal/obs"
@@ -12,10 +11,10 @@ import (
 // prune and quarantine counters were process-global atomics, so two
 // concurrent sweeps in one process conflated each other's numbers: an
 // event from the in-order sweep could report prune work done by the
-// out-of-order sweep. Each engine now owns an Injector, and every campaign
-// and warm injection runs through one (Run, RunChecked, Campaign,
-// CampaignChecked, RunOneFrom). The package-level PruneStats and
-// QuarantineStats aggregate across every instance.
+// out-of-order sweep. Each engine now owns an Injector; every campaign and
+// warm injection runs through one (Run, RunChecked, Campaign,
+// CampaignChecked, RunOneFrom), and its counters are read from that
+// Injector alone.
 //
 // An Injector additionally carries the obs instruments of the injection
 // hot path (per-outcome counters, the convergence-prune cycle histogram,
@@ -60,23 +59,8 @@ type Injector struct {
 	interval int
 }
 
-// Every live Injector is tracked so the package-level accessors can
-// aggregate across them — the pre-Injector reports stay correct no matter
-// how many scoped instances exist. Injectors are few (one per engine) and
-// live for the process, so the list never needs eviction.
-var (
-	injectorsMu sync.Mutex
-	injectors   []*Injector
-)
-
 // NewInjector returns a fresh injection scope with zeroed counters.
-func NewInjector() *Injector {
-	in := &Injector{}
-	injectorsMu.Lock()
-	injectors = append(injectors, in)
-	injectorsMu.Unlock()
-	return in
-}
+func NewInjector() *Injector { return &Injector{} }
 
 // Snapshot is a point-in-time view of an injector's counters, taken with
 // one atomic load per field.
@@ -186,31 +170,4 @@ func (in *Injector) traceCampaign(cfg Config, r *Result, source string, elapsed 
 		ED:           r.Totals.ED,
 		DurationMS:   elapsed.Milliseconds(),
 	})
-}
-
-// PruneStats returns the injection counters aggregated across every
-// injector in the process (the pre-Injector process-wide view): how many
-// injections ran and how many ended early through convergence pruning.
-func PruneStats() (pruned, total int64) {
-	injectorsMu.Lock()
-	defer injectorsMu.Unlock()
-	for _, in := range injectors {
-		p, t := in.PruneStats()
-		pruned += p
-		total += t
-	}
-	return pruned, total
-}
-
-// QuarantineStats reports how many corrupt cache entries this process has
-// quarantined (renamed *.corrupt) and recomputed, aggregated across every
-// injector.
-func QuarantineStats() int64 {
-	injectorsMu.Lock()
-	defer injectorsMu.Unlock()
-	var q int64
-	for _, in := range injectors {
-		q += in.QuarantineStats()
-	}
-	return q
 }

@@ -379,9 +379,9 @@ func TestCacheModelTrailerRoundTrip(t *testing.T) {
 		t.Fatalf("CLRM round-trip mismatch: %+v", got)
 	}
 	// Bit-rot in the CRC-covered region — the payload, the model name
-	// bytes, the length byte — must be caught. (Corrupting the magic
-	// itself demotes the file to a legacy trailerless decode by design.)
-	for _, i := range []int{0, len(data) - 9, len(data) - 10} {
+	// bytes, the length byte — must be caught, and so must a corrupted
+	// magic, which leaves the entry without a trailer.
+	for _, i := range []int{0, len(data) - 9, len(data) - 10, len(data) - 8} {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x40
 		if _, _, err := decodeCache(bad); err == nil {

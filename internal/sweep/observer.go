@@ -67,8 +67,8 @@ type Event struct {
 	RetryDelay time.Duration
 	// Quarantined counts corrupt campaign cache entries renamed aside and
 	// recomputed (monotonic), scoped to the sweep's engine when the sweep
-	// knows one (Sweep.Inject), else process-wide — degradation made
-	// visible as it happens.
+	// knows one (Sweep.Inject), else zero — degradation made visible as it
+	// happens.
 	Quarantined int64
 
 	Elapsed time.Duration
@@ -80,7 +80,7 @@ type Event struct {
 	Engine *core.EngineStats
 
 	// Injection-level prune counters (monotonic; engine-scoped when the
-	// sweep knows its engine, process-wide otherwise).
+	// sweep knows its engine, zero otherwise).
 	PrunedInjections, TotalInjections int64
 }
 

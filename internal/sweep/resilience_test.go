@@ -316,8 +316,7 @@ func TestChaosSweepSurvivesEverything(t *testing.T) {
 	// after five cells. The gate makes the interrupt deterministic: once
 	// the signal is sent, new evaluations wait for the cancellation to
 	// propagate, so some cells always remain pending for the resume.
-	hangRelease := make(chan struct{})
-	defer close(hangRelease)
+	hangRelease, hangDone := make(chan struct{}), make(chan struct{})
 	chaosSw := mkSweep()
 	panicCombo := chaosSw.Combos[0].Name()
 	hangCombo := chaosSw.Combos[1].Name()
@@ -332,6 +331,7 @@ func TestChaosSweepSurvivesEverything(t *testing.T) {
 			panic("chaos: injected worker panic")
 		}
 		if c.Name() == hangCombo && b.Name == benches[1].Name && hung.CompareAndSwap(false, true) {
+			defer close(hangDone)
 			<-hangRelease
 		}
 		time.Sleep(10 * time.Millisecond) // pace the sweep so the signal lands mid-run
@@ -354,6 +354,12 @@ func TestChaosSweepSurvivesEverything(t *testing.T) {
 		CellTimeout: 2 * time.Second,
 		Retry:       retryFast(2),
 	})
+	// Release the hung cell and wait for its abandoned evaluation to
+	// return, so it writes no campaign once the test's cache dir is gone.
+	close(hangRelease)
+	if hung.Load() {
+		<-hangDone
+	}
 	if err != context.Canceled {
 		t.Fatalf("chaos run err = %v, want context.Canceled (mid-run SIGINT)", err)
 	}

@@ -52,8 +52,7 @@ type Sweep struct {
 	Stats func() core.EngineStats
 	// Inject, when non-nil, supplies the injection-level counters (prune,
 	// quarantine, cache) scoped to the engine behind Eval (set by New).
-	// When nil, events fall back to the process-wide aggregate — correct
-	// for a single sweep, conflated when two sweeps share the process.
+	// When nil, events report zero injection counters.
 	Inject func() inject.Snapshot
 }
 
@@ -271,17 +270,12 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 	ins.cellsRestored.Set(int64(restored))
 
 	// injSnap reads the injection counters scoped to this sweep's engine
-	// (falling back to the process aggregate for engine-less sweeps).
+	// (zero for engine-less sweeps).
 	injSnap := func() inject.Snapshot {
 		if sw.Inject != nil {
 			return sw.Inject()
 		}
-		pruned, totalInj := inject.PruneStats()
-		return inject.Snapshot{
-			PrunedInjections: pruned,
-			TotalInjections:  totalInj,
-			Quarantined:      inject.QuarantineStats(),
-		}
+		return inject.Snapshot{}
 	}
 
 	wd := &watchdog{fixed: opt.CellTimeout, factor: opt.CellTimeoutFactor}
