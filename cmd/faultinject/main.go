@@ -121,6 +121,16 @@ func main() {
 		fmt.Printf("  mean detection latency: %.0f cycles over %d detections\n",
 			float64(res.DetLatSum)/float64(res.DetN), res.DetN)
 	}
+	// Engine counters: pruned injections ended early on reconvergence with
+	// the fault-free run; inert ones were decided Vanished without stepping
+	// a cycle (empty scenarios and strikes only on state the core never
+	// reads). A campaign read from the cache runs no injections.
+	if s := e.Inj.Snapshot(); s.TotalInjections > 0 {
+		fmt.Printf("  engine: %d injections run, %d pruned, %d inert\n",
+			s.TotalInjections, s.PrunedInjections, s.InertInjections)
+	} else {
+		fmt.Printf("  engine: campaign read from the cache, no injections run\n")
+	}
 
 	fmt.Printf("\nmost vulnerable structures:\n")
 	for i, s := range rankStructures(e.Space, res.PerFF) {

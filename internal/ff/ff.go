@@ -7,10 +7,12 @@
 // space" — the same abstraction the CLEAR paper uses for its RTL-level
 // injection campaigns.
 //
-// The Space also carries per-bit protection attributes (circuit hardening,
-// parity group membership, EDS) so resilience techniques can be applied at
-// individual flip-flop granularity, mirroring the paper's selective
-// circuit/logic-level insertion.
+// A core may declare a field inert (AllocInert): its next-state, output and
+// commit logic never reads the field, so no other flip-flop, register,
+// memory word, output, counter, status or commit event is ever computed
+// from it. A strike that flips only inert bits therefore cannot change
+// what the core does, and the fault-injection engine decides it Vanished
+// without simulating it.
 package ff
 
 import (
@@ -26,6 +28,7 @@ type Space struct {
 	fields []fieldInfo
 	byName map[string]int
 	nbits  int
+	inert  []uint64 // bit mask of the inert fields' flip-flops
 	// frozen flips exactly once, at the first NewState/Freeze; it is
 	// atomic because shared spaces hand out states from many goroutines.
 	frozen atomic.Bool
@@ -67,7 +70,39 @@ func (s *Space) Alloc(unit, name string, width int) Field {
 	s.byName[name] = len(s.fields)
 	s.fields = append(s.fields, fieldInfo{name: name, unit: unit, off: s.nbits, width: width})
 	s.nbits += width
+	for len(s.inert)*64 < s.nbits {
+		s.inert = append(s.inert, 0)
+	}
 	return f
+}
+
+// AllocInert is Alloc for a field the core never reads: its value feeds no
+// other field, register, memory word, output, counter, status or commit
+// event. The declaration must stay closed under every change to the core
+// (see the cores' inert-closure tests), because the fault-injection engine
+// decides strikes on inert bits Vanished without simulating them.
+func (s *Space) AllocInert(unit, name string, width int) Field {
+	f := s.Alloc(unit, name, width)
+	for bit := f.off; bit < f.off+width; bit++ {
+		s.inert[bit>>6] |= 1 << (uint(bit) & 63)
+	}
+	return f
+}
+
+// Inert reports whether bit belongs to a field allocated with AllocInert.
+func (s *Space) Inert(bit int) bool {
+	return s.inert[bit>>6]>>(uint(bit)&63)&1 != 0
+}
+
+// EqualExceptInert reports whether two states of the space hold identical
+// bits outside the inert fields.
+func (s *Space) EqualExceptInert(a, b *State) bool {
+	for i, w := range a.words {
+		if (w^b.words[i])&^s.inert[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Freeze marks the space complete; further Alloc calls panic.

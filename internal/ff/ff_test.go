@@ -175,6 +175,32 @@ func TestStateCloneEqualReset(t *testing.T) {
 	}
 }
 
+// TestAllocInert checks the inert declaration: exactly the bits of fields
+// allocated with AllocInert report Inert, across a word boundary, and
+// EqualExceptInert ignores those bits and no others.
+func TestAllocInert(t *testing.T) {
+	s := NewSpace()
+	s.Alloc("u", "live0", 60)
+	s.AllocInert("u", "dead0", 10) // bits 60..69 straddle words 0 and 1
+	s.Alloc("u", "live1", 3)
+	s.AllocInert("u", "dead1", 1)
+	inert := map[int]bool{73: true}
+	for bit := 60; bit < 70; bit++ {
+		inert[bit] = true
+	}
+	a := s.NewState()
+	for bit := 0; bit < s.NumBits(); bit++ {
+		if s.Inert(bit) != inert[bit] {
+			t.Fatalf("Inert(%d) = %v, want %v", bit, s.Inert(bit), inert[bit])
+		}
+		b := a.Clone()
+		b.FlipBit(bit)
+		if s.EqualExceptInert(a, b) != inert[bit] {
+			t.Fatalf("EqualExceptInert after flipping bit %d = %v, want %v", bit, !inert[bit], inert[bit])
+		}
+	}
+}
+
 // Property: a double flip of any bit is the identity, and a single flip
 // changes exactly the targeted field.
 func TestFlipProperty(t *testing.T) {

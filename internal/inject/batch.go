@@ -39,17 +39,27 @@ package inject
 // DiffAux divergence and is evicted, never pruned.
 //
 // Lanes still live at the window's end are likewise finished through
-// finishInjected. Every planned lane forks: a sampled cycle lies below
-// nomCycles, so its checkpoint window exists and the fault-free carrier is
-// still running when it gets there. A record sink observes each lane right
-// after its fork and receives the record when the lane is decided.
+// finishInjected. Every planned lane reaches its fork: a sampled cycle lies
+// below nomCycles, so its checkpoint window exists and the fault-free
+// carrier is still running when it gets there. A record sink observes each
+// lane right after its fork and receives the record when the lane is
+// decided.
+//
+// A lane whose scenario flips only inert flip-flops (ff.Space.AllocInert:
+// state the core never reads) is decided Vanished at its fork cycle
+// without taking a slot: its core would differ from the carrier only in
+// bits nothing reads, so it would follow the carrier's fault-free future
+// to the golden halt, and no checker could see a difference in the commit
+// stream. Its record is observed on the carrier, which holds exactly the
+// state the lane would have had before its flips.
 //
 // An opaque commit hook's state cannot be copied at a fork, so a campaign
 // carrying one runs each planned lane from reset through the cold body,
 // runCold, on the worker's one core.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"clear/internal/lanes"
 	"clear/internal/sim"
@@ -105,10 +115,10 @@ func planCampaign(c *campaign) campaignPlan {
 	for idx := range byWindow {
 		windows = append(windows, idx)
 	}
-	sort.Ints(windows)
+	slices.Sort(windows)
 	for _, idx := range windows {
 		lns := byWindow[idx]
-		sort.SliceStable(lns, func(i, j int) bool { return lns[i].cycle < lns[j].cycle })
+		slices.SortStableFunc(lns, func(a, b plannedLane) int { return cmp.Compare(a.cycle, b.cycle) })
 		for lo := 0; lo < len(lns); lo += lanes.Width {
 			plan.gangs = append(plan.gangs, laneGang{ckpt: idx, lanes: lns[lo:min(lo+lanes.Width, len(lns))]})
 		}
@@ -205,9 +215,9 @@ func (w *worker) finish(s int, ln plannedLane) {
 }
 
 // runGang executes one gang on the gang engine: replay the window prefix on
-// the carrier, fork each lane at its cycle, lockstep-and-classify until
-// every lane is decided or the window ends, then finish the survivors
-// through the warm body's tail.
+// the carrier, decide each all-inert lane at its cycle and fork every other
+// one, lockstep-and-classify until every lane is decided or the window
+// ends, then finish the survivors through the warm body's tail.
 func (w *worker) runGang(g laneGang) {
 	c := w.c
 	if w.carrier == nil {
@@ -222,22 +232,29 @@ func (w *worker) runGang(g laneGang) {
 	next := 0
 	for {
 		t := car.Cycles()
-		for next < len(g.lanes) && g.lanes[next].cycle == t {
+		for ; next < len(g.lanes) && g.lanes[next].cycle == t; next++ {
+			ln := g.lanes[next]
+			sc := w.expand(ln)
+			if c.inert(sc) {
+				w.in.injInert.Add(1)
+				w.add(ln.pop, ln.cycle, Vanished, -1)
+				if w.rec != nil {
+					w.rec.emit(w.rec.observe(car, sc[0], ln.cycle), Vanished, -1)
+				}
+				continue
+			}
 			s := live.FirstFree()
 			lc := w.lane(s)
 			lc.(sim.GangCore).CopyStateFrom(car)
 			if w.chks[s] != nil {
 				w.chks[s].CopyFrom(w.carrierChk)
 			}
-			ln := g.lanes[next]
-			sc := w.expand(ln)
 			if w.rec != nil {
 				w.recs[s] = w.rec.observe(lc, sc[0], ln.cycle)
 			}
 			strike(lc, sc)
 			slot[s] = ln
 			live.Set(s)
-			next++
 		}
 		if car.Done() || t >= windowEnd || (live.Empty() && next >= len(g.lanes)) {
 			break

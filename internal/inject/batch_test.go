@@ -228,6 +228,63 @@ func TestPackedRestrictedPopulation(t *testing.T) {
 	}
 }
 
+// inertModel is a test-only single-bit model whose strike population is
+// the core's inert flip-flops.
+type inertModel struct{}
+
+func (inertModel) Name() string { return "zinert" }
+func (inertModel) Bits(env *ModelEnv) []int {
+	var bits []int
+	for bit := 0; bit < env.Pl.Space.NumBits(); bit++ {
+		if env.Pl.Space.Inert(bit) {
+			bits = append(bits, bit)
+		}
+	}
+	return bits
+}
+func (inertModel) Expand(_ *ModelEnv, bit, _ int, _ uint64, dst Scenario) Scenario {
+	return append(dst, bit)
+}
+
+// TestInertStrikesCounted pins the injections.inert counter on both cores.
+// An ssb campaign decides exactly (inert bits × SamplesPerFF) injections at
+// their fork. A campaign over the inert bits alone decides every injection
+// that way, all Vanished, and prunes none: inert decisions are not prunes.
+func TestInertStrikesCounted(t *testing.T) {
+	p := tinyProgram(t)
+	registerTestModel(t, inertModel{})
+	const samples = 2
+	for _, kind := range []CoreKind{InO, OoO} {
+		inertBits := len(inertModel{}.Bits(EnvFor(kind)))
+		if inertBits == 0 {
+			t.Fatalf("%v declares no inert flip-flops", kind)
+		}
+		want := int64(inertBits * samples)
+		for _, tag := range []string{"", "zinert/x"} {
+			in := NewInjector()
+			res, err := in.Run(Config{Core: kind, Bench: "tiny", Tag: tag, SamplesPerFF: samples, Seed: 0x1AE7}, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := in.Snapshot()
+			if s.InertInjections != want {
+				t.Fatalf("%v/%q: %d injections decided inert, want %d inert bits × %d samples = %d",
+					kind, tag, s.InertInjections, inertBits, samples, want)
+			}
+			if s.TotalInjections != int64(res.Totals.N) || s.PrunedInjections+s.InertInjections > s.TotalInjections {
+				t.Fatalf("%v/%q: counters %+v do not add up to %d injections", kind, tag, s, res.Totals.N)
+			}
+			if tag == "" {
+				continue
+			}
+			if s.PrunedInjections != 0 || res.Totals.Vanished != res.Totals.N || int64(res.Totals.N) != want {
+				t.Fatalf("%v: inert-only campaign pruned %d and tallied %+v, want no prunes and %d Vanished",
+					kind, s.PrunedInjections, res.Totals, want)
+			}
+		}
+	}
+}
+
 // fuzzCampaignProgram derives a small halting program from fuzz bytes: a
 // bounded loop whose body is fuzz-chosen ALU/memory work, ending in an
 // observable output. Every generated program assembles and halts, so the

@@ -18,7 +18,11 @@
 // bodies of the injection kernel (scenario.go): gang lanes fork off a
 // fault-free carrier and finish through the warm body's tail, and the
 // lanes of a campaign with an opaque commit hook replay from reset through
-// the cold body.
+// the cold body. Two kinds of strike are decided Vanished without stepping
+// a cycle: the empty scenarios of a fault model (a strike that latches
+// nothing) and, on the gang engine, strikes that flip only inert
+// flip-flops — fields the core declares it never reads
+// (ff.Space.AllocInert).
 package inject
 
 import (
@@ -251,12 +255,15 @@ const nomBudget = 8_000_000
 // hookFactory is an opaque closure whose state the engine cannot save, so
 // a hooked Run replays every injection from reset; a checker with savable
 // state takes the warm, pruned gang path through RunChecked instead.
-// Results are bit-for-bit identical to replaying every injection from
-// reset for a fixed Config.Seed.
+// Strikes the fault model expands to an empty scenario, and on the gang
+// path strikes whose flips all land in inert flip-flops, are Vanished
+// without simulation. Results are bit-for-bit identical to replaying every
+// injection from reset for a fixed Config.Seed.
 //
-// Injections, prunes, and outcome tallies land on this injector's
-// counters. Counters only observe the campaign — they never feed back into
-// it, so results are identical whichever injector runs the campaign.
+// Injections, prunes, inert decisions, and outcome tallies land on this
+// injector's counters. Counters only observe the campaign — they never
+// feed back into it, so results are identical whichever injector runs the
+// campaign.
 func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
 	return in.run(cfg, p, hookFactory, nil)
 }
@@ -291,6 +298,18 @@ type campaign struct {
 	strikes     []int
 	model       FaultModel
 	env         *ModelEnv
+}
+
+// inert reports whether every flip of sc lands in a flip-flop the core
+// declares inert (ff.Space.AllocInert): such a strike cannot change what
+// the core does, so it is Vanished without simulation.
+func (c *campaign) inert(sc Scenario) bool {
+	for _, bit := range sc {
+		if !c.env.Pl.Space.Inert(bit) {
+			return false
+		}
+	}
+	return true
 }
 
 // nominal performs the campaign's fault-free run and sets ref and
@@ -450,6 +469,7 @@ func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 	// Strikes the fault model says latch nothing: Vanished by construction,
 	// no simulation, no record.
 	in.injTotal.Add(int64(len(plan.vanished)))
+	in.injInert.Add(int64(len(plan.vanished)))
 	for _, bit := range plan.vanished {
 		res.PerFF[bit].N++
 		res.Totals.Add(Vanished)

@@ -40,6 +40,7 @@ type Injector struct {
 	Sink RecordSink
 
 	injTotal    obs.Counter   // injections performed, empty scenarios included
+	injInert    obs.Counter   // injections decided Vanished without stepping a cycle
 	injPruned   obs.Counter   // injections ended early by convergence pruning
 	pruneCycles obs.Histogram // cycles simulated post-injection before the prune hit
 
@@ -66,6 +67,7 @@ func NewInjector() *Injector { return &Injector{} }
 // one atomic load per field.
 type Snapshot struct {
 	PrunedInjections int64
+	InertInjections  int64
 	TotalInjections  int64
 	Quarantined      int64
 	CacheHits        int64
@@ -76,6 +78,7 @@ type Snapshot struct {
 func (in *Injector) Snapshot() Snapshot {
 	return Snapshot{
 		PrunedInjections: in.injPruned.Value(),
+		InertInjections:  in.injInert.Value(),
 		TotalInjections:  in.injTotal.Value(),
 		Quarantined:      in.quarantined.Value(),
 		CacheHits:        in.cacheHits.Value(),
@@ -98,12 +101,14 @@ func (in *Injector) QuarantineStats() int64 { return in.quarantined.Value() }
 // contract (DESIGN.md §10):
 //
 //	<prefix>injections.total        counter
+//	<prefix>injections.inert        counter (decided Vanished without stepping a cycle)
 //	<prefix>injections.pruned       counter
 //	<prefix>injections.prune_cycles histogram (cycles simulated before prune)
 //	<prefix>outcome.vanished|omm|ut|hang|ed  counters
 //	<prefix>cache.hits|misses|quarantined    counters
 func (in *Injector) Instrument(reg *obs.Registry, prefix string) {
 	reg.Attach(prefix+"injections.total", &in.injTotal)
+	reg.Attach(prefix+"injections.inert", &in.injInert)
 	reg.Attach(prefix+"injections.pruned", &in.injPruned)
 	reg.Attach(prefix+"injections.prune_cycles", &in.pruneCycles)
 	reg.Attach(prefix+"outcome.vanished", &in.outVanished)

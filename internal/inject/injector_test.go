@@ -88,6 +88,7 @@ func TestInjectorInstrumentNames(t *testing.T) {
 		"inject.ino.cache.hits",
 		"inject.ino.cache.misses",
 		"inject.ino.cache.quarantined",
+		"inject.ino.injections.inert",
 		"inject.ino.injections.prune_cycles",
 		"inject.ino.injections.pruned",
 		"inject.ino.injections.total",

@@ -259,8 +259,9 @@ func (emptyModel) Expand(_ *ModelEnv, _, _ int, _ uint64, dst Scenario) Scenario
 
 // TestEmptyScenarioVanishesWithoutSimulation runs a campaign whose every
 // strike expands to the empty scenario: each counts as one Vanished
-// injection, no injection is simulated (the opaque hook factory builds a
-// hook for the nominal run only), and no record is emitted.
+// injection decided without simulation (injections.inert), no injection
+// is simulated (the opaque hook factory builds a hook for the nominal run
+// only), and no record is emitted.
 func TestEmptyScenarioVanishesWithoutSimulation(t *testing.T) {
 	p := tinyProgram(t)
 	registerTestModel(t, emptyModel{})
@@ -283,6 +284,9 @@ func TestEmptyScenarioVanishesWithoutSimulation(t *testing.T) {
 	}
 	if got := in.injTotal.Value(); got != int64(n) {
 		t.Fatalf("tallied %d injections, want %d", got, n)
+	}
+	if got := in.injInert.Value(); got != int64(n) {
+		t.Fatalf("%d injections counted inert, want all %d", got, n)
 	}
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("hook factory ran %d times, want once for the nominal run", got)

@@ -146,6 +146,15 @@ func NewSpace() *ff.Space {
 	return s
 }
 
+// allocInto allocates the core's fields. Fields allocated with AllocInert
+// are the ones Step never reads: trap-type, Y, condition-code, window-
+// pointer, debug and interrupt latches, the w.s.* status registers and the
+// cache configuration. The pipeline writes or carries them, but no other
+// field, register, memory word, output, counter, status or commit event is
+// computed from them (TestInertClosure), so every strike there vanishes —
+// the paper's Appendix A always-vanish structures. Declaring another field
+// inert requires removing every read of it from Step and the interpreter in
+// interp_test.go first.
 func allocInto(s *ff.Space, r *regs) {
 	// fetch
 	r.fPC = s.Alloc("fetch", "f.pc", 32)
@@ -153,35 +162,35 @@ func allocInto(s *ff.Space, r *regs) {
 	r.dInst = s.Alloc("decode", "d.inst", 32)
 	r.dPC = s.Alloc("decode", "d.pc", 32)
 	r.dValid = s.Alloc("decode", "d.valid", 1)
-	r.dPV = s.Alloc("decode", "d.pv", 1)
-	r.dMexc = s.Alloc("decode", "d.mexc", 1)
-	r.dCnt = s.Alloc("decode", "d.cnt", 2)
+	r.dPV = s.AllocInert("decode", "d.pv", 1)
+	r.dMexc = s.AllocInert("decode", "d.mexc", 1)
+	r.dCnt = s.AllocInert("decode", "d.cnt", 2)
 	// register access
 	r.aInst = s.Alloc("regacc", "a.ctrl.inst", 32)
 	r.aPC = s.Alloc("regacc", "a.ctrl.pc", 32)
 	r.aValid = s.Alloc("regacc", "a.ctrl.valid", 1)
 	r.aRs1 = s.Alloc("regacc", "a.rs1", 5)
 	r.aRs2 = s.Alloc("regacc", "a.rs2", 5)
-	r.aCWP = s.Alloc("regacc", "a.cwp", 3)
-	r.aRFE1 = s.Alloc("regacc", "a.rfe1", 1)
-	r.aRFE2 = s.Alloc("regacc", "a.rfe2", 1)
-	r.aTT = s.Alloc("regacc", "a.ctrl.tt", 8)
-	r.aWY = s.Alloc("regacc", "a.ctrl.wy", 1)
+	r.aCWP = s.AllocInert("regacc", "a.cwp", 3)
+	r.aRFE1 = s.AllocInert("regacc", "a.rfe1", 1)
+	r.aRFE2 = s.AllocInert("regacc", "a.rfe2", 1)
+	r.aTT = s.AllocInert("regacc", "a.ctrl.tt", 8)
+	r.aWY = s.AllocInert("regacc", "a.ctrl.wy", 1)
 	// execute
 	r.eInst = s.Alloc("execute", "e.ctrl.inst", 32)
 	r.ePC = s.Alloc("execute", "e.ctrl.pc", 32)
 	r.eValid = s.Alloc("execute", "e.ctrl.valid", 1)
 	r.eOp1 = s.Alloc("execute", "e.op1", 32)
 	r.eOp2 = s.Alloc("execute", "e.op2", 32)
-	r.eY = s.Alloc("execute", "e.y", 32)
-	r.eTT = s.Alloc("execute", "e.ctrl.tt", 8)
-	r.eCWP = s.Alloc("execute", "e.cwp", 3)
-	r.eET = s.Alloc("execute", "e.et", 1)
-	r.eMAC = s.Alloc("execute", "e.mac", 1)
-	r.eMul = s.Alloc("execute", "e.mul", 1)
-	r.eMulstep = s.Alloc("execute", "e.mulstep", 6)
-	r.eSU = s.Alloc("execute", "e.su", 1)
-	r.eYMSB = s.Alloc("execute", "e.ymsb", 1)
+	r.eY = s.AllocInert("execute", "e.y", 32)
+	r.eTT = s.AllocInert("execute", "e.ctrl.tt", 8)
+	r.eCWP = s.AllocInert("execute", "e.cwp", 3)
+	r.eET = s.AllocInert("execute", "e.et", 1)
+	r.eMAC = s.AllocInert("execute", "e.mac", 1)
+	r.eMul = s.AllocInert("execute", "e.mul", 1)
+	r.eMulstep = s.AllocInert("execute", "e.mulstep", 6)
+	r.eSU = s.AllocInert("execute", "e.su", 1)
+	r.eYMSB = s.AllocInert("execute", "e.ymsb", 1)
 	// memory
 	r.mInst = s.Alloc("memory", "m.ctrl.inst", 32)
 	r.mPC = s.Alloc("memory", "m.ctrl.pc", 32)
@@ -189,60 +198,60 @@ func allocInto(s *ff.Space, r *regs) {
 	r.mResult = s.Alloc("memory", "m.result", 32)
 	r.mStoreVal = s.Alloc("memory", "m.storeval", 32)
 	r.mTrap = s.Alloc("memory", "m.trap", 1)
-	r.mTT = s.Alloc("memory", "m.ctrl.tt", 8)
-	r.mY = s.Alloc("memory", "m.y", 32)
-	r.mICC = s.Alloc("memory", "m.icc", 4)
-	r.mWICC = s.Alloc("memory", "m.ctrl.wicc", 1)
-	r.mWY = s.Alloc("memory", "m.ctrl.wy", 1)
-	r.mDciASI = s.Alloc("memory", "m.dci.asi", 8)
-	r.mDciLock = s.Alloc("memory", "m.dci.lock", 1)
-	r.mDciSign = s.Alloc("memory", "m.dci.signed", 1)
-	r.mIrqen = s.Alloc("memory", "m.irqen", 1)
-	r.mIrqen2 = s.Alloc("memory", "m.irqen2", 1)
+	r.mTT = s.AllocInert("memory", "m.ctrl.tt", 8)
+	r.mY = s.AllocInert("memory", "m.y", 32)
+	r.mICC = s.AllocInert("memory", "m.icc", 4)
+	r.mWICC = s.AllocInert("memory", "m.ctrl.wicc", 1)
+	r.mWY = s.AllocInert("memory", "m.ctrl.wy", 1)
+	r.mDciASI = s.AllocInert("memory", "m.dci.asi", 8)
+	r.mDciLock = s.AllocInert("memory", "m.dci.lock", 1)
+	r.mDciSign = s.AllocInert("memory", "m.dci.signed", 1)
+	r.mIrqen = s.AllocInert("memory", "m.irqen", 1)
+	r.mIrqen2 = s.AllocInert("memory", "m.irqen2", 1)
 	// exception
 	r.xInst = s.Alloc("exception", "x.ctrl.inst", 32)
 	r.xPC = s.Alloc("exception", "x.ctrl.pc", 32)
 	r.xValid = s.Alloc("exception", "x.ctrl.valid", 1)
 	r.xResult = s.Alloc("exception", "x.result", 32)
 	r.xTrap = s.Alloc("exception", "x.trap", 1)
-	r.xTT = s.Alloc("exception", "x.ctrl.tt", 8)
-	r.xY = s.Alloc("exception", "x.y", 32)
-	r.xICC = s.Alloc("exception", "x.icc", 4)
-	r.xNPC = s.Alloc("exception", "x.npc", 32)
+	r.xTT = s.AllocInert("exception", "x.ctrl.tt", 8)
+	r.xY = s.AllocInert("exception", "x.y", 32)
+	r.xICC = s.AllocInert("exception", "x.icc", 4)
+	r.xNPC = s.AllocInert("exception", "x.npc", 32)
 	r.xAddr = s.Alloc("exception", "x.addr", 32)
 	r.xStoreVal = s.Alloc("exception", "x.storeval", 32)
-	r.xWICC = s.Alloc("exception", "x.ctrl.wicc", 1)
-	r.xWY = s.Alloc("exception", "x.ctrl.wy", 1)
-	r.xRETT = s.Alloc("exception", "x.ctrl.rett", 1)
-	r.xPV = s.Alloc("exception", "x.ctrl.pv", 1)
-	r.xDebug = s.Alloc("exception", "x.debug", 32)
-	r.xIntack = s.Alloc("exception", "x.intack", 1)
-	r.xIpend = s.Alloc("exception", "x.ipend", 4)
-	r.xAnnul = s.Alloc("exception", "x.annul", 1)
+	r.xWICC = s.AllocInert("exception", "x.ctrl.wicc", 1)
+	r.xWY = s.AllocInert("exception", "x.ctrl.wy", 1)
+	r.xRETT = s.AllocInert("exception", "x.ctrl.rett", 1)
+	r.xPV = s.AllocInert("exception", "x.ctrl.pv", 1)
+	r.xDebug = s.AllocInert("exception", "x.debug", 32)
+	r.xIntack = s.AllocInert("exception", "x.intack", 1)
+	r.xIpend = s.AllocInert("exception", "x.ipend", 4)
+	r.xAnnul = s.AllocInert("exception", "x.annul", 1)
 	// writeback + status
 	r.wInst = s.Alloc("write", "w.ctrl.inst", 32)
 	r.wPC = s.Alloc("write", "w.ctrl.pc", 32)
 	r.wValid = s.Alloc("write", "w.ctrl.valid", 1)
 	r.wResult = s.Alloc("write", "w.result", 32)
 	r.wTrap = s.Alloc("write", "w.trap", 1)
-	r.wTT = s.Alloc("write", "w.ctrl.tt", 8)
+	r.wTT = s.AllocInert("write", "w.ctrl.tt", 8)
 	r.wAddr = s.Alloc("write", "w.addr", 32)
 	r.wStoreVal = s.Alloc("write", "w.storeval", 32)
-	r.wSICC = s.Alloc("write", "w.s.icc", 4)
-	r.wSY = s.Alloc("write", "w.s.y", 32)
-	r.wSTT = s.Alloc("write", "w.s.tt", 8)
-	r.wSTBA = s.Alloc("write", "w.s.tba", 20)
-	r.wSWIM = s.Alloc("write", "w.s.wim", 8)
-	r.wSPIL = s.Alloc("write", "w.s.pil", 4)
-	r.wSEC = s.Alloc("write", "w.s.ec", 1)
-	r.wSEF = s.Alloc("write", "w.s.ef", 1)
-	r.wSPS = s.Alloc("write", "w.s.ps", 1)
-	r.wSET = s.Alloc("write", "w.s.et", 1)
-	r.wSCWP = s.Alloc("write", "w.s.cwp", 3)
-	r.wSDWT = s.Alloc("write", "w.s.dwt", 1)
+	r.wSICC = s.AllocInert("write", "w.s.icc", 4)
+	r.wSY = s.AllocInert("write", "w.s.y", 32)
+	r.wSTT = s.AllocInert("write", "w.s.tt", 8)
+	r.wSTBA = s.AllocInert("write", "w.s.tba", 20)
+	r.wSWIM = s.AllocInert("write", "w.s.wim", 8)
+	r.wSPIL = s.AllocInert("write", "w.s.pil", 4)
+	r.wSEC = s.AllocInert("write", "w.s.ec", 1)
+	r.wSEF = s.AllocInert("write", "w.s.ef", 1)
+	r.wSPS = s.AllocInert("write", "w.s.ps", 1)
+	r.wSET = s.AllocInert("write", "w.s.et", 1)
+	r.wSCWP = s.AllocInert("write", "w.s.cwp", 3)
+	r.wSDWT = s.AllocInert("write", "w.s.dwt", 1)
 	// cache control
-	r.icCfg = s.Alloc("icache", "ic.cfg", 16)
-	r.dcCfg = s.Alloc("dcache", "dc.cfg", 16)
+	r.icCfg = s.AllocInert("icache", "ic.cfg", 16)
+	r.dcCfg = s.AllocInert("dcache", "dc.cfg", 16)
 }
 
 // shared space: built once, reused by every core instance.

@@ -492,14 +492,9 @@ func requireSameEnd(t testing.TB, ci, ct *Core, what string) {
 	}
 }
 
-// FuzzInterpEquivalence pins Step to the decode-switch interpreter: for an
-// arbitrary program image (any byte soup — valid instructions, illegal
-// opcodes, accidental control flow) and an arbitrary single-bit injection,
-// both must produce identical state traces, cycle for cycle. Mid-run the
-// two cross the mirror's observation boundary with the mirror live:
-// Snapshot and cross-Matches, identity Restore, a flip targeted into a
-// mirrored latch, and FlushRecover.
-func FuzzInterpEquivalence(f *testing.F) {
+// addFuzzSeeds seeds the (program bytes, bit seed, cycle seed) corpus that
+// FuzzInterpEquivalence and FuzzInertClosure share.
+func addFuzzSeeds(f *testing.F) {
 	f.Add([]byte{}, uint32(3), uint32(0))
 	f.Add([]byte{0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint32(40), uint32(5))
 	f.Add([]byte{
@@ -508,21 +503,36 @@ func FuzzInterpEquivalence(f *testing.F) {
 		0x01, 0x00, 0x20, 0x74, // sw-ish
 		0x00, 0x00, 0x00, 0x04, // halt
 	}, uint32(100), uint32(2))
+}
+
+// fuzzProgram turns fuzz bytes into a program image of up to 32 words: any
+// byte soup — valid instructions, illegal opcodes, accidental control flow.
+func fuzzProgram(data []byte) *prog.Program {
+	const maxWords = 32
+	words := make([]uint32, min(len(data)/4, maxWords))
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint32(data[4*i:])
+	}
+	return &prog.Program{Name: "fuzz", Words: words, MemWords: 16}
+}
+
+// FuzzInterpEquivalence pins Step to the decode-switch interpreter: for an
+// arbitrary program image (fuzzProgram) and an arbitrary single-bit
+// injection, both must produce identical state traces, cycle for cycle.
+// Mid-run the two cross the mirror's observation boundary with the mirror
+// live: Snapshot and cross-Matches, identity Restore, a flip targeted into
+// a mirrored latch, and FlushRecover.
+func FuzzInterpEquivalence(f *testing.F) {
+	addFuzzSeeds(f)
 	mirrorBits := mirrorFieldBits(f)
 	f.Fuzz(func(t *testing.T, data []byte, bitSeed, cycleSeed uint32) {
-		const maxWords = 32
-		n := min(len(data)/4, maxWords)
-		words := make([]uint32, n)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint32(data[4*i:])
-		}
-		p := &prog.Program{Name: "fuzz", Words: words, MemWords: 16}
+		p := fuzzProgram(data)
 		ci, ct := New(p), New(p)
 
 		bit := int(bitSeed) % sharedSpace.NumBits()
 		flipCycle := int(cycleSeed % 256)
 		obsCycle := int((bitSeed ^ cycleSeed) % 256)
-		what := fmt.Sprintf("bit=%d flipCycle=%d obsCycle=%d, %d words", bit, flipCycle, obsCycle, n)
+		what := fmt.Sprintf("bit=%d flipCycle=%d obsCycle=%d, %d words", bit, flipCycle, obsCycle, len(p.Words))
 		const maxCycles = 512
 		for cyc := 0; cyc < maxCycles; cyc++ {
 			if cyc == flipCycle {

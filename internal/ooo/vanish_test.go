@@ -28,20 +28,19 @@ func classify(t *testing.T, p *prog.Program, bit, cycle, nom int) string {
 }
 
 // The Appendix-A analogue for the OoO core: bypass staging and cache
-// staging registers are written every cycle and never read.
+// staging registers are written every cycle and never read. The core
+// declares them inert; strikes on every one of them, run from reset to the
+// end, must vanish.
 func TestAlwaysVanishStructures(t *testing.T) {
 	p := bench.ByName("gap").MustProgram()
 	nom := New(p).Run(1_000_000).Steps
-	for _, name := range []string{
-		"regs.wb.wb.ret1", "regs.rr.ex.i0", "regs.ex.wb.i3",
-		"exec.ca0.p0", "exec.ca0.p1",
-		"mem.l1dcache.addr.in0", "mem.l1dcache.data.in2",
-		"RF0.F1.takenAddress", "RF0.F1.ras.ret.inv",
-	} {
+	inert := 0
+	for _, name := range Space().FieldNames() {
 		bits := Space().BitsOf(name)
-		if bits == nil {
-			t.Fatalf("missing structure %s", name)
+		if !Space().Inert(bits[0]) {
+			continue
 		}
+		inert++
 		for i := 0; i < len(bits); i += 8 {
 			for _, cycle := range []int{nom / 5, nom / 2, 3 * nom / 4} {
 				if got := classify(t, p, bits[i], cycle, nom); got != "vanish" {
@@ -50,10 +49,15 @@ func TestAlwaysVanishStructures(t *testing.T) {
 			}
 		}
 	}
+	if inert == 0 {
+		t.Fatal("the core declares no inert fields")
+	}
 }
 
 // Branch-predictor state is performance-only: corrupting the global
-// history register must never change architectural results.
+// history register must never change architectural results. RF0.F1.lhist
+// always vanishes but is not inert: it steers fetch prediction, so a flip
+// there changes cycle counts and the lane must still be simulated.
 func TestPredictorStateIsPerformanceOnly(t *testing.T) {
 	p := bench.ByName("parser").MustProgram()
 	nom := New(p).Run(1_000_000).Steps
