@@ -122,12 +122,13 @@ func main() {
 			float64(res.DetLatSum)/float64(res.DetN), res.DetN)
 	}
 	// Engine counters: pruned injections ended early on reconvergence with
-	// the fault-free run; inert ones were decided Vanished without stepping
-	// a cycle (empty scenarios and strikes only on state the core never
-	// reads). A campaign read from the cache runs no injections.
+	// the fault-free run; inert and dead ones were decided Vanished without
+	// stepping a cycle (inert: empty scenarios and strikes only on state the
+	// core never reads; dead: strikes on payloads the core overwrites before
+	// reading them). A campaign read from the cache runs no injections.
 	if s := e.Inj.Snapshot(); s.TotalInjections > 0 {
-		fmt.Printf("  engine: %d injections run, %d pruned, %d inert\n",
-			s.TotalInjections, s.PrunedInjections, s.InertInjections)
+		fmt.Printf("  engine: %d injections run, %d pruned, %d inert, %d dead\n",
+			s.TotalInjections, s.PrunedInjections, s.InertInjections, s.DeadInjections)
 	} else {
 		fmt.Printf("  engine: campaign read from the cache, no injections run\n")
 	}

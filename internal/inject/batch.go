@@ -46,12 +46,15 @@ package inject
 // decided.
 //
 // A lane whose scenario flips only inert flip-flops (ff.Space.AllocInert:
-// state the core never reads) is decided Vanished at its fork cycle
+// state the core never reads) or flip-flops dead in the carrier's state at
+// the fork (sim.GangCore.Dead: payloads behind a closed gate, overwritten
+// before anything reads them) is decided Vanished at its fork cycle
 // without taking a slot: its core would differ from the carrier only in
-// bits nothing reads, so it would follow the carrier's fault-free future
-// to the golden halt, and no checker could see a difference in the commit
-// stream. Its record is observed on the carrier, which holds exactly the
-// state the lane would have had before its flips.
+// bits nothing reads before they are overwritten, so it would follow the
+// carrier's fault-free future to the golden halt, and no checker could
+// see a difference in the commit stream. Its record is observed on the
+// carrier, which holds exactly the state the lane would have had before
+// its flips.
 //
 // An opaque commit hook's state cannot be copied at a fork, so a campaign
 // carrying one runs each planned lane from reset through the cold body,
@@ -215,15 +218,17 @@ func (w *worker) finish(s int, ln plannedLane) {
 }
 
 // runGang executes one gang on the gang engine: replay the window prefix on
-// the carrier, decide each all-inert lane at its cycle and fork every other
-// one, lockstep-and-classify until every lane is decided or the window
-// ends, then finish the survivors through the warm body's tail.
+// the carrier, decide each lane whose flips are all inert or dead at its
+// cycle and fork every other one, lockstep-and-classify until every lane
+// is decided or the window ends, then finish the survivors through the
+// warm body's tail.
 func (w *worker) runGang(g laneGang) {
 	c := w.c
 	if w.carrier == nil {
 		w.carrier, w.carrierChk = newChecked(c.cfg.Core, c.p, c.cf)
 	}
 	car := w.carrier
+	gang := car.(sim.GangCore)
 	c.ref.restore(car, w.carrierChk, g.ckpt)
 	windowEnd := (g.ckpt + 1) * c.interval
 
@@ -235,8 +240,12 @@ func (w *worker) runGang(g laneGang) {
 		for ; next < len(g.lanes) && g.lanes[next].cycle == t; next++ {
 			ln := g.lanes[next]
 			sc := w.expand(ln)
-			if c.inert(sc) {
-				w.in.injInert.Add(1)
+			if vanished, inert := c.atFork(gang, sc); vanished {
+				if inert {
+					w.in.injInert.Add(1)
+				} else {
+					w.in.injDead.Add(1)
+				}
 				w.add(ln.pop, ln.cycle, Vanished, -1)
 				if w.rec != nil {
 					w.rec.emit(w.rec.observe(car, sc[0], ln.cycle), Vanished, -1)

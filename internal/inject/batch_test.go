@@ -2,8 +2,10 @@ package inject
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"clear/internal/archres"
@@ -271,7 +273,7 @@ func TestInertStrikesCounted(t *testing.T) {
 				t.Fatalf("%v/%q: %d injections decided inert, want %d inert bits × %d samples = %d",
 					kind, tag, s.InertInjections, inertBits, samples, want)
 			}
-			if s.TotalInjections != int64(res.Totals.N) || s.PrunedInjections+s.InertInjections > s.TotalInjections {
+			if s.TotalInjections != int64(res.Totals.N) || s.PrunedInjections+s.InertInjections+s.DeadInjections > s.TotalInjections {
 				t.Fatalf("%v/%q: counters %+v do not add up to %d injections", kind, tag, s, res.Totals.N)
 			}
 			if tag == "" {
@@ -281,6 +283,78 @@ func TestInertStrikesCounted(t *testing.T) {
 				t.Fatalf("%v: inert-only campaign pruned %d and tallied %+v, want no prunes and %d Vanished",
 					kind, s.PrunedInjections, res.Totals, want)
 			}
+		}
+	}
+}
+
+// deadRecount counts, independently of the engine, the samples of cfg that
+// the engine must decide dead at their fork: scenarios with a flip outside
+// the inert flip-flops and every such flip dead in a fault-free core at the
+// sample's cycle. It draws the samples like referenceCampaign and steps one
+// fresh core from reset through their cycles in order, asking Dead for
+// every non-inert flip.
+func deadRecount(t testing.TB, cfg Config, p *prog.Program) int64 {
+	t.Helper()
+	nomCycles := NewCore(cfg.Core, p).Run(nomBudget).Steps
+	modelName, _ := SplitModelTag(cfg.Tag)
+	model, env := LookupModel(modelName), EnvFor(cfg.Core)
+	notInert := func(b int) bool { return !env.Pl.Space.Inert(b) }
+	type strike struct {
+		cycle int
+		sc    Scenario
+	}
+	var strikes []strike
+	for bit := 0; bit < SpaceBits(cfg.Core); bit++ {
+		for s := 0; s < cfg.SamplesPerFF; s++ {
+			h := splitmix64(cfg.Seed ^ uint64(bit)<<20 ^ uint64(s))
+			cycle := int(h % uint64(nomCycles))
+			if sc := model.Expand(env, bit, cycle, h, nil); slices.ContainsFunc(sc, notInert) {
+				strikes = append(strikes, strike{cycle, sc})
+			}
+		}
+	}
+	slices.SortStableFunc(strikes, func(a, b strike) int { return cmp.Compare(a.cycle, b.cycle) })
+	c := NewCore(cfg.Core, p).(sim.GangCore)
+	live := func(b int) bool { return notInert(b) && !c.Dead(b) }
+	var n int64
+	for _, st := range strikes {
+		for c.Cycles() < st.cycle {
+			c.Step()
+		}
+		if !slices.ContainsFunc(st.sc, live) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDeadStrikesCounted pins the injections.dead counter: OoO ssb and mbu
+// campaigns decide exactly the samples deadRecount finds dead, InO decides
+// none, and the results stay identical to the reference campaign.
+func TestDeadStrikesCounted(t *testing.T) {
+	p := tinyProgram(t)
+	for _, kind := range []CoreKind{InO, OoO} {
+		for _, tag := range []string{"", "mbu/x"} {
+			cfg := Config{Core: kind, Bench: "tiny", Tag: tag, SamplesPerFF: 2, Seed: 0xDEAD}
+			in := NewInjector()
+			res, err := in.Run(cfg, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := kind.String() + "/" + tag
+			requireIdentical(t, what, referenceCampaign(t, cfg, p, nil, nil), res)
+			want := deadRecount(t, cfg, p)
+			if (kind == InO) != (want == 0) {
+				t.Fatalf("%s: recount found %d dead samples", what, want)
+			}
+			s := in.Snapshot()
+			if s.DeadInjections != want {
+				t.Fatalf("%s: %d injections decided dead, recount finds %d", what, s.DeadInjections, want)
+			}
+			if s.PrunedInjections+s.InertInjections+s.DeadInjections > s.TotalInjections {
+				t.Fatalf("%s: counters %+v exceed the injections run", what, s)
+			}
+			t.Logf("%s: %d of %d injections decided dead", what, s.DeadInjections, s.TotalInjections)
 		}
 	}
 }

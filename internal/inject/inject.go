@@ -18,11 +18,13 @@
 // bodies of the injection kernel (scenario.go): gang lanes fork off a
 // fault-free carrier and finish through the warm body's tail, and the
 // lanes of a campaign with an opaque commit hook replay from reset through
-// the cold body. Two kinds of strike are decided Vanished without stepping
-// a cycle: the empty scenarios of a fault model (a strike that latches
-// nothing) and, on the gang engine, strikes that flip only inert
-// flip-flops — fields the core declares it never reads
-// (ff.Space.AllocInert).
+// the cold body. Three kinds of strike are decided Vanished without
+// stepping a cycle: the empty scenarios of a fault model (a strike that
+// latches nothing) and, on the gang engine, strikes whose every flip is
+// inert — in a field the core declares it never reads
+// (ff.Space.AllocInert) — or dead in the carrier's state at the fork — a
+// payload behind a closed gate, overwritten before anything reads it
+// (sim.GangCore.Dead).
 package inject
 
 import (
@@ -256,14 +258,14 @@ const nomBudget = 8_000_000
 // a hooked Run replays every injection from reset; a checker with savable
 // state takes the warm, pruned gang path through RunChecked instead.
 // Strikes the fault model expands to an empty scenario, and on the gang
-// path strikes whose flips all land in inert flip-flops, are Vanished
-// without simulation. Results are bit-for-bit identical to replaying every
-// injection from reset for a fixed Config.Seed.
+// path strikes whose flips all land in inert or dead flip-flops, are
+// Vanished without simulation. Results are bit-for-bit identical to
+// replaying every injection from reset for a fixed Config.Seed.
 //
-// Injections, prunes, inert decisions, and outcome tallies land on this
-// injector's counters. Counters only observe the campaign — they never
-// feed back into it, so results are identical whichever injector runs the
-// campaign.
+// Injections, prunes, inert and dead decisions, and outcome tallies land
+// on this injector's counters. Counters only observe the campaign — they
+// never feed back into it, so results are identical whichever injector
+// runs the campaign.
 func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
 	return in.run(cfg, p, hookFactory, nil)
 }
@@ -300,16 +302,23 @@ type campaign struct {
 	env         *ModelEnv
 }
 
-// inert reports whether every flip of sc lands in a flip-flop the core
-// declares inert (ff.Space.AllocInert): such a strike cannot change what
-// the core does, so it is Vanished without simulation.
-func (c *campaign) inert(sc Scenario) bool {
+// atFork reports whether strike sc, about to fork off carrier car, cannot
+// change what the core does, so it is Vanished without simulation: every
+// flip lands in a flip-flop the core declares inert (ff.Space.AllocInert)
+// or in one that is dead in car's current state (sim.GangCore.Dead). inert
+// reports that every flip is inert.
+func (c *campaign) atFork(car sim.GangCore, sc Scenario) (vanished, inert bool) {
+	inert = true
 	for _, bit := range sc {
-		if !c.env.Pl.Space.Inert(bit) {
-			return false
+		if c.env.Pl.Space.Inert(bit) {
+			continue
 		}
+		if !car.Dead(bit) {
+			return false, false
+		}
+		inert = false
 	}
-	return true
+	return true, inert
 }
 
 // nominal performs the campaign's fault-free run and sets ref and

@@ -40,7 +40,8 @@ type Injector struct {
 	Sink RecordSink
 
 	injTotal    obs.Counter   // injections performed, empty scenarios included
-	injInert    obs.Counter   // injections decided Vanished without stepping a cycle
+	injInert    obs.Counter   // injections decided Vanished without stepping a cycle: empty or every flip inert
+	injDead     obs.Counter   // the same, with some flip dead rather than inert (sim.GangCore.Dead)
 	injPruned   obs.Counter   // injections ended early by convergence pruning
 	pruneCycles obs.Histogram // cycles simulated post-injection before the prune hit
 
@@ -68,6 +69,7 @@ func NewInjector() *Injector { return &Injector{} }
 type Snapshot struct {
 	PrunedInjections int64
 	InertInjections  int64
+	DeadInjections   int64
 	TotalInjections  int64
 	Quarantined      int64
 	CacheHits        int64
@@ -79,6 +81,7 @@ func (in *Injector) Snapshot() Snapshot {
 	return Snapshot{
 		PrunedInjections: in.injPruned.Value(),
 		InertInjections:  in.injInert.Value(),
+		DeadInjections:   in.injDead.Value(),
 		TotalInjections:  in.injTotal.Value(),
 		Quarantined:      in.quarantined.Value(),
 		CacheHits:        in.cacheHits.Value(),
@@ -101,7 +104,8 @@ func (in *Injector) QuarantineStats() int64 { return in.quarantined.Value() }
 // contract (DESIGN.md §10):
 //
 //	<prefix>injections.total        counter
-//	<prefix>injections.inert        counter (decided Vanished without stepping a cycle)
+//	<prefix>injections.inert        counter (empty or all-inert strikes, decided Vanished without stepping a cycle)
+//	<prefix>injections.dead         counter (strikes on dead payloads, decided Vanished at the fork)
 //	<prefix>injections.pruned       counter
 //	<prefix>injections.prune_cycles histogram (cycles simulated before prune)
 //	<prefix>outcome.vanished|omm|ut|hang|ed  counters
@@ -109,6 +113,7 @@ func (in *Injector) QuarantineStats() int64 { return in.quarantined.Value() }
 func (in *Injector) Instrument(reg *obs.Registry, prefix string) {
 	reg.Attach(prefix+"injections.total", &in.injTotal)
 	reg.Attach(prefix+"injections.inert", &in.injInert)
+	reg.Attach(prefix+"injections.dead", &in.injDead)
 	reg.Attach(prefix+"injections.pruned", &in.injPruned)
 	reg.Attach(prefix+"injections.prune_cycles", &in.pruneCycles)
 	reg.Attach(prefix+"outcome.vanished", &in.outVanished)

@@ -80,23 +80,31 @@ func TestInjectorScopedResultsIdentical(t *testing.T) {
 }
 
 // TestInjectorInstrumentNames pins the registry naming contract the debug
-// endpoint (and the CI smoke test) rely on.
+// endpoint (and the CI smoke test) rely on, for one injector per core as
+// the engines attach them.
 func TestInjectorInstrumentNames(t *testing.T) {
 	reg := obs.NewRegistry()
 	NewInjector().Instrument(reg, "inject.ino.")
-	want := []string{
-		"inject.ino.cache.hits",
-		"inject.ino.cache.misses",
-		"inject.ino.cache.quarantined",
-		"inject.ino.injections.inert",
-		"inject.ino.injections.prune_cycles",
-		"inject.ino.injections.pruned",
-		"inject.ino.injections.total",
-		"inject.ino.outcome.ed",
-		"inject.ino.outcome.hang",
-		"inject.ino.outcome.omm",
-		"inject.ino.outcome.ut",
-		"inject.ino.outcome.vanished",
+	NewInjector().Instrument(reg, "inject.ooo.")
+	var want []string
+	for _, prefix := range []string{"inject.ino.", "inject.ooo."} {
+		for _, name := range []string{
+			"cache.hits",
+			"cache.misses",
+			"cache.quarantined",
+			"injections.dead",
+			"injections.inert",
+			"injections.prune_cycles",
+			"injections.pruned",
+			"injections.total",
+			"outcome.ed",
+			"outcome.hang",
+			"outcome.omm",
+			"outcome.ut",
+			"outcome.vanished",
+		} {
+			want = append(want, prefix+name)
+		}
 	}
 	if got := reg.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("instrument names = %v, want %v", got, want)

@@ -14,9 +14,9 @@ import (
 // ends the run as Vanished once the state reconverges. The gang engine
 // (batch.go) forks its lanes off a carrier core instead of restoring and
 // finishes them through the warm body's tail, finishInjected; a lane whose
-// flips all land in inert flip-flops is decided at its fork. All flips go
-// through the packed ff.State (FlipBit), so the compiled-execution latch
-// mirrors (DESIGN.md §11) observe every strike at the same State()
+// flips all land in inert or dead flip-flops is decided at its fork. All
+// flips go through the packed ff.State (FlipBit), so the compiled-execution
+// latch mirrors (DESIGN.md §11) observe every strike at the same State()
 // boundary.
 
 // RunOne performs a single-bit cold injection: RunScenario with the

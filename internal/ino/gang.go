@@ -38,6 +38,11 @@ func (c *Core) CopyStateFrom(src sim.Core) {
 	c.nextAtM = s.nextAtM
 }
 
+// Dead reports false for every bit: the in-order core declares no gated
+// payloads, so only its inert fields (ff.Space.AllocInert) are decided at
+// a fork.
+func (c *Core) Dead(int) bool { return false }
+
 // pcView reads the fetch PC from whichever state representation is
 // authoritative, without synchronizing them.
 func (c *Core) pcView() uint32 {

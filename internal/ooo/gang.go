@@ -44,12 +44,7 @@ func (c *Core) CopyStateFrom(src sim.Core) {
 
 // pcView reads the fetch PC from whichever state representation is
 // authoritative, without synchronizing them.
-func (c *Core) pcView() uint32 {
-	if c.uValid {
-		return uint32(c.u.pc)
-	}
-	return uint32(c.r.pc.Get(c.st))
-}
+func (c *Core) pcView() uint32 { return uint32(c.view(c.r.pc, c.u.pc)) }
 
 // DiffFrom compares the core's full state against ref (a second
 // out-of-order core bound to the same program) and returns the first

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"clear/internal/bench"
+	"clear/internal/ff"
 	"clear/internal/prog"
 	"clear/internal/sim"
 )
@@ -21,11 +22,13 @@ import (
 // identical: flip-flops, register file, memory, output, predictor and
 // cache-tag SRAMs, counters, status and commit events.
 
-// inertBits lists the bits of the fields the core declares inert.
-func inertBits() []int {
+// bitsWhere lists the bits of the space for which keep reports true:
+// bitsWhere(sharedSpace.Inert) are the bits of the fields the core declares
+// inert, bitsWhere(c.Dead) the bits dead in c's current state.
+func bitsWhere(keep func(bit int) bool) []int {
 	var bits []int
 	for bit := 0; bit < sharedSpace.NumBits(); bit++ {
-		if sharedSpace.Inert(bit) {
+		if keep(bit) {
 			bits = append(bits, bit)
 		}
 	}
@@ -41,9 +44,10 @@ func (l *commitLog) observe(ev sim.CommitEvent) bool {
 }
 
 // liveDiff names the first part of c's simulation state that differs from
-// ref's outside the inert flip-flops, or returns "". A live latch mirror is
+// ref's outside the inert flip-flops — and, with dead, outside the
+// flip-flops dead in ref (Dead) — or returns "". A live latch mirror is
 // packed the way Snapshot packs it and stays live.
-func liveDiff(ref, c *Core) string {
+func liveDiff(ref, c *Core, dead bool) string {
 	for _, x := range []*Core{ref, c} {
 		if x.uValid {
 			x.packU()
@@ -52,8 +56,8 @@ func liveDiff(ref, c *Core) string {
 	switch {
 	case c.cycles != ref.cycles || c.retired != ref.retired || c.done != ref.done || c.status != ref.status:
 		return "counters or status"
-	case !sharedSpace.EqualExceptInert(ref.st, c.st):
-		return "non-inert flip-flops"
+	case !sharedSpace.EqualExceptInert(ref.st, c.st) && (!dead || !equalExceptDead(ref, c)):
+		return "live flip-flops"
 	case c.arf != ref.arf:
 		return "register file"
 	case !wordsEqual(c.mem, ref.mem):
@@ -68,13 +72,14 @@ func liveDiff(ref, c *Core) string {
 	return ""
 }
 
-// requireInertClosure restores three cores of p to ck: an unperturbed
-// compiled core, and a compiled core and an interpreter twin whose inert
-// bits are each set to random values. It steps all three in lockstep until
-// the unperturbed core finishes or maxCycles elapse, and fails t the first
-// cycle the perturbed cores' state outside the inert bits or their commit
-// events differ from the unperturbed core's.
-func requireInertClosure(t testing.TB, p *prog.Program, ck *sim.Checkpoint, rng *rand.Rand, maxCycles int, what string) {
+// requireClosure restores three cores of p to ck: an unperturbed compiled
+// core, and a compiled core and an interpreter twin whose packed states
+// perturb flips. It steps all three in lockstep until the unperturbed core
+// finishes or maxCycles elapse, and fails t the first cycle a perturbed
+// core's state (liveDiff, with dead) or commit events differ from the
+// unperturbed core's. It stops early once both perturbed cores hold
+// exactly the unperturbed core's state, which fixes their futures.
+func requireClosure(t testing.TB, p *prog.Program, ck *sim.Checkpoint, perturb func(*ff.State), dead bool, maxCycles int, what string) {
 	t.Helper()
 	ref, refLog := New(p), &commitLog{}
 	ref.Restore(ck)
@@ -87,37 +92,50 @@ func requireInertClosure(t testing.TB, p *prog.Program, ck *sim.Checkpoint, rng 
 	}
 	ct, ci := New(p), New(p)
 	twins := []*twin{{name: "compiled", c: ct, step: ct.Step}, {name: "interpreter", c: ci, step: ci.stepInterp}}
-	bits := inertBits()
 	for _, tw := range twins {
 		tw.c.Restore(ck)
 		tw.c.SetCommitHook(tw.log.observe)
-		st := tw.c.State()
+		perturb(tw.c.State())
+	}
+	for n := 0; n < maxCycles && !ref.done; n++ {
+		ref.Step()
+		converged := true
+		for _, tw := range twins {
+			tw.step()
+			if d := liveDiff(ref, tw.c, dead); d != "" {
+				t.Fatalf("%s: perturbed %s core: %s diverged at cycle %d", what, tw.name, d, ref.cycles)
+			}
+			if !slices.Equal(tw.log.evs, refLog.evs) {
+				t.Fatalf("%s: perturbed %s core: commit events diverged at cycle %d", what, tw.name, ref.cycles)
+			}
+			tw.log.evs = tw.log.evs[:0]
+			converged = converged && tw.c.st.Equal(ref.st)
+		}
+		refLog.evs = refLog.evs[:0]
+		if converged {
+			return
+		}
+	}
+}
+
+// requireInertClosure runs requireClosure with every inert bit of both
+// perturbed cores set to a random value.
+func requireInertClosure(t testing.TB, p *prog.Program, ck *sim.Checkpoint, rng *rand.Rand, maxCycles int, what string) {
+	t.Helper()
+	bits := bitsWhere(sharedSpace.Inert)
+	requireClosure(t, p, ck, func(st *ff.State) {
 		for _, bit := range bits {
 			if rng.IntN(2) == 1 {
 				st.FlipBit(bit)
 			}
 		}
-	}
-	for n := 0; n < maxCycles && !ref.done; n++ {
-		ref.Step()
-		for _, tw := range twins {
-			tw.step()
-			if d := liveDiff(ref, tw.c); d != "" {
-				t.Fatalf("%s: %s core with random inert bits: %s diverged at cycle %d", what, tw.name, d, ref.cycles)
-			}
-			if !slices.Equal(tw.log.evs, refLog.evs) {
-				t.Fatalf("%s: %s core with random inert bits: commit events diverged at cycle %d", what, tw.name, ref.cycles)
-			}
-			tw.log.evs = tw.log.evs[:0]
-		}
-		refLog.evs = refLog.evs[:0]
-	}
+	}, false, maxCycles, what+" with random inert bits")
 }
 
 // TestInertClosure checks the inert declaration on the tiny program and
 // every benchmark, from five points of each nominal run to completion.
 func TestInertClosure(t *testing.T) {
-	if len(inertBits()) == 0 {
+	if len(bitsWhere(sharedSpace.Inert)) == 0 {
 		t.Fatal("the core declares no inert flip-flops")
 	}
 	progs := []*prog.Program{tinyProgram(t)}

@@ -86,7 +86,7 @@ type regs struct {
 	ldRob   ff.Field
 	ldAddr  ff.Field
 	ldCnt   ff.Field
-	ldData  ff.Field
+	ldData  ff.Field // written by every completed access, never read: inert
 	// staging registers exercised by every access; architecturally inert
 	// (the paper's always-vanish mem.l1dcache.addr.in*/data.in* registers)
 	ldAddrIn  [4]ff.Field
@@ -113,11 +113,12 @@ type regs struct {
 }
 
 // allocInto allocates the core's fields. Fields allocated with AllocInert
-// are the write-only staging latches Step never reads: the write-back and
-// bypass copies, the L1 D-cache line buffers, the branch-unit staging and
-// the fetch unit's taken-address and RAS latches. No other field, register,
-// memory word, SRAM entry, output, counter, status or commit event is
-// computed from them (TestInertClosure), so every strike there vanishes.
+// (37 fields, 1,122 bits) are the write-only staging latches Step never
+// reads: the write-back and bypass copies, the L1 D-cache line buffers and
+// full-data register, the branch-unit staging and the fetch unit's
+// taken-address and RAS latches. No other field, register, memory word,
+// SRAM entry, output, counter, status or commit event is computed from
+// them (TestInertClosure), so every strike there vanishes.
 // RF0.F1.lhist also always vanishes but is not inert: it steers fetch
 // prediction, so it changes cycle counts. Declaring another field inert
 // requires removing every read of it from Step and the interpreter in
@@ -182,7 +183,7 @@ func allocInto(s *ff.Space, r *regs) {
 	r.ldRob = s.Alloc("l1dcache", "mem.l1dcache.access.rob", 6)
 	r.ldAddr = s.Alloc("l1dcache", "mem.l1dcache.accessaddr0.reg", 32)
 	r.ldCnt = s.Alloc("l1dcache", "mem.l1dcache.access.cnt", 4)
-	r.ldData = s.Alloc("l1dcache", "mem.l1dcache.accessfulldata0.reg", 32)
+	r.ldData = s.AllocInert("l1dcache", "mem.l1dcache.accessfulldata0.reg", 32)
 	for i := 0; i < 4; i++ {
 		r.ldAddrIn[i] = s.AllocInert("l1dcache", name("mem.l1dcache.addr.in", i), 32)
 		r.ldDataIn[i] = s.AllocInert("l1dcache", name("mem.l1dcache.data.in", i), 32)

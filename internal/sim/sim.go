@@ -169,4 +169,16 @@ type GangCore interface {
 	// materialize the packed flip-flop view of either core but never
 	// changes the simulated future.
 	DiffFrom(ref Core) uint8
+
+	// Dead reports whether a flip of bit in the core's current state can
+	// never be read before it is overwritten: the bit is a payload whose
+	// gate (a valid bit, a ready bit, a ring window) is closed, so no
+	// field, register, memory word, SRAM entry, output, counter, status or
+	// commit event is ever computed from it. Gates are never dead
+	// themselves, so any set of dead bits stays dead when flipped together.
+	// The answer relies on invariants a fault-free run maintains (a valid
+	// issue-queue entry names a live reorder-buffer entry, say); the engine
+	// asks it only of its fault-free carrier. It reads the state without
+	// changing it. A core with no gated payloads returns false.
+	Dead(bit int) bool
 }
