@@ -217,22 +217,12 @@ func (e *Engine) EvalComboJoint(b *bench.Benchmark, c Combo, target float64) (Ou
 
 func (e *Engine) finishOutcome(c Combo, techRes *inject.Result, plan *Plan,
 	opt HardenOptions, execOv, target float64, metric Metric) (Outcome, error) {
-	resid := e.Evaluate(techRes, plan)
-	sdcR, dueR := rates(techRes, resid)
-	gamma := opt.FixedGamma * (1 + e.PlanFFOverhead(plan))
-
-	out := Outcome{
-		SDCImp: stack.Improvement(opt.BaseSDCRate, sdcR, gamma),
-		DUEImp: stack.Improvement(opt.BaseDUERate, dueR, gamma),
-		Gamma:  gamma,
-	}
-	for _, a := range plan.Assign {
-		if a != CellNone {
-			out.Protected++
-		}
-	}
+	im := e.implement(plan)
+	var out Outcome
+	out.SDCImp, out.DUEImp, out.Gamma = e.improvements(techRes, plan, im, opt)
+	out.Protected = im.protected()
 	// cost: high layers (with measured exec overhead) + implementation plan
-	out.Cost = e.highLevelCost(c, execOv).Plus(e.PlanCost(plan))
+	out.Cost = e.highLevelCost(c, execOv).Plus(e.planCost(plan, im))
 	if math.IsInf(target, 1) {
 		out.TargetMet = true
 	} else if metric == SDC {

@@ -82,16 +82,19 @@ type Engine struct {
 
 	// Finished-result memo maps (guarded by mu) paired with singleflight
 	// groups: concurrent callers asking for the same uncomputed campaign,
-	// program, or overhead join one in-flight computation instead of
-	// silently running the same multi-second work twice.
+	// program, or fault-free cycle count join one in-flight computation
+	// instead of silently running the same multi-second work twice.
 	mu        sync.Mutex
 	campaigns map[string]*inject.Result
-	overheads map[string]float64
 	programs  map[string]*prog.Program
+	// nomCycles holds each program's fault-free cycle count, keyed like
+	// programs ("bench|tag"). Every campaign flight records its
+	// Result.NomCycles; ExecOverhead simulates only keys nobody recorded.
+	nomCycles map[string]int
 
 	campaignSF singleflight.Group[*inject.Result]
 	programSF  singleflight.Group[*prog.Program]
-	overheadSF singleflight.Group[float64]
+	nominalSF  singleflight.Group[int]
 
 	// Inj scopes the fault-injection engine's counters (prune rate, cache
 	// hits, quarantines) to this engine, so two engines sweeping in one
@@ -117,7 +120,7 @@ type EngineStats struct {
 	CampaignsCached int64 // served from the in-memory memo map
 	CampaignsJoined int64 // joined another caller's in-flight campaign
 	ProgramsBuilt   int64 // transformed programs constructed
-	OverheadsRun    int64 // exec-overhead measurements computed
+	OverheadsRun    int64 // fault-free runs ExecOverhead simulated
 }
 
 // Stats returns a snapshot of the engine's memoization counters.
@@ -153,8 +156,8 @@ func NewEngine(kind inject.CoreKind) *Engine {
 		Seed:      0xC1EA5,
 		Inj:       inject.NewInjector(),
 		campaigns: make(map[string]*inject.Result),
-		overheads: make(map[string]float64),
 		programs:  make(map[string]*prog.Program),
+		nomCycles: make(map[string]int),
 	}
 	if kind == inject.InO {
 		e.Space = ino.Space()
@@ -468,6 +471,7 @@ func (e *Engine) Campaign(b *bench.Benchmark, v Variant) (*inject.Result, error)
 		e.statCampaignsRun.Add(1)
 		e.mu.Lock()
 		e.campaigns[key] = r
+		e.nomCycles[b.Name+"|"+tag] = r.NomCycles
 		e.mu.Unlock()
 		return r, nil
 	})
@@ -482,47 +486,60 @@ func (e *Engine) Base(b *bench.Benchmark) (*inject.Result, error) {
 	return e.Campaign(b, Variant{})
 }
 
-// ExecOverhead measures the error-free execution-time overhead of a variant
-// relative to the unprotected benchmark on this core. Results — including
-// the zero overhead of an untransformed variant — are memoized, and
-// concurrent callers share one in-flight measurement.
+// ExecOverhead returns the error-free execution-time overhead of a variant
+// relative to the unprotected benchmark on this core: the ratio of the two
+// programs' fault-free cycle counts, minus one (zero for the base variant).
+//
+// A campaign's nominal run halts with the golden output, so its NomCycles
+// is the cycle count of the program's fault-free run (checkers only observe
+// commits). The counts therefore come from the campaigns this engine has
+// run or loaded; only a program with no campaign yet is simulated, once.
 func (e *Engine) ExecOverhead(b *bench.Benchmark, v Variant) (float64, error) {
+	if v.Tag() == "base" {
+		return 0, nil
+	}
+	base, err := e.nominalCycles(b, Variant{})
+	if err != nil {
+		return 0, err
+	}
+	n, err := e.nominalCycles(b, v)
+	if err != nil {
+		return 0, err
+	}
+	return float64(n)/float64(base) - 1, nil
+}
+
+// nominalCycles returns the fault-free cycle count of a variant's program,
+// simulating it only when no campaign or earlier call has recorded it.
+// Concurrent callers share one in-flight run.
+func (e *Engine) nominalCycles(b *bench.Benchmark, v Variant) (int, error) {
 	key := b.Name + "|" + v.Tag()
 	e.mu.Lock()
-	if ov, ok := e.overheads[key]; ok {
-		e.mu.Unlock()
-		return ov, nil
-	}
+	n, ok := e.nomCycles[key]
 	e.mu.Unlock()
-	ov, err, _ := e.overheadSF.Do(key, func() (float64, error) {
+	if ok {
+		return n, nil
+	}
+	n, err, _ := e.nominalSF.Do(key, func() (int, error) {
 		e.mu.Lock()
-		if ov, ok := e.overheads[key]; ok {
-			e.mu.Unlock()
-			return ov, nil
-		}
+		n, ok := e.nomCycles[key]
 		e.mu.Unlock()
-		base, err := b.Program()
-		if err != nil {
-			return 0, err
+		if ok {
+			return n, nil
 		}
 		p, err := e.BuildProgram(b, v)
 		if err != nil {
 			return 0, err
 		}
-		ov := 0.0
-		if p != base {
-			r0 := inject.NewCore(e.Kind, base).Run(20_000_000)
-			r1 := inject.NewCore(e.Kind, p).Run(20_000_000)
-			if r0.Status != prog.StatusHalted || r1.Status != prog.StatusHalted {
-				return 0, fmt.Errorf("core: exec overhead run failed for %s/%s", b.Name, v.Tag())
-			}
-			ov = float64(r1.Steps)/float64(r0.Steps) - 1
-			e.statOverheadsRun.Add(1)
+		r := inject.NewCore(e.Kind, p).Run(20_000_000)
+		if r.Status != prog.StatusHalted {
+			return 0, fmt.Errorf("core: exec overhead run failed for %s/%s", b.Name, v.Tag())
 		}
+		e.statOverheadsRun.Add(1)
 		e.mu.Lock()
-		e.overheads[key] = ov
+		e.nomCycles[key] = r.Steps
 		e.mu.Unlock()
-		return ov, nil
+		return r.Steps, nil
 	})
-	return ov, err
+	return n, err
 }

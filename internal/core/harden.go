@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"clear/internal/inject"
 	"clear/internal/recovery"
@@ -81,12 +82,50 @@ func rates(res *inject.Result, r Residuals) (sdc, due float64) {
 	return r.SDC / n, r.DUE / n
 }
 
+// failCounts returns a flip-flop's measured SDC (OMM) and DUE (UT+Hang+ED)
+// counts.
+func failCounts(st inject.FFStats) (sdc, due float64) {
+	return float64(st.OMM), float64(st.UT) + float64(st.Hang) + float64(st.ED)
+}
+
+// failKey returns a flip-flop's measured failure count under a metric.
+func failKey(st inject.FFStats, m Metric) float64 {
+	sdc, due := failCounts(st)
+	if m == SDC {
+		return sdc
+	}
+	return due
+}
+
+// failingOrder returns the flip-flops with a non-zero failure count under
+// a metric, most failures first and ties in index order. It is the prefix
+// of a stable descending sort of every flip-flop by that count: the
+// flip-flops it leaves out all count zero, so that sort places them after
+// these, in index order.
+func failingOrder(res *inject.Result, m Metric) []int {
+	var order []int
+	for bit, st := range res.PerFF {
+		if failKey(st, m) != 0 {
+			order = append(order, bit)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(failKey(res.PerFF[b], m), failKey(res.PerFF[a], m))
+	})
+	return order
+}
+
 // SelectiveHarden performs the Fig 7 loop: repeatedly protect the most
 // vulnerable unprotected flip-flop (per the target metric) with the
 // Heuristic 1 cell until the target improvement is met. A +Inf target
 // protects every flip-flop (the paper's "max" design point). The returned
 // plan achieves the target under the final γ, or protects everything it
 // can.
+//
+// Only flip-flops with measured errors under the metric can raise the
+// measured improvement, so the loop walks failingOrder; when they are not
+// enough, the remaining flip-flops follow in index order (an upper-bound
+// design).
 func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric Metric, target float64) *Plan {
 	plan := NewPlan(len(res.PerFF), opt.Recovery)
 	if !opt.DICE && !opt.Parity && !opt.EDS {
@@ -102,37 +141,21 @@ func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric M
 		}
 		opt.Parity, opt.EDS = false, false
 	}
-
-	// Sort flip-flops by vulnerability under the target metric.
-	order := make([]int, len(res.PerFF))
-	for i := range order {
-		order[i] = i
-	}
-	key := func(bit int) float64 {
-		st := res.PerFF[bit]
-		if metric == SDC {
-			return float64(st.OMM)
+	if math.IsInf(target, 1) {
+		for bit := range plan.Assign {
+			plan.Assign[bit] = e.chooseCell(bit, opt.DICE, opt.Parity, opt.EDS, opt.Recovery)
 		}
-		return float64(st.UT) + float64(st.Hang) + float64(st.ED)
+		return plan
 	}
-	sort.SliceStable(order, func(a, b int) bool { return key(order[a]) > key(order[b]) })
 
 	// Exact target check: full residual evaluation with the implemented
 	// parity grouping's γ contribution.
 	achieved := func() bool {
-		if math.IsInf(target, 1) {
-			return false // protect everything
-		}
-		resid := e.Evaluate(res, plan)
-		sdcR, dueR := rates(res, resid)
-		gamma := opt.FixedGamma * (1 + e.PlanFFOverhead(plan))
-		var imp float64
+		sdcImp, dueImp, _ := e.improvements(res, plan, e.implement(plan), opt)
 		if metric == SDC {
-			imp = stack.Improvement(opt.BaseSDCRate, sdcR, gamma)
-		} else {
-			imp = stack.Improvement(opt.BaseDUERate, dueR, gamma)
+			return sdcImp >= target
 		}
-		return imp >= target
+		return dueImp >= target
 	}
 
 	// Greedy insertion with O(1) incremental residual tracking; the exact
@@ -141,16 +164,16 @@ func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric M
 	totalN := float64(res.Totals.N)
 	curSDC, curDUE := 0.0, 0.0
 	for _, st := range res.PerFF {
-		curSDC += float64(st.OMM)
-		curDUE += float64(st.UT) + float64(st.Hang) + float64(st.ED)
+		sdc, due := failCounts(st)
+		curSDC += sdc
+		curDUE += due
 	}
 	parityish := 0
 	coreName := e.Kind.String()
 	serDICE := serOf(CellDICE)
 	applyDelta := func(bit int, cell CellKind) {
 		st := res.PerFF[bit]
-		sdc := float64(st.OMM)
-		due := float64(st.UT) + float64(st.Hang) + float64(st.ED)
+		sdc, due := failCounts(st)
 		switch cell {
 		case CellDICE, CellCtrlRes:
 			curSDC -= sdc * (1 - serDICE)
@@ -184,46 +207,29 @@ func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric M
 		return imp >= target
 	}
 
-	for _, bit := range order {
-		if plan.Assign[bit] != CellNone {
-			continue
-		}
-		if !math.IsInf(target, 1) && key(bit) == 0 {
-			// remaining flip-flops have no observed errors under this
-			// metric: protecting them cannot raise measured improvement
-			break
-		}
+	for _, bit := range failingOrder(res, metric) {
 		cell := e.chooseCell(bit, opt.DICE, opt.Parity, opt.EDS, opt.Recovery)
 		plan.Assign[bit] = cell
 		applyDelta(bit, cell)
-		if !math.IsInf(target, 1) && quickMet() && achieved() {
+		if quickMet() && achieved() {
 			return plan
 		}
-	}
-	if math.IsInf(target, 1) {
-		// max design point: protect every flip-flop
-		for bit := range plan.Assign {
-			if plan.Assign[bit] == CellNone {
-				plan.Assign[bit] = e.chooseCell(bit, opt.DICE, opt.Parity, opt.EDS, opt.Recovery)
-			}
-		}
-		return plan
 	}
 	if achieved() {
 		return plan
 	}
 	// Target not reachable with measured-error flip-flops alone: extend to
 	// every flip-flop (upper-bound design).
-	sinceCheck := 0
-	for _, bit := range order {
-		if plan.Assign[bit] == CellNone {
-			plan.Assign[bit] = e.chooseCell(bit, opt.DICE, opt.Parity, opt.EDS, opt.Recovery)
-			sinceCheck++
-			if sinceCheck >= 64 {
-				sinceCheck = 0
-				if achieved() {
-					return plan
-				}
+	since := 0
+	for bit := range plan.Assign {
+		if plan.Assign[bit] != CellNone {
+			continue
+		}
+		plan.Assign[bit] = e.chooseCell(bit, opt.DICE, opt.Parity, opt.EDS, opt.Recovery)
+		if since++; since >= 64 {
+			since = 0
+			if achieved() {
+				return plan
 			}
 		}
 	}
@@ -231,49 +237,41 @@ func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric M
 }
 
 // JointHarden meets an SDC and a DUE target simultaneously (paper Sec 3.1,
-// Table 20): protect for SDC first, then keep protecting until the DUE
-// target is also met.
+// Table 20): protect for SDC first, then keep protecting — flip-flops with
+// DUE errors first, most errors first, then the rest in index order — until
+// the DUE target is also met.
 func (e *Engine) JointHarden(res *inject.Result, opt HardenOptions, target float64) *Plan {
 	plan := e.SelectiveHarden(res, opt, SDC, target)
-	// continue with DUE ordering on the same plan
-	order := make([]int, len(res.PerFF))
-	for i := range order {
-		order[i] = i
+	if math.IsInf(target, 1) || !opt.DICE && !opt.Parity && !opt.EDS {
+		return plan // every flip-flop it can protect is protected
 	}
-	dueKey := func(bit int) float64 {
-		st := res.PerFF[bit]
-		return float64(st.UT) + float64(st.Hang) + float64(st.ED)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return dueKey(order[a]) > dueKey(order[b]) })
 	dueMet := func() bool {
-		resid := e.Evaluate(res, plan)
-		_, dueR := rates(res, resid)
-		gamma := opt.FixedGamma * (1 + e.PlanFFOverhead(plan))
-		return stack.Improvement(opt.BaseDUERate, dueR, gamma) >= target
-	}
-	if math.IsInf(target, 1) {
-		for bit := range plan.Assign {
-			if plan.Assign[bit] == CellNone {
-				plan.Assign[bit] = e.chooseCell(bit, opt.DICE, opt.Parity, opt.EDS, opt.Recovery)
-			}
-		}
-		return plan
+		_, dueImp, _ := e.improvements(res, plan, e.implement(plan), opt)
+		return dueImp >= target
 	}
 	if dueMet() {
 		return plan
 	}
 	since := 0
-	for _, bit := range order {
+	protect := func(bit int) (met bool) {
 		if plan.Assign[bit] != CellNone {
-			continue
+			return false
 		}
 		plan.Assign[bit] = e.chooseCell(bit, opt.DICE, opt.Parity, opt.EDS, opt.Recovery)
-		since++
-		if since >= 16 {
-			since = 0
-			if dueMet() {
-				return plan
-			}
+		if since++; since < 16 {
+			return false
+		}
+		since = 0
+		return dueMet()
+	}
+	for _, bit := range failingOrder(res, DUE) {
+		if protect(bit) {
+			return plan
+		}
+	}
+	for bit := range plan.Assign {
+		if protect(bit) {
+			return plan
 		}
 	}
 	return plan

@@ -6,6 +6,7 @@ import (
 	"clear/internal/parity"
 	"clear/internal/power"
 	"clear/internal/recovery"
+	"clear/internal/stack"
 	"clear/internal/technique"
 )
 
@@ -21,6 +22,8 @@ const (
 	CellCtrlRes // LEAP-ctrl operating in resilient mode
 	CellParity
 	CellEDS
+
+	numCellKinds = iota // array length for per-kind tallies
 )
 
 // Plan is a concrete low-level implementation: a protection choice per
@@ -82,14 +85,12 @@ func ffProtector(name string) technique.FFProtector {
 func (e *Engine) Evaluate(res *inject.Result, plan *Plan) Residuals {
 	var out Residuals
 	coreName := e.Kind.String()
-	prot := map[CellKind]technique.FFProtector{
-		CellDICE:   ffProtector(technique.NameLEAPDICE),
-		CellParity: ffProtector(technique.NameParity),
-		CellEDS:    ffProtector(technique.NameEDS),
-	}
+	var prot [numCellKinds]technique.FFProtector
+	prot[CellDICE] = ffProtector(technique.NameLEAPDICE)
+	prot[CellParity] = ffProtector(technique.NameParity)
+	prot[CellEDS] = ffProtector(technique.NameEDS)
 	for bit, st := range res.PerFF {
-		sdc := float64(st.OMM)
-		due := float64(st.UT) + float64(st.Hang) + float64(st.ED)
+		sdc, due := failCounts(st)
 		switch c := plan.Assign[bit]; c {
 		case CellNone, CellCtrlEco:
 			out.SDC += sdc
@@ -132,14 +133,12 @@ func BaseRate(r *inject.Result, m Metric) float64 {
 }
 
 // counts tallies plan cells by kind.
-func (p *Plan) counts() map[CellKind]int {
-	m := map[CellKind]int{}
+func (p *Plan) counts() [numCellKinds]int {
+	var n [numCellKinds]int
 	for _, c := range p.Assign {
-		if c != CellNone {
-			m[c]++
-		}
+		n[c]++
 	}
-	return m
+	return n
 }
 
 // bitsOf returns the flip-flops assigned a given cell kind.
@@ -163,29 +162,58 @@ func (e *Engine) ParityGrouping(p *Plan) parity.Grouping {
 	return parity.Group(parity.OptimizedH, 16, e.Space, e.Pl, nil, bits)
 }
 
+// planImpl is what a plan's γ overhead and its cost both read: its cell
+// counts and its parity grouping, formed once per evaluation.
+type planImpl struct {
+	counts   [numCellKinds]int
+	grouping parity.Grouping
+}
+
+// implement tallies a plan's cells and forms its parity grouping.
+func (e *Engine) implement(p *Plan) planImpl {
+	im := planImpl{counts: p.counts()}
+	if im.counts[CellParity] > 0 {
+		im.grouping = e.ParityGrouping(p)
+	}
+	return im
+}
+
+// protected returns the number of flip-flops the plan protects.
+func (im planImpl) protected() int {
+	n := 0
+	for _, k := range im.counts[CellNone+1:] {
+		n += k
+	}
+	return n
+}
+
 // PlanCost returns the hardware cost of a plan: cell swaps, parity trees,
 // EDS aggregation, and the recovery unit.
 func (e *Engine) PlanCost(p *Plan) power.Cost {
-	counts := p.counts()
+	return e.planCost(p, e.implement(p))
+}
+
+// planCost is PlanCost of an implemented plan.
+func (e *Engine) planCost(p *Plan, im planImpl) power.Cost {
 	harden := map[circuitlib.FFType]int{}
-	if n := counts[CellDICE]; n > 0 {
+	if n := im.counts[CellDICE]; n > 0 {
 		harden[circuitlib.LEAPDICE] = n
 	}
-	if n := counts[CellLHL]; n > 0 {
+	if n := im.counts[CellLHL]; n > 0 {
 		harden[circuitlib.LHL] = n
 	}
-	if n := counts[CellCtrlEco]; n > 0 {
+	if n := im.counts[CellCtrlEco]; n > 0 {
 		harden[circuitlib.LEAPCtrlEconomy] = n
 	}
-	if n := counts[CellCtrlRes]; n > 0 {
+	if n := im.counts[CellCtrlRes]; n > 0 {
 		harden[circuitlib.LEAPCtrlResilient] = n
 	}
 	cost := e.Model.HardenFFs(harden)
-	if counts[CellParity] > 0 {
-		cost = cost.Plus(e.Model.ParityCost(e.ParityGrouping(p), e.Pl))
+	if im.counts[CellParity] > 0 {
+		cost = cost.Plus(e.Model.ParityCost(im.grouping, e.Pl))
 	}
-	if bits := p.bitsOf(CellEDS); len(bits) > 0 {
-		cost = cost.Plus(e.Model.EDSCost(bits, e.Pl))
+	if im.counts[CellEDS] > 0 {
+		cost = cost.Plus(e.Model.EDSCost(p.bitsOf(CellEDS), e.Pl))
 	}
 	if p.Recovery != recovery.None {
 		cost = cost.Plus(recovery.Cost(p.Recovery, e.Kind.String()))
@@ -197,13 +225,27 @@ func (e *Engine) PlanCost(p *Plan) power.Cost {
 // and error-indication flip-flops plus recovery buffers, relative to the
 // core's flip-flop count.
 func (e *Engine) PlanFFOverhead(p *Plan) float64 {
+	return e.ffOverhead(p, e.implement(p))
+}
+
+// ffOverhead is PlanFFOverhead of an implemented plan.
+func (e *Engine) ffOverhead(p *Plan, im planImpl) float64 {
 	over := technique.RecoveryFFOverhead(p.Recovery, e.Kind.String())
-	if g := e.ParityGrouping(p); len(g.Groups) > 0 {
+	if g := im.grouping; len(g.Groups) > 0 {
 		over += float64(g.NumPipelineFFs()+g.ErrorFFs()) / float64(e.Model.NumFFs)
 	}
-	if n := len(p.bitsOf(CellEDS)); n > 0 {
+	if n := im.counts[CellEDS]; n > 0 {
 		// EDS error aggregation registers
 		over += float64(n/32+1) / float64(e.Model.NumFFs)
 	}
 	return over
+}
+
+// improvements evaluates an implemented plan on a campaign: its SDC and
+// DUE improvements over opt's baseline rates, and the γ they include —
+// opt's fixed γ scaled by the plan's own flip-flop overhead.
+func (e *Engine) improvements(res *inject.Result, p *Plan, im planImpl, opt HardenOptions) (sdcImp, dueImp, gamma float64) {
+	sdcR, dueR := rates(res, e.Evaluate(res, p))
+	gamma = opt.FixedGamma * (1 + e.ffOverhead(p, im))
+	return stack.Improvement(opt.BaseSDCRate, sdcR, gamma), stack.Improvement(opt.BaseDUERate, dueR, gamma), gamma
 }

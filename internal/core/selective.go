@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"clear/internal/inject"
-	"clear/internal/stack"
 )
 
 // Structure-granularity selective hardening: instead of the flip-flop-level
@@ -80,19 +79,15 @@ func (e *Engine) SelectiveHardening(res *inject.Result, opt HardenOptions, metri
 		}
 	}
 
-	resid := e.Evaluate(res, plan)
-	sdcR, dueR := rates(res, resid)
-	gamma := opt.FixedGamma * (1 + e.PlanFFOverhead(plan))
-	var imp float64
-	if metric == SDC {
-		imp = stack.Improvement(opt.BaseSDCRate, sdcR, gamma)
-	} else {
-		imp = stack.Improvement(opt.BaseDUERate, dueR, gamma)
+	im := e.implement(plan)
+	imp, dueImp, _ := e.improvements(res, plan, im, opt)
+	if metric == DUE {
+		imp = dueImp
 	}
 	pt := ParetoPoint{
 		Name:        fmt.Sprintf("selective top-%d (%s)", topK, strings.Join(names, "+")),
 		Improvement: imp,
-		Energy:      e.PlanCost(plan).Energy(),
+		Energy:      e.planCost(plan, im).Energy(),
 	}
 	return pt, plan, names
 }

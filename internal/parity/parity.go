@@ -7,6 +7,7 @@
 package parity
 
 import (
+	"slices"
 	"sort"
 
 	"clear/internal/ff"
@@ -172,19 +173,39 @@ func Interleave(bits []int, size int) Grouping {
 // unit (minimal predictor/checker wiring) but small per-unit remainders
 // merge with the next unit rather than forming under-amortized fragments —
 // the cross-unit wiring penalty is charged by the wire-length model.
+//
+// Units keep their order of first appearance in bits and bits keep their
+// order within a unit. A core has about ten units, so a bit finds its
+// unit's bucket by comparing with the previous bit's unit (units are
+// contiguous in index order) and otherwise scanning the units seen so far.
 func localityGroups(space *ff.Space, bits []int, size int) [][]int {
-	byUnit := map[string][]int{}
-	var order []string
-	for _, b := range bits {
+	var units []string
+	var counts []int
+	bucket := make([]int, len(bits))
+	last := -1
+	for i, b := range bits {
 		u := space.UnitOf(b)
-		if _, ok := byUnit[u]; !ok {
-			order = append(order, u)
+		if last < 0 || units[last] != u {
+			last = slices.Index(units, u)
+			if last < 0 {
+				last = len(units)
+				units = append(units, u)
+				counts = append(counts, 0)
+			}
 		}
-		byUnit[u] = append(byUnit[u], b)
+		bucket[i] = last
+		counts[last]++
 	}
-	var seq []int
-	for _, u := range order {
-		seq = append(seq, byUnit[u]...)
+	// counts becomes each bucket's next write position in seq.
+	next := 0
+	for k, n := range counts {
+		counts[k] = next
+		next += n
+	}
+	seq := make([]int, len(bits))
+	for i, b := range bits {
+		seq[counts[bucket[i]]] = b
+		counts[bucket[i]]++
 	}
 	return chunk(seq, size)
 }

@@ -1,11 +1,14 @@
 package parity
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"clear/internal/ff"
 	"clear/internal/ino"
 	"clear/internal/layout"
+	"clear/internal/ooo"
 )
 
 func setup() (space *ff.Space, pl *layout.Placement, bits []int, vuln []float64) {
@@ -193,6 +196,59 @@ func TestTreeDepth(t *testing.T) {
 	for size, want := range cases {
 		if got := treeDepth(size); got != want {
 			t.Errorf("treeDepth(%d) = %d, want %d", size, got, want)
+		}
+	}
+}
+
+// localityGroupsRef is the map-keyed form of localityGroups: bits bucketed
+// by unit name in order of first appearance, then chunked.
+func localityGroupsRef(space *ff.Space, bits []int, size int) [][]int {
+	byUnit := map[string][]int{}
+	var order []string
+	for _, b := range bits {
+		u := space.UnitOf(b)
+		if _, ok := byUnit[u]; !ok {
+			order = append(order, u)
+		}
+		byUnit[u] = append(byUnit[u], b)
+	}
+	var seq []int
+	for _, u := range order {
+		seq = append(seq, byUnit[u]...)
+	}
+	return chunk(seq, size)
+}
+
+// TestLocalityGroupsMatchesReference compares localityGroups with its
+// map-keyed reference on both cores' spaces. Both spaces keep each unit's
+// flip-flops contiguous, so index-sorted inputs never exercise the order
+// of first appearance; shuffled full and partial bit lists do.
+func TestLocalityGroupsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	for _, space := range []*ff.Space{ino.Space(), ooo.Space()} {
+		n := space.NumBits()
+		for trial := 0; trial < 20; trial++ {
+			bits := rng.Perm(n)
+			switch trial % 4 {
+			case 1:
+				bits = bits[:n/3]
+			case 2:
+				bits = bits[:rng.IntN(64)]
+			case 3:
+				bits = nil
+				for b := 0; b < n; b++ {
+					if rng.IntN(5) == 0 {
+						bits = append(bits, b) // sorted subset
+					}
+				}
+			}
+			for _, size := range []int{16, 32} {
+				got, want := localityGroups(space, bits, size), localityGroupsRef(space, bits, size)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d-bit space, trial %d, %d bits, size %d: groups differ from the reference",
+						n, trial, len(bits), size)
+				}
+			}
 		}
 	}
 }

@@ -12,6 +12,8 @@
 package power
 
 import (
+	"slices"
+
 	"clear/internal/circuitlib"
 	"clear/internal/ino"
 	"clear/internal/layout"
@@ -96,11 +98,20 @@ func (c Cost) Plus(o Cost) Cost {
 
 // HardenFFs returns the cost of swapping flip-flops for library cells.
 // counts maps cell type to the number of flip-flops implemented with it
-// (unlisted flip-flops stay baseline).
+// (unlisted flip-flops stay baseline). The terms are summed in FFType
+// order: float addition is not associative, so summing in map iteration
+// order would let three or more cell types cost differently from call to
+// call.
 func (m Model) HardenFFs(counts map[circuitlib.FFType]int) Cost {
+	types := make([]circuitlib.FFType, 0, len(counts))
+	for t := range counts {
+		types = append(types, t)
+	}
+	slices.Sort(types)
 	var dA, dP float64
-	for t, n := range counts {
+	for _, t := range types {
 		cell := circuitlib.Get(t)
+		n := counts[t]
 		dA += float64(n) * (cell.Area - 1)
 		dP += float64(n) * (cell.Power - 1)
 	}
