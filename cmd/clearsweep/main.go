@@ -10,12 +10,13 @@
 // completed cells. -techniques restricts the enumeration to a subset of
 // the registered techniques (include list or -name excludes); the state
 // file is keyed on the filter, so a resume under a different selection
-// starts fresh instead of mixing grids. Long runs are fault-tolerant: cell panics are isolated
-// and classified, hung cells trip a watchdog (-cell-timeout or the
-// adaptive -cell-timeout-factor), transient failures retry with backoff
-// (-retries), SIGINT/SIGTERM drains in-flight cells and flushes state
-// (exit status 3 = resumable; a second signal exits immediately), and the
-// state file is lock-protected against concurrent sweeps.
+// starts fresh instead of mixing grids. Long runs are fault-tolerant: cell
+// panics are isolated and classified, hung cells trip a watchdog
+// (-cell-timeout or the adaptive -cell-timeout-factor), a failed cell is
+// reported and re-run by the next resume, SIGINT/SIGTERM drains in-flight
+// cells and flushes state (exit status 3 = resumable; a second signal
+// exits immediately), and the state file is lock-protected against
+// concurrent sweeps.
 //
 // Observability (internal/obs): -metrics-addr serves live counters,
 // gauges, and latency histograms as JSON at /metrics (plus expvar at
@@ -39,7 +40,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"clear/internal/analysis"
 	"clear/internal/bench"
@@ -65,7 +65,6 @@ func main() {
 		"fixed watchdog deadline per cell (0 = derive adaptively, negative = no watchdog)")
 	cellFactor := flag.Float64("cell-timeout-factor", 20,
 		"adaptive watchdog: deadline = factor x slowest successful cell (used when -cell-timeout is 0; <= 0 disables)")
-	retries := flag.Int("retries", 2, "retry budget for transiently failing cells (timeouts, cache IO)")
 	maxCombos := flag.Int("max-combos", 0, "evaluate only the first N combinations (0 = all; smoke tests)")
 	techniques := flag.String("techniques", "",
 		"comma-separated technique filter: names include (e.g. LEAP-DICE,Parity), -name excludes (e.g. -EDS); empty = all")
@@ -162,11 +161,6 @@ func main() {
 		Metrics:           reg,
 		CellTimeout:       *cellTimeout,
 		CellTimeoutFactor: *cellFactor,
-		Retry: resilient.Policy{
-			MaxAttempts: 1 + *retries,
-			BaseDelay:   time.Second,
-			Seed:        e.Seed,
-		},
 	})
 	switch {
 	case err == nil:
@@ -245,13 +239,13 @@ func main() {
 	if res.Restored > 0 {
 		fmt.Printf("(%d cells restored from %s)\n", res.Restored, *statePath)
 	}
-	if q := e.Inj.QuarantineStats(); q > 0 {
+	if q := e.Inj.Snapshot().Quarantined; q > 0 {
 		fmt.Printf("(%d corrupt cache entries quarantined as *.corrupt and recomputed)\n", q)
 	}
 	if n := len(res.Failures); n > 0 {
 		fmt.Printf("\n%d cell(s) FAILED:\n", n)
 		for _, f := range res.Failures {
-			fmt.Printf("  %s / %s [%s, %d attempt(s)]: %s\n", f.Combo, f.Bench, f.Kind, f.Attempts, f.Err)
+			fmt.Printf("  %s / %s [%s]: %s\n", f.Combo, f.Bench, f.Kind, f.Err)
 			if f.Stack != "" {
 				fmt.Printf("    stack:\n%s\n", indent(f.Stack, "      "))
 			}

@@ -4,17 +4,18 @@
 //
 //	faultinject -core InO -bench gzip -samples 4
 //	faultinject -core OoO -bench mcf -dfc
+//
+// The campaign runs under panic isolation: a crash in the simulator or a
+// checker is reported with its kind and stack, and the command exits 1.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"clear/internal/bench"
 	"clear/internal/core"
@@ -34,7 +35,6 @@ func main() {
 		"fault model for the campaign: "+strings.Join(inject.ModelNames(), ", "))
 	monitor := flag.Bool("monitor", false, "attach the monitor core")
 	top := flag.Int("top", 10, "show the N most vulnerable structures")
-	retries := flag.Int("retries", 2, "retry budget for transient campaign failures")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics, /debug/vars and /debug/pprof on this address during the campaign (e.g. 127.0.0.1:9090; empty = off)")
 	traceOut := flag.String("trace-out", "",
@@ -85,14 +85,11 @@ func main() {
 	}
 	v := core.Variant{DFC: *dfc, Monitor: *monitor}
 
-	// The campaign runs under panic isolation and transient-failure retry:
-	// a simulator crash prints a classified error with its stack instead of
-	// an unhandled panic, and a cache-IO hiccup gets another chance.
-	res, attempts, err := resilient.Do(context.Background(),
-		resilient.Policy{MaxAttempts: 1 + *retries, BaseDelay: time.Second},
-		func() (*inject.Result, error) { return e.Campaign(b, v) })
+	// The campaign runs under panic isolation: a simulator crash prints a
+	// classified error with its stack instead of an unhandled panic.
+	res, err := resilient.Safe(func() (*inject.Result, error) { return e.Campaign(b, v) })
 	if err != nil {
-		log.Printf("campaign failed [%s, %d attempt(s)]: %v", resilient.KindOf(err), attempts, err)
+		log.Printf("campaign failed [%s]: %v", resilient.KindOf(err), err)
 		if st := resilient.StackOf(err); st != "" {
 			fmt.Fprintln(os.Stderr, st)
 		}

@@ -48,10 +48,6 @@ func (c Combo) Name() string {
 	return s
 }
 
-// HasLowLevel reports whether selective circuit/logic insertion is part of
-// the combination.
-func (c Combo) HasLowLevel() bool { return c.DICE || c.Parity || c.EDS }
-
 // Outcome is the evaluated result of a combination on one benchmark.
 type Outcome struct {
 	SDCImp    float64

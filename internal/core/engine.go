@@ -456,9 +456,12 @@ func (e *Engine) Campaign(b *bench.Benchmark, v Variant) (*inject.Result, error)
 		// Panic isolation: a crash deep in the simulator becomes a
 		// classified *resilient.PanicError shared with every joined caller
 		// instead of unwinding (and killing) whichever worker happened to
-		// own the singleflight. Checkpointable checkers take the warm,
-		// pruned gang path; an opaque hook replays every injection from
-		// reset. Both compute the same Result.
+		// own the singleflight. Safe covers this goroutine; the injector
+		// returns a campaign worker's panic as the same error. A panic
+		// outside Safe (a transform in BuildProgram) reaches every joined
+		// caller through the singleflight. Checkpointable checkers take
+		// the warm, pruned gang path; an opaque hook replays every
+		// injection from reset. Both compute the same Result.
 		r, err := resilient.Safe(func() (*inject.Result, error) {
 			if cf := v.checkerFactory(); cf != nil {
 				return e.Inj.CampaignChecked(cfg, p, cf)

@@ -94,7 +94,7 @@ func runCampaign(t testing.TB, cfg Config, p *prog.Program, interval int,
 	if err != nil {
 		t.Fatalf("interval=%d run: %v", interval, err)
 	}
-	if _, total := in.PruneStats(); total != int64(r.Totals.N) {
+	if total := in.Snapshot().TotalInjections; total != int64(r.Totals.N) {
 		t.Fatalf("interval=%d: %d injections tallied, want %d", interval, total, r.Totals.N)
 	}
 	return r

@@ -3,6 +3,7 @@ package inject
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -96,6 +97,37 @@ func TestCampaignRecomputesTruncatedCache(t *testing.T) {
 				t.Fatalf("clean reload quarantined again: %v", more)
 			}
 		})
+	}
+}
+
+// TestCampaignUnusableCacheDir pins why no IO error can reach a
+// campaign's caller: with CLEAR_CACHE_DIR below a regular file, every cache
+// read, MkdirAll and CreateTemp fails with ENOTDIR (also when running as
+// root), and Campaign still returns exactly what Run computes, with a nil
+// error and one cache miss.
+func TestCampaignUnusableCacheDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("CLEAR_CACHE_DIR", filepath.Join(file, "cache"))
+
+	p := tinyProgram(t)
+	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 13}
+	want, err := NewInjector().Run(cfg, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInjector()
+	got, err := in.Campaign(cfg, p, nil)
+	if err != nil {
+		t.Fatalf("campaign failed on an unusable cache dir: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("campaign result differs from Run's")
+	}
+	if s := in.Snapshot(); s.CacheMisses != 1 || s.CacheHits != 0 || s.Quarantined != 0 {
+		t.Fatalf("injector counters = %+v, want exactly one cache miss", s)
 	}
 }
 

@@ -1,10 +1,14 @@
 package inject
 
 import (
+	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"clear/internal/archres"
 	"clear/internal/prog"
+	"clear/internal/resilient"
 	"clear/internal/sim"
 )
 
@@ -95,13 +99,57 @@ func TestCheckerDivergenceIsNotPruned(t *testing.T) {
 	if out, det := in.finishInjected(lane, laneChk, p, ref, at, nom); out != ED || det < at {
 		t.Fatalf("perturbed lane finished (%v, %d), want ED after cycle %d", out, det, at)
 	}
-	if pruned, _ := in.PruneStats(); pruned != 0 {
+	if pruned := in.Snapshot().PrunedInjections; pruned != 0 {
 		t.Fatalf("perturbed lane was pruned (%d)", pruned)
 	}
 	if out, _ := in.finishInjected(car, carChk, p, ref, at, nom); out != Vanished {
 		t.Fatalf("unperturbed carrier finished %v, want Vanished", out)
 	}
-	if pruned, _ := in.PruneStats(); pruned != 1 {
+	if pruned := in.Snapshot().PrunedInjections; pruned != 1 {
 		t.Fatalf("unperturbed carrier pruned %d times, want 1 boundary prune", pruned)
+	}
+}
+
+// copyPanicChecker panics on every commit it observes once CopyFrom has
+// loaded a state into it. Only campaign workers load checker states (a
+// gang's carrier restored from the reference, a lane forked off it); the
+// nominal run observes from reset and saves states with Clone.
+type copyPanicChecker struct{ loaded bool }
+
+func (c *copyPanicChecker) Observe(sim.CommitEvent) bool {
+	if c.loaded {
+		panic("copyPanicChecker: commit observed after CopyFrom")
+	}
+	return false
+}
+
+func (c *copyPanicChecker) Clone() sim.Checker       { return &copyPanicChecker{loaded: c.loaded} }
+func (c *copyPanicChecker) CopyFrom(sim.Checker)     { c.loaded = true }
+func (c *copyPanicChecker) Equal(o sim.Checker) bool { return c.loaded == o.(*copyPanicChecker).loaded }
+
+// TestWorkerPanicFailsCampaign: a panic on a campaign worker goroutine
+// must not kill the process. The campaign fails with a
+// *resilient.PanicError carrying the worker's panic value and stack, and
+// nothing is cached.
+func TestWorkerPanicFailsCampaign(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("CLEAR_CACHE_DIR", dir)
+	p := tinyProgram(t)
+	cfg := Config{Core: InO, Bench: "tiny", Tag: "copypanic", SamplesPerFF: 1, Seed: 5}
+	cf := func(*prog.Program) sim.Checker { return &copyPanicChecker{} }
+
+	r, err := NewInjector().CampaignChecked(cfg, p, cf)
+	var pe *resilient.PanicError
+	if !errors.As(err, &pe) || r != nil {
+		t.Fatalf("CampaignChecked = (%v, %v), want a nil result and a *resilient.PanicError", r, err)
+	}
+	if pe.Value != "copyPanicChecker: commit observed after CopyFrom" {
+		t.Fatalf("panic value = %v", pe.Value)
+	}
+	if st := string(pe.Stack); !strings.Contains(st, "checker_test.go") || !strings.Contains(st, "inject.fanOut") {
+		t.Fatalf("stack does not reach the panic site on a fanOut worker:\n%s", st)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("a failed campaign left cache entries: %v", entries)
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"clear/internal/ino"
 	"clear/internal/ooo"
 	"clear/internal/prog"
+	"clear/internal/resilient"
 	"clear/internal/sim"
 )
 
@@ -224,12 +225,6 @@ type Result struct {
 	DetN      int64
 }
 
-// SDCCount and DUECount report campaign-wide outcome totals.
-func (r *Result) SDCCount() int { return r.Totals.SDC() }
-
-// DUECount reports total DUE-causing errors in the campaign.
-func (r *Result) DUECount() int { return r.Totals.DUE() }
-
 // splitmix64 provides deterministic per-sample randomness.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
@@ -410,30 +405,51 @@ func (t *tally) mergeInto(res *Result, c *campaign) {
 
 // fanOut runs work items 0..items-1 on GOMAXPROCS workers. newWorker runs
 // once on each worker and returns the worker's item body and its merge
-// step, which runs under a mutex shared by all workers.
-func fanOut(items int, newWorker func() (do func(item int), merge func())) {
+// step, which runs under a mutex shared by all workers. A panic on a
+// worker is recovered there: the feed stops, the other workers finish the
+// items they hold, and fanOut returns the first panic as a
+// *resilient.PanicError carrying the worker's value and stack.
+func fanOut(items int, newWorker func() (do func(item int), merge func())) error {
 	workers := max(runtime.GOMAXPROCS(0), 1)
 	next := make(chan int)
+	failed := make(chan struct{})
+	var failure error
+	var once sync.Once
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			do, merge := newWorker()
-			for item := range next {
-				do(item)
+			_, err := resilient.Safe(func() (struct{}, error) {
+				do, merge := newWorker()
+				for item := range next {
+					do(item)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				merge()
+				return struct{}{}, nil
+			})
+			if err != nil {
+				once.Do(func() {
+					failure = err
+					close(failed)
+				})
 			}
-			mu.Lock()
-			merge()
-			mu.Unlock()
 		}()
 	}
+feed:
 	for item := 0; item < items; item++ {
-		next <- item
+		select {
+		case next <- item:
+		case <-failed:
+			break feed
+		}
 	}
 	close(next)
 	wg.Wait()
+	return failure
 }
 
 // run is the campaign body behind Run (hookFactory, run from reset) and
@@ -442,7 +458,8 @@ func fanOut(items int, newWorker func() (do func(item int), merge func())) {
 // per-flip-flop counters, performs the nominal run, plans the campaign, and
 // runs its gangs on GOMAXPROCS workers. Identical per-(bit, cycle) outcomes
 // summed by commutative tallies make the Result independent of how the
-// gangs are scheduled.
+// gangs are scheduled. A panic on a worker fails the campaign with a
+// *resilient.PanicError (see fanOut) and no Result.
 func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
 	cf func(*prog.Program) sim.Checker) (*Result, error) {
 	if p.Expected == nil {
@@ -471,10 +488,12 @@ func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 	res := &Result{Config: cfg, NomCycles: c.nomCycles, NomRet: nomRet, PerFF: make([]FFStats, nBits)}
 
 	plan := planCampaign(c)
-	fanOut(len(plan.gangs), func() (func(int), func()) {
+	if err := fanOut(len(plan.gangs), func() (func(int), func()) {
 		w := newWorker(in, c)
 		return func(g int) { w.run(plan.gangs[g]) }, func() { w.mergeInto(res, c) }
-	})
+	}); err != nil {
+		return nil, err
+	}
 	// Strikes the fault model says latch nothing: Vanished by construction,
 	// no simulation, no record.
 	in.injTotal.Add(int64(len(plan.vanished)))

@@ -89,16 +89,6 @@ func (in *Injector) Snapshot() Snapshot {
 	}
 }
 
-// PruneStats returns the injector's injection counters: how many
-// injections ran and how many ended early through convergence pruning.
-func (in *Injector) PruneStats() (pruned, total int64) {
-	return in.injPruned.Value(), in.injTotal.Value()
-}
-
-// QuarantineStats reports how many corrupt cache entries this injector has
-// quarantined (renamed *.corrupt) and recomputed.
-func (in *Injector) QuarantineStats() int64 { return in.quarantined.Value() }
-
 // Instrument publishes the injector's counters into reg under prefix
 // (e.g. "inject.ino."). Instrument names are part of the observability
 // contract (DESIGN.md §10):

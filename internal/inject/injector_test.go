@@ -182,10 +182,10 @@ func TestQuarantineScoped(t *testing.T) {
 	if _, err := in.Campaign(cfg, p, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := in.QuarantineStats(); got != 1 {
+	if got := in.Snapshot().Quarantined; got != 1 {
 		t.Fatalf("quarantine count on the hitting scope = %d, want 1", got)
 	}
-	if got := other.QuarantineStats(); got != 0 {
+	if got := other.Snapshot().Quarantined; got != 0 {
 		t.Fatalf("unrelated scope saw %d quarantines, want 0", got)
 	}
 }

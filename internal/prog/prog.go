@@ -84,15 +84,6 @@ func New(name string, items []isa.Item, data []uint32, memWords int) (*Program, 
 	return p, nil
 }
 
-// MustNew is New, panicking on error; benchmark construction is static.
-func MustNew(name string, items []isa.Item, data []uint32, memWords int) *Program {
-	p, err := New(name, items, data, memWords)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // ComputeExpected runs the program functionally and records its output as the
 // golden reference. It returns an error if the program does not terminate
 // normally within maxSteps.

@@ -2,16 +2,14 @@
 // execution. A framework whose subject is graceful tolerance of rare faults
 // should itself tolerate them: one panicking worker, one hung variant
 // program, or one corrupt cache entry must degrade a multi-hour exploration,
-// not kill it. The package provides four mechanisms, composed by
-// internal/sweep and the long-running commands:
+// not kill it. The package provides three mechanisms, composed by
+// internal/sweep, core.Engine, internal/inject and the long-running
+// commands:
 //
 //   - isolation:  Safe runs a function under recover(), converting panics
 //     into classified errors carrying the goroutine stack;
 //   - deadlines:  WithWatchdog bounds a computation with a wall-clock
 //     deadline, abandoning (not killing) the runaway goroutine;
-//   - retry:      Policy/Do re-run transiently failing work with
-//     exponential backoff and deterministic jitter, while permanent
-//     failures (panics, invalid configs) fail immediately;
 //   - exclusion:  Acquire/Release guard shared mutable files (sweep state)
 //     with a pid lock file including stale-lock detection, and
 //     WithSignals turns SIGINT/SIGTERM into context cancellation with a
@@ -21,13 +19,11 @@ package resilient
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"runtime/debug"
 )
 
 // PanicError is a recovered panic converted into an error: the panic value
-// plus the goroutine stack at the recovery point. Panics are classified as
-// permanent — retrying a deterministic crash only repeats it.
+// plus the goroutine stack at the recovery point.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -37,8 +33,7 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // TimeoutError reports a computation abandoned by WithWatchdog after its
-// deadline expired. Timeouts are classified as transient: a cell that hung
-// on scheduler pathology or cache contention may well complete on retry.
+// deadline expired.
 type TimeoutError struct {
 	After string // rendered deadline, e.g. "30s"
 }
@@ -47,9 +42,6 @@ type TimeoutError struct {
 func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("watchdog: no result within %s (evaluation abandoned)", e.After)
 }
-
-// Timeout implements the conventional net.Error-style probe.
-func (e *TimeoutError) Timeout() bool { return true }
 
 // Safe runs fn under panic isolation: a panic inside fn is recovered and
 // returned as a *PanicError with the stack captured, instead of unwinding
@@ -63,32 +55,8 @@ func Safe[T any](fn func() (T, error)) (out T, err error) {
 	return fn()
 }
 
-// Transient reports whether err is worth retrying. Panics and canceled
-// contexts are permanent; watchdog timeouts, explicit Transient() errors,
-// and filesystem IO failures (cache and state files live on disks that
-// hiccup) are transient.
-func Transient(err error) bool {
-	if err == nil {
-		return false
-	}
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	var te *TimeoutError
-	if errors.As(err, &te) {
-		return true
-	}
-	var tp interface{ Transient() bool }
-	if errors.As(err, &tp) {
-		return tp.Transient()
-	}
-	var pathErr *fs.PathError
-	return errors.As(err, &pathErr)
-}
-
 // KindOf names the failure class of err for reports and observers:
-// "panic", "timeout", "io", or "error".
+// "panic", "timeout", or "error".
 func KindOf(err error) string {
 	if err == nil {
 		return ""
@@ -100,10 +68,6 @@ func KindOf(err error) string {
 	var te *TimeoutError
 	if errors.As(err, &te) {
 		return "timeout"
-	}
-	var pathErr *fs.PathError
-	if errors.As(err, &pathErr) {
-		return "io"
 	}
 	return "error"
 }

@@ -44,21 +44,18 @@ func TestSafePassesThrough(t *testing.T) {
 func TestTransientClassification(t *testing.T) {
 	cases := []struct {
 		err  error
-		want bool
 		kind string
 	}{
-		{nil, false, ""},
-		{&PanicError{Value: "x"}, false, "panic"},
-		{&TimeoutError{After: "1s"}, true, "timeout"},
-		{&fs.PathError{Op: "open", Path: "f", Err: errors.New("io")}, true, "io"},
-		{fmt.Errorf("wrapped: %w", &TimeoutError{After: "2s"}), true, "timeout"},
-		{errors.New("deterministic eval error"), false, "error"},
-		{context.Canceled, false, "error"},
+		{nil, ""},
+		{&PanicError{Value: "x"}, "panic"},
+		{&TimeoutError{After: "1s"}, "timeout"},
+		{fmt.Errorf("wrapped: %w", &TimeoutError{After: "2s"}), "timeout"},
+		{fmt.Errorf("wrapped: %w", &PanicError{Value: "y"}), "panic"},
+		{&fs.PathError{Op: "open", Path: "f", Err: errors.New("io")}, "error"},
+		{errors.New("deterministic eval error"), "error"},
+		{context.Canceled, "error"},
 	}
 	for _, tc := range cases {
-		if got := Transient(tc.err); got != tc.want {
-			t.Errorf("Transient(%v) = %v, want %v", tc.err, got, tc.want)
-		}
 		if got := KindOf(tc.err); got != tc.kind {
 			t.Errorf("KindOf(%v) = %q, want %q", tc.err, got, tc.kind)
 		}
@@ -80,9 +77,6 @@ func TestWithWatchdogTimesOut(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("watchdog took %s to trip", elapsed)
 	}
-	if !Transient(err) {
-		t.Fatal("watchdog timeout must classify as transient")
-	}
 }
 
 func TestWithWatchdogCompletes(t *testing.T) {
@@ -95,107 +89,5 @@ func TestWithWatchdogCompletes(t *testing.T) {
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
-	}
-}
-
-func TestDoRetriesTransientOnly(t *testing.T) {
-	sleeps := 0
-	p := Policy{
-		MaxAttempts: 4,
-		Seed:        7,
-		Sleep:       func(context.Context, time.Duration) { sleeps++ },
-	}
-	// Transient failure resolving on the third attempt.
-	calls := 0
-	v, attempts, err := Do(context.Background(), p, func() (int, error) {
-		calls++
-		if calls < 3 {
-			return 0, &TimeoutError{After: "1ms"}
-		}
-		return 99, nil
-	})
-	if err != nil || v != 99 || attempts != 3 || sleeps != 2 {
-		t.Fatalf("got v=%d attempts=%d sleeps=%d err=%v", v, attempts, sleeps, err)
-	}
-
-	// Permanent failure (panic) returns immediately, budget untouched.
-	calls = 0
-	_, attempts, err = Do(context.Background(), p, func() (int, error) {
-		calls++
-		panic("deterministic crash")
-	})
-	if calls != 1 || attempts != 1 {
-		t.Fatalf("panic retried: calls=%d attempts=%d", calls, attempts)
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-
-	// Budget exhaustion surfaces the last transient error with its count.
-	calls = 0
-	_, attempts, err = Do(context.Background(), p, func() (int, error) {
-		calls++
-		return 0, &TimeoutError{After: "1ms"}
-	})
-	if calls != 4 || attempts != 4 {
-		t.Fatalf("budget: calls=%d attempts=%d", calls, attempts)
-	}
-	var te *TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want *TimeoutError", err)
-	}
-}
-
-func TestDoStopsOnCanceledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	_, attempts, err := Do(ctx, Policy{MaxAttempts: 5, Sleep: func(context.Context, time.Duration) {}},
-		func() (int, error) {
-			calls++
-			return 0, &TimeoutError{After: "1ms"}
-		})
-	if calls != 1 || attempts != 1 {
-		t.Fatalf("canceled ctx still retried: calls=%d attempts=%d", calls, attempts)
-	}
-	var te *TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want the transient eval error", err)
-	}
-}
-
-func TestBackoffDeterministicBoundedGrowing(t *testing.T) {
-	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2, Seed: 42}
-	prevCeil := time.Duration(0)
-	for attempt := 1; attempt <= 12; attempt++ {
-		d1 := p.Backoff(attempt)
-		d2 := p.Backoff(attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: jitter nondeterministic (%s vs %s)", attempt, d1, d2)
-		}
-		ceil := time.Duration(float64(10*time.Millisecond) * float64(int(1)<<(attempt-1)))
-		if ceil > time.Second {
-			ceil = time.Second
-		}
-		if d1 < ceil/2 || d1 >= ceil {
-			t.Fatalf("attempt %d: delay %s outside [%s, %s)", attempt, d1, ceil/2, ceil)
-		}
-		if ceil < prevCeil {
-			t.Fatalf("backoff ceiling shrank")
-		}
-		prevCeil = ceil
-	}
-	// Different seeds yield different jitter (spread, not lockstep).
-	q := p
-	q.Seed = 43
-	same := 0
-	for attempt := 1; attempt <= 8; attempt++ {
-		if p.Backoff(attempt) == q.Backoff(attempt) {
-			same++
-		}
-	}
-	if same == 8 {
-		t.Fatal("two seeds produced identical jitter streams")
 	}
 }

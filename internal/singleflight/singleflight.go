@@ -17,6 +17,7 @@ type call[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	pval any // what fn panicked with, if it did
 }
 
 // Group deduplicates concurrent calls by key. The zero value is ready to
@@ -31,6 +32,10 @@ type Group[V any] struct {
 // share its return values. joined reports whether this caller shared
 // another caller's execution instead of running fn itself. Errors are
 // shared like values and never retained past the in-flight call.
+//
+// A panic in fn is shared the same way: the caller running fn panics with
+// it, every joined caller panics with the same value, and the key is
+// forgotten, so a later Do runs fn again.
 func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, joined bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -39,17 +44,25 @@ func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, joined 
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		<-c.done
+		if c.pval != nil {
+			panic(c.pval)
+		}
 		return c.val, c.err, true
 	}
 	c := &call[V]{done: make(chan struct{})}
 	g.m[key] = c
 	g.mu.Unlock()
 
+	defer func() {
+		c.pval = recover()
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
+		if c.pval != nil {
+			panic(c.pval)
+		}
+	}()
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.val, c.err, false
 }

@@ -100,3 +100,69 @@ func TestDistinctKeysIndependent(t *testing.T) {
 		t.Fatalf("calls = %d, want 8", calls.Load())
 	}
 }
+
+// TestPanicDoesNotWedgeKey: a panicking flight must not leave its key
+// behind. The caller running fn panics, callers that joined the flight
+// panic with the same value instead of blocking, and a later Do on the key
+// runs fn again. Every wait is bounded, so a wedged key fails the test
+// instead of hanging it.
+func TestPanicDoesNotWedgeKey(t *testing.T) {
+	var g Group[int]
+	started := make(chan struct{})
+	release := make(chan struct{})
+	const joiners = 4
+	panics := make(chan any, 1+joiners)
+	call := func(fn func() (int, error)) {
+		defer func() { panics <- recover() }()
+		g.Do("k", fn)
+	}
+
+	go call(func() (int, error) {
+		close(started)
+		<-release
+		panic("boom")
+	})
+	<-started
+	var joinedRan atomic.Int64
+	for i := 0; i < joiners; i++ {
+		go call(func() (int, error) {
+			joinedRan.Add(1)
+			return 0, nil
+		})
+	}
+	// Hold the flight open long enough for every joiner to reach Do.
+	time.Sleep(200 * time.Millisecond)
+	close(release)
+
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < 1+joiners; i++ {
+		select {
+		case v := <-panics:
+			if v != "boom" {
+				t.Errorf("caller %d recovered %v, want the flight's panic boom", i, v)
+			}
+		case <-timeout:
+			t.Fatalf("only %d of %d callers returned; the key is wedged", i, 1+joiners)
+		}
+	}
+	if n := joinedRan.Load(); n != 0 {
+		t.Fatalf("%d joined callers ran fn themselves instead of joining the flight", n)
+	}
+
+	again := make(chan int, 1)
+	go func() {
+		v, err, joined := g.Do("k", func() (int, error) { return 7, nil })
+		if err != nil || joined {
+			t.Errorf("later Do = (%d, %v, joined=%v), want (7, nil, false)", v, err, joined)
+		}
+		again <- v
+	}()
+	select {
+	case v := <-again:
+		if v != 7 {
+			t.Fatalf("later Do returned %d, want 7 from a fresh run of fn", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a later Do on the key blocked after a panicking flight")
+	}
+}

@@ -19,7 +19,7 @@ func FuzzStateDecode(f *testing.F) {
 	path := filepath.Join(dir, "state.json")
 	cells := make([]*CellOutcome, 10)
 	cells[3] = &CellOutcome{SDCImp: 2, DUEImp: 1, Energy: 0.1, TargetMet: true}
-	cells[7] = &CellOutcome{Err: "boom", Kind: "panic", Attempts: 1}
+	cells[7] = &CellOutcome{Err: "boom", Kind: "panic"}
 	if err := saveState(path, sw, cells); err != nil {
 		f.Fatal(err)
 	}

@@ -15,8 +15,7 @@ import (
 //	sweep.cells.total      gauge     cells in the grid
 //	sweep.cells.restored   gauge     cells resumed from the state file
 //	sweep.cells.done       counter   cells evaluated successfully this run
-//	sweep.cells.failed     counter   cells failed for good this run
-//	sweep.cells.retried    counter   transient-failure retries
+//	sweep.cells.failed     counter   cells failed this run
 //	sweep.cell.latency_ns  histogram per-cell wall time (ns, log-scale)
 //	sweep.workers.active   gauge     workers currently evaluating a cell
 //	sweep.failures.<kind>  counter   failures by classification
@@ -26,7 +25,6 @@ type runInstruments struct {
 	cellsRestored *obs.Gauge
 	cellsDone     *obs.Counter
 	cellsFailed   *obs.Counter
-	retries       *obs.Counter
 	cellLatency   *obs.Histogram
 	workersActive *obs.Gauge
 }
@@ -38,14 +36,13 @@ func newRunInstruments(reg *obs.Registry) runInstruments {
 		cellsRestored: reg.Gauge("sweep.cells.restored"),
 		cellsDone:     reg.Counter("sweep.cells.done"),
 		cellsFailed:   reg.Counter("sweep.cells.failed"),
-		retries:       reg.Counter("sweep.cells.retried"),
 		cellLatency:   reg.Histogram("sweep.cell.latency_ns"),
 		workersActive: reg.Gauge("sweep.workers.active"),
 	}
 }
 
 // failureKind returns the per-classification failure counter
-// ("sweep.failures.panic", ".timeout", ".io", ".error"). Kinds are a
+// ("sweep.failures.panic", ".timeout", ".error"). Kinds are a
 // small closed set, so get-or-create per failure is cheap — and failures
 // are never the hot path.
 func (ins *runInstruments) failureKind(kind string) *obs.Counter {
@@ -54,9 +51,9 @@ func (ins *runInstruments) failureKind(kind string) *obs.Counter {
 
 // eventRecord is the JSONL trace schema of one sweep event, emitted by
 // TraceObserver with type "sweep.<event>" ("sweep.start",
-// "sweep.cell-done", "sweep.cell-failed", "sweep.cell-retry",
-// "sweep.done"). Counters mirror the Event; the *_ms fields are the only
-// ones expected to differ between two otherwise identical runs.
+// "sweep.cell-done", "sweep.cell-failed", "sweep.done"). Counters mirror
+// the Event; the *_ms fields are the only ones expected to differ between
+// two otherwise identical runs.
 type eventRecord struct {
 	Type     string `json:"type"`
 	Combo    string `json:"combo,omitempty"`
@@ -67,7 +64,6 @@ type eventRecord struct {
 	Failed   int    `json:"failed"`
 	Total    int    `json:"total"`
 	Restored int    `json:"restored"`
-	Attempt  int    `json:"attempt,omitempty"`
 
 	Quarantined      int64 `json:"quarantined,omitempty"`
 	PrunedInjections int64 `json:"pruned_injections"`
@@ -75,9 +71,8 @@ type eventRecord struct {
 
 	Engine *core.EngineStats `json:"engine,omitempty"`
 
-	ElapsedMS    int64 `json:"elapsed_ms"`
-	ETAMS        int64 `json:"eta_ms,omitempty"`
-	RetryDelayMS int64 `json:"retry_delay_ms,omitempty"`
+	ElapsedMS int64 `json:"elapsed_ms"`
+	ETAMS     int64 `json:"eta_ms,omitempty"`
 }
 
 // TraceObserver writes every sweep event as one JSONL record to a tracer —
@@ -103,14 +98,12 @@ func (o TraceObserver) Event(ev Event) {
 		Failed:           ev.Failed,
 		Total:            ev.Total,
 		Restored:         ev.Restored,
-		Attempt:          ev.Attempt,
 		Quarantined:      ev.Quarantined,
 		PrunedInjections: ev.PrunedInjections,
 		TotalInjections:  ev.TotalInjections,
 		Engine:           ev.Engine,
 		ElapsedMS:        ev.Elapsed.Milliseconds(),
 		ETAMS:            ev.ETA.Milliseconds(),
-		RetryDelayMS:     ev.RetryDelay.Milliseconds(),
 	})
 }
 

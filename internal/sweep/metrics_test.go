@@ -96,7 +96,7 @@ func TestCellEventsMonotonicDone(t *testing.T) {
 
 // TestSweepInstruments checks the registry wiring: a run with Metrics set
 // registers the contract's instrument names and tallies cells, failures,
-// retries-free latencies, and worker occupancy.
+// latencies, and worker occupancy.
 func TestSweepInstruments(t *testing.T) {
 	eval := func(c core.Combo, b *bench.Benchmark) (core.Outcome, error) {
 		if c.Name() == core.Enumerate(inject.InO)[1].Name() && b.Name == bench.All()[0].Name {
@@ -112,8 +112,7 @@ func TestSweepInstruments(t *testing.T) {
 	snap := reg.Snapshot()
 	for _, name := range []string{
 		"sweep.cells.total", "sweep.cells.restored", "sweep.cells.done",
-		"sweep.cells.failed", "sweep.cells.retried", "sweep.cell.latency_ns",
-		"sweep.workers.active",
+		"sweep.cells.failed", "sweep.cell.latency_ns", "sweep.workers.active",
 	} {
 		if _, ok := snap[name]; !ok {
 			t.Fatalf("instrument %q missing from registry: %v", name, reg.Names())
@@ -252,7 +251,7 @@ func TestEventInjectScopedToEngine(t *testing.T) {
 	if _, err := foreign.Base(foreign.Benchmarks()[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, total := foreign.Inj.PruneStats(); total == 0 {
+	if foreign.Inj.Snapshot().TotalInjections == 0 {
 		t.Fatal("foreign engine performed no injections; test premise broken")
 	}
 
@@ -274,7 +273,7 @@ func TestEventInjectScopedToEngine(t *testing.T) {
 	if !got {
 		t.Fatal("no cell event observed")
 	}
-	_, ownTotal := e.Inj.PruneStats()
+	ownTotal := e.Inj.Snapshot().TotalInjections
 	if first.TotalInjections > ownTotal {
 		t.Fatalf("event reports %d injections but the sweep's engine only ran %d — foreign engine leaked in",
 			first.TotalInjections, ownTotal)

@@ -17,13 +17,9 @@ const (
 	EventStart EventType = iota
 	// EventCellDone fires after each successfully evaluated cell.
 	EventCellDone
-	// EventCellFailed fires after a cell whose evaluation failed for good
-	// (attempt budget exhausted or permanent failure); the sweep records
-	// the classified failure and keeps going.
+	// EventCellFailed fires after a cell whose evaluation failed; the
+	// sweep records the classified failure and keeps going.
 	EventCellFailed
-	// EventCellRetry fires when a transiently failed cell (watchdog
-	// timeout, cache IO) is about to be retried after a backoff.
-	EventCellRetry
 	// EventDone fires once after the last cell (or after cancellation).
 	EventDone
 )
@@ -36,8 +32,6 @@ func (t EventType) String() string {
 		return "cell-done"
 	case EventCellFailed:
 		return "cell-failed"
-	case EventCellRetry:
-		return "cell-retry"
 	case EventDone:
 		return "done"
 	}
@@ -52,19 +46,14 @@ type Event struct {
 	Type  EventType
 	Combo string // cell events: combination name
 	Bench string // cell events: benchmark name
-	Err   string // EventCellFailed/EventCellRetry: the evaluation error
-	Kind  string // failure classification ("panic", "timeout", "io", "error")
+	Err   string // EventCellFailed: the evaluation error
+	Kind  string // failure classification ("panic", "timeout", "error")
 
 	Done     int // cells evaluated so far this run
 	Failed   int // cells failed so far this run
 	Total    int // cells in the grid
 	Restored int // cells resumed from the state file (not re-run)
 
-	// Attempt counts evaluations of the event's cell (EventCellRetry: the
-	// attempt that just failed; EventCellDone/Failed: total attempts).
-	Attempt int
-	// RetryDelay is the backoff before the next attempt (EventCellRetry).
-	RetryDelay time.Duration
 	// Quarantined counts corrupt campaign cache entries renamed aside and
 	// recomputed (monotonic), scoped to the sweep's engine when the sweep
 	// knows one (Sweep.Inject), else zero — degradation made visible as it
@@ -128,11 +117,8 @@ func (o LogObserver) Event(ev Event) {
 			o.Printf("sweep: %d cells to run", ev.Total)
 		}
 	case EventCellFailed:
-		o.Printf("sweep: cell %s/%s failed [%s, %d attempt(s)]: %s",
-			ev.Combo, ev.Bench, ev.Kind, ev.Attempt, ev.Err)
-	case EventCellRetry:
-		o.Printf("sweep: cell %s/%s attempt %d failed [%s]: %s — retrying in %s",
-			ev.Combo, ev.Bench, ev.Attempt, ev.Kind, ev.Err, ev.RetryDelay.Round(time.Millisecond))
+		o.Printf("sweep: cell %s/%s failed [%s]: %s",
+			ev.Combo, ev.Bench, ev.Kind, ev.Err)
 	case EventCellDone:
 		if ev.Done%every != 0 {
 			return

@@ -12,9 +12,9 @@ import (
 )
 
 // TestLogObserverGolden pins the exact lines LogObserver renders for every
-// event shape: start (with and without restored cells), a retry, a
-// permanent failure, a throttled done line with engine counters and a
-// quarantine marker, and the final summary.
+// event shape: start (with and without restored cells), a failure, a
+// throttled done line with engine counters and a quarantine marker, and
+// the final summary.
 func TestLogObserverGolden(t *testing.T) {
 	var lines []string
 	o := LogObserver{
@@ -26,11 +26,8 @@ func TestLogObserverGolden(t *testing.T) {
 
 	o.Event(Event{Type: EventStart, Total: 10})
 	o.Event(Event{Type: EventStart, Total: 10, Restored: 4})
-	o.Event(Event{Type: EventCellRetry, Combo: "parity", Bench: "gzip",
-		Attempt: 1, Kind: "timeout", Err: "cell watchdog expired",
-		RetryDelay: 1500 * time.Millisecond})
 	o.Event(Event{Type: EventCellFailed, Combo: "parity", Bench: "gzip",
-		Attempt: 3, Kind: "panic", Err: "boom"})
+		Kind: "panic", Err: "boom"})
 	// Done=1 is throttled away (Every=2), Done=2 prints.
 	o.Event(Event{Type: EventCellDone, Done: 1, Total: 10, Elapsed: time.Second})
 	o.Event(Event{Type: EventCellDone, Done: 2, Total: 10, Restored: 4,
@@ -42,8 +39,7 @@ func TestLogObserverGolden(t *testing.T) {
 	want := []string{
 		"sweep: 10 cells to run",
 		"sweep: 10 cells (4 restored from state, 6 to run)",
-		"sweep: cell parity/gzip attempt 1 failed [timeout]: cell watchdog expired — retrying in 1.5s",
-		"sweep: cell parity/gzip failed [panic, 3 attempt(s)]: boom",
+		"sweep: cell parity/gzip failed [panic]: boom",
 		"sweep: 6/10 cells (10s elapsed, ETA 20s) [campaigns: 7 run, 5 cached, 1 joined; prune 25%] [2 cache entries quarantined]",
 		"sweep: finished 6 cells in 1m5s (1 failed)",
 	}

@@ -19,11 +19,6 @@ import (
 	"clear/internal/resilient"
 )
 
-// retryFast is a retry policy with sub-millisecond backoff for tests.
-func retryFast(attempts int) resilient.Policy {
-	return resilient.Policy{MaxAttempts: attempts, BaseDelay: time.Millisecond, Seed: 1}
-}
-
 // stripPanicked removes the named combination's row so surviving rows can
 // be compared bit-for-bit across runs that disagree only on that combo.
 func stripRow(rows []Row, name string) []Row {
@@ -37,15 +32,18 @@ func stripRow(rows []Row, name string) []Row {
 }
 
 // TestPanicIsolation injects panics into specific cells: the sweep must
-// complete, record those cells in Failures with kind "panic" and the stack
-// captured, keep the surviving cells' rows bit-identical to a clean run,
-// and a resume must retry only the panicked cells.
+// complete, evaluate each panicking cell once, record those cells in
+// Failures with kind "panic" and the stack captured, keep the surviving
+// cells' rows bit-identical to a clean run, and a resume must re-run only
+// the panicked cells.
 func TestPanicIsolation(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "sweep.json")
 	panicCombo := core.Enumerate(inject.InO)[2].Name()
 	clean := arithEval(0)
+	var panics atomic.Int64
 	evil := func(c core.Combo, b *bench.Benchmark) (core.Outcome, error) {
 		if c.Name() == panicCombo {
+			panics.Add(1)
 			panic(fmt.Sprintf("injected worker panic on %s/%s", c.Name(), b.Name))
 		}
 		return clean(c, b)
@@ -59,15 +57,15 @@ func TestPanicIsolation(t *testing.T) {
 	if len(res.Failures) != 3 {
 		t.Fatalf("failures = %d, want 3 (one per benchmark of the panicking combo)", len(res.Failures))
 	}
+	if got := panics.Load(); got != 3 {
+		t.Fatalf("panicking cells evaluated %d times, want 3 (once each)", got)
+	}
 	for _, f := range res.Failures {
 		if f.Combo != panicCombo {
 			t.Fatalf("unexpected failed combo %s", f.Combo)
 		}
 		if f.Kind != "panic" {
 			t.Fatalf("failure kind = %q, want panic", f.Kind)
-		}
-		if f.Attempts != 1 {
-			t.Fatalf("panic retried in-run: attempts = %d, want 1 (permanent failure)", f.Attempts)
 		}
 		if !strings.Contains(f.Stack, "resilience_test.go") {
 			t.Fatalf("stack not captured or does not reach the panic site:\n%s", f.Stack)
@@ -86,7 +84,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatal("surviving rows differ from the undisturbed reference")
 	}
 
-	// Resume retries exactly the panicked cells and heals the sweep.
+	// Resume re-runs exactly the panicked cells and heals the sweep.
 	var evals atomic.Int64
 	sw.Eval = func(c core.Combo, b *bench.Benchmark) (core.Outcome, error) {
 		evals.Add(1)
@@ -107,65 +105,18 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestWatchdogTimeoutRetries checks the deadline + retry pillar: a cell
-// that hangs on its first attempt is abandoned by the watchdog, classified
-// transient, retried, and succeeds — no failure recorded, retry observed.
-func TestWatchdogTimeoutRetries(t *testing.T) {
-	hangRelease := make(chan struct{})
-	defer close(hangRelease)
-	hangCombo := core.Enumerate(inject.InO)[1].Name()
-	var hung atomic.Bool
-	clean := arithEval(0)
-	eval := func(c core.Combo, b *bench.Benchmark) (core.Outcome, error) {
-		if c.Name() == hangCombo && b.Name == bench.All()[0].Name && hung.CompareAndSwap(false, true) {
-			<-hangRelease // hung variant program
-		}
-		return clean(c, b)
-	}
-
-	var retries atomic.Int64
-	obs := observerFunc(func(ev Event) {
-		if ev.Type == EventCellRetry {
-			retries.Add(1)
-			if ev.Kind != "timeout" {
-				t.Errorf("retry kind = %q, want timeout", ev.Kind)
-			}
-		}
-	})
-	res, err := Run(context.Background(), fakeSweep(6, 2, eval), Options{
-		Workers:     2,
-		Observer:    obs,
-		CellTimeout: 50 * time.Millisecond,
-		Retry:       retryFast(3),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) != 0 {
-		t.Fatalf("failures = %v, want none (timeout is transient, retry must heal it)", res.Failures)
-	}
-	if retries.Load() == 0 {
-		t.Fatal("no EventCellRetry observed")
-	}
-	ref, err := Run(context.Background(), fakeSweep(6, 2, clean), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Rows, ref.Rows) {
-		t.Fatal("rows after a retried timeout differ from the reference")
-	}
-}
-
-// TestWatchdogPermanentTimeout: a cell that hangs on every attempt
-// exhausts the budget and is recorded as a timeout failure with its
-// attempt count.
+// TestWatchdogPermanentTimeout: a hung cell is evaluated once, abandoned by
+// the watchdog, and recorded as a timeout failure; the rest of the grid
+// completes.
 func TestWatchdogPermanentTimeout(t *testing.T) {
 	hangRelease := make(chan struct{})
 	defer close(hangRelease)
 	hangCombo := core.Enumerate(inject.InO)[0].Name()
 	clean := arithEval(0)
+	var hangs atomic.Int64
 	eval := func(c core.Combo, b *bench.Benchmark) (core.Outcome, error) {
 		if c.Name() == hangCombo {
+			hangs.Add(1)
 			<-hangRelease
 		}
 		return clean(c, b)
@@ -173,17 +124,18 @@ func TestWatchdogPermanentTimeout(t *testing.T) {
 	res, err := Run(context.Background(), fakeSweep(3, 1, eval), Options{
 		Workers:     2,
 		CellTimeout: 30 * time.Millisecond,
-		Retry:       retryFast(2),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Failures) != 1 {
-		t.Fatalf("failures = %v, want the one permanently hung cell", res.Failures)
+		t.Fatalf("failures = %v, want the one hung cell", res.Failures)
 	}
-	f := res.Failures[0]
-	if f.Kind != "timeout" || f.Attempts != 2 {
-		t.Fatalf("failure = %+v, want kind=timeout attempts=2", f)
+	if f := res.Failures[0]; f.Kind != "timeout" || f.Combo != hangCombo {
+		t.Fatalf("failure = %+v, want kind=timeout on %s", f, hangCombo)
+	}
+	if got := hangs.Load(); got != 1 {
+		t.Fatalf("hung cell evaluated %d times, want 1", got)
 	}
 }
 
@@ -272,7 +224,8 @@ func TestAdaptiveWatchdogDeadline(t *testing.T) {
 // (watchdog-tripping) cell, a corrupt campaign cache entry, and a mid-run
 // SIGINT — and after one resume ends with Failures empty, rankings
 // bit-identical to an undisturbed serial run, and exactly one .corrupt
-// quarantine file on disk.
+// quarantine file on disk. The hung cell, once dispatched, is recorded as
+// a timeout, and the resume re-runs it.
 func TestChaosSweepSurvivesEverything(t *testing.T) {
 	cacheDir := t.TempDir()
 	t.Setenv("CLEAR_CACHE_DIR", cacheDir)
@@ -338,9 +291,13 @@ func TestChaosSweepSurvivesEverything(t *testing.T) {
 		return realEval(c, b)
 	}
 	var cellsSeen atomic.Int64
+	var hangTimedOut atomic.Bool
 	obs := observerFunc(func(ev Event) {
 		if ev.Type != EventCellDone && ev.Type != EventCellFailed {
 			return
+		}
+		if ev.Type == EventCellFailed && ev.Combo == hangCombo && ev.Bench == benches[1].Name && ev.Kind == "timeout" {
+			hangTimedOut.Store(true)
 		}
 		if cellsSeen.Add(1) == 5 && sigSent.CompareAndSwap(false, true) {
 			syscall.Kill(os.Getpid(), syscall.SIGINT)
@@ -352,13 +309,15 @@ func TestChaosSweepSurvivesEverything(t *testing.T) {
 		StatePath:   state,
 		FlushEvery:  1,
 		CellTimeout: 2 * time.Second,
-		Retry:       retryFast(2),
 	})
 	// Release the hung cell and wait for its abandoned evaluation to
 	// return, so it writes no campaign once the test's cache dir is gone.
 	close(hangRelease)
 	if hung.Load() {
 		<-hangDone
+		if !hangTimedOut.Load() {
+			t.Fatal("the hung cell was not recorded as a timeout")
+		}
 	}
 	if err != context.Canceled {
 		t.Fatalf("chaos run err = %v, want context.Canceled (mid-run SIGINT)", err)
@@ -376,7 +335,6 @@ func TestChaosSweepSurvivesEverything(t *testing.T) {
 		Workers:     2,
 		StatePath:   state,
 		CellTimeout: -1,
-		Retry:       retryFast(2),
 	})
 	if err != nil {
 		t.Fatal(err)

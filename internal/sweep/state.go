@@ -96,9 +96,9 @@ type Key struct {
 
 // CellOutcome is the persisted result of one (combination, benchmark) cell.
 // A non-empty Err marks a failed evaluation; failed cells are re-run on
-// resume. Kind and Attempts record the failure classification and the
-// attempt budget spent (panic stacks are kept in memory only — they are
-// worthless to a resume and would bloat the state file).
+// resume. Kind records the failure classification (panic stacks are kept
+// in memory only — they are worthless to a resume and would bloat the
+// state file).
 type CellOutcome struct {
 	SDCImp    F64    `json:"sdc_imp"`
 	DUEImp    F64    `json:"due_imp"`
@@ -107,7 +107,6 @@ type CellOutcome struct {
 	TargetMet bool   `json:"target_met"`
 	Err       string `json:"err,omitempty"`
 	Kind      string `json:"kind,omitempty"`
-	Attempts  int    `json:"attempts,omitempty"`
 }
 
 // stateFile is the on-disk schema (see DESIGN.md §7).
@@ -177,7 +176,7 @@ func decodeState(data []byte, sw Sweep) (map[int]CellOutcome, bool) {
 			continue
 		}
 		if v.Err != "" {
-			continue // failed cells are retried on resume
+			continue // failed cells are re-run on resume
 		}
 		cells[ci*nB+bi] = v
 	}

@@ -12,10 +12,11 @@
 // order, so worker count and scheduling order never reach the arithmetic.
 //
 // Long sweeps are fault-tolerant (see DESIGN.md §8): every cell evaluation
-// runs under panic isolation and an optional watchdog deadline, transient
-// failures retry with backoff, a canceled context (e.g. SIGINT) drains
-// in-flight cells and flushes state, and the state file is guarded by a
-// pid lock so two sweeps cannot clobber each other's resumable progress.
+// runs under panic isolation and an optional watchdog deadline, a failed
+// cell is recorded and re-run on the next resume, a canceled context (e.g.
+// SIGINT) drains in-flight cells and flushes state, and the state file is
+// guarded by a pid lock so two sweeps cannot clobber each other's
+// resumable progress.
 package sweep
 
 import (
@@ -127,13 +128,8 @@ type Options struct {
 	// slowest observed cell (<= 0 disables adaptive deadlines; 0 with
 	// CellTimeout 0 therefore means no watchdog).
 	CellTimeoutFactor float64
-	// Retry controls re-evaluation of transiently failing cells (watchdog
-	// timeouts, cache IO). Permanent failures — panics, deterministic eval
-	// errors — are never retried in-run; they are recorded and re-run on
-	// the next resume. The zero value evaluates each cell once.
-	Retry resilient.Policy
 	// Metrics, when non-nil, receives the sweep's instruments (cell latency
-	// histogram, done/failed/retry counters, failure-kind counters, worker
+	// histogram, done/failed counters, failure-kind counters, worker
 	// utilization gauge — DESIGN.md §10 lists the names). Instrument
 	// updates are single atomic operations and never influence evaluation:
 	// a sweep with Metrics set produces bit-identical results to one
@@ -187,17 +183,15 @@ func (w *watchdog) observe(d time.Duration) {
 	}
 }
 
-// CellFailure records one cell whose evaluation failed after exhausting
-// its attempt budget.
+// CellFailure records one cell whose evaluation failed. Each cell is
+// evaluated once per run; a failed cell is re-run on the next resume.
 type CellFailure struct {
 	Combo string
 	Bench string
 	Err   string
-	// Kind classifies the failure ("panic", "timeout", "io", "error");
-	// see resilient.KindOf.
+	// Kind classifies the failure ("panic", "timeout", "error"); see
+	// resilient.KindOf.
 	Kind string
-	// Attempts counts evaluations of the cell this run, retries included.
-	Attempts int
 	// Stack is the captured goroutine stack when the failure was a panic.
 	Stack string
 }
@@ -219,11 +213,10 @@ type Result struct {
 }
 
 // Run executes a sweep. Cell evaluations run on a work-stealing pool under
-// panic isolation, per-cell watchdog deadlines, and a transient-failure
-// retry policy; failures are classified and recorded rather than aborting
-// the run. On a canceled context the in-flight cells drain, completed
-// cells are flushed to the state file (when persistence is on), and
-// ctx.Err() is returned.
+// panic isolation and per-cell watchdog deadlines; failures are classified
+// and recorded rather than aborting the run. On a canceled context the
+// in-flight cells drain, completed cells are flushed to the state file
+// (when persistence is on), and ctx.Err() is returned.
 func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 	observer := opt.Observer
 	if observer == nil {
@@ -307,27 +300,10 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 		ci, bi := idx/nB, idx%nB
 		comboName, benchName := sw.Combos[ci].Name(), sw.Benches[bi].Name
 
-		policy := opt.Retry
-		policy.OnRetry = func(attempt int, err error, delay time.Duration) {
-			ins.retries.Inc()
-			// Retry events take the same lock as cell events so all
-			// delivery is serialized through one order.
-			mu.Lock()
-			observer.Event(Event{
-				Type: EventCellRetry, Combo: comboName, Bench: benchName,
-				Err: err.Error(), Kind: resilient.KindOf(err),
-				Attempt: attempt, RetryDelay: delay,
-				Quarantined: injSnap().Quarantined,
-			})
-			mu.Unlock()
-		}
-
 		ins.workersActive.Add(1)
 		cellStart := time.Now()
-		out, attempts, err := resilient.Do(ctx, policy, func() (core.Outcome, error) {
-			return resilient.WithWatchdog(wd.deadline(), func() (core.Outcome, error) {
-				return sw.Eval(sw.Combos[ci], sw.Benches[bi])
-			})
+		out, err := resilient.WithWatchdog(wd.deadline(), func() (core.Outcome, error) {
+			return sw.Eval(sw.Combos[ci], sw.Benches[bi])
 		})
 		cellDur := time.Since(cellStart)
 		ins.workersActive.Add(-1)
@@ -341,7 +317,7 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 			TargetMet: out.TargetMet,
 		}
 		if err != nil {
-			co = CellOutcome{Err: err.Error(), Kind: resilient.KindOf(err), Attempts: attempts}
+			co = CellOutcome{Err: err.Error(), Kind: resilient.KindOf(err)}
 			ins.cellsFailed.Inc()
 			ins.failureKind(resilient.KindOf(err)).Inc()
 		} else {
@@ -374,7 +350,6 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 			Total:    total,
 			Restored: restored,
 			Elapsed:  time.Since(start),
-			Attempt:  attempts,
 		}
 		if err != nil {
 			ev.Type = EventCellFailed
@@ -429,12 +404,11 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 	for idx, co := range cells {
 		if co != nil && co.Err != "" {
 			res.Failures = append(res.Failures, CellFailure{
-				Combo:    sw.Combos[idx/nB].Name(),
-				Bench:    sw.Benches[idx%nB].Name,
-				Err:      co.Err,
-				Kind:     co.Kind,
-				Attempts: co.Attempts,
-				Stack:    stacks[idx],
+				Combo: sw.Combos[idx/nB].Name(),
+				Bench: sw.Benches[idx%nB].Name,
+				Err:   co.Err,
+				Kind:  co.Kind,
+				Stack: stacks[idx],
 			})
 		}
 	}
