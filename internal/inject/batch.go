@@ -61,9 +61,6 @@ package inject
 // runCold, on the worker's one core.
 
 import (
-	"cmp"
-	"slices"
-
 	"clear/internal/lanes"
 	"clear/internal/sim"
 )
@@ -98,9 +95,16 @@ type campaignPlan struct {
 // before chunking keeps each gang's forks inside a short time slice of the
 // window, so a gang's carrier stops stepping as soon as its slice is
 // decided.
+//
+// The sort is a stable counting sort on the strike cycle, O(lanes +
+// nomCycles): the lanes are drawn in stream order and counted per cycle,
+// the counts' prefix sums give each cycle its first slot, and the lanes
+// are scattered there in stream order. Each window is then a contiguous
+// run of the sorted lanes.
 func planCampaign(c *campaign) campaignPlan {
 	var plan campaignPlan
-	byWindow := make(map[int][]plannedLane)
+	drawn := make([]plannedLane, 0, c.nStrikes*c.cfg.SamplesPerFF)
+	first := make([]int32, c.nomCycles+1) // a campaign plans far fewer than 2^31 lanes
 	var sc Scenario
 	for i := 0; i < c.nStrikes; i++ {
 		bit := c.bit(i)
@@ -110,21 +114,26 @@ func planCampaign(c *campaign) campaignPlan {
 				plan.vanished = append(plan.vanished, bit)
 				continue
 			}
-			idx := cycle / c.interval
-			byWindow[idx] = append(byWindow[idx], plannedLane{pop: i, bit: bit, cycle: cycle, h: h})
+			drawn = append(drawn, plannedLane{pop: i, bit: bit, cycle: cycle, h: h})
+			first[cycle+1]++
 		}
 	}
-	windows := make([]int, 0, len(byWindow))
-	for idx := range byWindow {
-		windows = append(windows, idx)
+	for t := 1; t < len(first); t++ {
+		first[t] += first[t-1]
 	}
-	slices.Sort(windows)
-	for _, idx := range windows {
-		lns := byWindow[idx]
-		slices.SortStableFunc(lns, func(a, b plannedLane) int { return cmp.Compare(a.cycle, b.cycle) })
-		for lo := 0; lo < len(lns); lo += lanes.Width {
-			plan.gangs = append(plan.gangs, laneGang{ckpt: idx, lanes: lns[lo:min(lo+lanes.Width, len(lns))]})
+	sorted := make([]plannedLane, len(drawn))
+	for _, ln := range drawn {
+		sorted[first[ln.cycle]] = ln
+		first[ln.cycle]++
+	}
+	for lo := 0; lo < len(sorted); {
+		idx := sorted[lo].cycle / c.interval
+		hi := lo + 1
+		for hi < len(sorted) && hi-lo < lanes.Width && sorted[hi].cycle/c.interval == idx {
+			hi++
 		}
+		plan.gangs = append(plan.gangs, laneGang{ckpt: idx, lanes: sorted[lo:hi:hi]})
+		lo = hi
 	}
 	return plan
 }

@@ -182,12 +182,15 @@ func (in *Injector) CampaignChecked(cfg Config, p *prog.Program, cf func(*prog.P
 }
 
 // campaign is the cache-fronted body of Campaign and CampaignChecked (at
-// most one of hookFactory and cf is non-nil).
+// most one of hookFactory and cf is non-nil). It reads the cache directory
+// once, so the lookup and the write of one campaign use the same
+// directory even if $CLEAR_CACHE_DIR changes while the campaign runs.
 func (in *Injector) campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
 	cf func(*prog.Program) sim.Checker) (*Result, error) {
 	start := time.Now()
 	wantModel, _ := SplitModelTag(cfg.Tag)
-	path := filepath.Join(CacheDir(), cacheKey(cfg, p))
+	dir := CacheDir()
+	path := filepath.Join(dir, cacheKey(cfg, p))
 	if data, err := os.ReadFile(path); err == nil {
 		r, gotModel, derr := decodeCache(data)
 		if derr == nil && r.Config == cfg && gotModel == wantModel && r.NomCycles > 0 &&
@@ -209,8 +212,8 @@ func (in *Injector) campaign(cfg Config, p *prog.Program, hookFactory func(*prog
 	}
 	in.traceCampaign(cfg, r, "run", time.Since(start))
 	if data, encErr := encodeCache(r); encErr == nil {
-		if err := os.MkdirAll(CacheDir(), 0o755); err == nil {
-			tmp, err := os.CreateTemp(CacheDir(), "campaign-*")
+		if err := os.MkdirAll(dir, 0o755); err == nil {
+			tmp, err := os.CreateTemp(dir, "campaign-*")
 			if err == nil {
 				name := tmp.Name()
 				_, werr := tmp.Write(data)

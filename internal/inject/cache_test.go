@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"clear/internal/prog"
+	"clear/internal/sim"
 )
 
 // TestCacheDir pins where campaigns are cached: $CLEAR_CACHE_DIR when it
@@ -128,6 +131,35 @@ func TestCampaignUnusableCacheDir(t *testing.T) {
 	}
 	if s := in.Snapshot(); s.CacheMisses != 1 || s.CacheHits != 0 || s.Quarantined != 0 {
 		t.Fatalf("injector counters = %+v, want exactly one cache miss", s)
+	}
+}
+
+// TestCampaignReadsCacheDirOnce switches $CLEAR_CACHE_DIR while a
+// campaign runs, from the hook factory its nominal run and every injection
+// call: the campaign must write its entry under the directory it looked
+// the entry up in, and must not create the directory it was switched to.
+func TestCampaignReadsCacheDirOnce(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("CLEAR_CACHE_DIR", dir)
+	switched := filepath.Join(t.TempDir(), "switched")
+	switching := func(p *prog.Program) sim.CommitHook {
+		os.Setenv("CLEAR_CACHE_DIR", switched)
+		return noopHook(p)
+	}
+
+	p := tinyProgram(t)
+	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 14}
+	if _, err := NewInjector().Campaign(cfg, p, switching); err != nil {
+		t.Fatal(err)
+	}
+	if got := os.Getenv("CLEAR_CACHE_DIR"); got != switched {
+		t.Fatalf("hook factory did not switch CLEAR_CACHE_DIR: %q", got)
+	}
+	if _, err := os.Stat(switched); !os.IsNotExist(err) {
+		t.Fatalf("campaign created %s, the cache directory it was switched to mid-run (stat: %v)", switched, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, cacheKey(cfg, p))); err != nil {
+		t.Fatalf("campaign entry missing from the directory it was looked up in: %v", err)
 	}
 }
 

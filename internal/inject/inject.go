@@ -452,21 +452,17 @@ feed:
 	return failure
 }
 
-// run is the campaign body behind Run (hookFactory, run from reset) and
-// RunChecked (cf, run warm); at most one of the two is non-nil. It checks
-// that p has a golden output and that the sample count fits the uint16
-// per-flip-flop counters, performs the nominal run, plans the campaign, and
-// runs its gangs on GOMAXPROCS workers. Identical per-(bit, cycle) outcomes
-// summed by commutative tallies make the Result independent of how the
-// gangs are scheduled. A panic on a worker fails the campaign with a
-// *resilient.PanicError (see fanOut) and no Result.
-func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
-	cf func(*prog.Program) sim.Checker) (*Result, error) {
+// newCampaign checks that p has a golden output and that the sample count
+// fits the uint16 per-flip-flop counters, performs the campaign's nominal
+// run and fixes its strike population. It returns the campaign and the
+// nominal run's retired-instruction count.
+func (in *Injector) newCampaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
+	cf func(*prog.Program) sim.Checker) (*campaign, int64, error) {
 	if p.Expected == nil {
-		return nil, fmt.Errorf("inject: %s has no golden output", p.Name)
+		return nil, 0, fmt.Errorf("inject: %s has no golden output", p.Name)
 	}
 	if cfg.SamplesPerFF < 0 || cfg.SamplesPerFF > math.MaxUint16 {
-		return nil, fmt.Errorf("inject: %d samples outside the per-FF counter range [0, %d]",
+		return nil, 0, fmt.Errorf("inject: %d samples outside the per-FF counter range [0, %d]",
 			cfg.SamplesPerFF, math.MaxUint16)
 	}
 	modelName, _ := SplitModelTag(cfg.Tag)
@@ -474,18 +470,34 @@ func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 		model: LookupModel(modelName), env: EnvFor(cfg.Core)}
 	nomRet, err := c.nominal()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// The strike population: every flip-flop, unless the model restricts
-	// it (uncore). PerFF is always full-space sized and indexed by the
-	// struck bit, so per-structure reporting works across models.
-	nBits := SpaceBits(cfg.Core)
+	// it (uncore).
 	c.strikes = c.model.Bits(c.env)
-	c.nStrikes = nBits
+	c.nStrikes = SpaceBits(cfg.Core)
 	if c.strikes != nil {
 		c.nStrikes = len(c.strikes)
 	}
-	res := &Result{Config: cfg, NomCycles: c.nomCycles, NomRet: nomRet, PerFF: make([]FFStats, nBits)}
+	return c, nomRet, nil
+}
+
+// run is the campaign body behind Run (hookFactory, run from reset) and
+// RunChecked (cf, run warm); at most one of the two is non-nil. It sets
+// the campaign up (newCampaign), plans it, and runs its gangs on
+// GOMAXPROCS workers. Identical per-(bit, cycle) outcomes summed by
+// commutative tallies make the Result independent of how the gangs are
+// scheduled. A panic on a worker fails the campaign with a
+// *resilient.PanicError (see fanOut) and no Result.
+func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
+	cf func(*prog.Program) sim.Checker) (*Result, error) {
+	c, nomRet, err := in.newCampaign(cfg, p, hookFactory, cf)
+	if err != nil {
+		return nil, err
+	}
+	// PerFF is always full-space sized and indexed by the struck bit, so
+	// per-structure reporting works across models.
+	res := &Result{Config: cfg, NomCycles: c.nomCycles, NomRet: nomRet, PerFF: make([]FFStats, SpaceBits(cfg.Core))}
 
 	plan := planCampaign(c)
 	if err := fanOut(len(plan.gangs), func() (func(int), func()) {

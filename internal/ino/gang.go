@@ -11,10 +11,11 @@ var _ sim.GangCore = (*Core)(nil)
 // CopyStateFrom makes the core's state bit-for-bit identical to src, a
 // second in-order core bound to the same program. Both state
 // representations are copied — the packed ff.State and the unpacked latch
-// mirror with its validity flag — so the copy is exact whichever
-// representation is current, without forcing a pack/unpack round trip. The decode cache and
-// threaded translation are shared/memoized derivations of the program, not
-// state; the commit hook is left untouched, like Restore.
+// mirror with its validity flag and stage decodes — so the copy is exact
+// whichever representation is current, without forcing a pack/unpack
+// round trip. The decode cache and threaded translation are
+// shared/memoized derivations of the program, not state; the commit hook
+// is left untouched, like Restore.
 func (c *Core) CopyStateFrom(src sim.Core) {
 	s := src.(*Core)
 	c.program = s.program
@@ -22,6 +23,7 @@ func (c *Core) CopyStateFrom(src sim.Core) {
 	c.st.CopyFrom(s.st)
 	c.u = s.u
 	c.uValid = s.uValid
+	c.ud = s.ud
 	c.regfile = s.regfile
 	if cap(c.mem) >= len(s.mem) {
 		c.mem = c.mem[:len(s.mem)]

@@ -128,9 +128,11 @@ type Core struct {
 	// u is the unpacked latch mirror Step executes on; uValid marks it
 	// current. Observation points (State, Snapshot, Matches, Restore,
 	// Reset, FlushRecover) synchronize it with the packed st so external
-	// code always sees the exact bit layout of the flip-flop space.
+	// code always sees the exact bit layout of the flip-flop space. ud is
+	// the translation of each stage's instruction word, valid with u.
 	u      uLatches
 	uValid bool
+	ud     stageDecodes
 
 	hook sim.CommitHook
 }

@@ -8,10 +8,12 @@ import (
 )
 
 // This file is the in-order core's Step: compiled execution, where every
-// pipeline stage looks up a pre-translated tcode.DInst instead of calling
+// pipeline stage runs a pre-translated tcode.DInst instead of calling
 // isa.Decode and running execute-stage switches, and the latches live in the
 // unpacked mirror (unpacked.go) instead of the packed bit array — packed
-// state is materialized only at observation points. The decode-switch
+// state is materialized only at observation points. An instruction word is
+// looked up once, as it enters the register-access latch; its translation
+// then travels down the pipe beside it (stageDecodes). The decode-switch
 // interpreter in interp_test.go is its independent test oracle:
 // FuzzInterpEquivalence and the lockstep tests there pin Step to it cycle
 // for cycle and bit for bit.
@@ -29,6 +31,30 @@ func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	return c.dcache.Decode(w)
 }
 
+// stageDecodes is the translation of the instruction word in each stage
+// latch of the mirror, register access (a) through writeback (w). It is
+// derived state, current exactly while the mirror is: decodeLatches fills
+// it when Step unpacks, and Step moves each decode with its word, so a
+// cycle looks up only the word entering register access. It lives outside
+// uLatches because two cores holding the same word may hold different
+// pointers to equal translations (the per-PC table's or a decode cache's),
+// and DiffFrom compares uLatches with ==.
+type stageDecodes struct {
+	a, e, m, x, w *tcode.DInst
+}
+
+// decodeLatches derives the stage decodes from the freshly unpacked mirror.
+func (c *Core) decodeLatches() {
+	u := &c.u
+	c.ud = stageDecodes{
+		a: c.dec(u.aPC, u.aInst),
+		e: c.dec(u.ePC, u.eInst),
+		m: c.dec(u.mPC, u.mInst),
+		x: c.dec(u.xPC, u.xInst),
+		w: c.dec(u.wPC, u.wInst),
+	}
+}
+
 // Step advances the pipeline by one clock cycle on the unpacked latch
 // mirror.
 func (c *Core) Step() {
@@ -38,6 +64,7 @@ func (c *Core) Step() {
 	if !c.uValid {
 		c.unpackU()
 		c.uValid = true
+		c.decodeLatches()
 	}
 	c.cycles++
 	u := &c.u
@@ -88,11 +115,7 @@ func (c *Core) Step() {
 	wAddr := u.wAddr
 	wStoreVal := u.wStoreVal
 
-	eD := c.dec(ePC, eInstW)
-	mD := c.dec(mPC, mInstW)
-	xD := c.dec(xPC, xInstW)
-	wD := c.dec(wPC, wInstW)
-	aD := c.dec(aPC, aInstW)
+	aD, eD, mD, xD, wD := c.ud.a, c.ud.e, c.ud.m, c.ud.x, c.ud.w
 
 	// ---- W: writeback / commit. ----
 	if wValid {
@@ -138,6 +161,7 @@ func (c *Core) Step() {
 
 	// ---- X: exception stage (pass-through, trap priority resolution). ----
 	u.wInst = xInstW
+	c.ud.w = xD
 	u.wPC = xPC
 	u.wValid = xValid
 	u.wResult = xResult
@@ -177,6 +201,7 @@ func (c *Core) Step() {
 			}
 		}
 		u.xInst = mInstW
+		c.ud.x = mD
 		u.xPC = mPC
 		u.xValid = mValid
 		u.xResult = result
@@ -258,6 +283,7 @@ func (c *Core) Step() {
 			}
 		}
 		u.mInst = eInstW
+		c.ud.m = eD
 		u.mPC = ePC
 		u.mValid = eValid
 		u.mResult = result
@@ -280,6 +306,7 @@ func (c *Core) Step() {
 	if redirect || !stall {
 		valid := aValid && !redirect
 		u.eInst = aInstW
+		c.ud.e = aD
 		u.ePC = aPC
 		u.eValid = valid
 		u.eOp1 = c.regfile[aRs1]
@@ -297,6 +324,7 @@ func (c *Core) Step() {
 	} else if !stall {
 		dD := c.dec(dPC, dInst)
 		u.aInst = dInst
+		c.ud.a = dD
 		u.aPC = dPC
 		u.aValid = dValid
 		u.aRs1 = dD.In.Rs1

@@ -365,6 +365,13 @@ const cacheBits = 9
 // one — it is mutable and must not be shared across goroutines. Entries are
 // pure functions of the word, so the cache survives Reset and program
 // rebinds unchanged.
+//
+// A returned *DInst may outlive its slot: the in-order core carries each
+// stage's decode down the pipeline beside the instruction word, and a lane
+// core copies its carrier's decodes at a fork. Decode therefore allocates
+// a fresh DInst on every miss and only ever replaces a slot's pointer; it
+// must never overwrite an entry in place, which would change a carried
+// decode under its word.
 type Cache struct {
 	tags [1 << cacheBits]uint32
 	ents [1 << cacheBits]*DInst
