@@ -175,9 +175,8 @@ func ComboFor(names []string, rec RecoveryKind) (Combo, error) {
 
 // Technique is one pluggable resilience technique: identity (name, stack
 // layer, applicable cores) plus hardware cost. Optional capability
-// interfaces (GammaContributor, ProgramTransformer, CommitHooker,
-// CheckerHooker, TechniqueRecoveryCompat, FFProtector, CampaignTagger)
-// extend it; a
+// interfaces (GammaContributor, ProgramTransformer, CheckerHooker,
+// TechniqueRecoveryCompat, FFProtector, CampaignTagger) extend it; a
 // registered technique participates in enumeration, evaluation, cost
 // tables, and the sweep CLI without any engine changes.
 type Technique = technique.Technique
@@ -205,12 +204,10 @@ type (
 	GammaContributor = technique.GammaContributor
 	// ProgramTransformer rewrites the benchmark program.
 	ProgramTransformer = technique.Transformer
-	// CommitHooker attaches a commit-stream checker to injection runs.
-	CommitHooker = technique.Hooker
-	// CheckerHooker is a CommitHooker whose checker exposes its state as
-	// a Checker, so the technique's campaigns warm-start from checkpoints,
-	// prune and run on the gang engine instead of replaying every injection
-	// from reset.
+	// CheckerHooker attaches a commit-stream checker to injection runs.
+	// The checker exposes its state as a Checker, so the technique's
+	// campaigns warm-start from checkpoints, prune and run on the gang
+	// engine.
 	CheckerHooker = technique.CheckerHooker
 	// TechniqueRecoveryCompat declares which recovery mechanisms the
 	// technique's detections can drive (enumeration constraints).
@@ -234,11 +231,7 @@ type CostModel = power.Model
 // Cost is an area/power/execution-time overhead triple.
 type Cost = power.Cost
 
-// CommitHook observes retiring instructions during an injection run;
-// returning true signals a detection.
-type CommitHook = sim.CommitHook
-
-// CommitEvent is one retired instruction as seen by a CommitHook.
+// CommitEvent is one retired instruction as seen by a Checker.
 type CommitEvent = sim.CommitEvent
 
 // Checker is a commit-stream checker with savable state: Observe is its

@@ -49,34 +49,64 @@ func (flowGuard) CompatibleWith(k clear.RecoveryKind, core string) bool {
 	return k == clear.RecIR || k == clear.RecEIR
 }
 
-// Hook is the checker itself, observing the commit stream of an injection
-// run: any commit outside the program image, or a non-sequential transfer
-// to something that is not a basic-block entry, is a detection.
-func (flowGuard) Hook(p *clear.Program) clear.CommitHook {
+// Checker returns the checker itself, in its reset state, for one
+// injection core: it observes the commit stream, and any commit outside
+// the program image, or a non-sequential transfer to something that is not
+// a basic-block entry, is a detection.
+func (flowGuard) Checker(p *clear.Program) clear.Checker {
 	starts := make(map[uint32]bool, len(p.Blocks))
 	for _, b := range p.Blocks {
 		starts[uint32(b.Start)] = true
 	}
-	limit := uint32(len(p.Code))
-	prev, seen := uint32(0), false
-	return func(ev clear.CommitEvent) bool {
-		pc := ev.PC
-		if pc >= limit {
-			return true
-		}
-		if seen && pc != prev+1 && !starts[pc] {
-			return true
-		}
-		prev, seen = pc, true
-		return false
+	return &flowCheck{starts: starts, limit: uint32(len(p.Code))}
+}
+
+// flowCheck is one FlowGuard checker. Its state is the previous commit's
+// PC and whether there was one; the block-start table and the image size
+// are shared read-only by every copy.
+type flowCheck struct {
+	starts map[uint32]bool
+	limit  uint32
+	prev   uint32
+	seen   bool
+}
+
+// Observe checks one commit; true is a detection.
+func (f *flowCheck) Observe(ev clear.CommitEvent) bool {
+	pc := ev.PC
+	if pc >= f.limit {
+		return true
 	}
+	if f.seen && pc != f.prev+1 && !f.starts[pc] {
+		return true
+	}
+	f.prev, f.seen = pc, true
+	return false
+}
+
+// Clone, CopyFrom and Equal save, load and compare the checker's state, so
+// the engine can warm-start FlowGuard's campaigns from checkpoints and
+// prune injections whose core and checker both reconverge.
+func (f *flowCheck) Clone() clear.Checker {
+	c := *f
+	return &c
+}
+
+func (f *flowCheck) CopyFrom(src clear.Checker) {
+	s := src.(*flowCheck)
+	f.prev, f.seen = s.prev, s.seen
+}
+
+func (f *flowCheck) Equal(other clear.Checker) bool {
+	o := other.(*flowCheck)
+	return f.prev == o.prev && f.seen == o.seen
 }
 
 // The compiler checks that flowGuard exposes what the engine will probe.
 var _ interface {
 	clear.Technique
 	clear.GammaContributor
-	clear.CommitHooker
+	clear.CheckerHooker
 	clear.TechniqueRecoveryCompat
 } = flowGuard{}
 

@@ -1,7 +1,7 @@
 // Package archres implements the architecture-level resilience techniques:
 // DFC (data-flow checking with control-flow checking, after [Meixner 07]'s
 // Argus) and the monitor/checker core (after [Austin 99]'s DIVA). Both
-// observe the commit stream of a core through sim.CommitHook — the same
+// observe the commit stream of a core as a sim.Checker — the same
 // vantage point the hardware checkers have — so their coverage is measured,
 // not assumed: DFC catches corrupted instruction identity and illegal
 // control-flow edges but not corrupted data values, which is exactly why
@@ -63,13 +63,13 @@ func NewDFCChecker(p *prog.Program) sim.Checker {
 	return d
 }
 
-// NewDFC returns a commit hook implementing DFC+CFC for p.
+// NewDFC returns a commit hook implementing DFC+CFC for p. It and
+// DFCHookFactory serve cmd/clearbench's checker probes.
 func NewDFC(p *prog.Program) sim.CommitHook { return NewDFCChecker(p).Observe }
 
-// DFCHookFactory adapts NewDFC for injection campaigns.
-func DFCHookFactory() func(*prog.Program) sim.CommitHook {
-	return func(p *prog.Program) sim.CommitHook { return NewDFC(p) }
-}
+// DFCHookFactory returns NewDFCChecker, the checker factory of DFC
+// campaigns.
+func DFCHookFactory() func(*prog.Program) sim.Checker { return NewDFCChecker }
 
 // Clone implements sim.Checker.
 func (d *dfc) Clone() sim.Checker {
@@ -209,13 +209,9 @@ func NewMonitorChecker(p *prog.Program) sim.Checker {
 	return m
 }
 
-// NewMonitor returns a commit hook implementing a DIVA-style checker core.
+// NewMonitor returns a commit hook implementing a DIVA-style checker core
+// (for cmd/clearbench's checker probes).
 func NewMonitor(p *prog.Program) sim.CommitHook { return NewMonitorChecker(p).Observe }
-
-// MonitorHookFactory adapts NewMonitor for injection campaigns.
-func MonitorHookFactory() func(*prog.Program) sim.CommitHook {
-	return func(p *prog.Program) sim.CommitHook { return NewMonitor(p) }
-}
 
 // Clone implements sim.Checker.
 func (m *monitor) Clone() sim.Checker {

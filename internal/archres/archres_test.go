@@ -16,7 +16,7 @@ func TestNoFalsePositives(t *testing.T) {
 	for _, b := range bench.All() {
 		p := b.MustProgram()
 		c := ino.New(p)
-		c.SetCommitHook(NewDFC(p))
+		c.SetCommitHook(NewDFCChecker(p).Observe)
 		res := c.Run(5_000_000)
 		if res.Status != prog.StatusHalted {
 			t.Fatalf("DFC false positive on %s: %v", b.Name, res.Status)
@@ -25,7 +25,7 @@ func TestNoFalsePositives(t *testing.T) {
 	for _, b := range bench.ForOoO() {
 		p := b.MustProgram()
 		c := ooo.New(p)
-		c.SetCommitHook(NewMonitor(p))
+		c.SetCommitHook(NewMonitorChecker(p).Observe)
 		res := c.Run(5_000_000)
 		if res.Status != prog.StatusHalted {
 			t.Fatalf("monitor false positive on %s: %v", b.Name, res.Status)
@@ -48,7 +48,7 @@ func TestDFCCoverageCharacter(t *testing.T) {
 	nom := ino.New(p).Run(1_000_000)
 	detInst := 0
 	for cyc := 100; cyc < 400; cyc += 10 {
-		out, _ := inject.RunOne(core, p, f.Offset()+3, cyc, nom.Steps, DFCHookFactory())
+		out, _ := inject.RunOne(core, p, f.Offset()+3, cyc, nom.Steps, NewDFCChecker)
 		if out == inject.ED {
 			detInst++
 		}
@@ -61,7 +61,7 @@ func TestDFCCoverageCharacter(t *testing.T) {
 	g, _ := ino.Space().Lookup("e.op1")
 	detData, omm := 0, 0
 	for cyc := 100; cyc < 400; cyc += 10 {
-		out, _ := inject.RunOne(core, p, g.Offset()+20, cyc, nom.Steps, DFCHookFactory())
+		out, _ := inject.RunOne(core, p, g.Offset()+20, cyc, nom.Steps, NewDFCChecker)
 		switch out {
 		case inject.ED:
 			detData++
@@ -86,7 +86,7 @@ func TestMonitorCatchesDataCorruption(t *testing.T) {
 	det, omm := 0, 0
 	for cyc := 50; cyc < 350; cyc += 5 {
 		for bit := 0; bit < 32; bit += 11 {
-			out, _ := inject.RunOne(core, p, f.Offset()+bit, cyc, nom.Steps, MonitorHookFactory())
+			out, _ := inject.RunOne(core, p, f.Offset()+bit, cyc, nom.Steps, NewMonitorChecker)
 			switch out {
 			case inject.ED:
 				det++

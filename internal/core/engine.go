@@ -307,61 +307,16 @@ func (e *Engine) buildProgramUncached(b *bench.Benchmark, v Variant) (*prog.Prog
 	return p, nil
 }
 
-// hookFactory builds the architecture-level checker chain of a variant from
-// the registry's Hookers: each active checker sees the full commit stream
-// and detections are ORed.
-func (v Variant) hookFactory() func(*prog.Program) sim.CommitHook {
-	var hookers []technique.Hooker
-	for _, t := range technique.Default().Techniques() {
-		if !v.activeName(t.Name()) {
-			continue
-		}
-		if h, ok := t.(technique.Hooker); ok {
-			hookers = append(hookers, h)
-		}
-	}
-	if len(hookers) == 0 {
-		return nil
-	}
-	return func(p *prog.Program) sim.CommitHook {
-		hooks := make([]sim.CommitHook, len(hookers))
-		for i, h := range hookers {
-			hooks[i] = h.Hook(p)
-		}
-		if len(hooks) == 1 {
-			return hooks[0]
-		}
-		return func(ev sim.CommitEvent) bool {
-			det := false
-			for _, h := range hooks {
-				if h(ev) {
-					det = true
-				}
-			}
-			return det
-		}
-	}
-}
-
-// checkerFactory is hookFactory's checkpointable form: when every active
-// Hooker of the variant implements technique.CheckerHooker it returns a
-// factory of the same checker chain as a sim.Checker — one checker alone,
-// or a checkerChain ORing the detections of several — and nil otherwise
-// (no hookers, or one opaque hook, which keeps the from-reset path).
+// checkerFactory builds the architecture-level checker chain of a variant
+// from the registry's active CheckerHookers: one checker alone, or a
+// checkerChain ORing the detections of several, and nil for a variant
+// without checkers.
 func (v Variant) checkerFactory() func(*prog.Program) sim.Checker {
 	var hookers []technique.CheckerHooker
 	for _, t := range technique.Default().Techniques() {
-		if !v.activeName(t.Name()) {
-			continue
+		if ch, ok := t.(technique.CheckerHooker); ok && v.activeName(t.Name()) {
+			hookers = append(hookers, ch)
 		}
-		if _, ok := t.(technique.Hooker); !ok {
-			continue
-		}
-		ch, ok := t.(technique.CheckerHooker)
-		if !ok {
-			return nil
-		}
-		hookers = append(hookers, ch)
 	}
 	if len(hookers) == 0 {
 		return nil
@@ -379,8 +334,8 @@ func (v Variant) checkerFactory() func(*prog.Program) sim.Checker {
 }
 
 // checkerChain runs several checkers over one commit stream, ORing their
-// detections like hookFactory's chain: every checker observes every event,
-// so each one's state evolves exactly as it would alone.
+// detections: every checker observes every event, so each one's state
+// evolves exactly as it would alone.
 type checkerChain []sim.Checker
 
 // Observe, Clone, CopyFrom and Equal implement sim.Checker member by
@@ -459,14 +414,9 @@ func (e *Engine) Campaign(b *bench.Benchmark, v Variant) (*inject.Result, error)
 		// own the singleflight. Safe covers this goroutine; the injector
 		// returns a campaign worker's panic as the same error. A panic
 		// outside Safe (a transform in BuildProgram) reaches every joined
-		// caller through the singleflight. Checkpointable checkers take
-		// the warm, pruned gang path; an opaque hook replays every
-		// injection from reset. Both compute the same Result.
+		// caller through the singleflight.
 		r, err := resilient.Safe(func() (*inject.Result, error) {
-			if cf := v.checkerFactory(); cf != nil {
-				return e.Inj.CampaignChecked(cfg, p, cf)
-			}
-			return e.Inj.Campaign(cfg, p, v.hookFactory())
+			return e.Inj.Campaign(cfg, p, v.checkerFactory())
 		})
 		if err != nil {
 			return nil, err

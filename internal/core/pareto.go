@@ -40,15 +40,3 @@ func ParetoFrontier(points []ParetoPoint) []ParetoPoint {
 	})
 	return frontier
 }
-
-// Competitive reports whether a candidate (improvement, energy) point beats
-// the frontier: it is competitive if no frontier point achieves at least
-// its improvement for no more energy.
-func Competitive(frontier []ParetoPoint, improvement, energy float64) bool {
-	for _, p := range frontier {
-		if p.Improvement >= improvement && p.Energy <= energy {
-			return false
-		}
-	}
-	return true
-}

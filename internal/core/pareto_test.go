@@ -29,21 +29,6 @@ func TestParetoFrontier(t *testing.T) {
 	}
 }
 
-func TestCompetitive(t *testing.T) {
-	fr := ParetoFrontier([]ParetoPoint{
-		{"a", 2, 0.02}, {"b", 50, 0.06}, {"c", 500, 0.09},
-	})
-	if Competitive(fr, 10, 0.07) {
-		t.Fatal("10x @ 7% is dominated by 50x @ 6%")
-	}
-	if !Competitive(fr, 50, 0.05) {
-		t.Fatal("50x @ 5% beats the frontier")
-	}
-	if !Competitive(fr, 1000, 0.50) {
-		t.Fatal("beyond-frontier improvement is competitive at any cost")
-	}
-}
-
 // Properties: frontier members are non-dominated and come from the input;
 // every input point is dominated by (or is) a frontier point.
 func TestParetoProperties(t *testing.T) {

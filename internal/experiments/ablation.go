@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"clear/internal/analysis"
 	"clear/internal/core"
 	"clear/internal/inject"
 	"clear/internal/recovery"
@@ -32,7 +33,7 @@ func ablation1(ctx *Ctx) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		agg := aggregateAll(results)
+		agg := analysis.Aggregate(results)
 		baseSDC := float64(agg.Totals.SDC()) / float64(agg.Totals.N)
 		for _, tgt := range []float64{5, 50} {
 			opt := core.HardenOptions{DICE: true, FixedGamma: 1, BaseSDCRate: baseSDC}
@@ -64,23 +65,6 @@ func ablation1(ctx *Ctx) (string, error) {
 	return t.String(), nil
 }
 
-// aggregateAll sums campaigns (local helper mirroring analysis.Aggregate to
-// avoid an import cycle in this file's context).
-func aggregateAll(results []*inject.Result) *inject.Result {
-	agg := &inject.Result{PerFF: make([]inject.FFStats, len(results[0].PerFF))}
-	for _, r := range results {
-		for i, st := range r.PerFF {
-			agg.PerFF[i].N += st.N
-			agg.PerFF[i].OMM += st.OMM
-			agg.PerFF[i].UT += st.UT
-			agg.PerFF[i].Hang += st.Hang
-			agg.PerFF[i].ED += st.ED
-		}
-		agg.Totals.Merge(r.Totals)
-	}
-	return agg
-}
-
 // ablation2 removes Heuristic 1's HARDEN predicate: every selected
 // flip-flop gets parity, even past the commit point where flush recovery
 // cannot replay — the detected-but-unrecoverable errors then surface as
@@ -92,7 +76,7 @@ func ablation2(ctx *Ctx) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	agg := aggregateAll(results)
+	agg := analysis.Aggregate(results)
 	totalN := float64(agg.Totals.N)
 	baseSDC := float64(agg.Totals.SDC()) / totalN
 	baseDUE := float64(agg.Totals.UT+agg.Totals.Hang) / totalN

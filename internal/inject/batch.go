@@ -6,10 +6,9 @@ package inject
 // construction), and groups the rest by the checkpoint window their
 // injection cycle falls in, each window's lanes sorted by cycle and split
 // into gangs of up to lanes.Width. One executor, worker.run, then takes
-// each gang through one of the two kernel bodies.
+// each gang through the gang engine.
 //
-// A campaign without an opaque commit hook runs each gang on the gang
-// engine. One fault-free carrier core replays the window's shared prefix
+// One fault-free carrier core replays the window's shared prefix
 // from the reference checkpoint exactly once per gang; every lane forks off
 // the carrier at its injection cycle with a zero-allocation state clone
 // (sim.GangCore.CopyStateFrom), takes its flips, and then steps in lockstep
@@ -30,13 +29,14 @@ package inject
 //     likely to reconverge (a struck value still draining through the
 //     pipeline).
 //
-// Checked campaigns (RunChecked) give the carrier and every lane core a
-// checker of their own: the carrier's is loaded from the reference with
-// the carrier's snapshot, and a lane's is copied from the carrier's at the
-// fork. The checker is part of the state a prune needs — a lane whose core
-// matches the carrier but whose checker does not (a corrupted signature
-// still waiting for its block end) has not reconverged, so it counts as a
-// DiffAux divergence and is evicted, never pruned.
+// Checked campaigns (Run with a checker factory) give the carrier and
+// every lane core a checker of their own: the carrier's is loaded from the
+// reference with the carrier's snapshot, and a lane's is copied from the
+// carrier's at the fork. The checker is part of the state a prune needs —
+// a lane whose core matches the carrier but whose checker does not (a
+// corrupted signature still waiting for its block end) has not
+// reconverged, so it counts as a DiffAux divergence and is evicted, never
+// pruned.
 //
 // Lanes still live at the window's end are likewise finished through
 // finishInjected. Every planned lane reaches its fork: a sampled cycle lies
@@ -55,10 +55,6 @@ package inject
 // see a difference in the commit stream. Its record is observed on the
 // carrier, which holds exactly the state the lane would have had before
 // its flips.
-//
-// An opaque commit hook's state cannot be copied at a fork, so a campaign
-// carrying one runs each planned lane from reset through the cold body,
-// runCold, on the worker's one core.
 
 import (
 	"clear/internal/lanes"
@@ -195,21 +191,6 @@ func laneDiff(lc, car sim.Core, lchk, carChk sim.Checker) uint8 {
 	return d
 }
 
-// run executes one gang: cold, lane by lane, when the campaign carries an
-// opaque hook, and on the gang engine otherwise.
-func (w *worker) run(g laneGang) {
-	w.in.injTotal.Add(int64(len(g.lanes)))
-	if w.c.hookFactory == nil {
-		w.runGang(g)
-		return
-	}
-	core := w.lane(0)
-	for _, ln := range g.lanes {
-		out, det := runCold(w.rec, core, w.c.p, w.expand(ln), ln.cycle, w.c.nomCycles, w.c.hookFactory)
-		w.add(ln.pop, ln.cycle, out, det)
-	}
-}
-
 // decide tallies the outcome of lane ln, live in slot s, and emits the
 // record observed at its fork.
 func (w *worker) decide(s int, ln plannedLane, out Outcome, det int) {
@@ -226,12 +207,13 @@ func (w *worker) finish(s int, ln plannedLane) {
 	w.decide(s, ln, out, det)
 }
 
-// runGang executes one gang on the gang engine: replay the window prefix on
+// run executes one gang on the gang engine: replay the window prefix on
 // the carrier, decide each lane whose flips are all inert or dead at its
 // cycle and fork every other one, lockstep-and-classify until every lane
 // is decided or the window ends, then finish the survivors through the
 // warm body's tail.
-func (w *worker) runGang(g laneGang) {
+func (w *worker) run(g laneGang) {
+	w.in.injTotal.Add(int64(len(g.lanes)))
 	c := w.c
 	if w.carrier == nil {
 		w.carrier, w.carrierChk = newChecked(c.cfg.Core, c.p, c.cf)

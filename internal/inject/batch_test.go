@@ -14,12 +14,17 @@ import (
 	"clear/internal/sim"
 )
 
-// noopHook is an opaque commit-hook factory whose hooks never detect: a
-// campaign carrying it runs every injection from reset through the cold
-// body and must produce exactly the hookless campaign's Result.
-func noopHook(*prog.Program) sim.CommitHook {
-	return func(sim.CommitEvent) bool { return false }
-}
+// noopChecker is a stateless checker that never detects: a campaign it
+// checks runs the checked gang engine and must produce exactly the
+// unchecked campaign's Result.
+type noopChecker struct{}
+
+func noopCheckers(*prog.Program) sim.Checker { return noopChecker{} }
+
+func (noopChecker) Observe(sim.CommitEvent) bool { return false }
+func (noopChecker) Clone() sim.Checker           { return noopChecker{} }
+func (noopChecker) CopyFrom(sim.Checker)         {}
+func (noopChecker) Equal(sim.Checker) bool       { return true }
 
 // referenceCampaign is the tests' oracle for Injector.Run. It shares no
 // planning or scheduling code with the engine: it performs the nominal run,
@@ -27,15 +32,15 @@ func noopHook(*prog.Program) sim.CommitHook {
 // splitmix64 stream — h = splitmix64(Seed ^ bit<<20 ^ sample), cycle =
 // h mod nomCycles — expands each draw through the fault model, runs every
 // non-empty scenario from reset through the cold body on one core, and
-// tallies it the way the engine's tally.add does. hookFactory attaches a
-// fresh hook to the nominal run and to every injection; sink, when
-// non-nil, receives every run's record.
+// tallies it the way the engine's tally.add does. cf, when non-nil,
+// attaches a fresh checker to the nominal run and to every injection;
+// sink, when non-nil, receives every run's record.
 func referenceCampaign(t testing.TB, cfg Config, p *prog.Program,
-	hookFactory func(*prog.Program) sim.CommitHook, sink RecordSink) *Result {
+	cf func(*prog.Program) sim.Checker, sink RecordSink) *Result {
 	t.Helper()
 	nom := NewCore(cfg.Core, p)
-	if hookFactory != nil {
-		nom.SetCommitHook(hookFactory(p))
+	if cf != nil {
+		nom.SetCommitHook(cf(p).Observe)
 	}
 	nomRes := nom.Run(nomBudget)
 	if nomRes.Status != prog.StatusHalted || !p.OutputsEqual(nomRes.Output) {
@@ -58,7 +63,7 @@ func referenceCampaign(t testing.TB, cfg Config, p *prog.Program,
 			cycle := int(h % uint64(res.NomCycles))
 			out, det := Vanished, -1
 			if sc := model.Expand(env, bit, cycle, h, nil); len(sc) > 0 {
-				out, det = runCold(rec, c, p, sc, cycle, res.NomCycles, hookFactory)
+				out, det = runCold(rec, c, p, sc, cycle, res.NomCycles, cf)
 			}
 			st := &res.PerFF[bit]
 			st.N++
@@ -86,11 +91,11 @@ func referenceCampaign(t testing.TB, cfg Config, p *prog.Program,
 // interval (0 keeps CheckpointInterval). The injector must tally exactly
 // one injection per sample, Vanished-by-construction strikes included.
 func runCampaign(t testing.TB, cfg Config, p *prog.Program, interval int,
-	hookFactory func(*prog.Program) sim.CommitHook) *Result {
+	cf func(*prog.Program) sim.Checker) *Result {
 	t.Helper()
 	in := NewInjector()
 	in.interval = interval
-	r, err := in.Run(cfg, p, hookFactory)
+	r, err := in.Run(cfg, p, cf)
 	if err != nil {
 		t.Fatalf("interval=%d run: %v", interval, err)
 	}
@@ -416,9 +421,9 @@ func fuzzCampaignProgram(t testing.TB, data []byte) *prog.Program {
 // interval — including interval 1, where every lane hits a window boundary
 // after one cycle, and the divergence-eviction edges any failing lane takes —
 // the campaign must equal the reference campaign bit for bit. Selector bit 5
-// attaches the DFC checker: the campaign with DFC as an opaque hook (every
-// injection from reset with a fresh checker) and the checked campaign on
-// the gang engine must then both equal the hooked reference.
+// attaches the DFC checker: the checked campaign on the gang engine must
+// then equal the checked reference, which replays every injection from
+// reset with a fresh checker.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint64(1), uint8(0))
 	f.Add([]byte{0x11, 0x47, 0xA3, 0x09, 0xEE}, uint64(0xC1EA5), uint8(3))
@@ -435,27 +440,14 @@ func FuzzPackedEquivalence(f *testing.F) {
 		tag := []string{"", "mbu/f", "uncore/f", "set/f"}[(sel>>1)%4]
 		interval := []int{1, 32, 64, 256}[(sel>>3)%4]
 		cfg := Config{Core: kind, Bench: "fuzzpacked", Tag: tag, SamplesPerFF: 1, Seed: seed}
-		var hf func(*prog.Program) sim.CommitHook
+		var cf func(*prog.Program) sim.Checker
 		if sel&0x20 != 0 {
-			hf = archres.DFCHookFactory()
+			cf = archres.NewDFCChecker
 		}
-		want := referenceCampaign(t, cfg, p, hf, nil)
-		if got := runCampaign(t, cfg, p, interval, hf); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%v/%s interval=%d hooked=%v: campaign differs from the reference\nreference: %+v\ncampaign:  %+v",
-				kind, tag, interval, hf != nil, want.Totals, got.Totals)
-		}
-		if hf == nil {
-			return
-		}
-		in := NewInjector()
-		in.interval = interval
-		checked, err := in.RunChecked(cfg, p, archres.NewDFCChecker)
-		if err != nil {
-			t.Fatalf("checked run: %v", err)
-		}
-		if !reflect.DeepEqual(want, checked) {
-			t.Fatalf("%v/%s interval=%d: checked campaign differs from the hooked reference\nreference: %+v\nchecked:   %+v",
-				kind, tag, interval, want.Totals, checked.Totals)
+		want := referenceCampaign(t, cfg, p, cf, nil)
+		if got := runCampaign(t, cfg, p, interval, cf); !reflect.DeepEqual(want, got) {
+			t.Fatalf("%v/%s interval=%d checked=%v: campaign differs from the reference\nreference: %+v\ncampaign:  %+v",
+				kind, tag, interval, cf != nil, want.Totals, got.Totals)
 		}
 	})
 }

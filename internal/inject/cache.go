@@ -164,29 +164,17 @@ func (in *Injector) quarantine(path string) {
 	}
 }
 
-// Campaign runs (or loads from cache) the injection campaign for cfg. Cache
-// failures never fail the campaign: a corrupt or truncated entry is
-// quarantined and the campaign recomputed; a decodable entry that does not
-// demonstrably belong to this campaign (stored Config mismatch, implausible
-// shape — a key collision or hand-edited file) is discarded as stale. Cache
-// traffic and the campaign trace record land on this injector.
-func (in *Injector) Campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
-	return in.campaign(cfg, p, hookFactory, nil)
-}
-
-// CampaignChecked is Campaign for a campaign checked by cf's checkers: a
-// cache miss computes through RunChecked. Results and cache entries are
-// identical to Campaign's with cf's checkers as plain hooks.
-func (in *Injector) CampaignChecked(cfg Config, p *prog.Program, cf func(*prog.Program) sim.Checker) (*Result, error) {
-	return in.campaign(cfg, p, nil, cf)
-}
-
-// campaign is the cache-fronted body of Campaign and CampaignChecked (at
-// most one of hookFactory and cf is non-nil). It reads the cache directory
-// once, so the lookup and the write of one campaign use the same
-// directory even if $CLEAR_CACHE_DIR changes while the campaign runs.
-func (in *Injector) campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
-	cf func(*prog.Program) sim.Checker) (*Result, error) {
+// Campaign runs (or loads from cache) the injection campaign for cfg,
+// checked by cf's checkers when cf is non-nil; a cache miss computes
+// through Run. Cache failures never fail the campaign: a corrupt or
+// truncated entry is quarantined and the campaign recomputed; a decodable
+// entry that does not demonstrably belong to this campaign (stored Config
+// mismatch, implausible shape — a key collision or hand-edited file) is
+// discarded as stale. Cache traffic and the campaign trace record land on
+// this injector. The cache directory is read once, so the lookup and the
+// write of one campaign use the same directory even if $CLEAR_CACHE_DIR
+// changes while the campaign runs.
+func (in *Injector) Campaign(cfg Config, p *prog.Program, cf func(*prog.Program) sim.Checker) (*Result, error) {
 	start := time.Now()
 	wantModel, _ := SplitModelTag(cfg.Tag)
 	dir := CacheDir()
@@ -206,7 +194,7 @@ func (in *Injector) campaign(cfg Config, p *prog.Program, hookFactory func(*prog
 		}
 	}
 	in.cacheMisses.Add(1)
-	r, err := in.run(cfg, p, hookFactory, cf)
+	r, err := in.Run(cfg, p, cf)
 	if err != nil {
 		return nil, err
 	}

@@ -135,16 +135,17 @@ func TestCampaignUnusableCacheDir(t *testing.T) {
 }
 
 // TestCampaignReadsCacheDirOnce switches $CLEAR_CACHE_DIR while a
-// campaign runs, from the hook factory its nominal run and every injection
-// call: the campaign must write its entry under the directory it looked
-// the entry up in, and must not create the directory it was switched to.
+// campaign runs, from the checker factory its nominal run and every worker
+// core call: the campaign must write its entry under the directory it
+// looked the entry up in, and must not create the directory it was
+// switched to.
 func TestCampaignReadsCacheDirOnce(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("CLEAR_CACHE_DIR", dir)
 	switched := filepath.Join(t.TempDir(), "switched")
-	switching := func(p *prog.Program) sim.CommitHook {
+	switching := func(p *prog.Program) sim.Checker {
 		os.Setenv("CLEAR_CACHE_DIR", switched)
-		return noopHook(p)
+		return noopChecker{}
 	}
 
 	p := tinyProgram(t)
@@ -153,7 +154,7 @@ func TestCampaignReadsCacheDirOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := os.Getenv("CLEAR_CACHE_DIR"); got != switched {
-		t.Fatalf("hook factory did not switch CLEAR_CACHE_DIR: %q", got)
+		t.Fatalf("checker factory did not switch CLEAR_CACHE_DIR: %q", got)
 	}
 	if _, err := os.Stat(switched); !os.IsNotExist(err) {
 		t.Fatalf("campaign created %s, the cache directory it was switched to mid-run (stat: %v)", switched, err)

@@ -138,10 +138,10 @@ func TestWorkerPanicFailsCampaign(t *testing.T) {
 	cfg := Config{Core: InO, Bench: "tiny", Tag: "copypanic", SamplesPerFF: 1, Seed: 5}
 	cf := func(*prog.Program) sim.Checker { return &copyPanicChecker{} }
 
-	r, err := NewInjector().CampaignChecked(cfg, p, cf)
+	r, err := NewInjector().Campaign(cfg, p, cf)
 	var pe *resilient.PanicError
 	if !errors.As(err, &pe) || r != nil {
-		t.Fatalf("CampaignChecked = (%v, %v), want a nil result and a *resilient.PanicError", r, err)
+		t.Fatalf("Campaign = (%v, %v), want a nil result and a *resilient.PanicError", r, err)
 	}
 	if pe.Value != "copyPanicChecker: commit observed after CopyFrom" {
 		t.Fatalf("panic value = %v", pe.Value)

@@ -26,7 +26,7 @@ const CheckpointInterval = 256
 // holds the state at cycle i*Interval; the last snapshot precedes the
 // nominal halt. A reference built for a checked campaign also saves the
 // checker's state beside each snapshot (Checks[i], taken at the same clock
-// boundary; nil for hookless references), so warm starts restore the
+// boundary; nil for unchecked references), so warm starts restore the
 // checker with the core. References are immutable and shared read-only by
 // the campaign worker goroutines.
 type Reference struct {

@@ -12,20 +12,33 @@ import (
 	"clear/internal/sim"
 )
 
-// boundsHook returns a stateful commit hook modeled on an architecture-level
-// value checker: it tracks how many instructions retired and flags any
-// committed result above a bound the fault-free run never reaches. The
-// internal counter makes the hook impossible to warm-start from a mid-run
-// checkpoint, exercising the exact-path fallback.
-func boundsHook(bound uint32) func(*prog.Program) sim.CommitHook {
-	return func(*prog.Program) sim.CommitHook {
-		n := 0
-		return func(ev sim.CommitEvent) bool {
-			n++
-			return n > 1 && ev.Result > bound
-		}
-	}
+// boundsChecker is a stateful commit-stream checker modeled on an
+// architecture-level value checker: it counts retired instructions and
+// flags any committed result, past the first, above a bound the fault-free
+// run never reaches. The counter is state a warm start must restore and a
+// prune must compare.
+type boundsChecker struct {
+	bound uint32
+	n     int
 }
+
+// boundsCheckers returns a factory of fresh boundsCheckers for bound.
+func boundsCheckers(bound uint32) func(*prog.Program) sim.Checker {
+	return func(*prog.Program) sim.Checker { return &boundsChecker{bound: bound} }
+}
+
+func (b *boundsChecker) Observe(ev sim.CommitEvent) bool {
+	b.n++
+	return b.n > 1 && ev.Result > b.bound
+}
+
+func (b *boundsChecker) Clone() sim.Checker {
+	c := *b
+	return &c
+}
+
+func (b *boundsChecker) CopyFrom(src sim.Checker) { *b = *src.(*boundsChecker) }
+func (b *boundsChecker) Equal(o sim.Checker) bool { return *b == *o.(*boundsChecker) }
 
 // TestRunOneFromEquivalence drives a randomized grid of (bit, cycle)
 // injection points through both the from-reset and the checkpointed path on
@@ -60,17 +73,18 @@ func TestRunOneFromEquivalence(t *testing.T) {
 					kind, bit, cycle, o1, d1, o2, d2)
 			}
 		}
-		// hook-carrying runs must keep the exact from-reset path and still
-		// agree classification-for-classification
+		// checked runs, whose checker state the reference does not save,
+		// must keep the exact from-reset path and still agree
+		// classification-for-classification
 		for s := 0; s < 50; s++ {
 			h := splitmix64(uint64(s) ^ 0xB00F)
 			bit := int(h % uint64(nBits))
 			cycle := int((h >> 24) % uint64(nom))
-			hf := boundsHook(1 << 20)
-			o1, d1 := RunOne(direct, p, bit, cycle, nom, hf)
-			o2, d2 := in.RunOneFrom(warm, p, ref, bit, cycle, nom, hf)
+			cf := boundsCheckers(1 << 20)
+			o1, d1 := RunOne(direct, p, bit, cycle, nom, cf)
+			o2, d2 := in.RunOneFrom(warm, p, ref, bit, cycle, nom, cf)
 			if o1 != o2 || d1 != d2 {
-				t.Fatalf("%v hooked bit=%d cycle=%d: (%v,%d) vs (%v,%d)",
+				t.Fatalf("%v checked bit=%d cycle=%d: (%v,%d) vs (%v,%d)",
 					kind, bit, cycle, o1, d1, o2, d2)
 			}
 		}
@@ -99,17 +113,27 @@ func TestCampaignBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCampaignBitIdenticalHooked covers the cold path: a campaign carrying
-// an opaque hook runs every injection from reset. With the stateful
-// boundsHook it must equal the hooked reference campaign; with a hook that
-// never fires it must be byte-identical to the hookless campaign, which
-// runs warm on the gang engine.
+// TestCampaignBitIdenticalHooked covers checked campaigns, which run warm
+// on the gang engine with the checker's state saved, restored and compared
+// beside the core's. Checked by the stateful boundsChecker, a campaign must
+// equal the checked reference campaign, which replays every injection from
+// reset with a fresh checker, and must prune; checked by a checker that
+// never fires, it must be byte-identical to the unchecked campaign.
 func TestCampaignBitIdenticalHooked(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 7}
-	hf := boundsHook(1 << 20)
-	requireIdentical(t, "boundsHook", referenceCampaign(t, cfg, p, hf, nil), runCampaign(t, cfg, p, 0, hf))
-	requireIdentical(t, "no-op hook", runCampaign(t, cfg, p, 0, nil), runCampaign(t, cfg, p, 0, noopHook))
+	cf := boundsCheckers(1 << 20)
+	in := NewInjector()
+	got, err := in.Run(cfg, p, cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "boundsChecker", referenceCampaign(t, cfg, p, cf, nil), got)
+	if got.Totals.ED == 0 || in.Snapshot().PrunedInjections == 0 {
+		t.Fatalf("boundsChecker campaign detected %d and pruned %d; it must do both",
+			got.Totals.ED, in.Snapshot().PrunedInjections)
+	}
+	requireIdentical(t, "no-op checker", runCampaign(t, cfg, p, 0, nil), runCampaign(t, cfg, p, 0, noopCheckers))
 }
 
 func TestSamplesPerFFRange(t *testing.T) {
@@ -125,7 +149,7 @@ func TestSamplesPerFFRange(t *testing.T) {
 // TestRunValidation pins the campaign prologue's input checking: a
 // program without golden output, a negative sample count, and the first
 // sample count past the uint16 per-flip-flop counters must all fail up
-// front rather than mid-campaign, whether the campaign runs warm or cold.
+// front rather than mid-campaign, whether the campaign is checked or not.
 func TestRunValidation(t *testing.T) {
 	p := tinyProgram(t)
 	noGolden := &prog.Program{Name: "nogolden", MemWords: 16}
@@ -138,10 +162,10 @@ func TestRunValidation(t *testing.T) {
 		{"negative samples", p, -1},
 		{"65536 samples", p, 1 << 16},
 	} {
-		for _, hf := range []func(*prog.Program) sim.CommitHook{nil, noopHook} {
+		for _, cf := range []func(*prog.Program) sim.Checker{nil, noopCheckers} {
 			cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: tc.samples, Seed: 1}
-			if _, err := NewInjector().Run(cfg, tc.p, hf); err == nil {
-				t.Errorf("%s (hooked=%v): Run accepted it", tc.name, hf != nil)
+			if _, err := NewInjector().Run(cfg, tc.p, cf); err == nil {
+				t.Errorf("%s (checked=%v): Run accepted it", tc.name, cf != nil)
 			}
 		}
 	}
@@ -219,22 +243,26 @@ func BenchmarkCampaign(b *testing.B) {
 }
 
 // BenchmarkCampaignInO measures the full InO baseline campaign on a real
-// benchmark program, from reset (an opaque no-op hook sends every
-// injection through the cold body) versus checkpointed. The checkpointed
-// engine's speedup comes from warm-starting each gang near its sampled
-// cycles, sharing the window prefix across the gang, and pruning.
+// benchmark program, from reset (the reference campaign sends every
+// injection through the cold body on one core) versus checkpointed. The
+// checkpointed engine's speedup comes from warm-starting each gang near its
+// sampled cycles, sharing the window prefix across the gang, pruning, and
+// running on every CPU.
 func BenchmarkCampaignInO(b *testing.B) {
 	p := bench.ByName("gzip").MustProgram()
 	cfg := Config{Core: InO, Bench: "gzip", SamplesPerFF: 1, Seed: 0xC1EA5}
-	run := func(b *testing.B, hf func(*prog.Program) sim.CommitHook) {
+	b.Run("from-reset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := NewInjector().Run(cfg, p, hf); err != nil {
+			referenceCampaign(b, cfg, p, nil, nil)
+		}
+	})
+	b.Run("checkpointed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := NewInjector().Run(cfg, p, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("from-reset", func(b *testing.B) { run(b, noopHook) })
-	b.Run("checkpointed", func(b *testing.B) { run(b, nil) })
+	})
 }
 
 // TestBuildReferenceRejectsBadInterval checks that a non-positive interval

@@ -14,14 +14,12 @@
 //	           no recovery is attached)
 //
 // Every campaign is planned once into gangs of injections that share a
-// checkpoint window (batch.go) and runs through one executor over the two
-// bodies of the injection kernel (scenario.go): gang lanes fork off a
-// fault-free carrier and finish through the warm body's tail, and the
-// lanes of a campaign with an opaque commit hook replay from reset through
-// the cold body. Three kinds of strike are decided Vanished without
-// stepping a cycle: the empty scenarios of a fault model (a strike that
-// latches nothing) and, on the gang engine, strikes whose every flip is
-// inert — in a field the core declares it never reads
+// checkpoint window and runs through one executor, the gang engine
+// (batch.go): gang lanes fork off a fault-free carrier and finish through
+// the warm tail of the injection kernel (scenario.go). Three kinds of
+// strike are decided Vanished without stepping a cycle: the empty
+// scenarios of a fault model (a strike that latches nothing) and strikes
+// whose every flip is inert — in a field the core declares it never reads
 // (ff.Space.AllocInert) — or dead in the carrier's state at the fork — a
 // payload behind a closed gate, overwritten before anything reads it
 // (sim.GangCore.Dead).
@@ -238,63 +236,79 @@ const nomBudget = 8_000_000
 
 // Run executes a campaign: SamplesPerFF uniform-random cycles for every
 // flip-flop bit of the strike population. The program may be a transformed
-// (software-protected) variant; hookFactory attaches an architecture-level
-// checker. A "<model>/" prefix on cfg.Tag selects a registered fault model
-// (mbu, uncore, set — see model.go); the unprefixed form is the paper's
-// single-bit model, ssb. Every sample expands through its model into a
-// Scenario and runs through the injection kernel (scenario.go).
+// (software-protected) variant; cf, when non-nil, builds the
+// architecture-level commit-stream checker that watches the nominal run and
+// every injection (its detections classify as ED). A "<model>/" prefix on
+// cfg.Tag selects a registered fault model (mbu, uncore, set — see
+// model.go); the unprefixed form is the paper's single-bit model, ssb.
+// Every sample expands through its model into a Scenario and runs through
+// the injection kernel (scenario.go).
 //
 // Every campaign is planned into gangs of up to 64 same-window injections
-// (batch.go). A hookless campaign amortizes simulation work through the
-// fault-free reference trajectory (see CheckpointInterval): each gang
-// shares one carrier replay of its window prefix, and each injection
-// prunes as soon as its state reconverges with the reference. A
-// hookFactory is an opaque closure whose state the engine cannot save, so
-// a hooked Run replays every injection from reset; a checker with savable
-// state takes the warm, pruned gang path through RunChecked instead.
-// Strikes the fault model expands to an empty scenario, and on the gang
-// path strikes whose flips all land in inert or dead flip-flops, are
-// Vanished without simulation. Results are bit-for-bit identical to
-// replaying every injection from reset for a fixed Config.Seed.
+// (batch.go) and amortizes simulation work through the fault-free
+// reference trajectory (see CheckpointInterval): each gang shares one
+// carrier replay of its window prefix, and each injection prunes as soon
+// as its state — core and checker — reconverges with the reference. A
+// sim.Checker's state can be saved, restored and compared, so each worker
+// core owns one checker for the whole campaign instead of building one per
+// injection. Strikes the fault model expands to an empty scenario, and
+// strikes whose flips all land in inert or dead flip-flops, are Vanished
+// without simulation. Results are bit-for-bit identical to replaying every
+// injection from reset under a fresh checker (RunScenario) for a fixed
+// Config.Seed.
 //
 // Injections, prunes, inert and dead decisions, and outcome tallies land
 // on this injector's counters. Counters only observe the campaign — they
 // never feed back into it, so results are identical whichever injector
-// runs the campaign.
-func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
-	return in.run(cfg, p, hookFactory, nil)
-}
+// runs the campaign. Identical per-(bit, cycle) outcomes summed by
+// commutative tallies make the Result independent of how the gangs are
+// scheduled on GOMAXPROCS workers. A panic on a worker fails the campaign
+// with a *resilient.PanicError (see fanOut) and no Result.
+func (in *Injector) Run(cfg Config, p *prog.Program, cf func(*prog.Program) sim.Checker) (*Result, error) {
+	c, nomRet, err := in.newCampaign(cfg, p, cf)
+	if err != nil {
+		return nil, err
+	}
+	// PerFF is always full-space sized and indexed by the struck bit, so
+	// per-structure reporting works across models.
+	res := &Result{Config: cfg, NomCycles: c.nomCycles, NomRet: nomRet, PerFF: make([]FFStats, SpaceBits(cfg.Core))}
 
-// RunChecked runs a campaign checked by the commit-stream checker cf
-// builds. It returns exactly what Run returns with cf's checkers as plain
-// hooks (func(p) { return cf(p).Observe }), but because a sim.Checker's
-// state can be saved, restored and compared, the campaign warm-starts from
-// the reference, prunes when core and checker both reconverge, and runs on
-// the gang engine like a hookless one. Each worker core owns one checker
-// for the whole campaign instead of building one per injection.
-func (in *Injector) RunChecked(cfg Config, p *prog.Program, cf func(*prog.Program) sim.Checker) (*Result, error) {
-	return in.run(cfg, p, nil, cf)
+	plan := planCampaign(c)
+	if err := fanOut(len(plan.gangs), func() (func(int), func()) {
+		w := newWorker(in, c)
+		return func(g int) { w.run(plan.gangs[g]) }, func() { w.mergeInto(res, c) }
+	}); err != nil {
+		return nil, err
+	}
+	// Strikes the fault model says latch nothing: Vanished by construction,
+	// no simulation, no record.
+	in.injTotal.Add(int64(len(plan.vanished)))
+	in.injInert.Add(int64(len(plan.vanished)))
+	for _, bit := range plan.vanished {
+		res.PerFF[bit].N++
+		res.Totals.Add(Vanished)
+	}
+	in.addOutcomes(res.Totals)
+	return res, nil
 }
 
 // campaign is one computed campaign's fixed inputs, shared read-only by its
 // workers: the strike population is strikes (nil = every flip-flop), and
 // sample s of population index i strikes bit(i) at a splitmix64-drawn
 // cycle, expanded through model. Injections are planned by the window of
-// interval cycles they fall in. At most one of hookFactory and cf is
-// non-nil; ref is the warm-start reference of a campaign without
-// hookFactory.
+// interval cycles they fall in; ref is the warm-start reference, recorded
+// under cf's checker when cf is non-nil.
 type campaign struct {
-	cfg         Config
-	p           *prog.Program
-	ref         *Reference
-	hookFactory func(*prog.Program) sim.CommitHook
-	cf          func(*prog.Program) sim.Checker
-	interval    int
-	nomCycles   int
-	nStrikes    int
-	strikes     []int
-	model       FaultModel
-	env         *ModelEnv
+	cfg       Config
+	p         *prog.Program
+	ref       *Reference
+	cf        func(*prog.Program) sim.Checker
+	interval  int
+	nomCycles int
+	nStrikes  int
+	strikes   []int
+	model     FaultModel
+	env       *ModelEnv
 }
 
 // atFork reports whether strike sc, about to fork off carrier car, cannot
@@ -316,28 +330,19 @@ func (c *campaign) atFork(car sim.GangCore, sc Scenario) (vanished, inert bool) 
 	return true, inert
 }
 
-// nominal performs the campaign's fault-free run and sets ref and
-// nomCycles: a hookless campaign records the warm-start reference (under
-// cf's checker, when non-nil), one with an opaque hookFactory runs cold
-// under the hook. The run must halt with the golden output. It returns the
+// nominal performs the campaign's fault-free run, recording the warm-start
+// reference (under cf's checker, when non-nil), and sets ref and
+// nomCycles. The run must halt with the golden output. It returns the
 // retired-instruction count.
 func (c *campaign) nominal() (int64, error) {
-	var res prog.Result
-	var nom sim.Core
-	if c.hookFactory == nil {
-		var err error
-		if c.ref, res, nom, err = buildReferenceCore(c.cfg.Core, c.p, c.interval, nomBudget, c.cf); err != nil {
-			return 0, err
-		}
-	} else {
-		nom = NewCore(c.cfg.Core, c.p)
-		nom.SetCommitHook(c.hookFactory(c.p))
-		res = nom.Run(nomBudget)
+	ref, res, nom, err := buildReferenceCore(c.cfg.Core, c.p, c.interval, nomBudget, c.cf)
+	if err != nil {
+		return 0, err
 	}
 	if res.Status != prog.StatusHalted || !c.p.OutputsEqual(res.Output) {
 		return 0, fmt.Errorf("inject: nominal run of %s/%s failed: %v", c.cfg.Bench, c.cfg.Tag, res.Status)
 	}
-	c.nomCycles = res.Steps
+	c.ref, c.nomCycles = ref, res.Steps
 	return nom.Retired(), nil
 }
 
@@ -456,8 +461,7 @@ feed:
 // fits the uint16 per-flip-flop counters, performs the campaign's nominal
 // run and fixes its strike population. It returns the campaign and the
 // nominal run's retired-instruction count.
-func (in *Injector) newCampaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
-	cf func(*prog.Program) sim.Checker) (*campaign, int64, error) {
+func (in *Injector) newCampaign(cfg Config, p *prog.Program, cf func(*prog.Program) sim.Checker) (*campaign, int64, error) {
 	if p.Expected == nil {
 		return nil, 0, fmt.Errorf("inject: %s has no golden output", p.Name)
 	}
@@ -466,7 +470,7 @@ func (in *Injector) newCampaign(cfg Config, p *prog.Program, hookFactory func(*p
 			cfg.SamplesPerFF, math.MaxUint16)
 	}
 	modelName, _ := SplitModelTag(cfg.Tag)
-	c := &campaign{cfg: cfg, p: p, hookFactory: hookFactory, cf: cf, interval: cmp.Or(in.interval, CheckpointInterval),
+	c := &campaign{cfg: cfg, p: p, cf: cf, interval: cmp.Or(in.interval, CheckpointInterval),
 		model: LookupModel(modelName), env: EnvFor(cfg.Core)}
 	nomRet, err := c.nominal()
 	if err != nil {
@@ -480,40 +484,4 @@ func (in *Injector) newCampaign(cfg Config, p *prog.Program, hookFactory func(*p
 		c.nStrikes = len(c.strikes)
 	}
 	return c, nomRet, nil
-}
-
-// run is the campaign body behind Run (hookFactory, run from reset) and
-// RunChecked (cf, run warm); at most one of the two is non-nil. It sets
-// the campaign up (newCampaign), plans it, and runs its gangs on
-// GOMAXPROCS workers. Identical per-(bit, cycle) outcomes summed by
-// commutative tallies make the Result independent of how the gangs are
-// scheduled. A panic on a worker fails the campaign with a
-// *resilient.PanicError (see fanOut) and no Result.
-func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook,
-	cf func(*prog.Program) sim.Checker) (*Result, error) {
-	c, nomRet, err := in.newCampaign(cfg, p, hookFactory, cf)
-	if err != nil {
-		return nil, err
-	}
-	// PerFF is always full-space sized and indexed by the struck bit, so
-	// per-structure reporting works across models.
-	res := &Result{Config: cfg, NomCycles: c.nomCycles, NomRet: nomRet, PerFF: make([]FFStats, SpaceBits(cfg.Core))}
-
-	plan := planCampaign(c)
-	if err := fanOut(len(plan.gangs), func() (func(int), func()) {
-		w := newWorker(in, c)
-		return func(g int) { w.run(plan.gangs[g]) }, func() { w.mergeInto(res, c) }
-	}); err != nil {
-		return nil, err
-	}
-	// Strikes the fault model says latch nothing: Vanished by construction,
-	// no simulation, no record.
-	in.injTotal.Add(int64(len(plan.vanished)))
-	in.injInert.Add(int64(len(plan.vanished)))
-	for _, bit := range plan.vanished {
-		res.PerFF[bit].N++
-		res.Totals.Add(Vanished)
-	}
-	in.addOutcomes(res.Totals)
-	return res, nil
 }

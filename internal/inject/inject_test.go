@@ -172,15 +172,18 @@ func TestCampaignCache(t *testing.T) {
 	}
 }
 
+// alwaysDetect is a checker that flags every commit.
+type alwaysDetect struct{ noopChecker }
+
+func (alwaysDetect) Observe(sim.CommitEvent) bool { return true }
+
 func TestHookClassifiesED(t *testing.T) {
 	p := tinyProgram(t)
 	c := NewCore(InO, p)
 	nom := NewCore(InO, p).Run(100000)
-	// A hook that flags everything: every injection (and the run itself)
-	// detects immediately.
-	out, det := RunOne(c, p, 3, 5, nom.Steps, func(*prog.Program) sim.CommitHook {
-		return func(ev sim.CommitEvent) bool { return true }
-	})
+	// A checker that flags everything: every injection (and the run
+	// itself) detects immediately.
+	out, det := RunOne(c, p, 3, 5, nom.Steps, func(*prog.Program) sim.Checker { return alwaysDetect{} })
 	if out != ED || det < 0 {
 		t.Fatalf("got %v det=%d, want ED", out, det)
 	}

@@ -12,9 +12,8 @@ import (
 // concurrent sweeps in one process conflated each other's numbers: an
 // event from the in-order sweep could report prune work done by the
 // out-of-order sweep. Each engine now owns an Injector; every campaign and
-// warm injection runs through one (Run, RunChecked, Campaign,
-// CampaignChecked, RunOneFrom), and its counters are read from that
-// Injector alone.
+// warm injection runs through one (Run, Campaign, RunOneFrom), and its
+// counters are read from that Injector alone.
 //
 // An Injector additionally carries the obs instruments of the injection
 // hot path (per-outcome counters, the convergence-prune cycle histogram,

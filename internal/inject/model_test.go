@@ -260,21 +260,21 @@ func (emptyModel) Expand(_ *ModelEnv, _, _ int, _ uint64, dst Scenario) Scenario
 // TestEmptyScenarioVanishesWithoutSimulation runs a campaign whose every
 // strike expands to the empty scenario: each counts as one Vanished
 // injection decided without simulation (injections.inert), no injection
-// is simulated (the opaque hook factory builds a hook for the nominal run
-// only), and no record is emitted.
+// is simulated (the checker factory builds a checker for the nominal run
+// only: no worker core is ever created), and no record is emitted.
 func TestEmptyScenarioVanishesWithoutSimulation(t *testing.T) {
 	p := tinyProgram(t)
 	registerTestModel(t, emptyModel{})
 	var runs atomic.Int64
-	hf := func(p *prog.Program) sim.CommitHook {
+	cf := func(p *prog.Program) sim.Checker {
 		runs.Add(1)
-		return noopHook(p)
+		return noopChecker{}
 	}
 	in := NewInjector()
 	buf := &RecordBuffer{}
 	in.Sink = buf
 	cfg := Config{Core: InO, Bench: "tiny", Tag: "zempty/x", SamplesPerFF: 2, Seed: 1}
-	res, err := in.Run(cfg, p, hf)
+	res, err := in.Run(cfg, p, cf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestEmptyScenarioVanishesWithoutSimulation(t *testing.T) {
 		t.Fatalf("%d injections counted inert, want all %d", got, n)
 	}
 	if got := runs.Load(); got != 1 {
-		t.Fatalf("hook factory ran %d times, want once for the nominal run", got)
+		t.Fatalf("checker factory ran %d times, want once for the nominal run", got)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("empty scenarios emitted %d records", buf.Len())
@@ -419,26 +419,19 @@ func TestCacheSSBFormatPinned(t *testing.T) {
 
 // TestPairCampaignDetLatency exercises the detection-latency accounting on
 // the campaign-level multi-flip path, the mbu model, whose clusters
-// generalize a SEMU pair: every ED injection of a hooked mbu campaign must
+// generalize a SEMU pair: every ED injection of a checked mbu campaign must
 // contribute to DetLatSum/DetN.
 func TestPairCampaignDetLatency(t *testing.T) {
 	p := tinyProgram(t)
 	// A bounds checker: silent in the nominal run (tiny's values are
 	// small), detecting whenever a corrupted register value retires.
-	hf := func(*prog.Program) sim.CommitHook {
-		n := 0
-		return func(ev sim.CommitEvent) bool {
-			n++
-			return n > 1 && ev.Result > 1<<16
-		}
-	}
 	cfg := Config{Core: InO, Bench: "tiny", Tag: "mbu/hooked", SamplesPerFF: 1, Seed: 3}
-	res, err := NewInjector().Run(cfg, p, hf)
+	res, err := NewInjector().Run(cfg, p, boundsCheckers(1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Totals.ED == 0 {
-		t.Fatal("always-detecting hook produced no ED outcomes")
+		t.Fatal("bounds checker produced no ED outcomes")
 	}
 	if res.DetN != int64(res.Totals.ED) {
 		t.Fatalf("DetN = %d, want one entry per ED outcome (%d)", res.DetN, res.Totals.ED)

@@ -80,7 +80,7 @@ func TestPlanMatchesReference(t *testing.T) {
 					what := fmt.Sprintf("%v/%q samples=%d interval=%d", kind, tag, samples, interval)
 					in := NewInjector()
 					in.interval = interval
-					c, _, err := in.newCampaign(cfg, p, nil, nil)
+					c, _, err := in.newCampaign(cfg, p, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
@@ -107,7 +107,7 @@ func BenchmarkPlanCampaign(b *testing.B) {
 		{Core: InO, Bench: "gzip", SamplesPerFF: 24, Seed: 0xC1EA5},
 		{Core: OoO, Bench: "gzip", Tag: "mbu/base", SamplesPerFF: 1, Seed: 0xC1EA5},
 	} {
-		c, _, err := NewInjector().newCampaign(cfg, p, nil, nil)
+		c, _, err := NewInjector().newCampaign(cfg, p, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

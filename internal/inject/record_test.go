@@ -22,17 +22,17 @@ import (
 // runSinkPair runs the same campaign twice on fresh injectors — once bare,
 // once with a RecordBuffer attached — and returns both results plus the
 // collected records.
-func runSinkPair(t *testing.T, cfg Config, hookFactory func(*prog.Program) sim.CommitHook) (plain, sunk *Result, recs []Record) {
+func runSinkPair(t *testing.T, cfg Config, cf func(*prog.Program) sim.Checker) (plain, sunk *Result, recs []Record) {
 	t.Helper()
 	p := tinyProgram(t)
-	r1, err := NewInjector().Run(cfg, p, hookFactory)
+	r1, err := NewInjector().Run(cfg, p, cf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := &RecordBuffer{}
 	in := NewInjector()
 	in.Sink = buf
-	r2, err := in.Run(cfg, p, hookFactory)
+	r2, err := in.Run(cfg, p, cf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,19 +41,18 @@ func runSinkPair(t *testing.T, cfg Config, hookFactory func(*prog.Program) sim.C
 
 // TestSinkDoesNotChangeResults is the attribution contract's equivalence
 // half: attaching a RecordSink must change no campaign outcome, no Result
-// field, and no cache byte, on both the warm-started and the hooked
-// (cold, from-reset) paths.
+// field, and no cache byte, in unchecked and in checked campaigns.
 func TestSinkDoesNotChangeResults(t *testing.T) {
 	cfg := Config{Core: InO, Bench: "tiny-sink", Tag: "base", SamplesPerFF: 2, Seed: 0xC1EA5}
 	for _, tc := range []struct {
 		name string
-		hook func(*prog.Program) sim.CommitHook
+		cf   func(*prog.Program) sim.Checker
 	}{
 		{"warm", nil},
-		{"hooked-cold", boundsHook(1 << 30)},
+		{"checked", boundsCheckers(1 << 30)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plain, sunk, recs := runSinkPair(t, cfg, tc.hook)
+			plain, sunk, recs := runSinkPair(t, cfg, tc.cf)
 			if !reflect.DeepEqual(plain, sunk) {
 				t.Fatalf("results differ with sink attached:\nplain: %+v\nsunk:  %+v", plain, sunk)
 			}
@@ -153,18 +152,18 @@ func TestScenarioSinkOneRecord(t *testing.T) {
 	// mixModel expands every fifth bit's strikes to the empty scenario.
 	registerTestModel(t, mixModel{})
 	cfg := Config{Core: InO, Bench: "tiny", Tag: "zmix/x", SamplesPerFF: 2, Seed: 5}
-	for _, hf := range []func(*prog.Program) sim.CommitHook{nil, noopHook} {
+	for _, cf := range []func(*prog.Program) sim.Checker{nil, noopCheckers} {
 		buf := &RecordBuffer{}
 		in := NewInjector()
 		in.Sink = buf
-		res, err := in.Run(cfg, p, hf)
+		res, err := in.Run(cfg, p, cf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		empty := cfg.SamplesPerFF * ((SpaceBits(InO) + 4) / 5)
 		if buf.Len() != res.Totals.N-empty {
-			t.Fatalf("hooked=%v: %d records for %d injections of which %d are empty",
-				hf != nil, buf.Len(), res.Totals.N, empty)
+			t.Fatalf("checked=%v: %d records for %d injections of which %d are empty",
+				cf != nil, buf.Len(), res.Totals.N, empty)
 		}
 	}
 }
@@ -193,10 +192,10 @@ func TestRecordBufferDeterministicOrder(t *testing.T) {
 }
 
 // TestSinkRecordsMatchReference pins what a sink receives from a campaign
-// on both cores under ssb, mbu and set: the sorted records of a warm
-// campaign (gang lanes observed at their fork) and of a cold campaign with
-// an opaque hook must equal the reference campaign's records, and tally to
-// the Result.
+// on both cores under ssb, mbu and set: the sorted records of a campaign
+// (gang lanes observed at their fork), unchecked or checked by a checker
+// that never fires, must equal the reference campaign's records, and tally
+// to the Result.
 func TestSinkRecordsMatchReference(t *testing.T) {
 	p := tinyProgram(t)
 	for _, kind := range []CoreKind{InO, OoO} {
@@ -204,12 +203,12 @@ func TestSinkRecordsMatchReference(t *testing.T) {
 			cfg := Config{Core: kind, Bench: "tiny", Tag: ModelTag(model, "x"), SamplesPerFF: 1, Seed: 0xA77}
 			refBuf := &RecordBuffer{}
 			want := referenceCampaign(t, cfg, p, nil, refBuf)
-			for _, hf := range []func(*prog.Program) sim.CommitHook{nil, noopHook} {
-				label := fmt.Sprintf("%v/%s hooked=%v", kind, model, hf != nil)
+			for _, cf := range []func(*prog.Program) sim.Checker{nil, noopCheckers} {
+				label := fmt.Sprintf("%v/%s checked=%v", kind, model, cf != nil)
 				buf := &RecordBuffer{}
 				in := NewInjector()
 				in.Sink = buf
-				res, err := in.Run(cfg, p, hf)
+				res, err := in.Run(cfg, p, cf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -245,9 +244,9 @@ type countSink struct{ n atomic.Int64 }
 func (s *countSink) Record(Record) { s.n.Add(1) }
 
 // TestSinkCampaignAllocs bounds what attribution costs a campaign in
-// memory: with a counting sink attached, a warm campaign and a cold one
-// with an opaque hook must each allocate at most 64 bytes per injection
-// more than the same campaign without a sink, on both cores. The campaign
+// memory: with a counting sink attached, an unchecked campaign and a
+// checked one must each allocate at most 64 bytes per injection more than
+// the same campaign without a sink, on both cores. The campaign
 // worker owns the in-flight buffer every observation fills; one worker
 // (GOMAXPROCS 1) keeps the two runs' allocations comparable.
 func TestSinkCampaignAllocs(t *testing.T) {
@@ -262,13 +261,13 @@ func TestSinkCampaignAllocs(t *testing.T) {
 		if _, err := warmup.Run(cfg, p, nil); err != nil {
 			t.Fatal(err)
 		}
-		for _, hf := range []func(*prog.Program) sim.CommitHook{nil, noopHook} {
+		for _, cf := range []func(*prog.Program) sim.Checker{nil, noopCheckers} {
 			alloc := func(sink RecordSink) (uint64, int) {
 				in := NewInjector()
 				in.Sink = sink
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				res, err := in.Run(cfg, p, hf)
+				res, err := in.Run(cfg, p, cf)
 				runtime.ReadMemStats(&after)
 				if err != nil {
 					t.Fatal(err)
@@ -279,13 +278,13 @@ func TestSinkCampaignAllocs(t *testing.T) {
 			sink := &countSink{}
 			sunk, _ := alloc(sink)
 			if sink.n.Load() != int64(n) {
-				t.Fatalf("%v hooked=%v: sink counted %d records for %d injections", kind, hf != nil, sink.n.Load(), n)
+				t.Fatalf("%v checked=%v: sink counted %d records for %d injections", kind, cf != nil, sink.n.Load(), n)
 			}
 			extra := int64(sunk) - int64(plain)
-			t.Logf("%v hooked=%v: %d injections, %d B without a sink, %+d B with one", kind, hf != nil, n, plain, extra)
+			t.Logf("%v checked=%v: %d injections, %d B without a sink, %+d B with one", kind, cf != nil, n, plain, extra)
 			if extra > 64*int64(n) {
-				t.Fatalf("%v hooked=%v: the sink added %d B over %d injections (%.0f B each), want at most 64 B each",
-					kind, hf != nil, extra, n, float64(extra)/float64(n))
+				t.Fatalf("%v checked=%v: the sink added %d B over %d injections (%.0f B each), want at most 64 B each",
+					kind, cf != nil, extra, n, float64(extra)/float64(n))
 			}
 		}
 	}

@@ -8,42 +8,41 @@ import (
 // The injection kernel. Every strike — a single-bit upset, a SEMU pair, an
 // mbu cluster — is a Scenario: flip-flops flipped together at the
 // injection cycle. It runs through one of two bodies. The cold body
-// (runCold) replays from reset; it runs every injection of a campaign with
-// an opaque commit hook, and the tests' reference campaign is built on it.
-// The warm body (runWarm) restores the nearest fault-free checkpoint and
-// ends the run as Vanished once the state reconverges. The gang engine
-// (batch.go) forks its lanes off a carrier core instead of restoring and
-// finishes them through the warm body's tail, finishInjected; a lane whose
-// flips all land in inert or dead flip-flops is decided at its fork. All
-// flips go through the packed ff.State (FlipBit), so the compiled-execution
-// latch mirrors (DESIGN.md §11) observe every strike at the same State()
-// boundary.
+// (runCold) replays from reset; it runs clear.InjectOne's injections and
+// the tests' reference campaign. The warm body (runWarm) restores the
+// nearest fault-free checkpoint and ends the run as Vanished once the
+// state reconverges. The gang engine (batch.go) forks its lanes off a
+// carrier core instead of restoring and finishes them through the warm
+// body's tail, finishInjected; a lane whose flips all land in inert or
+// dead flip-flops is decided at its fork. All flips go through the packed
+// ff.State (FlipBit), so the compiled-execution latch mirrors (DESIGN.md
+// §11) observe every strike at the same State() boundary.
 
 // RunOne performs a single-bit cold injection: RunScenario with the
 // one-flip scenario {bit}.
 func RunOne(c sim.Core, p *prog.Program, bit, cycle, nomCycles int,
-	hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
-	return RunScenario(c, p, Scenario{bit}, cycle, nomCycles, hookFactory)
+	cf func(*prog.Program) sim.Checker) (Outcome, int) {
+	return RunScenario(c, p, Scenario{bit}, cycle, nomCycles, cf)
 }
 
 // RunScenario performs one cold injection: reset c, run to cycle, flip
-// every bit of sc, run to completion or the hang cutoff, classify.
-// hookFactory, when non-nil, supplies a fresh commit-stream checker for the
-// run (its detections classify as ED). The returned detect cycle is the
-// cycle a detection fired at (-1 unless the outcome is ED).
+// every bit of sc, run to completion or the hang cutoff, classify. cf,
+// when non-nil, supplies a fresh commit-stream checker for the run (its
+// detections classify as ED). The returned detect cycle is the cycle a
+// detection fired at (-1 unless the outcome is ED).
 func RunScenario(c sim.Core, p *prog.Program, sc Scenario, cycle, nomCycles int,
-	hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
-	return runCold(nil, c, p, sc, cycle, nomCycles, hookFactory)
+	cf func(*prog.Program) sim.Checker) (Outcome, int) {
+	return runCold(nil, c, p, sc, cycle, nomCycles, cf)
 }
 
 // runCold is the cold body behind RunScenario. A non-nil r records the
 // run; sc must then be non-empty.
 func runCold(r *recorder, c sim.Core, p *prog.Program, sc Scenario, cycle, nomCycles int,
-	hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
+	cf func(*prog.Program) sim.Checker) (Outcome, int) {
 	c.Reset(p)
 	var hook sim.CommitHook
-	if hookFactory != nil {
-		hook = hookFactory(p)
+	if cf != nil {
+		hook = cf(p).Observe
 	}
 	c.SetCommitHook(hook)
 	for i := 0; i < cycle && !c.Done(); i++ {
@@ -73,16 +72,16 @@ func runCold(r *recorder, c sim.Core, p *prog.Program, sc Scenario, cycle, nomCy
 //
 // The returned (Outcome, detectCycle) is identical to RunOne's for the same
 // (bit, cycle): restoring reproduces the exact pre-injection state, and
-// pruning only replaces a suffix whose outcome is already decided. A commit
-// hook passed as an opaque hookFactory has no state the engine can restore
-// or compare, so such runs take RunOne's exact from-reset path. The
-// injection and any convergence prune are tallied on this injector, and an
-// attached Sink receives the injection's record.
+// pruning only replaces a suffix whose outcome is already decided. A
+// BuildReference trajectory saves no checker state, so a run checked by a
+// non-nil cf takes RunOne's exact from-reset path. The injection and any
+// convergence prune are tallied on this injector, and an attached Sink
+// receives the injection's record.
 func (in *Injector) RunOneFrom(c sim.Core, p *prog.Program, ref *Reference, bit, cycle, nomCycles int,
-	hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
+	cf func(*prog.Program) sim.Checker) (Outcome, int) {
 	in.injTotal.Add(1)
-	if hookFactory != nil {
-		return runCold(newRecorder(in.Sink), c, p, Scenario{bit}, cycle, nomCycles, hookFactory)
+	if cf != nil {
+		return runCold(newRecorder(in.Sink), c, p, Scenario{bit}, cycle, nomCycles, cf)
 	}
 	return in.runWarm(newRecorder(in.Sink), c, nil, p, ref, Scenario{bit}, cycle, nomCycles)
 }

@@ -26,7 +26,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing int64 instrument.
@@ -116,15 +115,6 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	h.buckets[i].Add(1)
-}
-
-// ObserveSince records the elapsed time since t0 in nanoseconds — the
-// idiomatic latency observation.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(int64(time.Since(t0)))
 }
 
 // Count returns the number of observations (0 on a nil histogram).

@@ -24,18 +24,19 @@ type CommitEvent struct {
 // prog.StatusDetected.
 type CommitHook func(ev CommitEvent) bool
 
-// Checker is the optional checkpointable form of a commit hook: a
-// commit-stream checker whose internal state is explicit, so the
-// fault-injection engine can save it beside each reference checkpoint,
-// restore it with the core, compare it when pruning, and copy it when
-// forking a lane (DESIGN.md §6). Observe is the hook; an installed Observe
-// must be the only thing that changes the checker's state, and that state
-// must be a deterministic function of the commit events observed.
+// Checker is a commit-stream checker whose internal state is explicit, the
+// only form in which the fault-injection engine takes one: it saves the
+// state beside each reference checkpoint, restores it with the core,
+// compares it when pruning, and copies it when forking a lane (DESIGN.md
+// §6). Observe is the commit hook; an installed Observe must be the only
+// thing that changes the checker's state, and that state must be a
+// deterministic function of the commit events observed.
 //
-// A checker that satisfies this contract lets a hooked campaign warm-start
-// and prune exactly like a hookless one: a run whose core state and checker
-// state both equal the fault-free reference's at the same cycle shares the
-// reference's future, in which the checker detects nothing.
+// This contract lets a checked campaign warm-start and prune exactly like
+// an unchecked one: a run whose core state and checker state both equal the
+// fault-free reference's at the same cycle shares the reference's future,
+// in which the checker detects nothing. A campaign's checkers run on
+// concurrent workers, so whatever copies share must be read-only.
 type Checker interface {
 	// Observe checks one committed instruction; true signals a detection.
 	Observe(ev CommitEvent) bool

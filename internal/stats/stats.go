@@ -82,24 +82,6 @@ func Mean(xs []float64) float64 {
 	return mean(xs)
 }
 
-// RelStdDev returns standard deviation over mean (the paper reports
-// 0.6-3.1% across its per-benchmark physical-design runs).
-func RelStdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := mean(xs)
-	if m == 0 {
-		return 0
-	}
-	v := 0.0
-	for _, x := range xs {
-		v += (x - m) * (x - m)
-	}
-	v /= float64(len(xs) - 1)
-	return math.Sqrt(v) / m
-}
-
 // Similarity implements Eq. 2: |intersection| / |union| over sets of
 // flip-flop indices.
 func Similarity(sets [][]int) float64 {

@@ -92,16 +92,3 @@ func TestSampleSplit(t *testing.T) {
 		t.Fatal("not a partition")
 	}
 }
-
-func TestRelStdDev(t *testing.T) {
-	if RelStdDev([]float64{5, 5, 5}) != 0 {
-		t.Fatal("constant data should have zero rsd")
-	}
-	r := RelStdDev([]float64{9, 10, 11})
-	if r < 0.05 || r > 0.15 {
-		t.Fatalf("rsd %f", r)
-	}
-	if RelStdDev([]float64{1}) != 0 {
-		t.Fatal("single sample")
-	}
-}

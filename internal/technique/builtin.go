@@ -142,7 +142,6 @@ func (dfcTech) GammaExec(core string) float64 {
 	}
 	return archres.DFCExecImpactOoO
 }
-func (dfcTech) Hook(p *prog.Program) sim.CommitHook { return archres.NewDFC(p) }
 func (dfcTech) Checker(p *prog.Program) sim.Checker { return archres.NewDFCChecker(p) }
 func (dfcTech) CompatibleWith(k recovery.Kind, core string) bool {
 	return k == recovery.IR || k == recovery.EIR
@@ -160,7 +159,6 @@ type monitorTech struct{ Info }
 func (monitorTech) Cost(m power.Model, core string) power.Cost { return archres.MonitorCost(m) }
 func (monitorTech) GammaFF(core string) float64                { return archres.MonitorFFOverhead }
 func (monitorTech) GammaExec(core string) float64              { return 0 }
-func (monitorTech) Hook(p *prog.Program) sim.CommitHook        { return archres.NewMonitor(p) }
 func (monitorTech) Checker(p *prog.Program) sim.Checker        { return archres.NewMonitorChecker(p) }
 func (monitorTech) CompatibleWith(k recovery.Kind, core string) bool {
 	return k == recovery.RoB || k == recovery.IR || k == recovery.EIR

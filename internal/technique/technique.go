@@ -12,9 +12,9 @@
 //
 //   - GammaContributor — flip-flop / execution-time γ overheads (Sec 2.1);
 //   - Transformer      — program transformation (software/algorithm layers);
-//   - Hooker           — a commit-stream checker (architecture layer);
-//   - CheckerHooker    — a Hooker whose checker state can be checkpointed,
-//     so its campaigns warm-start, prune and run packed;
+//   - CheckerHooker    — a commit-stream checker (architecture layer)
+//     whose state can be checkpointed, so its campaigns warm-start, prune
+//     and run on the gang engine;
 //   - RecoveryCompat   — which recovery mechanisms the technique's
 //     detections can drive (the enumeration constraints of Table 18);
 //   - FFProtector      — participates in Heuristic 1 selective circuit/
@@ -130,22 +130,14 @@ type Transformer interface {
 	Transform(p *prog.Program, env *Env) (*prog.Program, error)
 }
 
-// Hooker attaches a commit-stream checker to injection runs (architecture
-// layer). The hook is instantiated once per run on the transformed program.
-type Hooker interface {
-	Hook(p *prog.Program) sim.CommitHook
-}
-
-// CheckerHooker is the optional checkpointable form of Hooker: Checker
-// returns the same checker as Hook, in its reset state, with its state
-// exposed through sim.Checker. When every active Hooker of a variant
-// implements it, the variant's campaigns warm-start from the fault-free
-// reference, prune on reconvergence and run on the packed gang engine
-// instead of replaying every injection from reset; results are identical
-// either way. Hook must stay consistent with Checker (Hook(p) behaves like
-// Checker(p).Observe).
+// CheckerHooker attaches a commit-stream checker to injection runs
+// (architecture layer). Checker returns a checker for the transformed
+// program in its reset state; the engine gives every campaign core its own
+// and saves, restores and compares its state through sim.Checker, so the
+// variant's campaigns warm-start from the fault-free reference, prune on
+// reconvergence and run on the gang engine. Several active checkers see
+// the same commit stream and their detections are ORed.
 type CheckerHooker interface {
-	Hooker
 	Checker(p *prog.Program) sim.Checker
 }
 
@@ -218,7 +210,7 @@ func AffectsCampaign(t Technique) bool {
 	if _, ok := t.(Transformer); ok {
 		return true
 	}
-	_, ok := t.(Hooker)
+	_, ok := t.(CheckerHooker)
 	return ok
 }
 
