@@ -58,12 +58,12 @@ type Outcome struct {
 	TargetMet bool
 }
 
-// highLevelGamma returns the γ overhead factors contributed by the high
+// HighLevelGamma returns the γ overhead factors contributed by the high
 // layers of a combination: checker flip-flops and execution-time increase,
 // gathered from the active techniques' GammaContributors. The recovery's
 // flip-flop overhead is applied via PlanFFOverhead, not here; only its
 // execution-time impact (pipeline flush) enters.
-func (e *Engine) highLevelGamma(c Combo, execOverhead float64) float64 {
+func (e *Engine) HighLevelGamma(c Combo, execOverhead float64) float64 {
 	var ffOv, timeOv []float64
 	coreName := e.Kind.String()
 	for _, t := range c.ActiveTechniques() {
@@ -91,10 +91,10 @@ func (e *Engine) highLevelGamma(c Combo, execOverhead float64) float64 {
 	return stack.Gamma(ffOv, timeOv)
 }
 
-// highLevelCost sums the hardware/execution costs of a combination's high
+// HighLevelCost sums the hardware/execution costs of a combination's high
 // layers (the software/algorithm execution overhead is measured): the fixed
 // Cost contributions of the active techniques.
-func (e *Engine) highLevelCost(c Combo, execOverhead float64) power.Cost {
+func (e *Engine) HighLevelCost(c Combo, execOverhead float64) power.Cost {
 	cost := power.Cost{ExecTime: execOverhead}
 	coreName := e.Kind.String()
 	for _, t := range c.ActiveTechniques() {
@@ -118,32 +118,9 @@ func (e *Engine) EvalCombo(b *bench.Benchmark, c Combo, metric Metric, target fl
 // PlanCombo is EvalCombo returning the concrete implementation plan as well
 // (used for plan post-processing such as LEAP-ctrl augmentation).
 func (e *Engine) PlanCombo(b *bench.Benchmark, c Combo, metric Metric, target float64) (Outcome, *Plan, error) {
-	baseRes, err := e.Base(b)
+	techRes, execOv, opt, err := e.comboInputs(b, c)
 	if err != nil {
 		return Outcome{}, nil, err
-	}
-	techRes := baseRes
-	if c.Variant.Tag() != "base" {
-		techRes, err = e.Campaign(b, c.Variant)
-		if err != nil {
-			return Outcome{}, nil, err
-		}
-	}
-	execOv, err := e.ExecOverhead(b, c.Variant)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-
-	baseSDCRate := float64(baseRes.Totals.SDC()) / float64(baseRes.Totals.N)
-	baseDUERate := float64(baseRes.Totals.UT+baseRes.Totals.Hang) / float64(baseRes.Totals.N)
-	fixedGamma := e.highLevelGamma(c, execOv)
-
-	opt := HardenOptions{
-		DICE: c.DICE, Parity: c.Parity, EDS: c.EDS,
-		Recovery:    c.Recovery,
-		FixedGamma:  fixedGamma,
-		BaseSDCRate: baseSDCRate,
-		BaseDUERate: baseDUERate,
 	}
 	plan := e.SelectiveHarden(techRes, opt, metric, target)
 	out, err := e.finishOutcome(c, techRes, plan, opt, execOv, target, metric)
@@ -153,53 +130,18 @@ func (e *Engine) PlanCombo(b *bench.Benchmark, c Combo, metric Metric, target fl
 // OutcomeForPlan evaluates a fixed plan under a combination's high layers
 // on one benchmark (used after plan post-processing).
 func (e *Engine) OutcomeForPlan(b *bench.Benchmark, c Combo, plan *Plan) (Outcome, error) {
-	baseRes, err := e.Base(b)
+	techRes, execOv, opt, err := e.comboInputs(b, c)
 	if err != nil {
 		return Outcome{}, err
-	}
-	techRes := baseRes
-	if c.Variant.Tag() != "base" {
-		techRes, err = e.Campaign(b, c.Variant)
-		if err != nil {
-			return Outcome{}, err
-		}
-	}
-	execOv, err := e.ExecOverhead(b, c.Variant)
-	if err != nil {
-		return Outcome{}, err
-	}
-	opt := HardenOptions{
-		Recovery:    c.Recovery,
-		FixedGamma:  e.highLevelGamma(c, execOv),
-		BaseSDCRate: float64(baseRes.Totals.SDC()) / float64(baseRes.Totals.N),
-		BaseDUERate: float64(baseRes.Totals.UT+baseRes.Totals.Hang) / float64(baseRes.Totals.N),
 	}
 	return e.finishOutcome(c, techRes, plan, opt, execOv, math.Inf(1), SDC)
 }
 
 // EvalComboJoint meets SDC and DUE targets simultaneously (Table 20).
 func (e *Engine) EvalComboJoint(b *bench.Benchmark, c Combo, target float64) (Outcome, error) {
-	baseRes, err := e.Base(b)
+	techRes, execOv, opt, err := e.comboInputs(b, c)
 	if err != nil {
 		return Outcome{}, err
-	}
-	techRes := baseRes
-	if c.Variant.Tag() != "base" {
-		techRes, err = e.Campaign(b, c.Variant)
-		if err != nil {
-			return Outcome{}, err
-		}
-	}
-	execOv, err := e.ExecOverhead(b, c.Variant)
-	if err != nil {
-		return Outcome{}, err
-	}
-	opt := HardenOptions{
-		DICE: c.DICE, Parity: c.Parity, EDS: c.EDS,
-		Recovery:    c.Recovery,
-		FixedGamma:  e.highLevelGamma(c, execOv),
-		BaseSDCRate: float64(baseRes.Totals.SDC()) / float64(baseRes.Totals.N),
-		BaseDUERate: float64(baseRes.Totals.UT+baseRes.Totals.Hang) / float64(baseRes.Totals.N),
 	}
 	plan := e.JointHarden(techRes, opt, target)
 	out, err := e.finishOutcome(c, techRes, plan, opt, execOv, target, SDC)
@@ -211,6 +153,37 @@ func (e *Engine) EvalComboJoint(b *bench.Benchmark, c Combo, target float64) (Ou
 	return out, nil
 }
 
+// comboInputs gathers what evaluating combination c on b starts from: the
+// campaign of c's high-layer variant (the base campaign for the "base"
+// tag), the variant's measured execution overhead, and the hardening
+// options — c's low-layer techniques and recovery, its high layers' fixed
+// γ, and the unprotected design's SDC and DUE rates.
+func (e *Engine) comboInputs(b *bench.Benchmark, c Combo) (*inject.Result, float64, HardenOptions, error) {
+	baseRes, err := e.Base(b)
+	if err != nil {
+		return nil, 0, HardenOptions{}, err
+	}
+	techRes := baseRes
+	if c.Variant.Tag() != "base" {
+		techRes, err = e.Campaign(b, c.Variant)
+		if err != nil {
+			return nil, 0, HardenOptions{}, err
+		}
+	}
+	execOv, err := e.ExecOverhead(b, c.Variant)
+	if err != nil {
+		return nil, 0, HardenOptions{}, err
+	}
+	n := float64(baseRes.Totals.N)
+	return techRes, execOv, HardenOptions{
+		DICE: c.DICE, Parity: c.Parity, EDS: c.EDS,
+		Recovery:    c.Recovery,
+		FixedGamma:  e.HighLevelGamma(c, execOv),
+		BaseSDCRate: float64(baseRes.Totals.SDC()) / n,
+		BaseDUERate: float64(baseRes.Totals.UT+baseRes.Totals.Hang) / n,
+	}, nil
+}
+
 func (e *Engine) finishOutcome(c Combo, techRes *inject.Result, plan *Plan,
 	opt HardenOptions, execOv, target float64, metric Metric) (Outcome, error) {
 	im := e.implement(plan)
@@ -218,7 +191,7 @@ func (e *Engine) finishOutcome(c Combo, techRes *inject.Result, plan *Plan,
 	out.SDCImp, out.DUEImp, out.Gamma = e.improvements(techRes, plan, im, opt)
 	out.Protected = im.protected()
 	// cost: high layers (with measured exec overhead) + implementation plan
-	out.Cost = e.highLevelCost(c, execOv).Plus(e.planCost(plan, im))
+	out.Cost = e.HighLevelCost(c, execOv).Plus(e.planCost(plan, im))
 	if math.IsInf(target, 1) {
 		out.TargetMet = true
 	} else if metric == SDC {
@@ -288,16 +261,4 @@ func invOrCap(imp float64) float64 {
 		return 1
 	}
 	return 1 / imp
-}
-
-// HighLevelGamma exposes the γ contribution of a combination's high layers
-// for external reporting (experiments harness).
-func (e *Engine) HighLevelGamma(c Combo, execOverhead float64) float64 {
-	return e.highLevelGamma(c, execOverhead)
-}
-
-// HighLevelCost exposes the high-layer cost of a combination for external
-// reporting.
-func (e *Engine) HighLevelCost(c Combo, execOverhead float64) power.Cost {
-	return e.highLevelCost(c, execOverhead)
 }

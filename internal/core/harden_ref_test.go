@@ -321,7 +321,7 @@ func (e *Engine) refFinishOutcome(c Combo, techRes *inject.Result, plan *Plan,
 			out.Protected++
 		}
 	}
-	out.Cost = e.highLevelCost(c, execOv).Plus(e.refPlanCost(plan))
+	out.Cost = e.HighLevelCost(c, execOv).Plus(e.refPlanCost(plan))
 	if math.IsInf(target, 1) {
 		out.TargetMet = true
 	} else if metric == SDC {

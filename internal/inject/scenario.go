@@ -14,9 +14,9 @@ import (
 // state reconverges. The gang engine (batch.go) forks its lanes off a
 // carrier core instead of restoring and finishes them through the warm
 // body's tail, finishInjected; a lane whose flips all land in inert or
-// dead flip-flops is decided at its fork. All flips go through the packed
-// ff.State (FlipBit), so the compiled-execution latch mirrors (DESIGN.md
-// §11) observe every strike at the same State() boundary.
+// dead flip-flops is decided at its fork. Every strike lands through the
+// core's FlipBits, which flips bits numbered as in its ff.Space (DESIGN.md
+// §11).
 
 // RunOne performs a single-bit cold injection: RunScenario with the
 // one-flip scenario {bit}.
@@ -109,12 +109,7 @@ func (in *Injector) runWarm(r *recorder, c sim.Core, chk sim.Checker, p *prog.Pr
 }
 
 // strike flips every bit of sc in c's current cycle.
-func strike(c sim.Core, sc Scenario) {
-	st := c.State()
-	for _, bit := range sc {
-		st.FlipBit(bit)
-	}
-}
+func strike(c sim.Core, sc Scenario) { c.FlipBits(sc...) }
 
 // finishInjected runs the already-injected remainder of a warm run: step to
 // each checkpoint boundary, end as Vanished the moment the state — core and

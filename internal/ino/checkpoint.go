@@ -1,6 +1,10 @@
 package ino
 
-import "clear/internal/sim"
+import (
+	"slices"
+
+	"clear/internal/sim"
+)
 
 // extra is the in-order core's non-flip-flop state: the flush-recovery
 // control's hardened shadow registers (see the Core field comments).
@@ -11,9 +15,7 @@ type extra struct {
 
 // Snapshot captures the full simulation state at the current cycle.
 func (c *Core) Snapshot() *sim.Checkpoint {
-	if c.uValid {
-		c.packU() // materialize the compiled path's latches; mirror stays current
-	}
+	c.packU()
 	return &sim.Checkpoint{
 		FF:      c.st.Clone(),
 		Regs:    c.regfile,
@@ -30,8 +32,9 @@ func (c *Core) Snapshot() *sim.Checkpoint {
 // Restore rewinds the core to ck, which must have been taken from an
 // in-order core bound to the same program.
 func (c *Core) Restore(ck *sim.Checkpoint) {
-	c.uValid = false // packed state becomes authoritative
 	c.st.CopyFrom(ck.FF)
+	c.unpackU()
+	c.decodeLatches()
 	c.regfile = ck.Regs
 	if cap(c.mem) >= len(ck.Mem) {
 		c.mem = c.mem[:len(ck.Mem)]
@@ -55,9 +58,7 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 	if !ok {
 		return false
 	}
-	if c.uValid {
-		c.packU() // materialize the compiled path's latches; mirror stays current
-	}
+	c.packU()
 	return c.cycles == ck.Cycles &&
 		c.retired == ck.Retired &&
 		c.done == ck.Done &&
@@ -66,18 +67,6 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 		c.nextAtM == e.nextAtM &&
 		c.regfile == ck.Regs &&
 		c.st.Equal(ck.FF) &&
-		wordsEqual(c.out, ck.Out) &&
-		wordsEqual(c.mem, ck.Mem)
-}
-
-func wordsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
+		slices.Equal(c.out, ck.Out) &&
+		slices.Equal(c.mem, ck.Mem)
 }

@@ -80,11 +80,11 @@ func TestMatchesDetectsDivergence(t *testing.T) {
 		c.Step()
 	}
 	ck := c.Snapshot()
-	c.State().FlipBit(3)
+	c.FlipBits(3)
 	if c.Matches(ck) {
 		t.Fatal("Matches missed a flipped flip-flop")
 	}
-	c.State().FlipBit(3)
+	c.FlipBits(3)
 	if !c.Matches(ck) {
 		t.Fatal("Matches false negative after undoing the flip")
 	}

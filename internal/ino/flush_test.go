@@ -19,7 +19,7 @@ func flipAndFlush(p *prog.Program, bit, cycle, nom int) (prog.Result, bool) {
 	if c.Done() {
 		return c.Result(), true
 	}
-	c.State().FlipBit(bit)
+	c.FlipBits(bit)
 	c.FlushRecover()
 	return c.Run(3 * nom), false
 }

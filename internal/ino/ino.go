@@ -98,7 +98,6 @@ var _ sim.Core = (*Core)(nil)
 type Core struct {
 	space *ff.Space
 	r     regs
-	st    *ff.State
 
 	program *prog.Program
 	regfile [32]uint32
@@ -125,14 +124,15 @@ type Core struct {
 	tp     *tcode.Program
 	dcache tcode.Cache
 
-	// u is the unpacked latch mirror Step executes on; uValid marks it
-	// current. Observation points (State, Snapshot, Matches, Restore,
-	// Reset, FlushRecover) synchronize it with the packed st so external
-	// code always sees the exact bit layout of the flip-flop space. ud is
-	// the translation of each stage's instruction word, valid with u.
-	u      uLatches
-	uValid bool
-	ud     stageDecodes
+	// u is the core's flip-flop state, one machine word per field
+	// (unpacked.go), which Step executes on. st is its packed image in the
+	// bit layout of the flip-flop space, exchanged at four points only:
+	// Snapshot and Matches pack u into it, Restore unpacks it into u, and
+	// FlipBits does both around its flips. ud is the translation of each
+	// stage's instruction word, derived from u.
+	u  uLatches
+	st *ff.State
+	ud stageDecodes
 
 	hook sim.CommitHook
 }
@@ -279,7 +279,6 @@ func New(p *prog.Program) *Core {
 // Reset rebinds the core to p and clears all state.
 func (c *Core) Reset(p *prog.Program) {
 	c.program = p
-	c.st.Reset()
 	c.regfile = [32]uint32{}
 	if cap(c.mem) >= p.MemWords {
 		c.mem = c.mem[:p.MemWords]
@@ -298,15 +297,20 @@ func (c *Core) Reset(p *prog.Program) {
 	c.recoveryNext = 0
 	c.nextAtM = 0
 	c.tp = p.Threaded()
-	c.uValid = false
+	c.u = uLatches{}
+	c.decodeLatches()
 }
 
-// State exposes the flip-flop state for fault injection. Compiled
-// execution flushes its unpacked mirror first and re-unpacks on the next
-// step, so callers may freely flip bits in the returned state.
-func (c *Core) State() *ff.State {
-	c.syncU()
-	return c.st
+// FlipBits flips the given bits of the core's flip-flop state, numbered as
+// in its ff.Space: the latch state is packed, flipped and unpacked again,
+// and the stage decodes follow the flipped words.
+func (c *Core) FlipBits(bits ...int) {
+	c.packU()
+	for _, b := range bits {
+		c.st.FlipBit(b)
+	}
+	c.unpackU()
+	c.decodeLatches()
 }
 
 // SpaceOf returns the core's flip-flop space.
@@ -357,15 +361,13 @@ func (c *Core) Run(maxCycles int) prog.Result {
 // pre-commit state; the pipeline-refill penalty (about the Table 15 flush
 // latency) is paid in simulated cycles.
 func (c *Core) FlushRecover() {
-	c.syncU()
-	st := c.st
-	r := &c.r
-	r.dValid.Set(st, 0)
-	r.aValid.Set(st, 0)
-	r.eValid.Set(st, 0)
-	r.mValid.Set(st, 0)
-	r.mTrap.Set(st, 0)
-	r.fPC.Set(st, uint64(c.recoveryNext))
+	u := &c.u
+	u.dValid = false
+	u.aValid = false
+	u.eValid = false
+	u.mValid = false
+	u.mTrap = false
+	u.fPC = c.recoveryNext
 }
 
 func b2u(b bool) uint64 {

@@ -346,7 +346,7 @@ func TestInjectionChangesOutcome(t *testing.T) {
 		for i := 0; i < cyc; i++ {
 			c.Step()
 		}
-		c.State().FlipBit(f.Offset() + 16)
+		c.FlipBits(f.Offset() + 16)
 		res := c.Run(100000)
 		if res.Status == prog.StatusHalted && !p.OutputsEqual(res.Output) {
 			mismatches++

@@ -17,13 +17,64 @@ import (
 // with isa.Decode and executing through the switches below. It shares no
 // execution code with Step (threaded.go), which makes it an independent
 // oracle: the equivalence tests at the end of this file step an interpreter
-// twin in lockstep with a compiled core. A twin built with New and stepped
-// only by stepInterp never validates its latch mirror, so every observation
-// (State, Snapshot, Matches, Restore, FlushRecover, InFlight) reads the
-// packed state the interpreter maintains.
+// twin in lockstep with a compiled core. The twin's state lives where the
+// compiled core's does, so Snapshot, Restore, Matches and FlipBits treat
+// both alike: stepInterp packs it into the image st, interprets one cycle
+// there and unpacks the result. The oracle keeps its own packed-state
+// InFlight and FlushRecover (inFlightInterp, flushRecoverInterp), which the
+// tests compare the compiled core's against.
 
-// stepInterp advances the pipeline by one clock cycle.
+// stepInterp advances the twin one clock cycle on its packed image.
 func (c *Core) stepInterp() {
+	c.packU()
+	c.stepPacked()
+	c.unpackU()
+}
+
+// inFlightInterp is InFlight read from the packed image.
+func (c *Core) inFlightInterp(dst []sim.InFlightInst) []sim.InFlightInst {
+	c.packU()
+	st := c.st
+	r := &c.r
+	dst = append(dst, sim.InFlightInst{Unit: "fetch", Slot: -1, PC: uint32(r.fPC.Get(st))})
+	if r.dValid.Get(st) == 1 {
+		dst = append(dst, sim.InFlightInst{Unit: "decode", Slot: -1, PC: uint32(r.dPC.Get(st))})
+	}
+	if r.aValid.Get(st) == 1 {
+		dst = append(dst, sim.InFlightInst{Unit: "regacc", Slot: -1, PC: uint32(r.aPC.Get(st))})
+	}
+	if r.eValid.Get(st) == 1 {
+		dst = append(dst, sim.InFlightInst{Unit: "execute", Slot: -1, PC: uint32(r.ePC.Get(st))})
+	}
+	if r.mValid.Get(st) == 1 {
+		dst = append(dst, sim.InFlightInst{Unit: "memory", Slot: -1, PC: uint32(r.mPC.Get(st))})
+	}
+	if r.xValid.Get(st) == 1 {
+		dst = append(dst, sim.InFlightInst{Unit: "exception", Slot: -1, PC: uint32(r.xPC.Get(st))})
+	}
+	if r.wValid.Get(st) == 1 {
+		dst = append(dst, sim.InFlightInst{Unit: "write", Slot: -1, PC: uint32(r.wPC.Get(st))})
+	}
+	return dst
+}
+
+// flushRecoverInterp is FlushRecover applied to the packed image.
+func (c *Core) flushRecoverInterp() {
+	c.packU()
+	st := c.st
+	r := &c.r
+	r.dValid.Set(st, 0)
+	r.aValid.Set(st, 0)
+	r.eValid.Set(st, 0)
+	r.mValid.Set(st, 0)
+	r.mTrap.Set(st, 0)
+	r.fPC.Set(st, uint64(c.recoveryNext))
+	c.unpackU()
+}
+
+// stepPacked advances the pipeline of the packed image st by one clock
+// cycle.
+func (c *Core) stepPacked() {
 	if c.done {
 		return
 	}
@@ -443,9 +494,9 @@ func tinyProgram(t testing.TB) *prog.Program {
 	return mustProg(t, "tiny", b, nil, 16)
 }
 
-// mirrorFieldBits returns the flip-flop bits of pipeline latches that live
-// behind the unpacked mirror; flips there exercise its pack/unpack boundary
-// rather than arbitrary bits.
+// mirrorFieldBits returns the flip-flop bits of a few pipeline latches;
+// flips there exercise the pack/unpack boundary of FlipBits on fields Step
+// reads, rather than on arbitrary bits.
 func mirrorFieldBits(t testing.TB) []int {
 	t.Helper()
 	var bits []int
@@ -461,24 +512,30 @@ func mirrorFieldBits(t testing.TB) []int {
 
 // requireLockstep fails t unless the interpreter twin ci and the compiled
 // core ct agree on packed flip-flop state, cycle and retirement counts, done
-// flag and status. With sync, ct's state is read through State(), which
-// flushes and invalidates its latch mirror so the next Step re-unpacks;
-// without, the mirror is packed the way Snapshot and Matches pack it and
-// stays live, so ct keeps stepping on it as it does between observations.
+// flag and status. ct's latch state is packed the way Snapshot and Matches
+// pack it; with sync, it first goes through an empty FlipBits, which packs
+// it and loads it back as every strike does.
 func requireLockstep(t testing.TB, ci, ct *Core, sync bool, what string) {
 	t.Helper()
-	st := ct.st
 	if sync {
-		st = ct.State()
-	} else if ct.uValid {
-		ct.packU()
+		ct.FlipBits()
 	}
-	if !ci.st.Equal(st) {
+	ct.packU()
+	if !ci.st.Equal(ct.st) {
 		t.Fatalf("%s: flip-flop state diverged at cycle %d", what, ci.cycles)
 	}
 	if ci.done != ct.done || ci.cycles != ct.cycles || ci.retired != ct.retired || ci.status != ct.status {
 		t.Fatalf("%s: run bookkeeping diverged at cycle %d: interp (done=%v cyc=%d ret=%d status=%v) vs compiled (done=%v cyc=%d ret=%d status=%v)",
 			what, ci.cycles, ci.done, ci.cycles, ci.retired, ci.status, ct.done, ct.cycles, ct.retired, ct.status)
+	}
+}
+
+// requireSameInFlight fails t unless ct's InFlight reports what the
+// oracle's inFlightInterp reports for ci.
+func requireSameInFlight(t testing.TB, ci, ct *Core, what string) {
+	t.Helper()
+	if fi, fc := ci.inFlightInterp(nil), ct.InFlight(nil); !reflect.DeepEqual(fi, fc) {
+		t.Fatalf("%s: cycle %d: in-flight observations differ:\ninterp   %v\ncompiled %v", what, ci.cycles, fi, fc)
 	}
 }
 
@@ -519,9 +576,9 @@ func fuzzProgram(data []byte) *prog.Program {
 // FuzzInterpEquivalence pins Step to the decode-switch interpreter: for an
 // arbitrary program image (fuzzProgram) and an arbitrary single-bit
 // injection, both must produce identical state traces, cycle for cycle.
-// Mid-run the two cross the mirror's observation boundary with the mirror
-// live: Snapshot and cross-Matches, identity Restore, a flip targeted into
-// a mirrored latch, and FlushRecover.
+// Mid-run the two cross every exchange point: Snapshot and cross-Matches,
+// identity Restore, a flip targeted into a pipeline latch, and InFlight
+// and FlushRecover against the oracle's packed-state versions.
 func FuzzInterpEquivalence(f *testing.F) {
 	addFuzzSeeds(f)
 	mirrorBits := mirrorFieldBits(f)
@@ -536,8 +593,8 @@ func FuzzInterpEquivalence(f *testing.F) {
 		const maxCycles = 512
 		for cyc := 0; cyc < maxCycles; cyc++ {
 			if cyc == flipCycle {
-				ci.State().FlipBit(bit)
-				ct.State().FlipBit(bit)
+				ci.FlipBits(bit)
+				ct.FlipBits(bit)
 			}
 			ci.stepInterp()
 			ct.Step()
@@ -553,11 +610,13 @@ func FuzzInterpEquivalence(f *testing.F) {
 				ci.Restore(ckI)
 				ct.Restore(ckT)
 				mb := mirrorBits[int(bitSeed>>8)%len(mirrorBits)]
-				ci.State().FlipBit(mb)
-				ct.State().FlipBit(mb)
-				ci.FlushRecover()
+				ci.FlipBits(mb)
+				ct.FlipBits(mb)
+				requireSameInFlight(t, ci, ct, what)
+				ci.flushRecoverInterp()
 				ct.FlushRecover()
-				requireLockstep(t, ci, ct, true, what+" across the observation boundary")
+				requireSameInFlight(t, ci, ct, what+" after FlushRecover")
+				requireLockstep(t, ci, ct, true, what+" across the exchange points")
 			}
 		}
 		requireSameEnd(t, ci, ct, what)
@@ -565,9 +624,9 @@ func FuzzInterpEquivalence(f *testing.F) {
 }
 
 // TestInterpNominalLockstep runs the tiny program and every benchmark
-// fault-free on Step and on the interpreter, comparing state through
-// State() every cycle (so every Step starts by unpacking a freshly packed
-// state) and the full simulation state at the end.
+// fault-free on Step and on the interpreter, comparing state every cycle
+// after an empty FlipBits (so every Step starts from a freshly packed and
+// unpacked state) and the full simulation state at the end.
 func TestInterpNominalLockstep(t *testing.T) {
 	progs := []*prog.Program{tinyProgram(t)}
 	for _, b := range bench.All() {
@@ -596,8 +655,7 @@ func TestInterpNominalLockstep(t *testing.T) {
 // spread over the tiny program's nominal run, and runs Step and the
 // interpreter in lockstep to completion or to 3× the nominal cycles. Each
 // run restores both cores from a checkpoint of the fault-free lockstep run
-// at its flip cycle, as a campaign warm-starts an injection; the latch
-// mirror then stays live from the flip to the end of the run.
+// at its flip cycle, as a campaign warm-starts an injection.
 func TestInterpEveryBitLockstep(t *testing.T) {
 	p := tinyProgram(t)
 	ci, ct := New(p), New(p)
@@ -614,8 +672,8 @@ func TestInterpEveryBitLockstep(t *testing.T) {
 		what := fmt.Sprintf("bit %d flipped at cycle %d", bit, flipCycle)
 		ci.Restore(cks[flipCycle])
 		ct.Restore(cks[flipCycle])
-		ci.State().FlipBit(bit)
-		ct.State().FlipBit(bit)
+		ci.FlipBits(bit)
+		ct.FlipBits(bit)
 		for !ci.done && ci.cycles < 3*nominal {
 			ci.stepInterp()
 			ct.Step()
@@ -625,11 +683,10 @@ func TestInterpEveryBitLockstep(t *testing.T) {
 	}
 }
 
-// TestMirrorObservationBoundaries walks Step through every observation
-// point while its latch mirror is live — mid-run Snapshot, cross Matches,
-// identity Restore, bit flips into mirrored pipeline latches between
-// materializations, and FlushRecover — and requires the interpreter twin
-// never to diverge.
+// TestMirrorObservationBoundaries walks Step through every exchange point
+// of its latch state — mid-run Snapshot, cross Matches, identity Restore,
+// bit flips into pipeline latches, and FlushRecover — and requires the
+// interpreter twin never to diverge, nor InFlight from the oracle's.
 func TestMirrorObservationBoundaries(t *testing.T) {
 	p := tinyProgram(t)
 	ci, ct := New(p), New(p)
@@ -639,9 +696,7 @@ func TestMirrorObservationBoundaries(t *testing.T) {
 		ci.stepInterp()
 		ct.Step()
 		requireLockstep(t, ci, ct, false, "walk")
-		if !ct.uValid {
-			t.Fatalf("cycle %d: mirror not live after Step", cyc)
-		}
+		requireSameInFlight(t, ci, ct, "walk")
 		switch {
 		case cyc%32 == 0: // snapshot + identity restore
 			ckI, ckT := ci.Snapshot(), ct.Snapshot()
@@ -653,15 +708,12 @@ func TestMirrorObservationBoundaries(t *testing.T) {
 			}
 			ci.Restore(ckI)
 			ct.Restore(ckT)
-			if ct.uValid {
-				t.Fatalf("cycle %d: Restore left the mirror marked valid", cyc)
-			}
-		case cyc%13 == 0: // inject into a mirrored latch mid-run
+		case cyc%13 == 0: // inject into a pipeline latch mid-run
 			mb := mirrorBits[(cyc/13)%len(mirrorBits)]
-			ci.State().FlipBit(mb)
-			ct.State().FlipBit(mb)
-		case cyc%47 == 0: // flush recovery with the mirror live
-			ci.FlushRecover()
+			ci.FlipBits(mb)
+			ct.FlipBits(mb)
+		case cyc%47 == 0: // flush recovery mid-run
+			ci.flushRecoverInterp()
 			ct.FlushRecover()
 		}
 	}
@@ -669,9 +721,8 @@ func TestMirrorObservationBoundaries(t *testing.T) {
 }
 
 // TestInFlightCompiledMatchesInterpreter requires identical in-flight
-// observations from Step and the interpreter at every sampled cycle of the
-// tiny program: InFlight must read through the latch mirror exactly like
-// State().
+// observations from the compiled core's InFlight and the oracle's
+// packed-state inFlightInterp at every sampled cycle of the tiny program.
 func TestInFlightCompiledMatchesInterpreter(t *testing.T) {
 	p := tinyProgram(t)
 	ci, ct := New(p), New(p)
@@ -681,11 +732,8 @@ func TestInFlightCompiledMatchesInterpreter(t *testing.T) {
 		if i%7 != 0 {
 			continue
 		}
-		fi, fc := ci.InFlight(nil), ct.InFlight(nil)
-		if !reflect.DeepEqual(fi, fc) {
-			t.Fatalf("cycle %d: in-flight observations differ:\ninterp   %v\ncompiled %v", i+1, fi, fc)
-		}
-		if i == 0 && len(fi) == 0 {
+		requireSameInFlight(t, ci, ct, p.Name)
+		if i == 0 && len(ct.InFlight(nil)) == 0 {
 			t.Fatal("no in-flight instructions observed")
 		}
 	}

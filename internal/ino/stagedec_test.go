@@ -12,13 +12,9 @@ import (
 
 // requireStageDecodes fails t unless every stage decode c carries is a
 // translation of its latch's current word: its In equals isa.Decode of the
-// word. It checks nothing while c's mirror is invalid, since the next Step
-// re-derives the decodes when it unpacks.
+// word.
 func requireStageDecodes(t testing.TB, c *Core, what string) {
 	t.Helper()
-	if !c.uValid {
-		return
-	}
 	u := &c.u
 	for _, s := range []struct {
 		stage string
@@ -42,8 +38,8 @@ func requireStageDecodes(t testing.TB, c *Core, what string) {
 }
 
 // latchFields are the instruction and PC latches of each stage that
-// carries a decode; a flip in either makes the next unpack decode through
-// the decode cache instead of the per-PC table.
+// carries a decode; a flip in either makes FlipBits decode through the
+// decode cache instead of the per-PC table.
 var latchFields = []string{
 	"a.ctrl.inst", "a.ctrl.pc",
 	"e.ctrl.inst", "e.ctrl.pc",
@@ -55,11 +51,11 @@ var latchFields = []string{
 // TestStageDecodesFollowLatches runs the tiny program and every benchmark
 // and requires, after every Step, that each stage decode translates its
 // latch word (requireStageDecodes). From eight points of each nominal run
-// it also checks the steps that follow each way the mirror's state is
-// replaced: a Restore of the walking core after it ran ahead, a flip
-// through State() into each stage's instruction and PC latches, a
-// FlushRecover, and a CopyStateFrom into a core holding another point's
-// decodes, which then steps in lockstep with its source.
+// it also checks each way the latch state is replaced, and the steps that
+// follow: a Restore of the walking core after it ran ahead, a FlipBits
+// into each stage's instruction and PC latches, a FlushRecover, and a
+// CopyStateFrom into a core holding another point's decodes, which then
+// steps in lockstep with its source.
 func TestStageDecodesFollowLatches(t *testing.T) {
 	progs := []*prog.Program{tinyProgram(t)}
 	for _, b := range bench.All() {
@@ -90,6 +86,7 @@ func TestStageDecodesFollowLatches(t *testing.T) {
 				step(c, what+" run ahead")
 			}
 			c.Restore(ck)
+			requireStageDecodes(t, c, what+" Restore")
 			for i := 0; i < tail && !c.done; i++ {
 				step(c, what+" after Restore")
 			}
@@ -99,8 +96,9 @@ func TestStageDecodesFollowLatches(t *testing.T) {
 				bits := sharedSpace.BitsOf(field)
 				bit := bits[(pt*7+i)%len(bits)]
 				f.Restore(ck)
-				f.State().FlipBit(bit)
+				f.FlipBits(bit)
 				flipped := fmt.Sprintf("%s after flipping %s bit %d", what, field, bit)
+				requireStageDecodes(t, f, flipped)
 				for j := 0; j < tail && !f.done; j++ {
 					step(f, flipped)
 				}
@@ -109,6 +107,7 @@ func TestStageDecodesFollowLatches(t *testing.T) {
 			f.Restore(ck)
 			step(f, what)
 			f.FlushRecover()
+			requireStageDecodes(t, f, what+" FlushRecover")
 			for j := 0; j < tail && !f.done; j++ {
 				step(f, what+" after FlushRecover")
 			}

@@ -9,14 +9,13 @@ import (
 
 // This file is the in-order core's Step: compiled execution, where every
 // pipeline stage runs a pre-translated tcode.DInst instead of calling
-// isa.Decode and running execute-stage switches, and the latches live in the
-// unpacked mirror (unpacked.go) instead of the packed bit array — packed
-// state is materialized only at observation points. An instruction word is
-// looked up once, as it enters the register-access latch; its translation
-// then travels down the pipe beside it (stageDecodes). The decode-switch
-// interpreter in interp_test.go is its independent test oracle:
-// FuzzInterpEquivalence and the lockstep tests there pin Step to it cycle
-// for cycle and bit for bit.
+// isa.Decode and running execute-stage switches, and the latches are
+// machine words (unpacked.go) rather than fields of the packed bit array.
+// An instruction word is looked up once, as it enters the register-access
+// latch; its translation then travels down the pipe beside it
+// (stageDecodes). The decode-switch interpreter in interp_test.go is its
+// independent test oracle: FuzzInterpEquivalence and the lockstep tests
+// there pin Step to it cycle for cycle and bit for bit.
 
 // dec returns the translation of latch word w whose stage believes it sits
 // at pc. The per-PC table hits whenever the latch is uncorrupted program
@@ -32,10 +31,10 @@ func (c *Core) dec(pc, w uint32) *tcode.DInst {
 }
 
 // stageDecodes is the translation of the instruction word in each stage
-// latch of the mirror, register access (a) through writeback (w). It is
-// derived state, current exactly while the mirror is: decodeLatches fills
-// it when Step unpacks, and Step moves each decode with its word, so a
-// cycle looks up only the word entering register access. It lives outside
+// latch, register access (a) through writeback (w). It is derived state:
+// decodeLatches fills it whenever the latch state is replaced (Reset,
+// Restore, FlipBits), and Step moves each decode with its word, so a cycle
+// looks up only the word entering register access. It lives outside
 // uLatches because two cores holding the same word may hold different
 // pointers to equal translations (the per-PC table's or a decode cache's),
 // and DiffFrom compares uLatches with ==.
@@ -43,7 +42,7 @@ type stageDecodes struct {
 	a, e, m, x, w *tcode.DInst
 }
 
-// decodeLatches derives the stage decodes from the freshly unpacked mirror.
+// decodeLatches derives the stage decodes from the latch state.
 func (c *Core) decodeLatches() {
 	u := &c.u
 	c.ud = stageDecodes{
@@ -55,16 +54,10 @@ func (c *Core) decodeLatches() {
 	}
 }
 
-// Step advances the pipeline by one clock cycle on the unpacked latch
-// mirror.
+// Step advances the pipeline by one clock cycle.
 func (c *Core) Step() {
 	if c.done {
 		return
-	}
-	if !c.uValid {
-		c.unpackU()
-		c.uValid = true
-		c.decodeLatches()
 	}
 	c.cycles++
 	u := &c.u

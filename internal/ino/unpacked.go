@@ -1,16 +1,16 @@
 package ino
 
-// uLatches mirrors every flip-flop field of regs as a plain machine word.
-// Step (threaded.go) runs the pipeline on this struct and touches the
-// packed ff.State only at observation points: State(), Snapshot(),
-// Matches(), Restore() and Reset() synchronize the two representations, so
-// every external view of the core — fault injection, checkpointing,
-// convergence pruning, state-equality tests — still sees the exact packed
-// bit layout of the flip-flop space. The round trip is lossless
-// because the ff.Space allocates fields back to back with no padding bits,
-// and all values stored here are kept within their field widths (unpack
-// masks through ff.Field.Get; every pipeline write below either copies an
-// already-masked value or computes one that fits by construction).
+// uLatches holds every flip-flop field of regs as a plain machine word: it
+// is the core's flip-flop state, which Step (threaded.go) runs the pipeline
+// on. The packed ff.State in the exact bit layout of the flip-flop space is
+// only its exchange image: Snapshot and Matches pack into it, Restore
+// unpacks from it, and FlipBits packs, flips and unpacks, so fault
+// injection, checkpointing and convergence pruning all see that layout.
+// The round trip is lossless because the ff.Space allocates fields back to
+// back with no padding bits, and all values stored here are kept within
+// their field widths (unpack masks through ff.Field.Get; every pipeline
+// write in Step either copies an already-masked value or computes one that
+// fits by construction).
 type uLatches struct {
 	// fetch
 	fPC uint32
@@ -89,7 +89,7 @@ type uLatches struct {
 	icCfg, dcCfg uint16
 }
 
-// unpackU loads the unpacked mirror from the packed flip-flop state.
+// unpackU loads the latch state from its packed image st.
 func (c *Core) unpackU() {
 	st := c.st
 	r := &c.r
@@ -184,7 +184,7 @@ func (c *Core) unpackU() {
 	u.dcCfg = uint16(r.dcCfg.Get(st))
 }
 
-// packU stores the unpacked mirror back into the packed flip-flop state.
+// packU stores the latch state into its packed image st.
 func (c *Core) packU() {
 	st := c.st
 	r := &c.r
@@ -277,14 +277,4 @@ func (c *Core) packU() {
 	r.wSDWT.Set(st, b2u(u.wSDWT))
 	r.icCfg.Set(st, uint64(u.icCfg))
 	r.dcCfg.Set(st, uint64(u.dcCfg))
-}
-
-// syncU flushes the unpacked mirror into the packed state and invalidates
-// the mirror, so the caller (or external code holding the *ff.State) may
-// mutate packed bits freely; the next compiled step re-unpacks.
-func (c *Core) syncU() {
-	if c.uValid {
-		c.packU()
-		c.uValid = false
-	}
 }

@@ -1,6 +1,10 @@
 package ooo
 
-import "clear/internal/sim"
+import (
+	"slices"
+
+	"clear/internal/sim"
+)
 
 // extra is the out-of-order core's non-flip-flop state: the predictor and
 // cache-metadata SRAM structures. They carry no architectural values but
@@ -17,11 +21,7 @@ type extra struct {
 
 // Snapshot captures the full simulation state at the current cycle.
 func (c *Core) Snapshot() *sim.Checkpoint {
-	if c.uValid {
-		// materialize the packed view; the mirror stays current, so a
-		// subsequent compiled step needn't re-unpack
-		c.packU()
-	}
+	c.packU()
 	return &sim.Checkpoint{
 		FF:      c.st.Clone(),
 		Regs:    c.arf,
@@ -45,8 +45,8 @@ func (c *Core) Snapshot() *sim.Checkpoint {
 // Restore rewinds the core to ck, which must have been taken from an
 // out-of-order core bound to the same program.
 func (c *Core) Restore(ck *sim.Checkpoint) {
-	c.uValid = false // packed state becomes authoritative
 	c.st.CopyFrom(ck.FF)
+	c.unpackU()
 	c.arf = ck.Regs
 	if cap(c.mem) >= len(ck.Mem) {
 		c.mem = c.mem[:len(ck.Mem)]
@@ -74,9 +74,7 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 	if !ok {
 		return false
 	}
-	if c.uValid {
-		c.packU() // compare against the live mirror's packed view
-	}
+	c.packU()
 	return c.cycles == ck.Cycles &&
 		c.retired == ck.Retired &&
 		c.done == ck.Done &&
@@ -89,18 +87,6 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 		c.cacheTag == e.cacheTag &&
 		c.cacheVld == e.cacheVld &&
 		c.st.Equal(ck.FF) &&
-		wordsEqual(c.out, ck.Out) &&
-		wordsEqual(c.mem, ck.Mem)
-}
-
-func wordsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
+		slices.Equal(c.out, ck.Out) &&
+		slices.Equal(c.mem, ck.Mem)
 }

@@ -73,11 +73,11 @@ func TestMatchesDetectsDivergence(t *testing.T) {
 		c.Step()
 	}
 	ck := c.Snapshot()
-	c.State().FlipBit(11)
+	c.FlipBits(11)
 	if c.Matches(ck) {
 		t.Fatal("Matches missed a flipped flip-flop")
 	}
-	c.State().FlipBit(11)
+	c.FlipBits(11)
 	if !c.Matches(ck) {
 		t.Fatal("Matches false negative after undoing the flip")
 	}

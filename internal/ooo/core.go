@@ -13,7 +13,6 @@ const illegalWord = 0xFFFFFFFF
 type Core struct {
 	space *ff.Space
 	r     regs
-	st    *ff.State
 
 	program *prog.Program
 	arf     [32]uint32 // architectural register file (RAM: not injected)
@@ -39,11 +38,13 @@ type Core struct {
 	tp     *tcode.Program
 	dcache tcode.Cache
 
-	// u is the unpacked latch mirror (unpacked.go) Step runs on; uValid
-	// marks it current. While uValid, the mirror is authoritative and c.st
-	// is stale until an observation point packs it back.
-	u      uLatches
-	uValid bool
+	// u is the core's flip-flop state, one machine word per field
+	// (unpacked.go), which Step runs on. st is its packed image in the bit
+	// layout of the flip-flop space, exchanged at four points only:
+	// Snapshot and Matches pack u into it, Restore unpacks it into u, and
+	// FlipBits does both around its flips.
+	u  uLatches
+	st *ff.State
 
 	hook sim.CommitHook
 }
@@ -61,7 +62,7 @@ func New(p *prog.Program) *Core {
 // Reset rebinds the core to p and clears all state.
 func (c *Core) Reset(p *prog.Program) {
 	c.program = p
-	c.st.Reset()
+	c.u = uLatches{}
 	c.arf = [32]uint32{}
 	if cap(c.mem) >= p.MemWords {
 		c.mem = c.mem[:p.MemWords]
@@ -83,17 +84,17 @@ func (c *Core) Reset(p *prog.Program) {
 	c.retired = 0
 	c.done = false
 	c.status = prog.StatusHalted
-	c.uValid = false // packed state is authoritative after reset
 	c.tp = p.Threaded()
 }
 
-// State exposes the flip-flop state for fault injection. The caller may
-// mutate the returned state (FlipBit), so the unpacked mirror is flushed and
-// invalidated first; the next Step re-unpacks whatever the caller left
-// behind.
-func (c *Core) State() *ff.State {
-	c.syncU()
-	return c.st
+// FlipBits flips the given bits of the core's flip-flop state, numbered as
+// in its ff.Space: the latch state is packed, flipped and unpacked again.
+func (c *Core) FlipBits(bits ...int) {
+	c.packU()
+	for _, b := range bits {
+		c.st.FlipBit(b)
+	}
+	c.unpackU()
 }
 
 // SpaceOf returns the core's flip-flop space.

@@ -99,8 +99,8 @@ var deadGates = func() []gate {
 
 // Dead reports whether a flip of bit in the core's current state can never
 // be read before it is overwritten: bit is a payload whose gate is closed
-// (the table above). It reads the gate from whichever state representation
-// is authoritative, like pcView, and changes neither.
+// (the table above). It reads the gate from the latch state and changes
+// nothing.
 func (c *Core) Dead(bit int) bool {
 	g := deadGates[bit]
 	return g.kind != gateNone && c.closed(g)
@@ -108,45 +108,36 @@ func (c *Core) Dead(bit int) bool {
 
 // closed reports whether gate g is closed in the core's current state.
 func (c *Core) closed(g gate) bool {
-	r, u, i := &c.r, &c.u, int(g.idx)
+	u, i := &c.u, int(g.idx)
 	switch g.kind {
 	case gateROB:
-		return outside(i, c.view(r.robHead, u.robHead), c.view(r.robCount, u.robCount), RobSize)
+		return outside(i, u.robHead, u.robCount, RobSize)
 	case gateROBTgt:
-		return c.closed(gate{gateROB, g.idx}) || c.view(r.robFlags[i], u.robFlags[i])&2 == 0
+		return c.closed(gate{gateROB, g.idx}) || u.robFlags[i]&2 == 0
 	case gateIQ:
-		return c.view(r.iqValid[i], u.iqValid[i]) == 0
+		return u.iqValid[i] == 0
 	case gateIQTag1:
-		return c.view(r.iqValid[i], u.iqValid[i]) == 0 || c.view(r.iqS1Rdy[i], u.iqS1Rdy[i]) != 0
+		return u.iqValid[i] == 0 || u.iqS1Rdy[i] != 0
 	case gateIQVal1:
-		return c.view(r.iqValid[i], u.iqValid[i]) == 0 || c.view(r.iqS1Rdy[i], u.iqS1Rdy[i]) == 0
+		return u.iqValid[i] == 0 || u.iqS1Rdy[i] == 0
 	case gateIQTag2:
-		return c.view(r.iqValid[i], u.iqValid[i]) == 0 || c.view(r.iqS2Rdy[i], u.iqS2Rdy[i]) != 0
+		return u.iqValid[i] == 0 || u.iqS2Rdy[i] != 0
 	case gateIQVal2:
-		return c.view(r.iqValid[i], u.iqValid[i]) == 0 || c.view(r.iqS2Rdy[i], u.iqS2Rdy[i]) == 0
+		return u.iqValid[i] == 0 || u.iqS2Rdy[i] == 0
 	case gateSQ:
-		return c.view(r.sqValid[i], u.sqValid[i]) == 0
+		return u.sqValid[i] == 0
 	case gateSQData:
-		return c.view(r.sqValid[i], u.sqValid[i]) == 0 || c.view(r.sqDone[i], u.sqDone[i]) == 0
+		return u.sqValid[i] == 0 || u.sqDone[i] == 0
 	case gateMul:
-		return c.view(r.muV[i], u.muV[i]) == 0
+		return u.muV[i] == 0
 	case gateLoad:
-		return c.view(r.ldValid, u.ldValid) == 0
+		return u.ldValid == 0
 	case gateFB:
-		return outside(i, c.view(r.fbHead, u.fbHead), c.view(r.fbCount, u.fbCount), FBSize)
+		return outside(i, u.fbHead, u.fbCount, FBSize)
 	case gateRAT:
-		return c.view(r.rat[i], u.rat[i])&0x40 == 0
+		return u.rat[i]&0x40 == 0
 	}
 	return false
-}
-
-// view reads field f from whichever state representation is authoritative:
-// its mirror word v while the latch mirror is live, else the packed state.
-func (c *Core) view(f ff.Field, v uint64) uint64 {
-	if c.uValid {
-		return v
-	}
-	return f.Get(c.st)
 }
 
 // outside reports whether slot i of a ring of n entries lies outside the

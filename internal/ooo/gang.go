@@ -1,6 +1,10 @@
 package ooo
 
-import "clear/internal/sim"
+import (
+	"slices"
+
+	"clear/internal/sim"
+)
 
 // Gang hooks for the packed fault-injection engine (sim.GangCore,
 // DESIGN.md §14): lane forking via core-to-core state cloning and the
@@ -9,19 +13,15 @@ import "clear/internal/sim"
 var _ sim.GangCore = (*Core)(nil)
 
 // CopyStateFrom makes the core's state bit-for-bit identical to src, a
-// second out-of-order core bound to the same program. Both state
-// representations are copied — the packed ff.State and the unpacked latch
-// mirror with its validity flag — so the copy is exact whichever
-// representation is current, without forcing a pack/unpack round trip. The decode cache and
-// threaded translation are shared/memoized derivations of the program, not
-// state; the commit hook is left untouched, like Restore.
+// second out-of-order core bound to the same program: the latch state and
+// everything outside the flip-flop space. The decode cache and threaded
+// translation are shared/memoized derivations of the program, not state;
+// the commit hook is left untouched, like Restore.
 func (c *Core) CopyStateFrom(src sim.Core) {
 	s := src.(*Core)
 	c.program = s.program
 	c.tp = s.tp
-	c.st.CopyFrom(s.st)
 	c.u = s.u
-	c.uValid = s.uValid
 	c.arf = s.arf
 	if cap(c.mem) >= len(s.mem) {
 		c.mem = c.mem[:len(s.mem)]
@@ -42,44 +42,23 @@ func (c *Core) CopyStateFrom(src sim.Core) {
 	c.status = s.status
 }
 
-// pcView reads the fetch PC from whichever state representation is
-// authoritative, without synchronizing them.
-func (c *Core) pcView() uint32 { return uint32(c.view(c.r.pc, c.u.pc)) }
-
 // DiffFrom compares the core's full state against ref (a second
 // out-of-order core bound to the same program) and returns the first
 // divergence class found: control path, then latch/register state, then
 // memory/output/SRAM side state (the predictor and cache-metadata arrays
 // carry no architectural values but steer latencies and redirects, so they
 // gate reconvergence exactly as they do in Matches). A zero result
-// certifies bit-for-bit identical full state. When both mirrors are
-// live, the latch comparison is a single struct equality over them; mixed representations are packed first (the mirror
-// stays live, exactly as in Matches).
+// certifies bit-for-bit identical full state.
 func (c *Core) DiffFrom(ref sim.Core) uint8 {
 	o := ref.(*Core)
 	if c.done != o.done || c.status != o.status || c.cycles != o.cycles ||
-		c.retired != o.retired || c.pcView() != o.pcView() {
+		c.retired != o.retired || c.u.pc != o.u.pc {
 		return sim.DiffCtl
 	}
-	if c.arf != o.arf {
+	if c.arf != o.arf || c.u != o.u {
 		return sim.DiffState
 	}
-	if c.uValid && o.uValid {
-		if c.u != o.u {
-			return sim.DiffState
-		}
-	} else {
-		if c.uValid {
-			c.packU()
-		}
-		if o.uValid {
-			o.packU()
-		}
-		if !c.st.Equal(o.st) {
-			return sim.DiffState
-		}
-	}
-	if !wordsEqual(c.out, o.out) || !wordsEqual(c.mem, o.mem) ||
+	if !slices.Equal(c.out, o.out) || !slices.Equal(c.mem, o.mem) ||
 		c.btbTag != o.btbTag || c.btbTgt != o.btbTgt || c.btbValid != o.btbValid ||
 		c.gshare != o.gshare || c.cacheTag != o.cacheTag || c.cacheVld != o.cacheVld {
 		return sim.DiffAux

@@ -45,14 +45,11 @@ func (l *commitLog) observe(ev sim.CommitEvent) bool {
 
 // liveDiff names the first part of c's simulation state that differs from
 // ref's outside the inert flip-flops — and, with dead, outside the
-// flip-flops dead in ref (Dead) — or returns "". A live latch mirror is
-// packed the way Snapshot packs it and stays live.
+// flip-flops dead in ref (Dead) — or returns "". Both latch states are
+// packed the way Snapshot packs them.
 func liveDiff(ref, c *Core, dead bool) string {
-	for _, x := range []*Core{ref, c} {
-		if x.uValid {
-			x.packU()
-		}
-	}
+	ref.packU()
+	c.packU()
 	switch {
 	case c.cycles != ref.cycles || c.retired != ref.retired || c.done != ref.done || c.status != ref.status:
 		return "counters or status"
@@ -60,9 +57,9 @@ func liveDiff(ref, c *Core, dead bool) string {
 		return "live flip-flops"
 	case c.arf != ref.arf:
 		return "register file"
-	case !wordsEqual(c.mem, ref.mem):
+	case !slices.Equal(c.mem, ref.mem):
 		return "memory"
-	case !wordsEqual(c.out, ref.out):
+	case !slices.Equal(c.out, ref.out):
 		return "output"
 	case c.btbTag != ref.btbTag || c.btbTgt != ref.btbTgt || c.btbValid != ref.btbValid || c.gshare != ref.gshare:
 		return "predictor SRAMs"
@@ -73,8 +70,8 @@ func liveDiff(ref, c *Core, dead bool) string {
 }
 
 // requireClosure restores three cores of p to ck: an unperturbed compiled
-// core, and a compiled core and an interpreter twin whose packed states
-// perturb flips. It steps all three in lockstep until the unperturbed core
+// core, and a compiled core and an interpreter twin each restored from a
+// copy of ck whose packed image perturb flips. It steps all three in lockstep until the unperturbed core
 // finishes or maxCycles elapse, and fails t the first cycle a perturbed
 // core's state (liveDiff, with dead) or commit events differ from the
 // unperturbed core's. It stops early once both perturbed cores hold
@@ -93,9 +90,11 @@ func requireClosure(t testing.TB, p *prog.Program, ck *sim.Checkpoint, perturb f
 	ct, ci := New(p), New(p)
 	twins := []*twin{{name: "compiled", c: ct, step: ct.Step}, {name: "interpreter", c: ci, step: ci.stepInterp}}
 	for _, tw := range twins {
-		tw.c.Restore(ck)
+		pck := *ck
+		pck.FF = ck.FF.Clone()
+		perturb(pck.FF)
+		tw.c.Restore(&pck)
 		tw.c.SetCommitHook(tw.log.observe)
-		perturb(tw.c.State())
 	}
 	for n := 0; n < maxCycles && !ref.done; n++ {
 		ref.Step()

@@ -17,47 +17,38 @@ import "clear/internal/sim"
 // write-back/bypass copies, the L1 line buffers) hold no attributable
 // instruction and report nothing; strikes there fall back to unit-level
 // attribution with no root instruction.
-//
-// The observation goes through syncU like State(), so it reads the exact
-// packed-state occupancy whether or not the latch mirror is live.
 func (c *Core) InFlight(dst []sim.InFlightInst) []sim.InFlightInst {
-	c.syncU()
-	st := c.st
-	r := &c.r
-	dst = append(dst, sim.InFlightInst{Unit: "fetch", Slot: -1, PC: uint32(r.pc.Get(st))})
-	fbHead, fbCnt := r.fbHead.Get(st), r.fbCount.Get(st)
-	for k := uint64(0); k < fbCnt && k < FBSize; k++ {
-		i := int((fbHead + k) % FBSize)
-		dst = append(dst, sim.InFlightInst{Unit: "fetchbuf", Slot: i, PC: uint32(r.fbPC[i].Get(st))})
+	u := &c.u
+	dst = append(dst, sim.InFlightInst{Unit: "fetch", Slot: -1, PC: uint32(u.pc)})
+	for k := uint64(0); k < u.fbCount && k < FBSize; k++ {
+		i := int((u.fbHead + k) % FBSize)
+		dst = append(dst, sim.InFlightInst{Unit: "fetchbuf", Slot: i, PC: uint32(u.fbPC[i])})
 	}
-	robHead, robCnt := r.robHead.Get(st), r.robCount.Get(st)
-	for k := uint64(0); k < robCnt && k < RobSize; k++ {
-		i := int((robHead + k) % RobSize)
-		dst = append(dst, sim.InFlightInst{Unit: "rob", Slot: i, PC: uint32(r.robPC[i].Get(st))})
+	for k := uint64(0); k < u.robCount && k < RobSize; k++ {
+		i := int((u.robHead + k) % RobSize)
+		dst = append(dst, sim.InFlightInst{Unit: "rob", Slot: i, PC: uint32(u.robPC[i])})
 	}
-	robPC := func(idx uint64) uint32 {
-		return uint32(r.robPC[idx%RobSize].Get(st))
-	}
+	robPC := func(idx uint64) uint32 { return uint32(u.robPC[idx%RobSize]) }
 	for i := 0; i < IQSize; i++ {
-		if r.iqValid[i].Get(st) == 1 {
-			dst = append(dst, sim.InFlightInst{Unit: "sched", Slot: i, PC: robPC(r.iqRob[i].Get(st))})
+		if u.iqValid[i] == 1 {
+			dst = append(dst, sim.InFlightInst{Unit: "sched", Slot: i, PC: robPC(u.iqRob[i])})
 		}
 	}
 	for i := 0; i < SQSize; i++ {
-		if r.sqValid[i].Get(st) == 1 {
-			dst = append(dst, sim.InFlightInst{Unit: "stq", Slot: i, PC: robPC(r.sqRob[i].Get(st))})
+		if u.sqValid[i] == 1 {
+			dst = append(dst, sim.InFlightInst{Unit: "stq", Slot: i, PC: robPC(u.sqRob[i])})
 		}
 	}
-	if r.ldValid.Get(st) == 1 {
-		dst = append(dst, sim.InFlightInst{Unit: "l1dcache", Slot: -1, PC: robPC(r.ldRob.Get(st))})
+	if u.ldValid == 1 {
+		dst = append(dst, sim.InFlightInst{Unit: "l1dcache", Slot: -1, PC: robPC(u.ldRob)})
 	}
 	for i := 0; i < 4; i++ {
-		if r.muV[i].Get(st) == 1 {
-			dst = append(dst, sim.InFlightInst{Unit: "mul", Slot: i, PC: robPC(r.muRob[i].Get(st))})
+		if u.muV[i] == 1 {
+			dst = append(dst, sim.InFlightInst{Unit: "mul", Slot: i, PC: robPC(u.muRob[i])})
 		}
 	}
 	for i := 0; i < 32; i++ {
-		if m := r.rat[i].Get(st); m&0x40 != 0 {
+		if m := u.rat[i]; m&0x40 != 0 {
 			dst = append(dst, sim.InFlightInst{Unit: "rename", Slot: i, PC: robPC(m & 0x3F)})
 		}
 	}

@@ -17,13 +17,67 @@ import (
 // words with isa.Decode and executing through the switches below. It shares
 // no execution code with Step (threaded.go), which makes it an independent
 // oracle: the equivalence tests at the end of this file step an interpreter
-// twin in lockstep with a compiled core. A twin built with New and stepped
-// only by stepInterp never validates its latch mirror, so every observation
-// (State, Snapshot, Matches, Restore, InFlight) reads the packed state the
-// interpreter maintains.
+// twin in lockstep with a compiled core. The twin's state lives where the
+// compiled core's does, so Snapshot, Restore, Matches and FlipBits treat
+// both alike: stepInterp packs it into the image st, interprets one cycle
+// there and unpacks the result. The oracle keeps its own packed-state
+// InFlight (inFlightInterp), which the tests compare the compiled core's
+// against.
 
-// stepInterp advances the machine one clock cycle.
+// stepInterp advances the twin one clock cycle on its packed image.
 func (c *Core) stepInterp() {
+	c.packU()
+	c.stepPacked()
+	c.unpackU()
+}
+
+// inFlightInterp is InFlight read from the packed image.
+func (c *Core) inFlightInterp(dst []sim.InFlightInst) []sim.InFlightInst {
+	c.packU()
+	st := c.st
+	r := &c.r
+	dst = append(dst, sim.InFlightInst{Unit: "fetch", Slot: -1, PC: uint32(r.pc.Get(st))})
+	fbHead, fbCnt := r.fbHead.Get(st), r.fbCount.Get(st)
+	for k := uint64(0); k < fbCnt && k < FBSize; k++ {
+		i := int((fbHead + k) % FBSize)
+		dst = append(dst, sim.InFlightInst{Unit: "fetchbuf", Slot: i, PC: uint32(r.fbPC[i].Get(st))})
+	}
+	robHead, robCnt := r.robHead.Get(st), r.robCount.Get(st)
+	for k := uint64(0); k < robCnt && k < RobSize; k++ {
+		i := int((robHead + k) % RobSize)
+		dst = append(dst, sim.InFlightInst{Unit: "rob", Slot: i, PC: uint32(r.robPC[i].Get(st))})
+	}
+	robPC := func(idx uint64) uint32 {
+		return uint32(r.robPC[idx%RobSize].Get(st))
+	}
+	for i := 0; i < IQSize; i++ {
+		if r.iqValid[i].Get(st) == 1 {
+			dst = append(dst, sim.InFlightInst{Unit: "sched", Slot: i, PC: robPC(r.iqRob[i].Get(st))})
+		}
+	}
+	for i := 0; i < SQSize; i++ {
+		if r.sqValid[i].Get(st) == 1 {
+			dst = append(dst, sim.InFlightInst{Unit: "stq", Slot: i, PC: robPC(r.sqRob[i].Get(st))})
+		}
+	}
+	if r.ldValid.Get(st) == 1 {
+		dst = append(dst, sim.InFlightInst{Unit: "l1dcache", Slot: -1, PC: robPC(r.ldRob.Get(st))})
+	}
+	for i := 0; i < 4; i++ {
+		if r.muV[i].Get(st) == 1 {
+			dst = append(dst, sim.InFlightInst{Unit: "mul", Slot: i, PC: robPC(r.muRob[i].Get(st))})
+		}
+	}
+	for i := 0; i < 32; i++ {
+		if m := r.rat[i].Get(st); m&0x40 != 0 {
+			dst = append(dst, sim.InFlightInst{Unit: "rename", Slot: i, PC: robPC(m & 0x3F)})
+		}
+	}
+	return dst
+}
+
+// stepPacked advances the machine of the packed image st one clock cycle.
+func (c *Core) stepPacked() {
 	if c.done {
 		return
 	}
@@ -783,9 +837,9 @@ func forwardingProgram(t testing.TB) *prog.Program {
 	return mustProg(t, "forwarding", b, nil, 8)
 }
 
-// mirrorFieldBits returns the flip-flop bits of ROB, issue-queue and
-// store-queue fields that live behind the unpacked mirror; flips there
-// exercise its pack/unpack boundary rather than arbitrary bits.
+// mirrorFieldBits returns the flip-flop bits of a few ROB, issue-queue and
+// store-queue fields; flips there exercise the pack/unpack boundary of
+// FlipBits on fields Step reads, rather than on arbitrary bits.
 func mirrorFieldBits(t testing.TB) []int {
 	t.Helper()
 	var bits []int
@@ -803,24 +857,30 @@ func mirrorFieldBits(t testing.TB) []int {
 
 // requireLockstep fails t unless the interpreter twin ci and the compiled
 // core ct agree on packed flip-flop state, cycle and retirement counts, done
-// flag and status. With sync, ct's state is read through State(), which
-// flushes and invalidates its latch mirror so the next Step re-unpacks;
-// without, the mirror is packed the way Snapshot and Matches pack it and
-// stays live, so ct keeps stepping on it as it does between observations.
+// flag and status. ct's latch state is packed the way Snapshot and Matches
+// pack it; with sync, it first goes through an empty FlipBits, which packs
+// it and loads it back as every strike does.
 func requireLockstep(t testing.TB, ci, ct *Core, sync bool, what string) {
 	t.Helper()
-	st := ct.st
 	if sync {
-		st = ct.State()
-	} else if ct.uValid {
-		ct.packU()
+		ct.FlipBits()
 	}
-	if !ci.st.Equal(st) {
+	ct.packU()
+	if !ci.st.Equal(ct.st) {
 		t.Fatalf("%s: flip-flop state diverged at cycle %d", what, ci.cycles)
 	}
 	if ci.done != ct.done || ci.cycles != ct.cycles || ci.retired != ct.retired || ci.status != ct.status {
 		t.Fatalf("%s: run bookkeeping diverged at cycle %d: interp (done=%v cyc=%d ret=%d status=%v) vs compiled (done=%v cyc=%d ret=%d status=%v)",
 			what, ci.cycles, ci.done, ci.cycles, ci.retired, ci.status, ct.done, ct.cycles, ct.retired, ct.status)
+	}
+}
+
+// requireSameInFlight fails t unless ct's InFlight reports what the
+// oracle's inFlightInterp reports for ci.
+func requireSameInFlight(t testing.TB, ci, ct *Core, what string) {
+	t.Helper()
+	if fi, fc := ci.inFlightInterp(nil), ct.InFlight(nil); !reflect.DeepEqual(fi, fc) {
+		t.Fatalf("%s: cycle %d: in-flight observations differ:\ninterp   %v\ncompiled %v", what, ci.cycles, fi, fc)
 	}
 }
 
@@ -861,9 +921,9 @@ func fuzzProgram(data []byte) *prog.Program {
 // FuzzInterpEquivalence pins Step to the decode-switch interpreter: for an
 // arbitrary program image (fuzzProgram) and an arbitrary single-bit
 // injection, both must produce identical state traces, cycle for cycle.
-// Mid-run the two cross the mirror's observation boundary with the mirror
-// live: Snapshot and cross-Matches, identity Restore, and a flip targeted
-// into a mirrored ROB, issue-queue or store-queue field.
+// Mid-run the two cross every exchange point: Snapshot and cross-Matches,
+// identity Restore, a flip targeted into a ROB, issue-queue or store-queue
+// field, and InFlight against the oracle's packed-state version.
 func FuzzInterpEquivalence(f *testing.F) {
 	addFuzzSeeds(f)
 	mirrorBits := mirrorFieldBits(f)
@@ -878,8 +938,8 @@ func FuzzInterpEquivalence(f *testing.F) {
 		const maxCycles = 512
 		for cyc := 0; cyc < maxCycles; cyc++ {
 			if cyc == flipCycle {
-				ci.State().FlipBit(bit)
-				ct.State().FlipBit(bit)
+				ci.FlipBits(bit)
+				ct.FlipBits(bit)
 			}
 			ci.stepInterp()
 			ct.Step()
@@ -895,9 +955,10 @@ func FuzzInterpEquivalence(f *testing.F) {
 				ci.Restore(ckI)
 				ct.Restore(ckT)
 				mb := mirrorBits[int(bitSeed>>8)%len(mirrorBits)]
-				ci.State().FlipBit(mb)
-				ct.State().FlipBit(mb)
-				requireLockstep(t, ci, ct, true, what+" across the observation boundary")
+				ci.FlipBits(mb)
+				ct.FlipBits(mb)
+				requireSameInFlight(t, ci, ct, what)
+				requireLockstep(t, ci, ct, true, what+" across the exchange points")
 			}
 		}
 		requireSameEnd(t, ci, ct, what)
@@ -905,9 +966,9 @@ func FuzzInterpEquivalence(f *testing.F) {
 }
 
 // TestInterpNominalLockstep runs the tiny program and every benchmark
-// fault-free on Step and on the interpreter, comparing state through
-// State() every cycle (so every Step starts by unpacking a freshly packed
-// state) and the full simulation state at the end.
+// fault-free on Step and on the interpreter, comparing state every cycle
+// after an empty FlipBits (so every Step starts from a freshly packed and
+// unpacked state) and the full simulation state at the end.
 func TestInterpNominalLockstep(t *testing.T) {
 	progs := []*prog.Program{tinyProgram(t)}
 	for _, b := range bench.All() {
@@ -936,8 +997,7 @@ func TestInterpNominalLockstep(t *testing.T) {
 // spread over the tiny program's nominal run, and runs Step and the
 // interpreter in lockstep to completion or to 3× the nominal cycles. Each
 // run restores both cores from a checkpoint of the fault-free lockstep run
-// at its flip cycle, as a campaign warm-starts an injection; the latch
-// mirror then stays live from the flip to the end of the run.
+// at its flip cycle, as a campaign warm-starts an injection.
 func TestInterpEveryBitLockstep(t *testing.T) {
 	p := tinyProgram(t)
 	ci, ct := New(p), New(p)
@@ -954,8 +1014,8 @@ func TestInterpEveryBitLockstep(t *testing.T) {
 		what := fmt.Sprintf("bit %d flipped at cycle %d", bit, flipCycle)
 		ci.Restore(cks[flipCycle])
 		ct.Restore(cks[flipCycle])
-		ci.State().FlipBit(bit)
-		ct.State().FlipBit(bit)
+		ci.FlipBits(bit)
+		ct.FlipBits(bit)
 		for !ci.done && ci.cycles < 3*nominal {
 			ci.stepInterp()
 			ct.Step()
@@ -965,12 +1025,11 @@ func TestInterpEveryBitLockstep(t *testing.T) {
 	}
 }
 
-// TestMirrorObservationBoundaries walks Step through every observation
-// point while its latch mirror is live — mid-run Snapshot, cross Matches,
-// identity Restore, and bit flips into mirrored ROB, issue-queue and
-// store-queue fields between materializations — and requires the
-// interpreter twin never to diverge. Restore must leave the mirror
-// invalid, so the next Step re-unpacks the restored state.
+// TestMirrorObservationBoundaries walks Step through every exchange point
+// of its latch state — mid-run Snapshot, cross Matches, identity Restore,
+// and bit flips into ROB, issue-queue and store-queue fields — and
+// requires the interpreter twin never to diverge, nor InFlight from the
+// oracle's.
 func TestMirrorObservationBoundaries(t *testing.T) {
 	mirrorBits := mirrorFieldBits(t)
 	for _, p := range []*prog.Program{tinyProgram(t), forwardingProgram(t)} {
@@ -980,9 +1039,7 @@ func TestMirrorObservationBoundaries(t *testing.T) {
 			ci.stepInterp()
 			ct.Step()
 			requireLockstep(t, ci, ct, false, p.Name)
-			if !ct.uValid {
-				t.Fatalf("%s cycle %d: mirror not live after Step", p.Name, cyc)
-			}
+			requireSameInFlight(t, ci, ct, p.Name)
 			switch {
 			case cyc%32 == 0: // snapshot + identity restore
 				ckI, ckT := ci.Snapshot(), ct.Snapshot()
@@ -994,13 +1051,10 @@ func TestMirrorObservationBoundaries(t *testing.T) {
 				}
 				ci.Restore(ckI)
 				ct.Restore(ckT)
-				if ct.uValid {
-					t.Fatalf("%s cycle %d: Restore left the mirror marked valid", p.Name, cyc)
-				}
-			case cyc%13 == 0: // inject into a mirrored structure mid-run
+			case cyc%13 == 0: // inject into a queue or buffer mid-run
 				mb := mirrorBits[(cyc/13)%len(mirrorBits)]
-				ci.State().FlipBit(mb)
-				ct.State().FlipBit(mb)
+				ci.FlipBits(mb)
+				ct.FlipBits(mb)
 			}
 		}
 		requireSameEnd(t, ci, ct, p.Name)
@@ -1008,9 +1062,8 @@ func TestMirrorObservationBoundaries(t *testing.T) {
 }
 
 // TestInFlightCompiledMatchesInterpreter requires identical in-flight
-// observations from Step and the interpreter at every sampled cycle of the
-// tiny program: InFlight must read through the latch mirror exactly like
-// State().
+// observations from the compiled core's InFlight and the oracle's
+// packed-state inFlightInterp at every sampled cycle of the tiny program.
 func TestInFlightCompiledMatchesInterpreter(t *testing.T) {
 	p := tinyProgram(t)
 	ci, ct := New(p), New(p)
@@ -1020,11 +1073,8 @@ func TestInFlightCompiledMatchesInterpreter(t *testing.T) {
 		if i%7 != 0 {
 			continue
 		}
-		fi, fc := ci.InFlight(nil), ct.InFlight(nil)
-		if !reflect.DeepEqual(fi, fc) {
-			t.Fatalf("cycle %d: in-flight observations differ:\ninterp   %v\ncompiled %v", i+1, fi, fc)
-		}
-		if i == 0 && len(fi) == 0 {
+		requireSameInFlight(t, ci, ct, p.Name)
+		if i == 0 && len(ct.InFlight(nil)) == 0 {
 			t.Fatal("no in-flight instructions observed")
 		}
 	}

@@ -360,7 +360,7 @@ func TestInjectionProducesOutcomeDiversity(t *testing.T) {
 		for i := 0; i < cyc; i++ {
 			c.Step()
 		}
-		c.State().FlipBit(rng.Intn(Space().NumBits()))
+		c.FlipBits(rng.Intn(Space().NumBits()))
 		res := c.Run(2 * nomCycles)
 		switch {
 		case res.Status == prog.StatusHalted && p.OutputsEqual(res.Output):

@@ -9,13 +9,12 @@ import (
 
 // This file is the out-of-order core's Step: compiled execution, where every
 // unit looks up a pre-translated tcode.DInst instead of calling isa.Decode
-// and running execute switches, and every ROB/IQ/SQ/rename/latch access runs
-// on the unpacked mirror (unpacked.go) instead of the packed bit array —
-// packed state is materialized only at observation points. Each unit is the
-// compiled twin of a unit (commit, execute, ...) of the decode-switch
-// interpreter in interp_test.go, the independent test oracle:
-// FuzzInterpEquivalence and the lockstep tests there pin Step to it cycle
-// for cycle and bit for bit.
+// and running execute switches, and every ROB/IQ/SQ/rename/latch access
+// reads a machine word (unpacked.go) rather than a field of the packed bit
+// array. Each unit is the compiled twin of a unit (commit, execute, ...) of
+// the decode-switch interpreter in interp_test.go, the independent test
+// oracle: FuzzInterpEquivalence and the lockstep tests there pin Step to it
+// cycle for cycle and bit for bit.
 
 // dec returns the translation of instruction word w that the machine
 // associates with pc. Uncorrupted program text hits the per-PC table;
@@ -28,14 +27,10 @@ func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	return c.dcache.Decode(w)
 }
 
-// Step advances the machine one clock cycle on the unpacked latch mirror.
+// Step advances the machine one clock cycle.
 func (c *Core) Step() {
 	if c.done {
 		return
-	}
-	if !c.uValid {
-		c.unpackU()
-		c.uValid = true
 	}
 	c.cycles++
 	c.commitU()

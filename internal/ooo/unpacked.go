@@ -1,19 +1,18 @@
 package ooo
 
-// uLatches mirrors every flip-flop field of regs as a plain machine word.
-// Step (threaded.go) runs the whole
-// fetch/rename/issue/execute/writeback/commit loop on this struct and
-// touches the packed ff.State only at observation points: State(),
-// Snapshot(), Matches(), Restore() and Reset() synchronize the two
-// representations, so every external view of the core — fault injection,
-// checkpointing, convergence pruning, state-equality tests — still sees the
-// exact packed bit layout of the flip-flop space. The round trip is lossless
+// uLatches holds every flip-flop field of regs as a plain machine word: it
+// is the core's flip-flop state, which Step (threaded.go) runs the whole
+// fetch/rename/issue/execute/writeback/commit loop on. The packed ff.State
+// in the exact bit layout of the flip-flop space is only its exchange
+// image: Snapshot and Matches pack into it, Restore unpacks from it, and
+// FlipBits packs, flips and unpacks, so fault injection, checkpointing and
+// convergence pruning all see that layout. The round trip is lossless
 // because the ff.Space allocates fields back to back with no padding bits,
 // and all values stored here are kept within their field widths (unpack
-// masks through ff.Field.Get; every pipeline write below either copies an
-// already-masked value, computes one that fits by construction, or — for
-// lhist's shift register — masks explicitly where a packed write relies on
-// ff.Field.Set truncation).
+// masks through ff.Field.Get; every pipeline write in Step either copies
+// an already-masked value, computes one that fits by construction, or —
+// for lhist's shift register — masks explicitly where a packed write
+// relies on ff.Field.Set truncation).
 //
 // Every field is a uint64 carrying exactly the value ff.Field.Get would
 // return, so the compiled loop's arithmetic (modular ROB ages, wrap-around
@@ -89,7 +88,7 @@ type uLatches struct {
 	wbRet [8]uint64
 }
 
-// unpackU loads the unpacked mirror from the packed flip-flop state.
+// unpackU loads the latch state from its packed image st.
 func (c *Core) unpackU() {
 	st := c.st
 	r := &c.r
@@ -175,7 +174,7 @@ func (c *Core) unpackU() {
 	}
 }
 
-// packU stores the unpacked mirror back into the packed flip-flop state.
+// packU stores the latch state into its packed image st.
 func (c *Core) packU() {
 	st := c.st
 	r := &c.r
@@ -258,15 +257,5 @@ func (c *Core) packU() {
 	}
 	for i := 0; i < 8; i++ {
 		r.wbRet[i].Set(st, u.wbRet[i])
-	}
-}
-
-// syncU flushes the unpacked mirror into the packed state and invalidates
-// the mirror, so the caller (or external code holding the *ff.State) may
-// mutate packed bits freely; the next compiled step re-unpacks.
-func (c *Core) syncU() {
-	if c.uValid {
-		c.packU()
-		c.uValid = false
 	}
 }

@@ -13,7 +13,7 @@ func classify(t *testing.T, p *prog.Program, bit, cycle, nom int) string {
 	for i := 0; i < cycle && !c.Done(); i++ {
 		c.Step()
 	}
-	c.State().FlipBit(bit)
+	c.FlipBits(bit)
 	res := c.Run(2 * nom)
 	switch {
 	case res.Status == prog.StatusHalted && p.OutputsEqual(res.Output):

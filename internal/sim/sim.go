@@ -66,11 +66,12 @@ type InFlightInst struct {
 }
 
 // Checkpoint is a complete capture of a core's simulation state at a clock
-// boundary: flip-flop bits, architectural register file, data memory, the
-// output stream emitted so far, and the cycle/retired counters. Extra holds
-// core-specific microarchitectural state outside the flip-flop space
-// (e.g. predictor and cache-tag SRAMs) so that restoring a checkpoint
-// reproduces the exact cycle-by-cycle future of the captured run.
+// boundary: flip-flop bits (packed in the bit layout of the core's
+// ff.Space), architectural register file, data memory, the output stream
+// emitted so far, and the cycle/retired counters. Extra holds core-specific
+// microarchitectural state outside the flip-flop space (e.g. predictor and
+// cache-tag SRAMs) so that restoring a checkpoint reproduces the exact
+// cycle-by-cycle future of the captured run.
 //
 // A Checkpoint is bound to the (core design, program) pair it was taken
 // from; restoring it into a core bound to a different program is undefined.
@@ -88,6 +89,10 @@ type Checkpoint struct {
 }
 
 // Core is a cycle-level processor core with flip-flop-resolution state.
+// The flip-flop state leaves and enters the core in the packed bit layout
+// of its ff.Space only through Snapshot, Restore and Matches, and changes
+// from outside only through FlipBits; how the core holds it between
+// cycles is its own.
 type Core interface {
 	// Reset rebinds the core to p and clears all state.
 	Reset(p *prog.Program)
@@ -100,8 +105,10 @@ type Core interface {
 	Run(maxCycles int) prog.Result
 	// Result summarizes the finished run.
 	Result() prog.Result
-	// State exposes the flip-flop state for fault injection.
-	State() *ff.State
+	// FlipBits flips the given bits of the flip-flop state, numbered as in
+	// SpaceOf(), between two clock cycles: the soft error of fault
+	// injection. Bits flipped together land in the same cycle.
+	FlipBits(bits ...int)
 	// SpaceOf returns the core's flip-flop space.
 	SpaceOf() *ff.Space
 	// Cycles returns cycles simulated so far.
@@ -125,9 +132,8 @@ type Core interface {
 	// InFlight appends one entry per instruction currently occupying a
 	// pipeline structure (stage latches, buffers, queues, rename mappings)
 	// to dst and returns the extended slice. It is a pure observation — the
-	// simulated future is unchanged — and reads the same packed flip-flop
-	// state as State(), whatever representation the core steps on. Callers
-	// pass a reusable dst to keep the injection hot path allocation-free.
+	// simulated future is unchanged. Callers pass a reusable dst to keep the
+	// injection hot path allocation-free.
 	InFlight(dst []InFlightInst) []InFlightInst
 }
 
@@ -141,7 +147,7 @@ const (
 	// DiffCtl: execution has left the reference trajectory's control path —
 	// done flag, status, cycle/retired counters, or the fetch PC differ.
 	DiffCtl uint8 = 1 << iota
-	// DiffState: flip-flop (latch mirror) or register-file state differs.
+	// DiffState: flip-flop or register-file state differs.
 	DiffState
 	// DiffAux: memory, output stream, or core-specific SRAM side state
 	// (predictors, cache tags) differs while control and latch state match.
@@ -166,8 +172,7 @@ type GangCore interface {
 
 	// DiffFrom compares this core's full state against ref and returns the
 	// first divergence class found (checked in DiffCtl, DiffState, DiffAux
-	// order), or 0 when the states are identical. Like Matches it may
-	// materialize the packed flip-flop view of either core but never
+	// order), or 0 when the states are identical. Like Matches it never
 	// changes the simulated future.
 	DiffFrom(ref Core) uint8
 

@@ -1,7 +1,7 @@
 // Package stack defines the cross-layer resilience vocabulary: the system
-// stack layers, the ten detection/correction techniques, the γ correction
-// factor of [Schirmeier 15] (Sec 2.1 of the paper), and the SDC/DUE
-// improvement arithmetic of Eq. 1a/1b.
+// stack layers, the γ correction factor of [Schirmeier 15] (Sec 2.1 of the
+// paper), and the SDC/DUE improvement arithmetic of Eq. 1a/1b. The
+// techniques themselves live in the internal/technique registry.
 package stack
 
 import "math"
@@ -37,63 +37,6 @@ func (l Layer) String() string {
 		return "Recovery"
 	}
 	return "?"
-}
-
-// Technique identifies one of the ten error detection/correction techniques
-// in the resilience library (Fig 1c).
-type Technique int
-
-// The resilience library.
-const (
-	LEAPDICE Technique = iota
-	EDS
-	Parity
-	DFC
-	MonitorCore
-	Assertions
-	CFCSS
-	EDDI
-	ABFTCorrection
-	ABFTDetection
-	NumTechniques
-)
-
-var techNames = [...]string{
-	"LEAP-DICE", "EDS", "Parity", "DFC", "Monitor core",
-	"Assertions", "CFCSS", "EDDI", "ABFT correction", "ABFT detection",
-}
-
-func (t Technique) String() string {
-	if int(t) < len(techNames) {
-		return techNames[t]
-	}
-	return "?"
-}
-
-// Layer returns the stack layer a technique belongs to.
-func (t Technique) Layer() Layer {
-	switch t {
-	case LEAPDICE, EDS:
-		return Circuit
-	case Parity:
-		return Logic
-	case DFC, MonitorCore:
-		return Architecture
-	case Assertions, CFCSS, EDDI:
-		return Software
-	default:
-		return Algorithm
-	}
-}
-
-// Detects reports whether the technique only detects errors (needing a
-// recovery mechanism for correction).
-func (t Technique) Detects() bool {
-	switch t {
-	case LEAPDICE, ABFTCorrection:
-		return false
-	}
-	return true
 }
 
 // Gamma computes the susceptibility correction factor: techniques that add
