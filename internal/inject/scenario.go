@@ -15,8 +15,9 @@ import (
 // carrier core instead of restoring and finishes them through the warm
 // body's tail, finishInjected; a lane whose flips all land in inert or
 // dead flip-flops is decided at its fork. Every strike lands through the
-// core's FlipBits, which flips bits numbered as in its ff.Space (DESIGN.md
-// §11).
+// core's FlipBits, which flips bits numbered as in its ff.Space, each in
+// its latch word in place (DESIGN.md §11), so a strike costs nanoseconds
+// beside the cycles around it.
 
 // RunOne performs a single-bit cold injection: RunScenario with the
 // one-flip scenario {bit}.

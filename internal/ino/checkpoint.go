@@ -6,18 +6,18 @@ import (
 	"clear/internal/sim"
 )
 
-// extra is the in-order core's non-flip-flop state: the flush-recovery
-// control's hardened shadow registers (see the Core field comments).
+// extra is the in-order core's part of a checkpoint: its flip-flop state,
+// the latch struct itself, and the flush-recovery control's hardened
+// shadow registers (see the Core field comments).
 type extra struct {
+	u            uLatches
 	recoveryNext uint32
 	nextAtM      uint32
 }
 
 // Snapshot captures the full simulation state at the current cycle.
 func (c *Core) Snapshot() *sim.Checkpoint {
-	c.packU()
 	return &sim.Checkpoint{
-		FF:      c.st.Clone(),
 		Regs:    c.regfile,
 		Mem:     append([]uint32(nil), c.mem...),
 		Out:     append([]uint32(nil), c.out...),
@@ -25,15 +25,15 @@ func (c *Core) Snapshot() *sim.Checkpoint {
 		Retired: c.retired,
 		Done:    c.done,
 		Status:  c.status,
-		Extra:   extra{c.recoveryNext, c.nextAtM},
+		Extra:   &extra{c.u, c.recoveryNext, c.nextAtM},
 	}
 }
 
 // Restore rewinds the core to ck, which must have been taken from an
 // in-order core bound to the same program.
 func (c *Core) Restore(ck *sim.Checkpoint) {
-	c.st.CopyFrom(ck.FF)
-	c.unpackU()
+	e := ck.Extra.(*extra)
+	c.u = e.u
 	c.decodeLatches()
 	c.regfile = ck.Regs
 	if cap(c.mem) >= len(ck.Mem) {
@@ -47,18 +47,16 @@ func (c *Core) Restore(ck *sim.Checkpoint) {
 	c.retired = ck.Retired
 	c.done = ck.Done
 	c.status = ck.Status
-	e := ck.Extra.(extra)
 	c.recoveryNext = e.recoveryNext
 	c.nextAtM = e.nextAtM
 }
 
 // Matches reports whether the core's current state equals ck bit-for-bit.
 func (c *Core) Matches(ck *sim.Checkpoint) bool {
-	e, ok := ck.Extra.(extra)
+	e, ok := ck.Extra.(*extra)
 	if !ok {
 		return false
 	}
-	c.packU()
 	return c.cycles == ck.Cycles &&
 		c.retired == ck.Retired &&
 		c.done == ck.Done &&
@@ -66,7 +64,7 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 		c.recoveryNext == e.recoveryNext &&
 		c.nextAtM == e.nextAtM &&
 		c.regfile == ck.Regs &&
-		c.st.Equal(ck.FF) &&
+		c.u == e.u &&
 		slices.Equal(c.out, ck.Out) &&
 		slices.Equal(c.mem, ck.Mem)
 }

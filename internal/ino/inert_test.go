@@ -42,8 +42,8 @@ func (l *commitLog) observe(ev sim.CommitEvent) bool {
 
 // liveDiff names the first part of c's simulation state that differs from
 // ref's outside the inert flip-flops, or returns "". Both latch states are
-// packed the way Snapshot packs them.
-func liveDiff(ref, c *Core) string {
+// packed into their images to compare the flip-flops.
+func liveDiff(ref, c *imaged) string {
 	ref.packU()
 	c.packU()
 	switch {
@@ -71,16 +71,16 @@ func liveDiff(ref, c *Core) string {
 // events differ from the unperturbed core's.
 func requireInertClosure(t testing.TB, p *prog.Program, ck *sim.Checkpoint, rng *rand.Rand, maxCycles int, what string) {
 	t.Helper()
-	ref, refLog := New(p), &commitLog{}
+	ref, refLog := newImaged(p), &commitLog{}
 	ref.Restore(ck)
 	ref.SetCommitHook(refLog.observe)
 	type twin struct {
 		name string
-		c    *Core
+		c    *imaged
 		step func()
 		log  commitLog
 	}
-	ct, ci := New(p), New(p)
+	ct, ci := newImaged(p), newImaged(p)
 	twins := []*twin{{name: "compiled", c: ct, step: ct.Step}, {name: "interpreter", c: ci, step: ci.stepInterp}}
 	bits := inertBits()
 	for _, tw := range twins {

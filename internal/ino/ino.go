@@ -97,7 +97,6 @@ var _ sim.Core = (*Core)(nil)
 // Core is an instance of the in-order core bound to a program.
 type Core struct {
 	space *ff.Space
-	r     regs
 
 	program *prog.Program
 	regfile [32]uint32
@@ -125,13 +124,10 @@ type Core struct {
 	dcache tcode.Cache
 
 	// u is the core's flip-flop state, one machine word per field
-	// (unpacked.go), which Step executes on. st is its packed image in the
-	// bit layout of the flip-flop space, exchanged at four points only:
-	// Snapshot and Matches pack u into it, Restore unpacks it into u, and
-	// FlipBits does both around its flips. ud is the translation of each
-	// stage's instruction word, derived from u.
+	// (unpacked.go), which Step executes on, checkpoints carry and FlipBits
+	// strikes in place. ud is the translation of each stage's instruction
+	// word, derived from u.
 	u  uLatches
-	st *ff.State
 	ud stageDecodes
 
 	hook sim.CommitHook
@@ -265,13 +261,16 @@ var sharedRegs = func() regs {
 	return r
 }()
 
+// latches maps each bit of the space to its word of uLatches; building it
+// panics unless regs and uLatches declare the same fields.
+var latches = ff.NewLatches[uLatches](sharedSpace, &sharedRegs)
+
 // Space returns the core's flip-flop space (shared across instances).
 func Space() *ff.Space { return sharedSpace }
 
 // New returns a core reset to run p.
 func New(p *prog.Program) *Core {
-	c := &Core{space: sharedSpace, r: sharedRegs}
-	c.st = c.space.NewState()
+	c := &Core{space: sharedSpace}
 	c.Reset(p)
 	return c
 }
@@ -302,14 +301,12 @@ func (c *Core) Reset(p *prog.Program) {
 }
 
 // FlipBits flips the given bits of the core's flip-flop state, numbered as
-// in its ff.Space: the latch state is packed, flipped and unpacked again,
-// and the stage decodes follow the flipped words.
+// in its ff.Space: each flips its latch word in place, and the stage
+// decodes follow the flipped words.
 func (c *Core) FlipBits(bits ...int) {
-	c.packU()
 	for _, b := range bits {
-		c.st.FlipBit(b)
+		latches.Flip(&c.u, b)
 	}
-	c.unpackU()
 	c.decodeLatches()
 }
 
@@ -368,11 +365,4 @@ func (c *Core) FlushRecover() {
 	u.mValid = false
 	u.mTrap = false
 	u.fPC = c.recoveryNext
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -19,23 +19,24 @@ import (
 // oracle: the equivalence tests at the end of this file step an interpreter
 // twin in lockstep with a compiled core. The twin's state lives where the
 // compiled core's does, so Snapshot, Restore, Matches and FlipBits treat
-// both alike: stepInterp packs it into the image st, interprets one cycle
-// there and unpacks the result. The oracle keeps its own packed-state
-// InFlight and FlushRecover (inFlightInterp, flushRecoverInterp), which the
-// tests compare the compiled core's against.
+// both alike: stepInterp packs it into the twin's image st (an imaged
+// core, unpacked_test.go), interprets one cycle there and unpacks the
+// result. The oracle keeps its own packed-state InFlight and FlushRecover
+// (inFlightInterp, flushRecoverInterp), which the tests compare the
+// compiled core's against.
 
 // stepInterp advances the twin one clock cycle on its packed image.
-func (c *Core) stepInterp() {
+func (c *imaged) stepInterp() {
 	c.packU()
 	c.stepPacked()
 	c.unpackU()
 }
 
 // inFlightInterp is InFlight read from the packed image.
-func (c *Core) inFlightInterp(dst []sim.InFlightInst) []sim.InFlightInst {
+func (c *imaged) inFlightInterp(dst []sim.InFlightInst) []sim.InFlightInst {
 	c.packU()
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	dst = append(dst, sim.InFlightInst{Unit: "fetch", Slot: -1, PC: uint32(r.fPC.Get(st))})
 	if r.dValid.Get(st) == 1 {
 		dst = append(dst, sim.InFlightInst{Unit: "decode", Slot: -1, PC: uint32(r.dPC.Get(st))})
@@ -59,10 +60,10 @@ func (c *Core) inFlightInterp(dst []sim.InFlightInst) []sim.InFlightInst {
 }
 
 // flushRecoverInterp is FlushRecover applied to the packed image.
-func (c *Core) flushRecoverInterp() {
+func (c *imaged) flushRecoverInterp() {
 	c.packU()
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	r.dValid.Set(st, 0)
 	r.aValid.Set(st, 0)
 	r.eValid.Set(st, 0)
@@ -74,13 +75,13 @@ func (c *Core) flushRecoverInterp() {
 
 // stepPacked advances the pipeline of the packed image st by one clock
 // cycle.
-func (c *Core) stepPacked() {
+func (c *imaged) stepPacked() {
 	if c.done {
 		return
 	}
 	c.cycles++
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 
 	// ---- Snapshot current latches (the "clock edge" read). ----
 	fPC := uint32(r.fPC.Get(st))
@@ -495,8 +496,8 @@ func tinyProgram(t testing.TB) *prog.Program {
 }
 
 // mirrorFieldBits returns the flip-flop bits of a few pipeline latches;
-// flips there exercise the pack/unpack boundary of FlipBits on fields Step
-// reads, rather than on arbitrary bits.
+// flips there exercise FlipBits on fields Step reads, rather than on
+// arbitrary bits.
 func mirrorFieldBits(t testing.TB) []int {
 	t.Helper()
 	var bits []int
@@ -511,17 +512,16 @@ func mirrorFieldBits(t testing.TB) []int {
 }
 
 // requireLockstep fails t unless the interpreter twin ci and the compiled
-// core ct agree on packed flip-flop state, cycle and retirement counts, done
-// flag and status. ct's latch state is packed the way Snapshot and Matches
-// pack it; with sync, it first goes through an empty FlipBits, which packs
-// it and loads it back as every strike does.
-func requireLockstep(t testing.TB, ci, ct *Core, sync bool, what string) {
+// core ct agree on flip-flop state, cycle and retirement counts, done flag
+// and status. With sync, ct's latch state first goes through the codec's
+// round trip: packU into its image, then unpackU back.
+func requireLockstep(t testing.TB, ci, ct *imaged, sync bool, what string) {
 	t.Helper()
 	if sync {
-		ct.FlipBits()
+		ct.packU()
+		ct.unpackU()
 	}
-	ct.packU()
-	if !ci.st.Equal(ct.st) {
+	if ci.u != ct.u {
 		t.Fatalf("%s: flip-flop state diverged at cycle %d", what, ci.cycles)
 	}
 	if ci.done != ct.done || ci.cycles != ct.cycles || ci.retired != ct.retired || ci.status != ct.status {
@@ -532,7 +532,7 @@ func requireLockstep(t testing.TB, ci, ct *Core, sync bool, what string) {
 
 // requireSameInFlight fails t unless ct's InFlight reports what the
 // oracle's inFlightInterp reports for ci.
-func requireSameInFlight(t testing.TB, ci, ct *Core, what string) {
+func requireSameInFlight(t testing.TB, ci, ct *imaged, what string) {
 	t.Helper()
 	if fi, fc := ci.inFlightInterp(nil), ct.InFlight(nil); !reflect.DeepEqual(fi, fc) {
 		t.Fatalf("%s: cycle %d: in-flight observations differ:\ninterp   %v\ncompiled %v", what, ci.cycles, fi, fc)
@@ -542,7 +542,7 @@ func requireSameInFlight(t testing.TB, ci, ct *Core, what string) {
 // requireSameEnd fails t unless ct's full simulation state — flip-flops,
 // register file, memory, output, status and flush-recovery shadows —
 // matches the interpreter twin ci's.
-func requireSameEnd(t testing.TB, ci, ct *Core, what string) {
+func requireSameEnd(t testing.TB, ci, ct *imaged, what string) {
 	t.Helper()
 	if !ct.Matches(ci.Snapshot()) {
 		t.Fatalf("%s: full simulation state diverged after %d cycles", what, ci.cycles)
@@ -584,7 +584,7 @@ func FuzzInterpEquivalence(f *testing.F) {
 	mirrorBits := mirrorFieldBits(f)
 	f.Fuzz(func(t *testing.T, data []byte, bitSeed, cycleSeed uint32) {
 		p := fuzzProgram(data)
-		ci, ct := New(p), New(p)
+		ci, ct := newImaged(p), newImaged(p)
 
 		bit := int(bitSeed) % sharedSpace.NumBits()
 		flipCycle := int(cycleSeed % 256)
@@ -625,8 +625,8 @@ func FuzzInterpEquivalence(f *testing.F) {
 
 // TestInterpNominalLockstep runs the tiny program and every benchmark
 // fault-free on Step and on the interpreter, comparing state every cycle
-// after an empty FlipBits (so every Step starts from a freshly packed and
-// unpacked state) and the full simulation state at the end.
+// after the codec's round trip (so every Step starts from a freshly packed
+// and unpacked state) and the full simulation state at the end.
 func TestInterpNominalLockstep(t *testing.T) {
 	progs := []*prog.Program{tinyProgram(t)}
 	for _, b := range bench.All() {
@@ -638,7 +638,7 @@ func TestInterpNominalLockstep(t *testing.T) {
 	}
 	const maxCycles = 10_000_000
 	for _, p := range progs {
-		ci, ct := New(p), New(p)
+		ci, ct := newImaged(p), newImaged(p)
 		for !ci.done && ci.cycles < maxCycles {
 			ci.stepInterp()
 			ct.Step()
@@ -658,7 +658,7 @@ func TestInterpNominalLockstep(t *testing.T) {
 // at its flip cycle, as a campaign warm-starts an injection.
 func TestInterpEveryBitLockstep(t *testing.T) {
 	p := tinyProgram(t)
-	ci, ct := New(p), New(p)
+	ci, ct := newImaged(p), newImaged(p)
 	var cks []*sim.Checkpoint
 	for !ci.done {
 		cks = append(cks, ci.Snapshot())
@@ -689,7 +689,7 @@ func TestInterpEveryBitLockstep(t *testing.T) {
 // interpreter twin never to diverge, nor InFlight from the oracle's.
 func TestMirrorObservationBoundaries(t *testing.T) {
 	p := tinyProgram(t)
-	ci, ct := New(p), New(p)
+	ci, ct := newImaged(p), newImaged(p)
 	mirrorBits := mirrorFieldBits(t)
 	const maxCycles = 400
 	for cyc := 1; cyc <= maxCycles && !ci.done; cyc++ {
@@ -725,7 +725,7 @@ func TestMirrorObservationBoundaries(t *testing.T) {
 // packed-state inFlightInterp at every sampled cycle of the tiny program.
 func TestInFlightCompiledMatchesInterpreter(t *testing.T) {
 	p := tinyProgram(t)
-	ci, ct := New(p), New(p)
+	ci, ct := newImaged(p), newImaged(p)
 	for i := 0; i < 200 && !ci.done; i++ {
 		ci.stepInterp()
 		ct.Step()

@@ -6,11 +6,13 @@ import (
 	"clear/internal/sim"
 )
 
-// extra is the out-of-order core's non-flip-flop state: the predictor and
-// cache-metadata SRAM structures. They carry no architectural values but
-// determine access latencies and fetch redirects, so they are part of the
-// checkpoint — restoring must reproduce the exact cycle-by-cycle future.
+// extra is the out-of-order core's part of a checkpoint: its flip-flop
+// state, the latch struct itself, and the predictor and cache-metadata
+// SRAM structures. The SRAMs carry no architectural values but determine
+// access latencies and fetch redirects, so they are part of the checkpoint
+// — restoring must reproduce the exact cycle-by-cycle future.
 type extra struct {
+	u        uLatches
 	btbTag   [btbSize]uint32
 	btbTgt   [btbSize]uint32
 	btbValid [btbSize]bool
@@ -21,9 +23,7 @@ type extra struct {
 
 // Snapshot captures the full simulation state at the current cycle.
 func (c *Core) Snapshot() *sim.Checkpoint {
-	c.packU()
 	return &sim.Checkpoint{
-		FF:      c.st.Clone(),
 		Regs:    c.arf,
 		Mem:     append([]uint32(nil), c.mem...),
 		Out:     append([]uint32(nil), c.out...),
@@ -32,6 +32,7 @@ func (c *Core) Snapshot() *sim.Checkpoint {
 		Done:    c.done,
 		Status:  c.status,
 		Extra: &extra{
+			u:        c.u,
 			btbTag:   c.btbTag,
 			btbTgt:   c.btbTgt,
 			btbValid: c.btbValid,
@@ -45,8 +46,8 @@ func (c *Core) Snapshot() *sim.Checkpoint {
 // Restore rewinds the core to ck, which must have been taken from an
 // out-of-order core bound to the same program.
 func (c *Core) Restore(ck *sim.Checkpoint) {
-	c.st.CopyFrom(ck.FF)
-	c.unpackU()
+	e := ck.Extra.(*extra)
+	c.u = e.u
 	c.arf = ck.Regs
 	if cap(c.mem) >= len(ck.Mem) {
 		c.mem = c.mem[:len(ck.Mem)]
@@ -59,7 +60,6 @@ func (c *Core) Restore(ck *sim.Checkpoint) {
 	c.retired = ck.Retired
 	c.done = ck.Done
 	c.status = ck.Status
-	e := ck.Extra.(*extra)
 	c.btbTag = e.btbTag
 	c.btbTgt = e.btbTgt
 	c.btbValid = e.btbValid
@@ -74,7 +74,6 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 	if !ok {
 		return false
 	}
-	c.packU()
 	return c.cycles == ck.Cycles &&
 		c.retired == ck.Retired &&
 		c.done == ck.Done &&
@@ -86,7 +85,7 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 		c.gshare == e.gshare &&
 		c.cacheTag == e.cacheTag &&
 		c.cacheVld == e.cacheVld &&
-		c.st.Equal(ck.FF) &&
+		c.u == e.u &&
 		slices.Equal(c.out, ck.Out) &&
 		slices.Equal(c.mem, ck.Mem)
 }

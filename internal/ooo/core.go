@@ -12,7 +12,6 @@ const illegalWord = 0xFFFFFFFF
 // Core is an instance of the out-of-order core bound to a program.
 type Core struct {
 	space *ff.Space
-	r     regs
 
 	program *prog.Program
 	arf     [32]uint32 // architectural register file (RAM: not injected)
@@ -39,12 +38,9 @@ type Core struct {
 	dcache tcode.Cache
 
 	// u is the core's flip-flop state, one machine word per field
-	// (unpacked.go), which Step runs on. st is its packed image in the bit
-	// layout of the flip-flop space, exchanged at four points only:
-	// Snapshot and Matches pack u into it, Restore unpacks it into u, and
-	// FlipBits does both around its flips.
-	u  uLatches
-	st *ff.State
+	// (unpacked.go), which Step runs on, checkpoints carry and FlipBits
+	// strikes in place.
+	u uLatches
 
 	hook sim.CommitHook
 }
@@ -53,8 +49,7 @@ var _ sim.Core = (*Core)(nil)
 
 // New returns an OoO core reset to run p.
 func New(p *prog.Program) *Core {
-	c := &Core{space: sharedSpace, r: sharedRegs}
-	c.st = c.space.NewState()
+	c := &Core{space: sharedSpace}
 	c.Reset(p)
 	return c
 }
@@ -88,13 +83,11 @@ func (c *Core) Reset(p *prog.Program) {
 }
 
 // FlipBits flips the given bits of the core's flip-flop state, numbered as
-// in its ff.Space: the latch state is packed, flipped and unpacked again.
+// in its ff.Space: each flips its latch word in place.
 func (c *Core) FlipBits(bits ...int) {
-	c.packU()
 	for _, b := range bits {
-		c.st.FlipBit(b)
+		latches.Flip(&c.u, b)
 	}
-	c.unpackU()
 }
 
 // SpaceOf returns the core's flip-flop space.

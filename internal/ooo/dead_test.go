@@ -61,7 +61,7 @@ var liveFields = func() []liveField {
 // equalExceptDead reports whether c's flip-flops equal ref's outside the
 // inert bits and the bits dead in ref's current state. Both packed images
 // must be current.
-func equalExceptDead(ref, c *Core) bool {
+func equalExceptDead(ref, c *imaged) bool {
 	for _, lf := range liveFields {
 		x := lf.f.Get(ref.st) ^ lf.f.Get(c.st)
 		if x&lf.gated != 0 && ref.closed(lf.g) {

@@ -46,8 +46,8 @@ func (l *commitLog) observe(ev sim.CommitEvent) bool {
 // liveDiff names the first part of c's simulation state that differs from
 // ref's outside the inert flip-flops — and, with dead, outside the
 // flip-flops dead in ref (Dead) — or returns "". Both latch states are
-// packed the way Snapshot packs them.
-func liveDiff(ref, c *Core, dead bool) string {
+// packed into their images to compare the flip-flops.
+func liveDiff(ref, c *imaged, dead bool) string {
 	ref.packU()
 	c.packU()
 	switch {
@@ -70,30 +70,31 @@ func liveDiff(ref, c *Core, dead bool) string {
 }
 
 // requireClosure restores three cores of p to ck: an unperturbed compiled
-// core, and a compiled core and an interpreter twin each restored from a
-// copy of ck whose packed image perturb flips. It steps all three in lockstep until the unperturbed core
+// core, and a compiled core and an interpreter twin whose packed images
+// perturb then flips, each drawn independently and loaded back through the
+// codec. It steps all three in lockstep until the unperturbed core
 // finishes or maxCycles elapse, and fails t the first cycle a perturbed
 // core's state (liveDiff, with dead) or commit events differ from the
 // unperturbed core's. It stops early once both perturbed cores hold
 // exactly the unperturbed core's state, which fixes their futures.
 func requireClosure(t testing.TB, p *prog.Program, ck *sim.Checkpoint, perturb func(*ff.State), dead bool, maxCycles int, what string) {
 	t.Helper()
-	ref, refLog := New(p), &commitLog{}
+	ref, refLog := newImaged(p), &commitLog{}
 	ref.Restore(ck)
 	ref.SetCommitHook(refLog.observe)
 	type twin struct {
 		name string
-		c    *Core
+		c    *imaged
 		step func()
 		log  commitLog
 	}
-	ct, ci := New(p), New(p)
+	ct, ci := newImaged(p), newImaged(p)
 	twins := []*twin{{name: "compiled", c: ct, step: ct.Step}, {name: "interpreter", c: ci, step: ci.stepInterp}}
 	for _, tw := range twins {
-		pck := *ck
-		pck.FF = ck.FF.Clone()
-		perturb(pck.FF)
-		tw.c.Restore(&pck)
+		tw.c.Restore(ck)
+		tw.c.packU()
+		perturb(tw.c.st)
+		tw.c.unpackU()
 		tw.c.SetCommitHook(tw.log.observe)
 	}
 	for n := 0; n < maxCycles && !ref.done; n++ {
@@ -108,7 +109,7 @@ func requireClosure(t testing.TB, p *prog.Program, ck *sim.Checkpoint, perturb f
 				t.Fatalf("%s: perturbed %s core: commit events diverged at cycle %d", what, tw.name, ref.cycles)
 			}
 			tw.log.evs = tw.log.evs[:0]
-			converged = converged && tw.c.st.Equal(ref.st)
+			converged = converged && tw.c.u == ref.u
 		}
 		refLog.evs = refLog.evs[:0]
 		if converged {

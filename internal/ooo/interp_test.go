@@ -19,23 +19,23 @@ import (
 // oracle: the equivalence tests at the end of this file step an interpreter
 // twin in lockstep with a compiled core. The twin's state lives where the
 // compiled core's does, so Snapshot, Restore, Matches and FlipBits treat
-// both alike: stepInterp packs it into the image st, interprets one cycle
-// there and unpacks the result. The oracle keeps its own packed-state
-// InFlight (inFlightInterp), which the tests compare the compiled core's
-// against.
+// both alike: stepInterp packs it into the twin's image st (an imaged
+// core, unpacked_test.go), interprets one cycle there and unpacks the
+// result. The oracle keeps its own packed-state InFlight
+// (inFlightInterp), which the tests compare the compiled core's against.
 
 // stepInterp advances the twin one clock cycle on its packed image.
-func (c *Core) stepInterp() {
+func (c *imaged) stepInterp() {
 	c.packU()
 	c.stepPacked()
 	c.unpackU()
 }
 
 // inFlightInterp is InFlight read from the packed image.
-func (c *Core) inFlightInterp(dst []sim.InFlightInst) []sim.InFlightInst {
+func (c *imaged) inFlightInterp(dst []sim.InFlightInst) []sim.InFlightInst {
 	c.packU()
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	dst = append(dst, sim.InFlightInst{Unit: "fetch", Slot: -1, PC: uint32(r.pc.Get(st))})
 	fbHead, fbCnt := r.fbHead.Get(st), r.fbCount.Get(st)
 	for k := uint64(0); k < fbCnt && k < FBSize; k++ {
@@ -77,7 +77,7 @@ func (c *Core) inFlightInterp(dst []sim.InFlightInst) []sim.InFlightInst {
 }
 
 // stepPacked advances the machine of the packed image st one clock cycle.
-func (c *Core) stepPacked() {
+func (c *imaged) stepPacked() {
 	if c.done {
 		return
 	}
@@ -95,9 +95,9 @@ func (c *Core) stepPacked() {
 
 // ---- commit ----
 
-func (c *Core) commit() {
+func (c *imaged) commit() {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	for n := 0; n < CommitWidth; n++ {
 		count := r.robCount.Get(st)
 		if count == 0 {
@@ -175,9 +175,9 @@ func (c *Core) commit() {
 
 // ---- completion: broadcast a result to waiting consumers ----
 
-func (c *Core) broadcast(tag uint64, val uint32) {
+func (c *imaged) broadcast(tag uint64, val uint32) {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	for i := 0; i < IQSize; i++ {
 		if r.iqValid[i].Get(st) == 0 {
 			continue
@@ -193,9 +193,9 @@ func (c *Core) broadcast(tag uint64, val uint32) {
 	}
 }
 
-func (c *Core) complete(tag uint64, val uint32) {
+func (c *imaged) complete(tag uint64, val uint32) {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	tag %= RobSize
 	r.robVal[tag].Set(st, uint64(val))
 	r.robDone[tag].Set(st, 1)
@@ -206,9 +206,9 @@ func (c *Core) complete(tag uint64, val uint32) {
 
 // ---- load unit ----
 
-func (c *Core) loadUnitTick() {
+func (c *imaged) loadUnitTick() {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	if r.ldValid.Get(st) == 0 {
 		return
 	}
@@ -230,9 +230,9 @@ func (c *Core) loadUnitTick() {
 
 // ---- multiplier pipeline ----
 
-func (c *Core) mulPipeTick() {
+func (c *imaged) mulPipeTick() {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	// retire from the last stage
 	if r.muV[3].Get(st) == 1 {
 		a := uint32(r.muA[3].Get(st))
@@ -262,9 +262,9 @@ func (c *Core) mulPipeTick() {
 
 // ---- execute ----
 
-func (c *Core) execute() {
+func (c *imaged) execute() {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	head := r.robHead.Get(st) % RobSize
 
 	// Oldest-first select of ready entries.
@@ -365,9 +365,9 @@ func (c *Core) execute() {
 // tryIssueLoad attempts to issue a load: it requires that no older store is
 // still unexecuted; it forwards from the youngest matching older store in
 // the store queue, else starts a cache access.
-func (c *Core) tryIssueLoad(iq int, tag uint64, in isa.Inst, s1 uint32, head uint64) bool {
+func (c *imaged) tryIssueLoad(iq int, tag uint64, in isa.Inst, s1 uint32, head uint64) bool {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	loadAge := c.age(head, tag)
 	// memory-ordering check: any older store not yet executed blocks us
 	for a := uint64(0); a < loadAge; a++ {
@@ -433,9 +433,9 @@ func (c *Core) tryIssueLoad(iq int, tag uint64, in isa.Inst, s1 uint32, head uin
 
 // executeBranch resolves a control instruction, updates the predictors, and
 // squashes the window on mispredict.
-func (c *Core) executeBranch(iq int, tag uint64, in isa.Inst, s1, s2 uint32) {
+func (c *imaged) executeBranch(iq int, tag uint64, in isa.Inst, s1, s2 uint32) {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	pc := uint32(r.robPC[tag].Get(st))
 	taken, target := resolveBranch(in, s1, s2, pc)
 	link := pc + 1
@@ -533,9 +533,9 @@ func (c *Core) executeBranch(iq int, tag uint64, in isa.Inst, s1, s2 uint32) {
 
 // ---- dispatch (rename + allocate) ----
 
-func (c *Core) dispatch() {
+func (c *imaged) dispatch() {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	for n := 0; n < FetchWidth; n++ {
 		if r.fbCount.Get(st) == 0 {
 			return
@@ -615,9 +615,9 @@ func (c *Core) dispatch() {
 }
 
 // renameSource fills IQ source slot k (0 or 1) for instruction in.
-func (c *Core) renameSource(iq, k int, in isa.Inst) {
+func (c *imaged) renameSource(iq, k int, in isa.Inst) {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	tagF, rdyF, valF := r.iqS1Tag[iq], r.iqS1Rdy[iq], r.iqS1Val[iq]
 	if k == 1 {
 		tagF, rdyF, valF = r.iqS2Tag[iq], r.iqS2Rdy[iq], r.iqS2Val[iq]
@@ -655,9 +655,9 @@ func (c *Core) renameSource(iq, k int, in isa.Inst) {
 	valF.Set(st, 0)
 }
 
-func (c *Core) freeIQ() int {
+func (c *imaged) freeIQ() int {
 	for i := 0; i < IQSize; i++ {
-		if c.r.iqValid[i].Get(c.st) == 0 {
+		if sharedRegs.iqValid[i].Get(c.st) == 0 {
 			return i
 		}
 	}
@@ -677,9 +677,9 @@ func needsRs(op isa.Op) (rs1, rs2 bool) {
 
 // ---- fetch ----
 
-func (c *Core) fetch() {
+func (c *imaged) fetch() {
 	st := c.st
-	r := &c.r
+	r := &sharedRegs
 	for n := 0; n < FetchWidth; n++ {
 		if r.fbCount.Get(st) >= FBSize {
 			return
@@ -838,8 +838,8 @@ func forwardingProgram(t testing.TB) *prog.Program {
 }
 
 // mirrorFieldBits returns the flip-flop bits of a few ROB, issue-queue and
-// store-queue fields; flips there exercise the pack/unpack boundary of
-// FlipBits on fields Step reads, rather than on arbitrary bits.
+// store-queue fields; flips there exercise FlipBits on fields Step reads,
+// rather than on arbitrary bits.
 func mirrorFieldBits(t testing.TB) []int {
 	t.Helper()
 	var bits []int
@@ -856,17 +856,16 @@ func mirrorFieldBits(t testing.TB) []int {
 }
 
 // requireLockstep fails t unless the interpreter twin ci and the compiled
-// core ct agree on packed flip-flop state, cycle and retirement counts, done
-// flag and status. ct's latch state is packed the way Snapshot and Matches
-// pack it; with sync, it first goes through an empty FlipBits, which packs
-// it and loads it back as every strike does.
-func requireLockstep(t testing.TB, ci, ct *Core, sync bool, what string) {
+// core ct agree on flip-flop state, cycle and retirement counts, done flag
+// and status. With sync, ct's latch state first goes through the codec's
+// round trip: packU into its image, then unpackU back.
+func requireLockstep(t testing.TB, ci, ct *imaged, sync bool, what string) {
 	t.Helper()
 	if sync {
-		ct.FlipBits()
+		ct.packU()
+		ct.unpackU()
 	}
-	ct.packU()
-	if !ci.st.Equal(ct.st) {
+	if ci.u != ct.u {
 		t.Fatalf("%s: flip-flop state diverged at cycle %d", what, ci.cycles)
 	}
 	if ci.done != ct.done || ci.cycles != ct.cycles || ci.retired != ct.retired || ci.status != ct.status {
@@ -877,7 +876,7 @@ func requireLockstep(t testing.TB, ci, ct *Core, sync bool, what string) {
 
 // requireSameInFlight fails t unless ct's InFlight reports what the
 // oracle's inFlightInterp reports for ci.
-func requireSameInFlight(t testing.TB, ci, ct *Core, what string) {
+func requireSameInFlight(t testing.TB, ci, ct *imaged, what string) {
 	t.Helper()
 	if fi, fc := ci.inFlightInterp(nil), ct.InFlight(nil); !reflect.DeepEqual(fi, fc) {
 		t.Fatalf("%s: cycle %d: in-flight observations differ:\ninterp   %v\ncompiled %v", what, ci.cycles, fi, fc)
@@ -887,7 +886,7 @@ func requireSameInFlight(t testing.TB, ci, ct *Core, what string) {
 // requireSameEnd fails t unless ct's full simulation state — flip-flops,
 // register file, memory, output, status, predictors and cache tags —
 // matches the interpreter twin ci's.
-func requireSameEnd(t testing.TB, ci, ct *Core, what string) {
+func requireSameEnd(t testing.TB, ci, ct *imaged, what string) {
 	t.Helper()
 	if !ct.Matches(ci.Snapshot()) {
 		t.Fatalf("%s: full simulation state diverged after %d cycles", what, ci.cycles)
@@ -929,7 +928,7 @@ func FuzzInterpEquivalence(f *testing.F) {
 	mirrorBits := mirrorFieldBits(f)
 	f.Fuzz(func(t *testing.T, data []byte, bitSeed, cycleSeed uint32) {
 		p := fuzzProgram(data)
-		ci, ct := New(p), New(p)
+		ci, ct := newImaged(p), newImaged(p)
 
 		bit := int(bitSeed) % sharedSpace.NumBits()
 		flipCycle := int(cycleSeed % 256)
@@ -967,8 +966,8 @@ func FuzzInterpEquivalence(f *testing.F) {
 
 // TestInterpNominalLockstep runs the tiny program and every benchmark
 // fault-free on Step and on the interpreter, comparing state every cycle
-// after an empty FlipBits (so every Step starts from a freshly packed and
-// unpacked state) and the full simulation state at the end.
+// after the codec's round trip (so every Step starts from a freshly packed
+// and unpacked state) and the full simulation state at the end.
 func TestInterpNominalLockstep(t *testing.T) {
 	progs := []*prog.Program{tinyProgram(t)}
 	for _, b := range bench.All() {
@@ -980,7 +979,7 @@ func TestInterpNominalLockstep(t *testing.T) {
 	}
 	const maxCycles = 10_000_000
 	for _, p := range progs {
-		ci, ct := New(p), New(p)
+		ci, ct := newImaged(p), newImaged(p)
 		for !ci.done && ci.cycles < maxCycles {
 			ci.stepInterp()
 			ct.Step()
@@ -1000,7 +999,7 @@ func TestInterpNominalLockstep(t *testing.T) {
 // at its flip cycle, as a campaign warm-starts an injection.
 func TestInterpEveryBitLockstep(t *testing.T) {
 	p := tinyProgram(t)
-	ci, ct := New(p), New(p)
+	ci, ct := newImaged(p), newImaged(p)
 	var cks []*sim.Checkpoint
 	for !ci.done {
 		cks = append(cks, ci.Snapshot())
@@ -1033,7 +1032,7 @@ func TestInterpEveryBitLockstep(t *testing.T) {
 func TestMirrorObservationBoundaries(t *testing.T) {
 	mirrorBits := mirrorFieldBits(t)
 	for _, p := range []*prog.Program{tinyProgram(t), forwardingProgram(t)} {
-		ci, ct := New(p), New(p)
+		ci, ct := newImaged(p), newImaged(p)
 		const maxCycles = 400
 		for cyc := 1; cyc <= maxCycles && !ci.done; cyc++ {
 			ci.stepInterp()
@@ -1066,7 +1065,7 @@ func TestMirrorObservationBoundaries(t *testing.T) {
 // packed-state inFlightInterp at every sampled cycle of the tiny program.
 func TestInFlightCompiledMatchesInterpreter(t *testing.T) {
 	p := tinyProgram(t)
-	ci, ct := New(p), New(p)
+	ci, ct := newImaged(p), newImaged(p)
 	for i := 0; i < 200 && !ci.done; i++ {
 		ci.stepInterp()
 		ct.Step()

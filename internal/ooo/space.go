@@ -241,5 +241,9 @@ var sharedRegs = func() regs {
 	return r
 }()
 
+// latches maps each bit of the space to its word of uLatches; building it
+// panics unless regs and uLatches declare the same fields.
+var latches = ff.NewLatches[uLatches](sharedSpace, &sharedRegs)
+
 // Space returns the OoO core's flip-flop space (shared across instances).
 func Space() *ff.Space { return sharedSpace }

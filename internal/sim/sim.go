@@ -66,18 +66,17 @@ type InFlightInst struct {
 }
 
 // Checkpoint is a complete capture of a core's simulation state at a clock
-// boundary: flip-flop bits (packed in the bit layout of the core's
-// ff.Space), architectural register file, data memory, the output stream
-// emitted so far, and the cycle/retired counters. Extra holds core-specific
-// microarchitectural state outside the flip-flop space (e.g. predictor and
-// cache-tag SRAMs) so that restoring a checkpoint reproduces the exact
-// cycle-by-cycle future of the captured run.
+// boundary: architectural register file, data memory, the output stream
+// emitted so far, and the cycle/retired counters. Extra holds the
+// core-specific rest: the core's flip-flop state, in whatever form the core
+// keeps it between cycles, and any microarchitectural state outside the
+// flip-flop space (e.g. predictor and cache-tag SRAMs), so that restoring a
+// checkpoint reproduces the exact cycle-by-cycle future of the captured run.
 //
 // A Checkpoint is bound to the (core design, program) pair it was taken
 // from; restoring it into a core bound to a different program is undefined.
 // Checkpoints are immutable once taken and safe to share across goroutines.
 type Checkpoint struct {
-	FF      *ff.State
 	Regs    [32]uint32
 	Mem     []uint32
 	Out     []uint32
@@ -85,14 +84,13 @@ type Checkpoint struct {
 	Retired int64
 	Done    bool
 	Status  prog.Status
-	Extra   any // core-specific non-flip-flop state (SRAM structures)
+	Extra   any // core-specific state: flip-flops and SRAM structures
 }
 
 // Core is a cycle-level processor core with flip-flop-resolution state.
-// The flip-flop state leaves and enters the core in the packed bit layout
-// of its ff.Space only through Snapshot, Restore and Matches, and changes
-// from outside only through FlipBits; how the core holds it between
-// cycles is its own.
+// The flip-flop state is numbered bit by bit in the layout of the core's
+// ff.Space, and changes from outside only through FlipBits; how the core
+// holds it between cycles, and in its checkpoints, is its own.
 type Core interface {
 	// Reset rebinds the core to p and clears all state.
 	Reset(p *prog.Program)
