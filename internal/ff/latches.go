@@ -1,7 +1,9 @@
 package ff
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"unsafe"
 )
@@ -19,6 +21,10 @@ import (
 // across goroutines.
 type Latches[L any] struct {
 	bits []latchBit // indexed by space bit
+	// at maps each bit position of L, numbered as diffs numbers them, to
+	// the space bit it holds, or to -1 for padding and for the bits of a
+	// word above its field's width.
+	at []int32
 }
 
 // latchBit locates one bit of the space inside L.
@@ -81,6 +87,19 @@ func NewLatches[L any](s *Space, handles any) *Latches[L] {
 			panic(fmt.Sprintf("ff: latches: bit %d (field %s) has no handle", bit, name))
 		}
 	}
+	m.at = make([]int32, 8*lt.Size())
+	for pos := range m.at {
+		m.at[pos] = -1
+	}
+	var zero, one L
+	for bit, b := range m.bits {
+		m.Flip(&one, bit)
+		m.diffs(&one, &zero, b.off, b.off+uintptr(b.size), func(pos int) bool {
+			m.at[pos] = int32(bit)
+			return true
+		})
+		m.Flip(&one, bit)
+	}
 	return m
 }
 
@@ -124,11 +143,11 @@ func (m *Latches[L]) place(s *Space, covered []bool, name string, f Field, off u
 // Flip inverts bit of the space in the latch struct u: the soft-error
 // primitive on a core's latch state. It XORs one bit of one word in place.
 //
-// This is the only unsafe code in the module, and it is sound: each offset
-// and size comes from L's own reflect layout, so the write stays inside *u
-// and has the word's own type; the shift is below the field's width, so
-// the word stays within it; and a bool is only ever a 1-bit field's word,
-// whose byte therefore stays 0 or 1.
+// Flip, and EqualExcept below, are the module's only unsafe code. Flip is
+// sound: each offset and size comes from L's own reflect layout, so the
+// write stays inside *u and has the word's own type; the shift is below
+// the field's width, so the word stays within it; and a bool is only ever
+// a 1-bit field's word, whose byte therefore stays 0 or 1.
 func (m *Latches[L]) Flip(u *L, bit int) {
 	b := m.bits[bit]
 	p := unsafe.Add(unsafe.Pointer(u), b.off)
@@ -142,4 +161,71 @@ func (m *Latches[L]) Flip(u *L, bit int) {
 	default:
 		*(*uint64)(p) ^= 1 << b.shift
 	}
+}
+
+// EqualExcept reports whether a and b hold the same bits everywhere except
+// in space bits for which skip reports true. It XORs the two structs word
+// by word — skipping blocks of equalBlock bytes that compare equal whole —
+// and maps each differing bit back to its space bit; a differing bit that
+// holds no space bit (padding, or a word's bits above its field's width)
+// is a difference. It allocates nothing and changes neither struct.
+//
+// Like Flip it reads L through unsafe, and soundly: L holds no pointers
+// (NewLatches admits only unsigned integer and bool words), so its bytes
+// and words are plain integers; the byte views span exactly
+// Sizeof(L); and every word load has L's own alignment, at an offset that
+// is a multiple of it and lies inside L (a struct's size is a multiple of
+// its alignment).
+func (m *Latches[L]) EqualExcept(a, b *L, skip func(bit int) bool) bool {
+	n := unsafe.Sizeof(*a)
+	ba := unsafe.Slice((*byte)(unsafe.Pointer(a)), n)
+	bb := unsafe.Slice((*byte)(unsafe.Pointer(b)), n)
+	ok := func(pos int) bool {
+		bit := m.at[pos]
+		return bit >= 0 && skip(int(bit))
+	}
+	for lo := uintptr(0); lo < n; lo += equalBlock {
+		hi := min(lo+equalBlock, n)
+		if !bytes.Equal(ba[lo:hi], bb[lo:hi]) && !m.diffs(a, b, lo, hi, ok) {
+			return false
+		}
+	}
+	return true
+}
+
+// equalBlock is the span, in bytes, that EqualExcept compares whole before
+// it looks for differing bits word by word: most blocks of a lane that
+// nearly matches its checkpoint are identical. It is a multiple of every
+// alignment, so a block starts on a word.
+const equalBlock = 256
+
+// diffs calls f with the position of each bit in which a and b differ, in
+// the words of L's alignment that overlap bytes [lo, hi), and stops at
+// the first call that returns false, reporting whether none did. The bit
+// k of the word at byte offset off has position 8*off+k, so positions are
+// unique and cover L's 8*Sizeof(L) bits whatever the machine's byte order.
+func (m *Latches[L]) diffs(a, b *L, lo, hi uintptr, f func(pos int) bool) bool {
+	pa, pb := unsafe.Pointer(a), unsafe.Pointer(b)
+	switch unsafe.Alignof(*a) {
+	case 8:
+		return eachDiff[uint64](pa, pb, lo, hi, f)
+	case 4:
+		return eachDiff[uint32](pa, pb, lo, hi, f)
+	case 2:
+		return eachDiff[uint16](pa, pb, lo, hi, f)
+	}
+	return eachDiff[uint8](pa, pb, lo, hi, f)
+}
+
+// eachDiff is diffs for words of type W.
+func eachDiff[W uint8 | uint16 | uint32 | uint64](a, b unsafe.Pointer, lo, hi uintptr, f func(pos int) bool) bool {
+	w := unsafe.Sizeof(W(0))
+	for off := lo &^ (w - 1); off < hi; off += w {
+		for x := uint64(*(*W)(unsafe.Add(a, off)) ^ *(*W)(unsafe.Add(b, off))); x != 0; x &= x - 1 {
+			if !f(8*int(off) + bits.TrailingZeros64(x)) {
+				return false
+			}
+		}
+	}
+	return true
 }

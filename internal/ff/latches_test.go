@@ -1,9 +1,11 @@
 package ff
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // latchHandles and latchWords are a small valid pair of declarations: the
@@ -140,4 +142,158 @@ func TestNewLatchesPanics(t *testing.T) {
 			tc.build()
 		})
 	}
+}
+
+// imageOf packs latchWords into a state of the valid pair's space through
+// the handles: the oracle's codec, independent of the latch map.
+func imageOf(s *Space, h latchHandles, w latchWords) *State {
+	st := s.NewState()
+	h.pc.Set(st, uint64(w.pc))
+	if w.valid {
+		h.valid.Set(st, 1)
+	}
+	h.cnt.Set(st, uint64(w.cnt))
+	for i, f := range h.regs {
+		f.Set(st, w.regs[i])
+	}
+	return st
+}
+
+// equalExceptRef is EqualExcept's oracle: it compares the packed images
+// of a and b bit by bit over the space, setting aside the bits skip
+// accepts, and the bits of each word above its field's width directly.
+func equalExceptRef(s *Space, h latchHandles, a, b latchWords, skip func(bit int) bool) bool {
+	ia, ib := imageOf(s, h, a), imageOf(s, h, b)
+	for bit := range s.NumBits() {
+		if ia.Bit(bit) != ib.Bit(bit) && !skip(bit) {
+			return false
+		}
+	}
+	return a.cnt>>3 == b.cnt>>3 && a.regs[0]>>40 == b.regs[0]>>40 &&
+		a.regs[1]>>48 == b.regs[1]>>48 && a.regs[2]>>56 == b.regs[2]>>56
+}
+
+// TestEqualExcept pins EqualExcept on the valid pair: identical structs,
+// one difference in a skipped and in an unskipped bit, differences spread
+// over several words, a bool word, and the bits that hold no space bit —
+// a word's bits above its field's width and a padding byte — which are
+// differences whatever skip says.
+func TestEqualExcept(t *testing.T) {
+	s, h := newLatchPair()
+	m := NewLatches[latchWords](s, &h)
+	var base latchWords
+	base.pc, base.cnt, base.regs = 0x1234, 5, [3]uint64{7, 1 << 40, 3}
+	none := func(int) bool { return false }
+	all := func(int) bool { return true }
+	only := func(bits ...int) func(int) bool {
+		return func(bit int) bool {
+			for _, b := range bits {
+				if b == bit {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	flipped := func(bits ...int) latchWords {
+		u := base
+		for _, b := range bits {
+			m.Flip(&u, b)
+		}
+		return u
+	}
+	pcBit, validBit := h.pc.Offset()+9, h.valid.Offset()
+	spread := []int{h.regs[0].Offset() + 3, h.regs[1].Offset() + 47, h.regs[2].Offset(), h.cnt.Offset() + 2, pcBit}
+	padded := base
+	pad := unsafe.Offsetof(padded.cnt) + 1
+	if pad >= unsafe.Offsetof(padded.regs) {
+		t.Fatal("latchWords lost its padding byte")
+	}
+	(*[unsafe.Sizeof(padded)]byte)(unsafe.Pointer(&padded))[pad] = 1
+	wide := base
+	wide.cnt |= 1 << 3
+	cases := []struct {
+		name string
+		b    latchWords
+		skip func(int) bool
+		want bool
+	}{
+		{"identical", base, none, true},
+		{"skipped bit", flipped(pcBit), only(pcBit), true},
+		{"unskipped bit", flipped(pcBit), only(pcBit + 1), false},
+		{"spread, all skipped", flipped(spread...), only(spread...), true},
+		{"spread, one not skipped", flipped(spread...), only(spread[:4]...), false},
+		{"bool word skipped", flipped(validBit), only(validBit), true},
+		{"bool word not skipped", flipped(validBit), none, false},
+		{"bit above a field's width", wide, all, false},
+		{"padding byte", padded, all, false},
+	}
+	for _, tc := range cases {
+		if got := m.EqualExcept(&base, &tc.b, tc.skip); got != tc.want {
+			t.Errorf("%s: EqualExcept = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := m.EqualExcept(&tc.b, &base, tc.skip); got != tc.want {
+			t.Errorf("%s, operands swapped: EqualExcept = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { m.EqualExcept(&base, &cases[3].b, cases[3].skip) }); n != 0 {
+		t.Errorf("EqualExcept allocates %v times per call", n)
+	}
+
+	// A struct over several equalBlock spans: differences in its first and
+	// last blocks are both found.
+	type bigWords struct{ regs [100]uint64 }
+	bs := NewSpace()
+	var bh struct{ regs [100]Field }
+	for i := range bh.regs {
+		bh.regs[i] = bs.Alloc("rf", fmt.Sprintf("rf.r%d", i), 64)
+	}
+	bm := NewLatches[bigWords](bs, &bh)
+	var x, y bigWords
+	first, last := bh.regs[0].Offset()+5, bh.regs[99].Offset()+63
+	bm.Flip(&y, first)
+	bm.Flip(&y, last)
+	if !bm.EqualExcept(&x, &y, only(first, last)) {
+		t.Error("several blocks: both differences skipped, EqualExcept = false")
+	}
+	if bm.EqualExcept(&x, &y, only(first)) || bm.EqualExcept(&x, &y, only(last)) {
+		t.Error("several blocks: one difference not skipped, EqualExcept = true")
+	}
+}
+
+// FuzzEqualExcept compares EqualExcept with its bit-by-bit oracle on
+// latchWords decoded from the fuzz bytes, b differing from a in the bits
+// the flip bytes name (0xFF sets a bit above cnt's width instead), and
+// skip accepting the bits whose index mod 64 is set in mask.
+func FuzzEqualExcept(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint64(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0, 64, 150, 179}, ^uint64(0))
+	f.Add([]byte{0xAA, 0x55}, []byte{3, 70, 0xFF}, uint64(0x0F0F))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 7}, []byte{147, 179, 146}, uint64(1<<19|1<<51|1<<18))
+	s, h := newLatchPair()
+	m := NewLatches[latchWords](s, &h)
+	f.Fuzz(func(t *testing.T, data, flips []byte, mask uint64) {
+		word := func(i int) uint64 {
+			var buf [8]byte
+			if i*8 < len(data) {
+				copy(buf[:], data[i*8:])
+			}
+			return binary.LittleEndian.Uint64(buf[:])
+		}
+		a := latchWords{pc: uint32(word(0)), valid: word(0)>>32&1 != 0, cnt: uint8(word(0)>>40) & 7,
+			regs: [3]uint64{word(1) & (1<<40 - 1), word(2) & (1<<48 - 1), word(3) & (1<<56 - 1)}}
+		b := a
+		for _, d := range flips {
+			if d == 0xFF {
+				b.cnt ^= 0x80
+				continue
+			}
+			m.Flip(&b, int(d)%s.NumBits())
+		}
+		skip := func(bit int) bool { return mask>>(uint(bit)&63)&1 != 0 }
+		want := equalExceptRef(s, h, a, b, skip)
+		if got := m.EqualExcept(&a, &b, skip); got != want {
+			t.Fatalf("EqualExcept(%+v, %+v) = %v, oracle says %v", a, b, got, want)
+		}
+	})
 }

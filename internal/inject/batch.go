@@ -15,12 +15,13 @@ package inject
 // with the carrier. Each cycle, a lane is compared against the carrier
 // (sim.GangCore.DiffFrom):
 //
-//   - identical full state ⇒ the lane is gang-pruned Vanished immediately —
-//     the same soundness argument as boundary pruning (two bit-identical
-//     states of a deterministic core share the same future, and the
-//     carrier's future is the fault-free run), detected within one cycle of
-//     reconvergence instead of at the next checkpoint boundary;
-//   - control-flow divergence (PC/done/status/counters) or side-state
+//   - identical full state, the cycle and retired counters aside (no Step
+//     reads them) ⇒ the lane is gang-pruned Vanished immediately — the
+//     same soundness argument as boundary pruning (two such states of a
+//     deterministic core share the same future, and the carrier's future
+//     is the fault-free run), detected within one cycle of reconvergence
+//     instead of at the next checkpoint boundary;
+//   - control-flow divergence (PC/done/status) or side-state
 //     divergence (memory/output/SRAMs) ⇒ the lane is evicted from the gang
 //     and continued through finishInjected, the warm body's exact tail —
 //     the lane already holds the state the warm body would have at that
@@ -39,7 +40,10 @@ package inject
 // pruned.
 //
 // Lanes still live at the window's end are likewise finished through
-// finishInjected. Every planned lane reaches its fork: a sampled cycle lies
+// finishInjected, which first tests the boundary they stand on: a
+// survivor that differs from the reference checkpoint only in the retired
+// counter and in flip-flops inert or dead there is Vanished at once.
+// Every planned lane reaches its fork: a sampled cycle lies
 // below nomCycles, so its checkpoint window exists and the fault-free
 // carrier is still running when it gets there. A record sink observes each
 // lane right after its fork and receives the record when the lane is
@@ -147,6 +151,7 @@ type worker struct {
 	carrierChk sim.Checker
 	cores      [lanes.Width]sim.Core
 	chks       [lanes.Width]sim.Checker
+	scratch    sim.Core // finishInjected's deadlock test, created on first use
 	sc         Scenario
 
 	tally
@@ -203,7 +208,7 @@ func (w *worker) decide(s int, ln plannedLane, out Outcome, det int) {
 // finish continues lane ln, live in slot s, from its current state through
 // the warm body's tail and decides it.
 func (w *worker) finish(s int, ln plannedLane) {
-	out, det := w.in.finishInjected(w.lane(s), w.chks[s], w.c.p, w.c.ref, ln.cycle, w.c.nomCycles)
+	out, det := w.in.finishInjected(w.lane(s), w.chks[s], &w.scratch, w.c.p, w.c.ref, ln.cycle, w.c.nomCycles)
 	w.decide(s, ln, out, det)
 }
 
@@ -272,8 +277,9 @@ func (w *worker) run(g laneGang) {
 			}
 			switch d := laneDiff(lc, car, w.chks[s], w.carrierChk); {
 			case d == 0:
-				// Gang prune: bit-identical to the fault-free carrier at the
-				// same cycle, checker included, so the lane's future is the
+				// Gang prune: identical to the fault-free carrier at the same
+				// cycle but perhaps for the retired counter, which no Step
+				// reads, checker included, so the lane's future is the
 				// reference future — provably Vanished, same accounting as a
 				// boundary prune.
 				w.in.injPruned.Add(1)

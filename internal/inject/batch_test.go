@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"clear/internal/archres"
+	"clear/internal/bench"
 	"clear/internal/isa"
 	"clear/internal/prog"
 	"clear/internal/sim"
@@ -159,14 +160,36 @@ func registerTestModel(t testing.TB, m FaultModel) {
 	})
 }
 
+// strideModel is a test-only single-bit model whose strike population is
+// every k-th flip-flop, so a real benchmark's reference campaign stays
+// short.
+type strideModel struct{ k int }
+
+func (strideModel) Name() string { return "zstride" }
+func (m strideModel) Bits(env *ModelEnv) []int {
+	var bits []int
+	for bit := 0; bit < env.Pl.Space.NumBits(); bit += m.k {
+		bits = append(bits, bit)
+	}
+	return bits
+}
+func (strideModel) Expand(_ *ModelEnv, bit, _ int, _ uint64, dst Scenario) Scenario {
+	return append(dst, bit)
+}
+
 // TestPackedCampaignEquivalence pins the engine's contract: for fixed
 // seeds, campaigns are bit-identical to the reference campaign — DeepEqual
 // results and identical cache bytes — on both cores, under every
 // registered fault model and under mixModel's empty and multi-flip
-// scenarios.
+// scenarios. The tiny program's runs end before a tail reaches two
+// checkpoint boundaries, so the deadlock rule never fires on it; a last
+// case runs inner_product on OoO, whose campaign decides deadlocked lanes
+// Hang at a boundary (finishInjected) and still equals the reference,
+// which steps every Hang to the budget.
 func TestPackedCampaignEquivalence(t *testing.T) {
 	p := tinyProgram(t)
 	registerTestModel(t, mixModel{})
+	registerTestModel(t, strideModel{k: 3})
 	for _, kind := range []CoreKind{InO, OoO} {
 		samples := 2
 		if kind == OoO && testing.Short() {
@@ -181,6 +204,22 @@ func TestPackedCampaignEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	ip := bench.ByName("inner_product").MustProgram()
+	cfg := Config{Core: OoO, Bench: "inner_product", Tag: "zstride/x", SamplesPerFF: 1, Seed: 0xC1EA5}
+	in := NewInjector()
+	got, err := in.Run(cfg, ip, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "OoO/inner_product/zstride", referenceCampaign(t, cfg, ip, nil, nil), got)
+	s := in.Snapshot()
+	if s.DeadlockedInjections == 0 || s.DeadlockedInjections > int64(got.Totals.Hang) {
+		t.Fatalf("OoO/inner_product: %d injections decided deadlocked of %d Hang; want 0 < deadlocked <= Hang",
+			s.DeadlockedInjections, got.Totals.Hang)
+	}
+	t.Logf("OoO/inner_product: %d of %d Hang decided deadlocked; %d injections, %d pruned",
+		s.DeadlockedInjections, got.Totals.Hang, s.TotalInjections, s.PrunedInjections)
 }
 
 // TestPackedCheckpointBoundaries stresses the gang scheduler's window

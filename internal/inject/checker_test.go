@@ -96,13 +96,13 @@ func TestCheckerDivergenceIsNotPruned(t *testing.T) {
 
 	at := lane.Cycles()
 	in := NewInjector()
-	if out, det := in.finishInjected(lane, laneChk, p, ref, at, nom); out != ED || det < at {
+	if out, det := in.finishInjected(lane, laneChk, new(sim.Core), p, ref, at, nom); out != ED || det < at {
 		t.Fatalf("perturbed lane finished (%v, %d), want ED after cycle %d", out, det, at)
 	}
 	if pruned := in.Snapshot().PrunedInjections; pruned != 0 {
 		t.Fatalf("perturbed lane was pruned (%d)", pruned)
 	}
-	if out, _ := in.finishInjected(car, carChk, p, ref, at, nom); out != Vanished {
+	if out, _ := in.finishInjected(car, carChk, new(sim.Core), p, ref, at, nom); out != Vanished {
 		t.Fatalf("unperturbed carrier finished %v, want Vanished", out)
 	}
 	if pruned := in.Snapshot().PrunedInjections; pruned != 1 {

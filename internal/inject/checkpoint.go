@@ -47,9 +47,10 @@ func (ref *Reference) restore(c sim.Core, chk sim.Checker, idx int) {
 	}
 }
 
-// matches reports whether c, and chk when the run is checked, are
-// bit-identical to snapshot idx: only then does the run provably share the
-// reference's future.
+// matches reports whether c matches snapshot idx (sim.Core.Matches: equal
+// in everything a future cycle reads) and chk, when the run is checked, is
+// identical to the checker state saved with it: only then does the run
+// provably share the reference's future.
 func (ref *Reference) matches(c sim.Core, chk sim.Checker, idx int) bool {
 	return c.Matches(ref.Ckpts[idx]) && (chk == nil || chk.Equal(ref.Checks[idx]))
 }

@@ -265,6 +265,25 @@ func BenchmarkCampaignInO(b *testing.B) {
 	})
 }
 
+// BenchmarkCampaignOoO measures a full OoO campaign on a real benchmark
+// program, gzip, at 1 sample per flip-flop, under the single-bit model and
+// the mbu model, as campaign-ooo runs them: the path the fork decisions,
+// the masked boundary Matches and the deadlock rule shorten.
+func BenchmarkCampaignOoO(b *testing.B) {
+	p := bench.ByName("gzip").MustProgram()
+	for _, tag := range []string{"", "mbu/base"} {
+		model, _ := SplitModelTag(tag)
+		b.Run(model, func(b *testing.B) {
+			cfg := Config{Core: OoO, Bench: "gzip", Tag: tag, SamplesPerFF: 1, Seed: 0xC1EA5}
+			for i := 0; i < b.N; i++ {
+				if _, err := NewInjector().Run(cfg, p, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestBuildReferenceRejectsBadInterval checks that a non-positive interval
 // returns an error instead of panicking with a division by zero.
 func TestBuildReferenceRejectsBadInterval(t *testing.T) {

@@ -22,7 +22,12 @@
 // whose every flip is inert — in a field the core declares it never reads
 // (ff.Space.AllocInert) — or dead in the carrier's state at the fork — a
 // payload behind a closed gate, overwritten before anything reads it
-// (sim.GangCore.Dead).
+// (sim.GangCore.Dead). The same argument decides a tail at each checkpoint
+// boundary: a run that differs from the fault-free checkpoint only in the
+// retired counter and in flip-flops inert or dead in the checkpoint's
+// state shares its future (sim.Core.Matches), so it is Vanished; and a run
+// whose core one Step leaves unchanged but for the cycle counter never
+// halts, so it is Hang.
 package inject
 
 import (
@@ -90,6 +95,14 @@ func NewCore(k CoreKind, p *prog.Program) sim.Core {
 		return ino.New(p)
 	}
 	return ooo.New(p)
+}
+
+// kindOf returns the kind of a core NewCore built.
+func kindOf(c sim.Core) CoreKind {
+	if _, ok := c.(*ooo.Core); ok {
+		return OoO
+	}
+	return InO
 }
 
 // SpaceBits returns the flip-flop count of a core kind.

@@ -42,6 +42,7 @@ type Injector struct {
 	injInert    obs.Counter   // injections decided Vanished without stepping a cycle: empty or every flip inert
 	injDead     obs.Counter   // the same, with some flip dead rather than inert (sim.GangCore.Dead)
 	injPruned   obs.Counter   // injections ended early by convergence pruning
+	injDeadlock obs.Counter   // injections decided Hang at a boundary, their core a fixed point of Step
 	pruneCycles obs.Histogram // cycles simulated post-injection before the prune hit
 
 	outVanished obs.Counter // outcome tallies of computed campaigns
@@ -66,25 +67,27 @@ func NewInjector() *Injector { return &Injector{} }
 // Snapshot is a point-in-time view of an injector's counters, taken with
 // one atomic load per field.
 type Snapshot struct {
-	PrunedInjections int64
-	InertInjections  int64
-	DeadInjections   int64
-	TotalInjections  int64
-	Quarantined      int64
-	CacheHits        int64
-	CacheMisses      int64
+	PrunedInjections     int64
+	InertInjections      int64
+	DeadInjections       int64
+	DeadlockedInjections int64
+	TotalInjections      int64
+	Quarantined          int64
+	CacheHits            int64
+	CacheMisses          int64
 }
 
 // Snapshot returns the injector's current counters.
 func (in *Injector) Snapshot() Snapshot {
 	return Snapshot{
-		PrunedInjections: in.injPruned.Value(),
-		InertInjections:  in.injInert.Value(),
-		DeadInjections:   in.injDead.Value(),
-		TotalInjections:  in.injTotal.Value(),
-		Quarantined:      in.quarantined.Value(),
-		CacheHits:        in.cacheHits.Value(),
-		CacheMisses:      in.cacheMisses.Value(),
+		PrunedInjections:     in.injPruned.Value(),
+		InertInjections:      in.injInert.Value(),
+		DeadInjections:       in.injDead.Value(),
+		DeadlockedInjections: in.injDeadlock.Value(),
+		TotalInjections:      in.injTotal.Value(),
+		Quarantined:          in.quarantined.Value(),
+		CacheHits:            in.cacheHits.Value(),
+		CacheMisses:          in.cacheMisses.Value(),
 	}
 }
 
@@ -96,6 +99,7 @@ func (in *Injector) Snapshot() Snapshot {
 //	<prefix>injections.inert        counter (empty or all-inert strikes, decided Vanished without stepping a cycle)
 //	<prefix>injections.dead         counter (strikes on dead payloads, decided Vanished at the fork)
 //	<prefix>injections.pruned       counter
+//	<prefix>injections.deadlocked   counter (decided Hang at a boundary: the core is a fixed point of Step)
 //	<prefix>injections.prune_cycles histogram (cycles simulated before prune)
 //	<prefix>outcome.vanished|omm|ut|hang|ed  counters
 //	<prefix>cache.hits|misses|quarantined    counters
@@ -104,6 +108,7 @@ func (in *Injector) Instrument(reg *obs.Registry, prefix string) {
 	reg.Attach(prefix+"injections.inert", &in.injInert)
 	reg.Attach(prefix+"injections.dead", &in.injDead)
 	reg.Attach(prefix+"injections.pruned", &in.injPruned)
+	reg.Attach(prefix+"injections.deadlocked", &in.injDeadlock)
 	reg.Attach(prefix+"injections.prune_cycles", &in.pruneCycles)
 	reg.Attach(prefix+"outcome.vanished", &in.outVanished)
 	reg.Attach(prefix+"outcome.omm", &in.outOMM)

@@ -93,6 +93,7 @@ func TestInjectorInstrumentNames(t *testing.T) {
 			"cache.misses",
 			"cache.quarantined",
 			"injections.dead",
+			"injections.deadlocked",
 			"injections.inert",
 			"injections.prune_cycles",
 			"injections.pruned",

@@ -10,11 +10,13 @@ import (
 // injection cycle. It runs through one of two bodies. The cold body
 // (runCold) replays from reset; it runs clear.InjectOne's injections and
 // the tests' reference campaign. The warm body (runWarm) restores the
-// nearest fault-free checkpoint and ends the run as Vanished once the
-// state reconverges. The gang engine (batch.go) forks its lanes off a
-// carrier core instead of restoring and finishes them through the warm
-// body's tail, finishInjected; a lane whose flips all land in inert or
-// dead flip-flops is decided at its fork. Every strike lands through the
+// nearest fault-free checkpoint and, at each checkpoint boundary, ends the
+// run as Vanished once its state matches the fault-free one in everything
+// a future cycle reads, or as Hang once its core is deadlocked. The gang
+// engine (batch.go) forks its lanes off a carrier core instead of
+// restoring and finishes them through the warm body's tail,
+// finishInjected; a lane whose flips all land in inert or dead flip-flops
+// is decided at its fork. Every strike lands through the
 // core's FlipBits, which flips bits numbered as in its ff.Space, each in
 // its latch word in place (DESIGN.md §11), so a strike costs nanoseconds
 // beside the cycles around it.
@@ -64,20 +66,20 @@ func runCold(r *recorder, c sim.Core, p *prog.Program, sc Scenario, cycle, nomCy
 // RunOneFrom performs a single-bit injection warm-started from the
 // reference trajectory: it restores the nearest snapshot at or before the
 // injection cycle, steps the remaining cycle-mod-interval cycles, flips the
-// bit, and runs to completion with convergence pruning — at every
-// checkpoint boundary the injected state is compared against the
-// fault-free snapshot for the same cycle, and an exact match ends the run
-// immediately as Vanished (two bit-identical states of a deterministic
-// core share the same future, and the reference future halts with the
-// golden output).
+// bit, and runs to completion through finishInjected — at every
+// checkpoint boundary, the strike cycle's included, a state that matches
+// the fault-free snapshot for the same cycle (sim.Core.Matches: equal but
+// for the retired counter and flip-flops inert or dead in the snapshot)
+// ends the run as Vanished, since it shares the reference future, which
+// halts with the golden output; and a deadlocked core ends it as Hang.
 //
 // The returned (Outcome, detectCycle) is identical to RunOne's for the same
 // (bit, cycle): restoring reproduces the exact pre-injection state, and
-// pruning only replaces a suffix whose outcome is already decided. A
-// BuildReference trajectory saves no checker state, so a run checked by a
-// non-nil cf takes RunOne's exact from-reset path. The injection and any
-// convergence prune are tallied on this injector, and an attached Sink
-// receives the injection's record.
+// both early decisions only replace a suffix whose outcome is already
+// decided. A BuildReference trajectory saves no checker state, so a run
+// checked by a non-nil cf takes RunOne's exact from-reset path. The
+// injection, any convergence prune and any deadlock decision are tallied
+// on this injector, and an attached Sink receives the injection's record.
 func (in *Injector) RunOneFrom(c sim.Core, p *prog.Program, ref *Reference, bit, cycle, nomCycles int,
 	cf func(*prog.Program) sim.Checker) (Outcome, int) {
 	in.injTotal.Add(1)
@@ -102,7 +104,8 @@ func (in *Injector) runWarm(r *recorder, c sim.Core, chk sim.Checker, p *prog.Pr
 		rec = r.observe(c, sc[0], cycle)
 	}
 	strike(c, sc)
-	out, det := in.finishInjected(c, chk, p, ref, cycle, nomCycles)
+	var scratch sim.Core
+	out, det := in.finishInjected(c, chk, &scratch, p, ref, cycle, nomCycles)
 	if r != nil {
 		r.emit(rec, out, det)
 	}
@@ -112,34 +115,65 @@ func (in *Injector) runWarm(r *recorder, c sim.Core, chk sim.Checker, p *prog.Pr
 // strike flips every bit of sc in c's current cycle.
 func strike(c sim.Core, sc Scenario) { c.FlipBits(sc...) }
 
-// finishInjected runs the already-injected remainder of a warm run: step to
-// each checkpoint boundary, end as Vanished the moment the state — core and
-// checker — reconverges with the fault-free reference, classify at
-// completion or the hang budget. The gang engine continues evicted lanes
-// through it too: an evicted lane holds exactly the state the warm body
-// would have at the same cycle (lanes step the same deterministic core and
-// carry their own checker copy), so the continuation's boundary checks and
-// classification reproduce the warm body's outcome bit for bit.
-func (in *Injector) finishInjected(c sim.Core, chk sim.Checker, p *prog.Program, ref *Reference,
-	cycle, nomCycles int) (Outcome, int) {
+// finishInjected runs the already-injected remainder of a warm run: at
+// each checkpoint boundary from the cycle it starts on, end as Vanished the
+// moment the state — core and checker — matches the fault-free reference
+// (sim.Core.Matches, which sets aside what no future cycle reads), and as
+// Hang the moment the core is deadlocked; otherwise step to the next
+// boundary, and classify at completion or the hang budget. The gang engine
+// continues evicted lanes and window-end survivors through it too: such a
+// lane holds exactly the state the warm body would have at the same cycle
+// (lanes step the same deterministic core and carry their own checker
+// copy), so the continuation's boundary checks and classification
+// reproduce the warm body's outcome bit for bit.
+//
+// The deadlock test runs only at a boundary where the retired count has
+// not moved since the previous one: it copies the core into *scratch
+// (created on first use) and steps the copy once (deadlocked). A run
+// stuck at such a fixed point would step on to the hang budget and
+// classify as Hang with no detection, which is what it is decided as.
+func (in *Injector) finishInjected(c sim.Core, chk sim.Checker, scratch *sim.Core, p *prog.Program,
+	ref *Reference, cycle, nomCycles int) (Outcome, int) {
 	budget := HangFactor * nomCycles
+	retired := int64(-1) // the retired count at the previous boundary; none yet
 	for !c.Done() && c.Cycles() < budget {
+		if t := c.Cycles(); t%ref.Interval == 0 {
+			if i := t / ref.Interval; i < len(ref.Ckpts) && ref.matches(c, chk, i) {
+				in.injPruned.Add(1)
+				in.pruneCycles.Observe(int64(t - cycle))
+				return Vanished, -1
+			}
+			if c.Retired() == retired && deadlocked(c, scratch, p) {
+				in.injDeadlock.Add(1)
+				return Hang, -1
+			}
+			retired = c.Retired()
+		}
 		next := min((c.Cycles()/ref.Interval+1)*ref.Interval, budget)
 		for !c.Done() && c.Cycles() < next {
 			c.Step()
-		}
-		if c.Done() {
-			break
-		}
-		if i := c.Cycles() / ref.Interval; c.Cycles()%ref.Interval == 0 && i < len(ref.Ckpts) &&
-			ref.matches(c, chk, i) {
-			in.injPruned.Add(1)
-			in.pruneCycles.Observe(int64(c.Cycles() - cycle))
-			return Vanished, -1
 		}
 	}
 	if c.Done() {
 		return classifyRun(p, c.Result())
 	}
 	return classifyRun(p, prog.Result{Status: prog.StatusMaxSteps, Output: c.Output(), Steps: c.Cycles()})
+}
+
+// deadlocked reports whether c's state is a fixed point of Step: a copy of
+// it in *scratch, created on first use, stepped once, is not done, has
+// retired nothing, and differs from c in nothing but the cycle counter,
+// which no Step reads (sim.GangCore.DiffFrom leaves it out). Every later
+// cycle then repeats the same state, so the run never halts and steps to
+// the hang budget. Nothing commits on the way, so no checker observes
+// anything. The copy carries no commit hook; a step that would call one
+// retires an instruction, which fails the test.
+func deadlocked(c sim.Core, scratch *sim.Core, p *prog.Program) bool {
+	if *scratch == nil {
+		*scratch = NewCore(kindOf(c), p)
+	}
+	s := (*scratch).(sim.GangCore)
+	s.CopyStateFrom(c)
+	s.Step()
+	return !s.Done() && s.Retired() == c.Retired() && s.DiffFrom(c) == 0
 }

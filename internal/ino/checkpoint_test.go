@@ -3,6 +3,7 @@ package ino
 import (
 	"testing"
 
+	"clear/internal/bench"
 	"clear/internal/isa"
 	"clear/internal/prog"
 )
@@ -92,5 +93,68 @@ func TestMatchesDetectsDivergence(t *testing.T) {
 	c.Step()
 	if c.Matches(ck) {
 		t.Fatal("Matches missed a cycle-count difference")
+	}
+}
+
+// TestMatchesSetsAsideInertBits pins what Matches sets aside. At a mid-run
+// checkpoint of three benchmarks, a core restored from it with any one bit
+// flipped must match exactly when the bit is inert (the in-order core has
+// no dead payloads), and with every inert bit flipped at once it must
+// still match, without allocating. A difference in the retired counter
+// alone matches; one in the cycle counter, the output, memory, the
+// register file or the flush-recovery registers does not.
+func TestMatchesSetsAsideInertBits(t *testing.T) {
+	for _, name := range []string{"gzip", "inner_product", "mcf"} {
+		p := bench.ByName(name).MustProgram()
+		nominal := New(p).Run(10_000_000).Steps
+		ref := New(p)
+		for ref.Cycles() < nominal/2 {
+			ref.Step()
+		}
+		ck := ref.Snapshot()
+		c := New(p)
+		var inert []int
+		for bit := 0; bit < sharedSpace.NumBits(); bit++ {
+			want := sharedSpace.Inert(bit)
+			if ref.Dead(bit) {
+				t.Fatalf("%s: bit %d is dead; the in-order core declares no dead payloads", name, bit)
+			}
+			c.Restore(ck)
+			c.FlipBits(bit)
+			if got := c.Matches(ck); got != want {
+				field, _ := sharedSpace.NameOf(bit)
+				t.Fatalf("%s: bit %d (%s, inert %v) flipped: Matches = %v, want %v", name, bit, field, want, got, want)
+			}
+			if want {
+				inert = append(inert, bit)
+			}
+		}
+		c.Restore(ck)
+		c.FlipBits(inert...)
+		if !c.Matches(ck) {
+			t.Fatalf("%s: all %d inert bits flipped together: Matches = false", name, len(inert))
+		}
+		if n := testing.AllocsPerRun(10, func() { c.Matches(ck) }); n != 0 {
+			t.Fatalf("%s: a masked Matches allocates %v times per call", name, n)
+		}
+		for _, d := range []struct {
+			what    string
+			perturb func(c *Core)
+			want    bool
+		}{
+			{"retired", func(c *Core) { c.retired++ }, true},
+			{"cycles", func(c *Core) { c.cycles++ }, false},
+			{"out", func(c *Core) { c.out = append(c.out, 1) }, false},
+			{"mem", func(c *Core) { c.mem[len(c.mem)-1] ^= 1 }, false},
+			{"regfile", func(c *Core) { c.regfile[1] ^= 1 }, false},
+			{"recoveryNext", func(c *Core) { c.recoveryNext ^= 4 }, false},
+			{"nextAtM", func(c *Core) { c.nextAtM ^= 4 }, false},
+		} {
+			c.Restore(ck)
+			d.perturb(c)
+			if got := c.Matches(ck); got != d.want {
+				t.Errorf("%s: a %s-only difference: Matches = %v, want %v", name, d.what, got, d.want)
+			}
+		}
 	}
 }

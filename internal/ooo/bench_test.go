@@ -34,7 +34,9 @@ func BenchmarkFlipBits(b *testing.B) {
 // BenchmarkCheckpoint times the three checkpoint operations of a
 // warm-started campaign on a mid-run state: Snapshot at each reference
 // checkpoint, Restore at each warm start, and Matches at each checkpoint
-// boundary of a lane's tail.
+// boundary of a lane's tail — on a state equal to the checkpoint, and on
+// one that differs from it in four dead bits spread over the latch struct,
+// which Matches sets aside word by word.
 func BenchmarkCheckpoint(b *testing.B) {
 	c := midRunCore(b)
 	ck := c.Snapshot()
@@ -54,5 +56,20 @@ func BenchmarkCheckpoint(b *testing.B) {
 				b.Fatal("a restored core does not match its checkpoint")
 			}
 		}
+	})
+	b.Run("MatchesDead", func(b *testing.B) {
+		dead := bitsWhere(c.Dead)
+		c.Restore(ck)
+		for k := 1; k <= 4; k++ {
+			c.FlipBits(dead[k*(len(dead)-1)/4])
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !c.Matches(ck) {
+				b.Fatal("a core differing from its checkpoint in dead bits does not match it")
+			}
+		}
+		b.StopTimer()
+		c.Restore(ck)
 	})
 }

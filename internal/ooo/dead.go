@@ -101,19 +101,22 @@ var deadGates = func() []gate {
 // be read before it is overwritten: bit is a payload whose gate is closed
 // (the table above). It reads the gate from the latch state and changes
 // nothing.
-func (c *Core) Dead(bit int) bool {
+func (c *Core) Dead(bit int) bool { return dead(&c.u, bit) }
+
+// dead reports whether bit is a payload whose gate is closed in u.
+func dead(u *uLatches, bit int) bool {
 	g := deadGates[bit]
-	return g.kind != gateNone && c.closed(g)
+	return g.kind != gateNone && closed(u, g)
 }
 
-// closed reports whether gate g is closed in the core's current state.
-func (c *Core) closed(g gate) bool {
-	u, i := &c.u, int(g.idx)
+// closed reports whether gate g is closed in the latch state u.
+func closed(u *uLatches, g gate) bool {
+	i := int(g.idx)
 	switch g.kind {
 	case gateROB:
 		return outside(i, u.robHead, u.robCount, RobSize)
 	case gateROBTgt:
-		return c.closed(gate{gateROB, g.idx}) || u.robFlags[i]&2 == 0
+		return closed(u, gate{gateROB, g.idx}) || u.robFlags[i]&2 == 0
 	case gateIQ:
 		return u.iqValid[i] == 0
 	case gateIQTag1:

@@ -64,7 +64,7 @@ var liveFields = func() []liveField {
 func equalExceptDead(ref, c *imaged) bool {
 	for _, lf := range liveFields {
 		x := lf.f.Get(ref.st) ^ lf.f.Get(c.st)
-		if x&lf.gated != 0 && ref.closed(lf.g) {
+		if x&lf.gated != 0 && closed(&ref.u, lf.g) {
 			x &^= lf.gated
 		}
 		if x != 0 {

@@ -123,9 +123,14 @@ type Core interface {
 	// from the same (design, program) pair. The installed commit hook is
 	// left untouched; a Checker's state is restored separately.
 	Restore(ck *Checkpoint)
-	// Matches reports whether the core's current state is bit-for-bit
-	// identical to the checkpoint, without allocating. Two identical states
-	// provably share the same deterministic future.
+	// Matches reports whether the core's current state provably shares
+	// the checkpoint's deterministic future, without allocating: at the
+	// checkpoint's cycle, every register, memory word, output, SRAM entry,
+	// status and flip-flop equals the checkpoint's, except the retired
+	// counter and flip-flops that are inert, or dead (GangCore.Dead) in
+	// the checkpoint's state. Neither is ever read, so a run that matches
+	// a fault-free checkpoint halts when that run does, with its output.
+	// The cycle counter is compared: a checkpoint fixes the cycle.
 	Matches(ck *Checkpoint) bool
 	// InFlight appends one entry per instruction currently occupying a
 	// pipeline structure (stage latches, buffers, queues, rename mappings)
@@ -139,11 +144,11 @@ type Core interface {
 // priority: a diff is classified by the first group that differs, so a
 // DiffState result says nothing about the aux group. A zero result means
 // every group — control, latch/register state, and side state — is
-// bit-for-bit identical, which carries the same guarantee as Matches: two
-// identical states of a deterministic core share the same future.
+// bit-for-bit identical, and the two states share the same future: the
+// cycle and retired counters, which no Step reads, are not compared.
 const (
 	// DiffCtl: execution has left the reference trajectory's control path —
-	// done flag, status, cycle/retired counters, or the fetch PC differ.
+	// the done flag, status or fetch PC differ.
 	DiffCtl uint8 = 1 << iota
 	// DiffState: flip-flop or register-file state differs.
 	DiffState
@@ -170,8 +175,10 @@ type GangCore interface {
 
 	// DiffFrom compares this core's full state against ref and returns the
 	// first divergence class found (checked in DiffCtl, DiffState, DiffAux
-	// order), or 0 when the states are identical. Like Matches it never
-	// changes the simulated future.
+	// order), or 0 when the states are identical apart from the cycle and
+	// retired counters. Lockstep compares cores at the same cycle by
+	// construction, and no Step reads either counter, so 0 certifies a
+	// shared future. Like Matches it never changes the simulated future.
 	DiffFrom(ref Core) uint8
 
 	// Dead reports whether a flip of bit in the core's current state can
@@ -181,8 +188,10 @@ type GangCore interface {
 	// commit event is ever computed from it. Gates are never dead
 	// themselves, so any set of dead bits stays dead when flipped together.
 	// The answer relies on invariants a fault-free run maintains (a valid
-	// issue-queue entry names a live reorder-buffer entry, say); the engine
-	// asks it only of its fault-free carrier. It reads the state without
-	// changing it. A core with no gated payloads returns false.
+	// issue-queue entry names a live reorder-buffer entry, say), so it is
+	// asked only of fault-free state: the engine's carrier at a fork, and
+	// the reference checkpoint a Matches sets dead bits aside against. It
+	// reads the state without changing it. A core with no gated payloads
+	// returns false.
 	Dead(bit int) bool
 }
