@@ -17,13 +17,15 @@ import (
 // matched element by element. Each word of L is an unsigned integer at
 // least as wide as its field, or a bool for a 1-bit field, and holds the
 // value Field.Get would read from the packed image, so bit i of a field is
-// bit i of its word. A Latches is immutable once built and safe to share
-// across goroutines.
+// bit i of its word. An array of 1-bit fields may instead land in one
+// unsigned word with at least as many bits as the array has elements — a
+// mask word — whose bit j holds element j. A Latches is immutable once
+// built and safe to share across goroutines.
 type Latches[L any] struct {
 	bits []latchBit // indexed by space bit
 	// at maps each bit position of L, numbered as diffs numbers them, to
 	// the space bit it holds, or to -1 for padding and for the bits of a
-	// word above its field's width.
+	// word above its field's width or its mask's elements.
 	at []int32
 }
 
@@ -37,10 +39,11 @@ type latchBit struct {
 // NewLatches builds the map from s's bits to the words of L. handles is a
 // struct, or a pointer to one, whose fields are Fields or arrays of Fields
 // allocated in s's layout. NewLatches panics, naming the field, unless
-// every handle has a word of the same name and shape in L that is wide
-// enough for it (a bool only for a 1-bit field), every word of L has a
-// handle, and the handles cover every bit of s exactly once: the
-// declarations are programmer-controlled, so a mismatch is a bug.
+// every handle has a word of the same name in L that is wide enough for it
+// — of the same shape (a bool only for a 1-bit field), or for an array of
+// 1-bit fields a mask word — every word of L has a handle, and the handles
+// cover every bit of s exactly once: the declarations are
+// programmer-controlled, so a mismatch is a bug.
 func NewLatches[L any](s *Space, handles any) *Latches[L] {
 	lt := reflect.TypeFor[L]()
 	hv := reflect.Indirect(reflect.ValueOf(handles))
@@ -63,14 +66,30 @@ func NewLatches[L any](s *Space, handles any) *Latches[L] {
 		delete(words, hf.Name)
 		switch {
 		case hf.Type == fieldType:
-			m.place(s, covered, hf.Name, fieldOf(h), w.Offset, w.Type)
+			m.place(s, covered, hf.Name, fieldOf(h), w.Offset, w.Type, 0)
 		case hf.Type.Kind() == reflect.Array && hf.Type.Elem() == fieldType:
-			if w.Type.Kind() != reflect.Array || w.Type.Len() != h.Len() {
+			switch {
+			case w.Type.Kind() == reflect.Array && w.Type.Len() == h.Len():
+				for j := range h.Len() {
+					m.place(s, covered, fmt.Sprintf("%s[%d]", hf.Name, j), fieldOf(h.Index(j)),
+						w.Offset+uintptr(j)*w.Type.Elem().Size(), w.Type.Elem(), 0)
+				}
+			case unsigned(w.Type):
+				if bits := 8 * int(w.Type.Size()); h.Len() > bits {
+					panic(fmt.Sprintf("ff: latches: handle %s has %d elements but its mask word has %d bits",
+						hf.Name, h.Len(), bits))
+				}
+				for j := range h.Len() {
+					name, f := fmt.Sprintf("%s[%d]", hf.Name, j), fieldOf(h.Index(j))
+					if f.width != 1 {
+						field, _ := s.NameOf(f.off)
+						panic(fmt.Sprintf("ff: latches: handle %s (field %s, %d bits) shares a mask word, which holds only 1-bit fields",
+							name, field, f.width))
+					}
+					m.place(s, covered, name, f, w.Offset, w.Type, j)
+				}
+			default:
 				panic(fmt.Sprintf("ff: latches: handle %s is %s but its word is %s", hf.Name, hf.Type, w.Type))
-			}
-			for j := range h.Len() {
-				m.place(s, covered, fmt.Sprintf("%s[%d]", hf.Name, j), fieldOf(h.Index(j)),
-					w.Offset+uintptr(j)*w.Type.Elem().Size(), w.Type.Elem())
 			}
 		default:
 			panic(fmt.Sprintf("ff: latches: handle %s is %s, not a Field or an array of Fields", hf.Name, hf.Type))
@@ -109,21 +128,30 @@ func fieldOf(h reflect.Value) Field {
 	return Field{off: int(h.FieldByName("off").Int()), width: int(h.FieldByName("width").Int())}
 }
 
+// unsigned reports whether t is an unsigned integer word.
+func unsigned(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return true
+	}
+	return false
+}
+
 // place maps the bits of handle f, named name, to the word of type word at
-// byte offset off in L.
-func (m *Latches[L]) place(s *Space, covered []bool, name string, f Field, off uintptr, word reflect.Type) {
+// byte offset off in L, bit i of f to bit shift+i of the word.
+func (m *Latches[L]) place(s *Space, covered []bool, name string, f Field, off uintptr, word reflect.Type, shift int) {
 	if f.off < 0 || f.off+f.width > len(m.bits) {
 		panic(fmt.Sprintf("ff: latches: handle %s (bits %d..%d) lies outside the %d-bit space",
 			name, f.off, f.off+f.width-1, len(m.bits)))
 	}
 	field, _ := s.NameOf(f.off)
 	what := fmt.Sprintf("ff: latches: handle %s (field %s, %d bits)", name, field, f.width)
-	switch word.Kind() {
-	case reflect.Bool:
+	switch {
+	case word.Kind() == reflect.Bool:
 		if f.width != 1 {
 			panic(what + " lands in a bool")
 		}
-	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+	case unsigned(word):
 		if bits := 8 * int(word.Size()); f.width > bits {
 			panic(fmt.Sprintf("%s lands in a %d-bit word", what, bits))
 		}
@@ -136,7 +164,7 @@ func (m *Latches[L]) place(s *Space, covered []bool, name string, f Field, off u
 			panic(fmt.Sprintf("%s covers bit %d, which another handle covers too", what, bit))
 		}
 		covered[bit] = true
-		m.bits[bit] = latchBit{off: off, size: uint8(word.Size()), shift: uint8(i)}
+		m.bits[bit] = latchBit{off: off, size: uint8(word.Size()), shift: uint8(shift + i)}
 	}
 }
 
@@ -146,8 +174,9 @@ func (m *Latches[L]) place(s *Space, covered []bool, name string, f Field, off u
 // Flip, and EqualExcept below, are the module's only unsafe code. Flip is
 // sound: each offset and size comes from L's own reflect layout, so the
 // write stays inside *u and has the word's own type; the shift is below
-// the field's width, so the word stays within it; and a bool is only ever
-// a 1-bit field's word, whose byte therefore stays 0 or 1.
+// the field's width, or in a mask word below its number of elements, so
+// the word stays within them; and a bool is only ever a 1-bit field's
+// word, whose byte therefore stays 0 or 1.
 func (m *Latches[L]) Flip(u *L, bit int) {
 	b := m.bits[bit]
 	p := unsafe.Add(unsafe.Pointer(u), b.off)
@@ -167,8 +196,8 @@ func (m *Latches[L]) Flip(u *L, bit int) {
 // in space bits for which skip reports true. It XORs the two structs word
 // by word — skipping blocks of equalBlock bytes that compare equal whole —
 // and maps each differing bit back to its space bit; a differing bit that
-// holds no space bit (padding, or a word's bits above its field's width)
-// is a difference. It allocates nothing and changes neither struct.
+// holds no space bit (padding, or a word's bits above its field's width or
+// its mask's elements) is a difference. It allocates nothing and changes neither struct.
 //
 // Like Flip it reads L through unsafe, and soundly: L holds no pointers
 // (NewLatches admits only unsigned integer and bool words), so its bytes

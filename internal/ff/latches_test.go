@@ -10,13 +10,15 @@ import (
 
 // latchHandles and latchWords are a small valid pair of declarations: the
 // words cover each width class (a bool, a narrow and a full-width word, an
-// array), and the handles are allocated in an order unlike the structs' to
+// array, and a mask word holding an array of 1-bit fields below its top
+// bits), and the handles are allocated in an order unlike the structs' to
 // show that names, not positions, match them.
 type latchHandles struct {
 	pc    Field
 	valid Field
 	cnt   Field
 	regs  [3]Field
+	flags [5]Field
 }
 
 type latchWords struct {
@@ -24,6 +26,7 @@ type latchWords struct {
 	valid bool
 	cnt   uint8
 	regs  [3]uint64
+	flags uint8 // element j in bit j; bits 5..7 hold no space bit
 }
 
 func newLatchPair() (*Space, latchHandles) {
@@ -35,6 +38,9 @@ func newLatchPair() (*Space, latchHandles) {
 	h.cnt = s.Alloc("ctl", "ctl.cnt", 3)
 	h.pc = s.Alloc("fetch", "f.pc", 32)
 	h.valid = s.Alloc("ctl", "ctl.valid", 1)
+	for i := range h.flags {
+		h.flags[i] = s.Alloc("ctl", fmt.Sprintf("ctl.flag%d", i), 1)
+	}
 	s.Freeze()
 	return s, h
 }
@@ -44,6 +50,9 @@ func wordsOf(h latchHandles, st *State) latchWords {
 	w := latchWords{pc: uint32(h.pc.Get(st)), valid: h.valid.Get(st) == 1, cnt: uint8(h.cnt.Get(st))}
 	for i, f := range h.regs {
 		w.regs[i] = f.Get(st)
+	}
+	for j, f := range h.flags {
+		w.flags |= uint8(f.Get(st)) << j
 	}
 	return w
 }
@@ -130,6 +139,27 @@ func TestNewLatchesPanics(t *testing.T) {
 			h := struct{ pc Field }{s.Alloc("u", "u.pc", 32)}
 			NewLatches[struct{ pc int32 }](s, h)
 		}},
+		{"multi-bit handle in a mask word", "flags[1] (field u.f1, 2 bits)", func() {
+			s := NewSpace()
+			h := struct{ flags [3]Field }{[3]Field{s.Alloc("u", "u.f0", 1), s.Alloc("u", "u.f1", 2), s.Alloc("u", "u.f2", 1)}}
+			NewLatches[struct{ flags uint8 }](s, h)
+		}},
+		{"more elements than the mask word's bits", "flags has 9 elements", func() {
+			s := NewSpace()
+			var h struct{ flags [9]Field }
+			for i := range h.flags {
+				h.flags[i] = s.Alloc("u", fmt.Sprintf("u.f%d", i), 1)
+			}
+			NewLatches[struct{ flags uint8 }](s, h)
+		}},
+		{"1-bit array in a bool", "flags", func() {
+			s := NewSpace()
+			var h struct{ flags [2]Field }
+			for i := range h.flags {
+				h.flags[i] = s.Alloc("u", fmt.Sprintf("u.f%d", i), 1)
+			}
+			NewLatches[struct{ flags bool }](s, h)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,12 +186,16 @@ func imageOf(s *Space, h latchHandles, w latchWords) *State {
 	for i, f := range h.regs {
 		f.Set(st, w.regs[i])
 	}
+	for j, f := range h.flags {
+		f.Set(st, uint64(w.flags>>j&1))
+	}
 	return st
 }
 
 // equalExceptRef is EqualExcept's oracle: it compares the packed images
 // of a and b bit by bit over the space, setting aside the bits skip
-// accepts, and the bits of each word above its field's width directly.
+// accepts, and the bits of each word above its field's width or its mask's
+// elements directly.
 func equalExceptRef(s *Space, h latchHandles, a, b latchWords, skip func(bit int) bool) bool {
 	ia, ib := imageOf(s, h, a), imageOf(s, h, b)
 	for bit := range s.NumBits() {
@@ -169,20 +203,20 @@ func equalExceptRef(s *Space, h latchHandles, a, b latchWords, skip func(bit int
 			return false
 		}
 	}
-	return a.cnt>>3 == b.cnt>>3 && a.regs[0]>>40 == b.regs[0]>>40 &&
+	return a.cnt>>3 == b.cnt>>3 && a.flags>>5 == b.flags>>5 && a.regs[0]>>40 == b.regs[0]>>40 &&
 		a.regs[1]>>48 == b.regs[1]>>48 && a.regs[2]>>56 == b.regs[2]>>56
 }
 
 // TestEqualExcept pins EqualExcept on the valid pair: identical structs,
 // one difference in a skipped and in an unskipped bit, differences spread
-// over several words, a bool word, and the bits that hold no space bit —
-// a word's bits above its field's width and a padding byte — which are
-// differences whatever skip says.
+// over several words, a bool word, a mask word, and the bits that hold no
+// space bit — a word's bits above its field's width or its mask's
+// elements, and a padding byte — which are differences whatever skip says.
 func TestEqualExcept(t *testing.T) {
 	s, h := newLatchPair()
 	m := NewLatches[latchWords](s, &h)
 	var base latchWords
-	base.pc, base.cnt, base.regs = 0x1234, 5, [3]uint64{7, 1 << 40, 3}
+	base.pc, base.cnt, base.regs, base.flags = 0x1234, 5, [3]uint64{7, 1 << 40, 3}, 0b10110
 	none := func(int) bool { return false }
 	all := func(int) bool { return true }
 	only := func(bits ...int) func(int) bool {
@@ -202,8 +236,9 @@ func TestEqualExcept(t *testing.T) {
 		}
 		return u
 	}
-	pcBit, validBit := h.pc.Offset()+9, h.valid.Offset()
-	spread := []int{h.regs[0].Offset() + 3, h.regs[1].Offset() + 47, h.regs[2].Offset(), h.cnt.Offset() + 2, pcBit}
+	pcBit, validBit, flagBit := h.pc.Offset()+9, h.valid.Offset(), h.flags[3].Offset()
+	spread := []int{h.regs[0].Offset() + 3, h.regs[1].Offset() + 47, h.regs[2].Offset(), h.cnt.Offset() + 2,
+		h.flags[0].Offset(), flagBit, pcBit}
 	padded := base
 	pad := unsafe.Offsetof(padded.cnt) + 1
 	if pad >= unsafe.Offsetof(padded.regs) {
@@ -212,6 +247,8 @@ func TestEqualExcept(t *testing.T) {
 	(*[unsafe.Sizeof(padded)]byte)(unsafe.Pointer(&padded))[pad] = 1
 	wide := base
 	wide.cnt |= 1 << 3
+	aboveMask := base
+	aboveMask.flags |= 1 << 5
 	cases := []struct {
 		name string
 		b    latchWords
@@ -222,10 +259,13 @@ func TestEqualExcept(t *testing.T) {
 		{"skipped bit", flipped(pcBit), only(pcBit), true},
 		{"unskipped bit", flipped(pcBit), only(pcBit + 1), false},
 		{"spread, all skipped", flipped(spread...), only(spread...), true},
-		{"spread, one not skipped", flipped(spread...), only(spread[:4]...), false},
+		{"spread, one not skipped", flipped(spread...), only(spread[:len(spread)-1]...), false},
 		{"bool word skipped", flipped(validBit), only(validBit), true},
 		{"bool word not skipped", flipped(validBit), none, false},
+		{"mask word bit skipped", flipped(flagBit), only(flagBit), true},
+		{"mask word bit not skipped", flipped(flagBit), only(h.flags[4].Offset()), false},
 		{"bit above a field's width", wide, all, false},
+		{"bit above a mask's elements", aboveMask, all, false},
 		{"padding byte", padded, all, false},
 	}
 	for _, tc := range cases {
@@ -263,13 +303,16 @@ func TestEqualExcept(t *testing.T) {
 
 // FuzzEqualExcept compares EqualExcept with its bit-by-bit oracle on
 // latchWords decoded from the fuzz bytes, b differing from a in the bits
-// the flip bytes name (0xFF sets a bit above cnt's width instead), and
-// skip accepting the bits whose index mod 64 is set in mask.
+// the flip bytes name (0xFF sets a bit above cnt's width instead, and 0xFE
+// one above the flags mask's elements), and skip accepting the bits whose
+// index mod 64 is set in mask.
 func FuzzEqualExcept(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint64(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0, 64, 150, 179}, ^uint64(0))
 	f.Add([]byte{0xAA, 0x55}, []byte{3, 70, 0xFF}, uint64(0x0F0F))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 7}, []byte{147, 179, 146}, uint64(1<<19|1<<51|1<<18))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0x15}, []byte{180, 184}, uint64(1<<52|1<<56))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0x0A}, []byte{182, 0xFE}, ^uint64(0))
 	s, h := newLatchPair()
 	m := NewLatches[latchWords](s, &h)
 	f.Fuzz(func(t *testing.T, data, flips []byte, mask uint64) {
@@ -281,11 +324,16 @@ func FuzzEqualExcept(f *testing.F) {
 			return binary.LittleEndian.Uint64(buf[:])
 		}
 		a := latchWords{pc: uint32(word(0)), valid: word(0)>>32&1 != 0, cnt: uint8(word(0)>>40) & 7,
-			regs: [3]uint64{word(1) & (1<<40 - 1), word(2) & (1<<48 - 1), word(3) & (1<<56 - 1)}}
+			regs:  [3]uint64{word(1) & (1<<40 - 1), word(2) & (1<<48 - 1), word(3) & (1<<56 - 1)},
+			flags: uint8(word(0)>>48) & 0x1F}
 		b := a
 		for _, d := range flips {
-			if d == 0xFF {
+			switch d {
+			case 0xFF:
 				b.cnt ^= 0x80
+				continue
+			case 0xFE:
+				b.flags ^= 0x80
 				continue
 			}
 			m.Flip(&b, int(d)%s.NumBits())

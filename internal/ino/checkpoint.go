@@ -1,10 +1,6 @@
 package ino
 
-import (
-	"slices"
-
-	"clear/internal/sim"
-)
+import "clear/internal/sim"
 
 // extra is the in-order core's part of a checkpoint: its flip-flop state,
 // the latch struct itself, and the flush-recovery control's hardened
@@ -67,6 +63,6 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 		c.nextAtM == e.nextAtM &&
 		c.regfile == ck.Regs &&
 		(c.u == e.u || latches.EqualExcept(&c.u, &e.u, sharedSpace.Inert)) &&
-		slices.Equal(c.out, ck.Out) &&
-		slices.Equal(c.mem, ck.Mem)
+		sim.WordsEqual(c.out, ck.Out) &&
+		sim.WordsEqual(c.mem, ck.Mem)
 }

@@ -1,10 +1,6 @@
 package ino
 
-import (
-	"slices"
-
-	"clear/internal/sim"
-)
+import "clear/internal/sim"
 
 // Gang hooks for the packed fault-injection engine (sim.GangCore,
 // DESIGN.md §14): lane forking via core-to-core state cloning and the
@@ -59,7 +55,7 @@ func (c *Core) DiffFrom(ref sim.Core) uint8 {
 		c.u != o.u {
 		return sim.DiffState
 	}
-	if !slices.Equal(c.out, o.out) || !slices.Equal(c.mem, o.mem) {
+	if !sim.WordsEqual(c.out, o.out) || !sim.WordsEqual(c.mem, o.mem) {
 		return sim.DiffAux
 	}
 	return 0

@@ -1,10 +1,6 @@
 package ooo
 
-import (
-	"slices"
-
-	"clear/internal/sim"
-)
+import "clear/internal/sim"
 
 // extra is the out-of-order core's part of a checkpoint: its flip-flop
 // state, the latch struct itself, and the predictor and cache-metadata
@@ -91,6 +87,6 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 		(c.u == e.u || latches.EqualExcept(&c.u, &e.u, func(bit int) bool {
 			return sharedSpace.Inert(bit) || dead(&e.u, bit)
 		})) &&
-		slices.Equal(c.out, ck.Out) &&
-		slices.Equal(c.mem, ck.Mem)
+		sim.WordsEqual(c.out, ck.Out) &&
+		sim.WordsEqual(c.mem, ck.Mem)
 }

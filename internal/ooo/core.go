@@ -124,16 +124,14 @@ func (c *Core) Run(maxCycles int) prog.Result {
 	return c.Result()
 }
 
-// age returns the distance of ROB index i from the current head; smaller is
-// older. Under corrupted pointers this degrades gracefully (mod arithmetic).
-func (c *Core) age(head, i uint64) uint64 {
-	return (i - head + RobSize) % RobSize
-}
-
-// readyEntry describes an issue-queue entry eligible for selection.
-type readyEntry struct {
-	iq  int
-	age uint64
+// robAge returns the distance of ROB index i from head, both below
+// RobSize; smaller is older. It is (i - head) mod RobSize, so under
+// corrupted pointers, reduced mod RobSize first, it degrades gracefully.
+func robAge(head, i uint64) uint64 {
+	if i < head {
+		i += RobSize
+	}
+	return i - head
 }
 
 func b2u(b bool) uint64 {

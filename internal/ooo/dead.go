@@ -118,15 +118,15 @@ func closed(u *uLatches, g gate) bool {
 	case gateROBTgt:
 		return closed(u, gate{gateROB, g.idx}) || u.robFlags[i]&2 == 0
 	case gateIQ:
-		return u.iqValid[i] == 0
+		return u.iqValid>>i&1 == 0
 	case gateIQTag1:
-		return u.iqValid[i] == 0 || u.iqS1Rdy[i] != 0
+		return u.iqValid>>i&1 == 0 || u.iqS1Rdy>>i&1 != 0
 	case gateIQVal1:
-		return u.iqValid[i] == 0 || u.iqS1Rdy[i] == 0
+		return u.iqValid>>i&1 == 0 || u.iqS1Rdy>>i&1 == 0
 	case gateIQTag2:
-		return u.iqValid[i] == 0 || u.iqS2Rdy[i] != 0
+		return u.iqValid>>i&1 == 0 || u.iqS2Rdy>>i&1 != 0
 	case gateIQVal2:
-		return u.iqValid[i] == 0 || u.iqS2Rdy[i] == 0
+		return u.iqValid>>i&1 == 0 || u.iqS2Rdy>>i&1 == 0
 	case gateSQ:
 		return u.sqValid[i] == 0
 	case gateSQData:

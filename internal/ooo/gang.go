@@ -1,10 +1,6 @@
 package ooo
 
-import (
-	"slices"
-
-	"clear/internal/sim"
-)
+import "clear/internal/sim"
 
 // Gang hooks for the packed fault-injection engine (sim.GangCore,
 // DESIGN.md §14): lane forking via core-to-core state cloning and the
@@ -58,7 +54,7 @@ func (c *Core) DiffFrom(ref sim.Core) uint8 {
 	if c.arf != o.arf || c.u != o.u {
 		return sim.DiffState
 	}
-	if !slices.Equal(c.out, o.out) || !slices.Equal(c.mem, o.mem) ||
+	if !sim.WordsEqual(c.out, o.out) || !sim.WordsEqual(c.mem, o.mem) ||
 		c.btbTag != o.btbTag || c.btbTgt != o.btbTgt || c.btbValid != o.btbValid ||
 		c.gshare != o.gshare || c.cacheTag != o.cacheTag || c.cacheVld != o.cacheVld {
 		return sim.DiffAux

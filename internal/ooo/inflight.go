@@ -30,7 +30,7 @@ func (c *Core) InFlight(dst []sim.InFlightInst) []sim.InFlightInst {
 	}
 	robPC := func(idx uint64) uint32 { return uint32(u.robPC[idx%RobSize]) }
 	for i := 0; i < IQSize; i++ {
-		if u.iqValid[i] == 1 {
+		if u.iqValid>>i&1 == 1 {
 			dst = append(dst, sim.InFlightInst{Unit: "sched", Slot: i, PC: robPC(u.iqRob[i])})
 		}
 	}

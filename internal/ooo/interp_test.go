@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"clear/internal/bench"
+	"clear/internal/ff"
 	"clear/internal/isa"
 	"clear/internal/prog"
 	"clear/internal/sim"
@@ -261,6 +262,18 @@ func (c *imaged) mulPipeTick() {
 }
 
 // ---- execute ----
+
+// readyEntry describes an issue-queue entry eligible for selection.
+type readyEntry struct {
+	iq  int
+	age uint64
+}
+
+// age returns the distance of ROB index i from the current head; smaller is
+// older. Under corrupted pointers this degrades gracefully (mod arithmetic).
+func (c *imaged) age(head, i uint64) uint64 {
+	return (i - head + RobSize) % RobSize
+}
 
 func (c *imaged) execute() {
 	st := c.st
@@ -1076,5 +1089,111 @@ func TestInFlightCompiledMatchesInterpreter(t *testing.T) {
 		if i == 0 && len(ct.InFlight(nil)) == 0 {
 			t.Fatal("no in-flight instructions observed")
 		}
+	}
+}
+
+// TestSelectWakeupCorners steps issue-queue states that no fault-free run
+// reaches in lockstep with the interpreter. Each is built by editing the
+// packed image of a mid-run state of the tiny program, and each must show
+// its corner after the first cycle:
+//   - three ready entries, the oldest at the ROB head and two naming the
+//     same (corrupted) ROB entry: select issues the oldest, then the lower
+//     index of the tied pair, so the higher one still waits;
+//   - a source waiting on tag RobSize+2 beside one waiting on tag 2, when
+//     a completion of tag 2 wakes only the second;
+//   - all IQSize entries valid and none ready, with instructions in the
+//     fetch buffer: no entry is free, so dispatch stalls and the queue
+//     stays full.
+func TestSelectWakeupCorners(t *testing.T) {
+	p := tinyProgram(t)
+	r := &sharedRegs
+	alu := func(imm int32) uint64 {
+		return uint64(isa.Encode(isa.Inst{Op: isa.ADDI, Rd: 5, Rs1: 1, Imm: imm}))
+	}
+	// entry makes issue-queue entry i an ALU instruction of ROB entry rob
+	// whose source 2 is ready and whose source 1 is ready when tag1 < 0,
+	// and otherwise waits on tag1.
+	entry := func(st *ff.State, i int, rob uint64, tag1 int) {
+		r.iqValid[i].Set(st, 1)
+		r.iqInst[i].Set(st, alu(int32(i)))
+		r.iqRob[i].Set(st, rob)
+		r.iqS2Rdy[i].Set(st, 1)
+		r.iqS2Val[i].Set(st, 7)
+		if tag1 < 0 {
+			r.iqS1Rdy[i].Set(st, 1)
+			r.iqS1Val[i].Set(st, uint64(100*i))
+		} else {
+			r.iqS1Rdy[i].Set(st, 0)
+			r.iqS1Tag[i].Set(st, uint64(tag1))
+		}
+	}
+	only := func(st *ff.State) {
+		for i := range IQSize {
+			r.iqValid[i].Set(st, 0)
+		}
+	}
+	bit := func(w uint16, i int) bool { return w>>i&1 == 1 }
+	cases := []struct {
+		name  string
+		edit  func(st *ff.State, head uint64)
+		check func(ci, ct *imaged) bool
+	}{
+		{"tied ages", func(st *ff.State, head uint64) {
+			only(st)
+			r.robDone[head].Set(st, 0) // commit retires nothing, so head stays
+			entry(st, 9, head, -1)
+			entry(st, 3, (head+5)%RobSize, -1)
+			entry(st, 7, (head+5)%RobSize, -1)
+		}, func(_, ct *imaged) bool {
+			return !bit(ct.u.iqValid, 9) && !bit(ct.u.iqValid, 3) && bit(ct.u.iqValid, 7)
+		}},
+		{"tag above the ROB", func(st *ff.State, head uint64) {
+			only(st)
+			entry(st, 2, 2, -1)
+			entry(st, 4, (head+1)%RobSize, RobSize+2)
+			entry(st, 5, (head+1)%RobSize, 2)
+		}, func(_, ct *imaged) bool {
+			u := &ct.u
+			return bit(u.iqValid&^u.iqS1Rdy, 4) && bit(u.iqValid&u.iqS1Rdy, 5)
+		}},
+		{"full queue", func(st *ff.State, head uint64) {
+			for i := range IQSize {
+				entry(st, i, (head+uint64(i))%RobSize, RobSize+1)
+			}
+			r.fbHead.Set(st, 0)
+			r.fbTail.Set(st, 2)
+			r.fbCount.Set(st, 2)
+			for k := range 2 {
+				r.fbInst[k].Set(st, alu(1))
+				r.fbPC[k].Set(st, 4)
+				r.fbPred[k].Set(st, 0)
+			}
+			r.robCount.Set(st, min(r.robCount.Get(st), RobSize-2))
+		}, func(ci, ct *imaged) bool {
+			return ct.freeIQU() == -1 && ci.freeIQ() == -1 && ct.u.fbCount >= 2
+		}},
+	}
+	for _, tc := range cases {
+		ci, ct := newImaged(p), newImaged(p)
+		for range 40 {
+			ci.stepInterp()
+			ct.Step()
+		}
+		for _, c := range []*imaged{ci, ct} {
+			c.packU()
+			tc.edit(c.st, r.robHead.Get(c.st)%RobSize)
+			c.unpackU()
+		}
+		for cyc := 0; cyc < 64 && !ci.done; cyc++ {
+			ci.stepInterp()
+			ct.Step()
+			requireLockstep(t, ci, ct, false, tc.name)
+			requireSameInFlight(t, ci, ct, tc.name)
+			if cyc == 0 && !tc.check(ci, ct) {
+				t.Fatalf("%s: the first cycle does not show the corner: iqValid %016b, iqS1Rdy %016b",
+					tc.name, ct.u.iqValid, ct.u.iqS1Rdy)
+			}
+		}
+		requireSameEnd(t, ci, ct, tc.name)
 	}
 }

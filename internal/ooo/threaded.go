@@ -1,6 +1,8 @@
 package ooo
 
 import (
+	"math/bits"
+
 	"clear/internal/isa"
 	"clear/internal/prog"
 	"clear/internal/sim"
@@ -122,20 +124,21 @@ func (c *Core) commitU() {
 	}
 }
 
-// broadcastU is the compiled twin of broadcast.
+// broadcastU is the compiled twin of broadcast. It visits only the valid
+// entries whose source is still waiting: a wakeup of one source neither
+// reads nor writes the other's slot.
 func (c *Core) broadcastU(tag uint64, val uint32) {
 	u := &c.u
-	for i := 0; i < IQSize; i++ {
-		if u.iqValid[i] == 0 {
-			continue
-		}
-		if u.iqS1Rdy[i] == 0 && u.iqS1Tag[i] == tag {
+	for w := u.iqValid &^ u.iqS1Rdy; w != 0; w &= w - 1 {
+		if i := bits.TrailingZeros16(w); u.iqS1Tag[i] == tag {
 			u.iqS1Val[i] = uint64(val)
-			u.iqS1Rdy[i] = 1
+			u.iqS1Rdy |= 1 << i
 		}
-		if u.iqS2Rdy[i] == 0 && u.iqS2Tag[i] == tag {
+	}
+	for w := u.iqValid &^ u.iqS2Rdy; w != 0; w &= w - 1 {
+		if i := bits.TrailingZeros16(w); u.iqS2Tag[i] == tag {
 			u.iqS2Val[i] = uint64(val)
-			u.iqS2Rdy[i] = 1
+			u.iqS2Rdy |= 1 << i
 		}
 	}
 }
@@ -202,36 +205,31 @@ func (c *Core) mulPipeTickU() {
 	}
 }
 
-// executeU is the compiled twin of execute.
+// executeU is the compiled twin of execute. The entries ready at the start
+// of the cycle are selected oldest first, the lower index first among
+// equal ages (corrupted ROB indices can tie): the order of the
+// interpreter's stable sort.
 func (c *Core) executeU() {
 	u := &c.u
+	ready := u.iqValid & u.iqS1Rdy & u.iqS2Rdy
 	head := u.robHead % RobSize
-
-	// Oldest-first select of ready entries.
-	var ready [IQSize]readyEntry
-	nReady := 0
-	for i := 0; i < IQSize; i++ {
-		if u.iqValid[i] == 0 {
-			continue
-		}
-		if u.iqS1Rdy[i] == 0 || u.iqS2Rdy[i] == 0 {
-			continue
-		}
-		ready[nReady] = readyEntry{iq: i, age: c.age(head, u.iqRob[i]%RobSize)}
-		nReady++
-	}
-	// insertion sort by age (nReady <= 16)
-	for i := 1; i < nReady; i++ {
-		for j := i; j > 0 && ready[j].age < ready[j-1].age; j-- {
-			ready[j], ready[j-1] = ready[j-1], ready[j]
-		}
+	var ages [IQSize]uint8
+	for w := ready; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros16(w)
+		ages[i] = uint8(robAge(head, u.iqRob[i]%RobSize))
 	}
 
 	issued := 0
 	loadPortBusy := u.ldValid == 1
 	mulPortBusy := u.muV[0] == 1
-	for k := 0; k < nReady && issued < IssueWidth; k++ {
-		i := ready[k].iq
+	for ready != 0 && issued < IssueWidth {
+		i := bits.TrailingZeros16(ready)
+		for w := ready & (ready - 1); w != 0; w &= w - 1 {
+			if j := bits.TrailingZeros16(w); ages[j] < ages[i] {
+				i = j
+			}
+		}
+		ready &^= 1 << i
 		word := uint32(u.iqInst[i])
 		tag := u.iqRob[i] % RobSize
 		d := c.dec(uint32(u.robPC[tag]), word)
@@ -261,7 +259,7 @@ func (c *Core) executeU() {
 			}
 			u.muV[0] = 1
 			mulPortBusy = true
-			u.iqValid[i] = 0
+			u.iqValid &^= 1 << i
 		case d.In.Op == isa.SW:
 			addr := uint32(int32(s1) + d.In.Imm)
 			if int(int32(addr)) < 0 || int(int32(addr)) >= len(c.mem) {
@@ -277,15 +275,11 @@ func (c *Core) executeU() {
 				}
 			}
 			c.completeU(tag, addr)
-			u.iqValid[i] = 0
+			u.iqValid &^= 1 << i
 		case d.IsControl:
+			// executeBranchU may squash the whole window, including the
+			// ready set; stop selecting this cycle.
 			c.executeBranchU(i, tag, d, s1, s2)
-			// executeBranchU may squash the whole window, including our
-			// ready list; stop selecting this cycle.
-			issued++
-			if u.iqValid[i] == 1 {
-				u.iqValid[i] = 0
-			}
 			return
 		default:
 			val, exc := d.ALU(s1, s2)
@@ -295,7 +289,7 @@ func (c *Core) executeU() {
 			} else {
 				c.completeU(tag, val)
 			}
-			u.iqValid[i] = 0
+			u.iqValid &^= 1 << i
 			u.rrEx[i%6] = uint64(val)
 		}
 		issued++
@@ -306,7 +300,7 @@ func (c *Core) executeU() {
 // pre-decoded immediate.
 func (c *Core) tryIssueLoadU(iq int, tag uint64, imm int32, s1 uint32, head uint64) bool {
 	u := &c.u
-	loadAge := c.age(head, tag)
+	loadAge := robAge(head, tag)
 	// memory-ordering check: any older store not yet executed blocks us
 	for a := uint64(0); a < loadAge; a++ {
 		idx := (head + a) % RobSize
@@ -319,7 +313,7 @@ func (c *Core) tryIssueLoadU(iq int, tag uint64, imm int32, s1 uint32, head uint
 	if int(int32(addr)) < 0 || int(int32(addr)) >= len(c.mem) {
 		u.robExc[tag] = 1
 		u.robDone[tag] = 1
-		u.iqValid[iq] = 0
+		u.iqValid &^= 1 << iq
 		return true
 	}
 	// store-to-load forwarding: youngest older store to the same address
@@ -330,7 +324,7 @@ func (c *Core) tryIssueLoadU(iq int, tag uint64, imm int32, s1 uint32, head uint
 		if u.sqValid[q] == 0 || u.sqDone[q] == 0 {
 			continue
 		}
-		sAge := c.age(head, u.sqRob[q]%RobSize)
+		sAge := robAge(head, u.sqRob[q]%RobSize)
 		if sAge >= loadAge {
 			continue
 		}
@@ -347,7 +341,7 @@ func (c *Core) tryIssueLoadU(iq int, tag uint64, imm int32, s1 uint32, head uint
 	}
 	if found {
 		c.completeU(tag, bestData)
-		u.iqValid[iq] = 0
+		u.iqValid &^= 1 << iq
 		return true
 	}
 	// cache access with variable latency
@@ -365,7 +359,7 @@ func (c *Core) tryIssueLoadU(iq int, tag uint64, imm int32, s1 uint32, head uint
 	u.ldAddr = uint64(addr)
 	u.ldCnt = lat
 	u.ldAddrOut[int(line)%2] = uint64(addr)
-	u.iqValid[iq] = 0
+	u.iqValid &^= 1 << iq
 	return true
 }
 
@@ -382,7 +376,7 @@ func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32)
 		val = link
 	}
 	c.completeU(tag, val)
-	u.iqValid[iq] = 0
+	u.iqValid &^= 1 << iq
 	u.caBr = b2u(taken)
 	u.caP[0] = uint64(target)
 
@@ -415,19 +409,19 @@ func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32)
 
 	// ---- squash everything younger than the branch ----
 	head := u.robHead % RobSize
-	bAge := c.age(head, tag)
+	bAge := robAge(head, tag)
 	u.robTail = (tag + 1) % RobSize
 	u.robCount = bAge + 1
 	// issue queue
-	for i := 0; i < IQSize; i++ {
-		if u.iqValid[i] == 1 && c.age(head, u.iqRob[i]%RobSize) > bAge {
-			u.iqValid[i] = 0
+	for w := u.iqValid; w != 0; w &= w - 1 {
+		if i := bits.TrailingZeros16(w); robAge(head, u.iqRob[i]%RobSize) > bAge {
+			u.iqValid &^= 1 << i
 		}
 	}
 	// store queue: pop younger entries from the tail
 	for u.sqCount > 0 {
 		t := (u.sqTail + SQSize - 1) % SQSize
-		if u.sqValid[t] == 1 && c.age(head, u.sqRob[t]%RobSize) > bAge {
+		if u.sqValid[t] == 1 && robAge(head, u.sqRob[t]%RobSize) > bAge {
 			u.sqValid[t] = 0
 			u.sqTail = t
 			u.sqCount--
@@ -436,12 +430,12 @@ func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32)
 		}
 	}
 	// in-flight load
-	if u.ldValid == 1 && c.age(head, u.ldRob%RobSize) > bAge {
+	if u.ldValid == 1 && robAge(head, u.ldRob%RobSize) > bAge {
 		u.ldValid = 0
 	}
 	// multiplier pipeline
 	for i := 0; i < 4; i++ {
-		if u.muV[i] == 1 && c.age(head, u.muRob[i]%RobSize) > bAge {
+		if u.muV[i] == 1 && robAge(head, u.muRob[i]%RobSize) > bAge {
 			u.muV[i] = 0
 		}
 	}
@@ -522,7 +516,7 @@ func (c *Core) dispatchU() {
 			u.robExc[tail] = 0
 			u.robDone[tail] = 0
 			iq := c.freeIQU()
-			u.iqValid[iq] = 1
+			u.iqValid |= 1 << iq
 			u.iqInst[iq] = uint64(word)
 			u.iqRob[iq] = tail
 			c.renameSourceU(iq, 0, d)
@@ -560,12 +554,15 @@ func (c *Core) renameSourceU(iq, k int, d *tcode.DInst) {
 	} else {
 		reg, used = d.In.Rs2, d.NeedsRs2
 	}
-	var tagV, rdyV, valV uint64
+	var tagV, valV uint64
+	var rdyV uint16
 	setSlot := func() {
 		if k == 0 {
-			u.iqS1Tag[iq], u.iqS1Rdy[iq], u.iqS1Val[iq] = tagV, rdyV, valV
+			u.iqS1Tag[iq], u.iqS1Val[iq] = tagV, valV
+			u.iqS1Rdy = u.iqS1Rdy&^(1<<iq) | rdyV<<iq
 		} else {
-			u.iqS2Tag[iq], u.iqS2Rdy[iq], u.iqS2Val[iq] = tagV, rdyV, valV
+			u.iqS2Tag[iq], u.iqS2Val[iq] = tagV, valV
+			u.iqS2Rdy = u.iqS2Rdy&^(1<<iq) | rdyV<<iq
 		}
 	}
 	// the interpreter's renameSource (interp_test.go) leaves the tag slot
@@ -605,12 +602,11 @@ func (c *Core) renameSourceU(iq, k int, d *tcode.DInst) {
 	setSlot()
 }
 
-// freeIQU is the compiled twin of freeIQ.
+// freeIQU is the compiled twin of freeIQ: the lowest invalid entry, or -1
+// when all are valid.
 func (c *Core) freeIQU() int {
-	for i := 0; i < IQSize; i++ {
-		if c.u.iqValid[i] == 0 {
-			return i
-		}
+	if i := bits.TrailingZeros16(^c.u.iqValid); i < IQSize {
+		return i
 	}
 	return -1
 }

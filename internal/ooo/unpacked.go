@@ -13,11 +13,14 @@ package ooo
 // state is exactly the packed image in the space's bit layout, which the
 // tests' codec (unpacked_test.go) converts to and from.
 //
-// Every field is a uint64 carrying exactly the value ff.Field.Get would
-// return, so the compiled loop's arithmetic (modular ROB ages, wrap-around
-// head/tail pointers) is bit-identical to uint64 arithmetic on the packed
-// fields — the test oracle's (interp_test.go) — even for corrupted
-// (injected) values.
+// Every field but three is a uint64 carrying exactly the value
+// ff.Field.Get would return, so the compiled loop's arithmetic (ROB ages,
+// wrap-around head/tail pointers) is bit-identical to uint64 arithmetic on
+// the packed fields — the test oracle's (interp_test.go) — even for
+// corrupted (injected) values. The three are the issue queue's valid and
+// source-ready bits: each array of 1-bit fields is one uint16 mask word
+// (ff.Latches), entry i in bit i, so that select, wakeup and allocation
+// are word operations on the flip-flop state itself.
 type uLatches struct {
 	// fetch
 	pc        uint64
@@ -46,15 +49,13 @@ type uLatches struct {
 	robPTgt                    [RobSize]uint64
 
 	// issue queue
-	iqValid [IQSize]uint64
-	iqInst  [IQSize]uint64
-	iqRob   [IQSize]uint64
-	iqS1Tag [IQSize]uint64
-	iqS1Rdy [IQSize]uint64
-	iqS1Val [IQSize]uint64
-	iqS2Tag [IQSize]uint64
-	iqS2Rdy [IQSize]uint64
-	iqS2Val [IQSize]uint64
+	iqValid, iqS1Rdy, iqS2Rdy uint16 // mask words: entry i in bit i
+	iqInst                    [IQSize]uint64
+	iqRob                     [IQSize]uint64
+	iqS1Tag                   [IQSize]uint64
+	iqS1Val                   [IQSize]uint64
+	iqS2Tag                   [IQSize]uint64
+	iqS2Val                   [IQSize]uint64
 
 	// store queue
 	sqHead, sqTail, sqCount uint64

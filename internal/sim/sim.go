@@ -195,3 +195,28 @@ type GangCore interface {
 	// returns false.
 	Dead(bit int) bool
 }
+
+// WordsEqual reports whether a and b hold the same words: a checkpoint's
+// data memory or output stream against a core's. It compares whole
+// 64-word chunks, one memory comparison each, then the tail word by word,
+// so its speed does not hang on where the compiler places a scalar loop.
+func WordsEqual(a, b []uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for len(a) >= wordsChunk {
+		if *(*[wordsChunk]uint32)(a) != *(*[wordsChunk]uint32)(b) {
+			return false
+		}
+		a, b = a[wordsChunk:], b[wordsChunk:]
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// wordsChunk is the number of words WordsEqual compares at once.
+const wordsChunk = 64
