@@ -185,15 +185,20 @@ func TechniqueTV(name string, baseByBench, techByBench []*inject.Result,
 	gammaByBench []float64, metric core.Metric,
 	trains, validates [][]int, seed int64) HighLevelTV {
 	imp := func(idx []int) float64 {
-		base := Aggregate(sub(baseByBench, idx))
-		tech := Aggregate(sub(techByBench, idx))
+		// the split's totals, summed as Aggregate sums them
+		base := &inject.Result{}
+		var tech inject.Counts
+		for _, i := range idx {
+			base.Totals.Merge(baseByBench[i].Totals)
+			tech.Merge(techByBench[i].Totals)
+		}
 		origRate := core.BaseRate(base, metric)
 		var newRate float64
-		n := float64(tech.Totals.N)
+		n := float64(tech.N)
 		if metric == core.SDC {
-			newRate = float64(tech.Totals.SDC()) / n
+			newRate = float64(tech.SDC()) / n
 		} else {
-			newRate = float64(tech.Totals.DUE()) / n
+			newRate = float64(tech.DUE()) / n
 		}
 		g := 0.0
 		for _, i := range idx {
@@ -236,14 +241,6 @@ func TechniqueTV(name string, baseByBench, techByBench []*inject.Result,
 		out.Underestimate = (out.Validate - out.Train) / out.Train
 	}
 	out.PValue = stats.PairedPermutationP(diffs, 2000, stats.New(seed))
-	return out
-}
-
-func sub(rs []*inject.Result, idx []int) []*inject.Result {
-	var out []*inject.Result
-	for _, i := range idx {
-		out = append(out, rs[i])
-	}
 	return out
 }
 

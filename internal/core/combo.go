@@ -26,12 +26,12 @@ type Combo struct {
 func (c Combo) Name() string {
 	var parts []string
 	seen := map[string]bool{}
-	for _, t := range technique.Default().Techniques() {
+	technique.Default().Walk(func(t technique.Technique) {
 		seen[t.Name()] = true
 		if c.Active(t.Name()) {
 			parts = append(parts, t.Name())
 		}
-	}
+	})
 	// extras whose technique has since been unregistered still label
 	for _, x := range c.Variant.Extra {
 		if !seen[x] {
@@ -64,9 +64,15 @@ type Outcome struct {
 // flip-flop overhead is applied via PlanFFOverhead, not here; only its
 // execution-time impact (pipeline flush) enters.
 func (e *Engine) HighLevelGamma(c Combo, execOverhead float64) float64 {
+	return e.highLevelGamma(c.ActiveTechniques(), c.Recovery, execOverhead)
+}
+
+// highLevelGamma is HighLevelGamma of a combination with active
+// techniques active and recovery rec.
+func (e *Engine) highLevelGamma(active []technique.Technique, rec recovery.Kind, execOverhead float64) float64 {
 	var ffOv, timeOv []float64
 	coreName := e.Kind.String()
-	for _, t := range c.ActiveTechniques() {
+	for _, t := range active {
 		gc, ok := t.(technique.GammaContributor)
 		if !ok {
 			continue
@@ -81,7 +87,7 @@ func (e *Engine) HighLevelGamma(c Combo, execOverhead float64) float64 {
 	if execOverhead > 0 {
 		timeOv = append(timeOv, execOverhead)
 	}
-	if rt := technique.Default().Recovery(c.Recovery); rt != nil {
+	if rt := technique.Default().Recovery(rec); rt != nil {
 		if gc, ok := rt.(technique.GammaContributor); ok {
 			if x := gc.GammaExec(coreName); x != 0 {
 				timeOv = append(timeOv, x)
@@ -95,9 +101,15 @@ func (e *Engine) HighLevelGamma(c Combo, execOverhead float64) float64 {
 // layers (the software/algorithm execution overhead is measured): the fixed
 // Cost contributions of the active techniques.
 func (e *Engine) HighLevelCost(c Combo, execOverhead float64) power.Cost {
+	return e.highLevelCost(c.ActiveTechniques(), execOverhead)
+}
+
+// highLevelCost is HighLevelCost of a combination with active techniques
+// active.
+func (e *Engine) highLevelCost(active []technique.Technique, execOverhead float64) power.Cost {
 	cost := power.Cost{ExecTime: execOverhead}
 	coreName := e.Kind.String()
-	for _, t := range c.ActiveTechniques() {
+	for _, t := range active {
 		if tc := t.Cost(e.Model, coreName); tc != (power.Cost{}) {
 			cost = cost.Plus(tc)
 		}
@@ -118,33 +130,35 @@ func (e *Engine) EvalCombo(b *bench.Benchmark, c Combo, metric Metric, target fl
 // PlanCombo is EvalCombo returning the concrete implementation plan as well
 // (used for plan post-processing such as LEAP-ctrl augmentation).
 func (e *Engine) PlanCombo(b *bench.Benchmark, c Combo, metric Metric, target float64) (Outcome, *Plan, error) {
-	techRes, execOv, opt, err := e.comboInputs(b, c)
+	in, err := e.comboInputs(b, c)
 	if err != nil {
 		return Outcome{}, nil, err
 	}
-	plan := e.SelectiveHarden(techRes, opt, metric, target)
-	out, err := e.finishOutcome(c, techRes, plan, opt, execOv, target, metric)
-	return out, plan, err
+	plan, im, ok := e.selectiveHarden(in.techRes, in.opt, metric, target)
+	if !ok {
+		im = e.implement(plan)
+	}
+	return e.outcome(in.techRes, plan, im, in.opt, in.highCost, target, metric), plan, nil
 }
 
 // OutcomeForPlan evaluates a fixed plan under a combination's high layers
 // on one benchmark (used after plan post-processing).
 func (e *Engine) OutcomeForPlan(b *bench.Benchmark, c Combo, plan *Plan) (Outcome, error) {
-	techRes, execOv, opt, err := e.comboInputs(b, c)
+	in, err := e.comboInputs(b, c)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return e.finishOutcome(c, techRes, plan, opt, execOv, math.Inf(1), SDC)
+	return e.finishOutcome(c, in.techRes, plan, in.opt, in.execOv, math.Inf(1), SDC)
 }
 
 // EvalComboJoint meets SDC and DUE targets simultaneously (Table 20).
 func (e *Engine) EvalComboJoint(b *bench.Benchmark, c Combo, target float64) (Outcome, error) {
-	techRes, execOv, opt, err := e.comboInputs(b, c)
+	in, err := e.comboInputs(b, c)
 	if err != nil {
 		return Outcome{}, err
 	}
-	plan := e.JointHarden(techRes, opt, target)
-	out, err := e.finishOutcome(c, techRes, plan, opt, execOv, target, SDC)
+	plan := e.JointHarden(in.techRes, in.opt, target)
+	out, err := e.finishOutcome(c, in.techRes, plan, in.opt, in.execOv, target, SDC)
 	if err != nil {
 		return out, err
 	}
@@ -153,45 +167,69 @@ func (e *Engine) EvalComboJoint(b *bench.Benchmark, c Combo, target float64) (Ou
 	return out, nil
 }
 
+// cellInputs is what evaluating a combination on one benchmark starts
+// from, gathered once per cell by comboInputs.
+type cellInputs struct {
+	techRes  *inject.Result // the campaign of the combination's variant
+	execOv   float64        // the variant's measured execution overhead
+	highCost power.Cost     // HighLevelCost at execOv
+	opt      HardenOptions
+}
+
 // comboInputs gathers what evaluating combination c on b starts from: the
 // campaign of c's high-layer variant (the base campaign for the "base"
-// tag), the variant's measured execution overhead, and the hardening
-// options — c's low-layer techniques and recovery, its high layers' fixed
-// γ, and the unprotected design's SDC and DUE rates.
-func (e *Engine) comboInputs(b *bench.Benchmark, c Combo) (*inject.Result, float64, HardenOptions, error) {
+// tag), the variant's measured execution overhead, the high layers' cost,
+// and the hardening options — c's low-layer techniques and recovery, its
+// high layers' fixed γ, and the unprotected design's SDC and DUE rates.
+// It renders the variant's tag and lists c's active techniques once.
+func (e *Engine) comboInputs(b *bench.Benchmark, c Combo) (cellInputs, error) {
 	baseRes, err := e.Base(b)
 	if err != nil {
-		return nil, 0, HardenOptions{}, err
+		return cellInputs{}, err
 	}
+	tag := c.Variant.Tag()
 	techRes := baseRes
-	if c.Variant.Tag() != "base" {
-		techRes, err = e.Campaign(b, c.Variant)
+	if tag != baseTag {
+		techRes, err = e.campaign(b, c.Variant, tag)
 		if err != nil {
-			return nil, 0, HardenOptions{}, err
+			return cellInputs{}, err
 		}
 	}
-	execOv, err := e.ExecOverhead(b, c.Variant)
+	execOv, err := e.execOverhead(b, c.Variant, tag)
 	if err != nil {
-		return nil, 0, HardenOptions{}, err
+		return cellInputs{}, err
 	}
+	active := c.ActiveTechniques()
 	n := float64(baseRes.Totals.N)
-	return techRes, execOv, HardenOptions{
-		DICE: c.DICE, Parity: c.Parity, EDS: c.EDS,
-		Recovery:    c.Recovery,
-		FixedGamma:  e.HighLevelGamma(c, execOv),
-		BaseSDCRate: float64(baseRes.Totals.SDC()) / n,
-		BaseDUERate: float64(baseRes.Totals.UT+baseRes.Totals.Hang) / n,
+	return cellInputs{
+		techRes:  techRes,
+		execOv:   execOv,
+		highCost: e.highLevelCost(active, execOv),
+		opt: HardenOptions{
+			DICE: c.DICE, Parity: c.Parity, EDS: c.EDS,
+			Recovery:    c.Recovery,
+			FixedGamma:  e.highLevelGamma(active, c.Recovery, execOv),
+			BaseSDCRate: float64(baseRes.Totals.SDC()) / n,
+			BaseDUERate: float64(baseRes.Totals.UT+baseRes.Totals.Hang) / n,
+		},
 	}, nil
 }
 
+// finishOutcome evaluates plan under combination c's high layers,
+// implementing it anew.
 func (e *Engine) finishOutcome(c Combo, techRes *inject.Result, plan *Plan,
 	opt HardenOptions, execOv, target float64, metric Metric) (Outcome, error) {
-	im := e.implement(plan)
+	return e.outcome(techRes, plan, e.implement(plan), opt, e.HighLevelCost(c, execOv), target, metric), nil
+}
+
+// outcome evaluates a plan with its implementation im: the residual rates,
+// γ, protected count, and cost over the high layers' cost highCost.
+func (e *Engine) outcome(techRes *inject.Result, plan *Plan, im planImpl,
+	opt HardenOptions, highCost power.Cost, target float64, metric Metric) Outcome {
 	var out Outcome
 	out.SDCImp, out.DUEImp, out.Gamma = e.improvements(techRes, plan, im, opt)
 	out.Protected = im.protected()
-	// cost: high layers (with measured exec overhead) + implementation plan
-	out.Cost = e.HighLevelCost(c, execOv).Plus(e.planCost(plan, im))
+	out.Cost = highCost.Plus(e.planCost(plan, im))
 	if math.IsInf(target, 1) {
 		out.TargetMet = true
 	} else if metric == SDC {
@@ -199,7 +237,7 @@ func (e *Engine) finishOutcome(c Combo, techRes *inject.Result, plan *Plan,
 	} else {
 		out.TargetMet = out.DUEImp >= target
 	}
-	return out, nil
+	return out
 }
 
 // AvgOutcome averages a combination across benchmarks at a target: costs

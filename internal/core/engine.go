@@ -22,6 +22,7 @@ import (
 	"clear/internal/ooo"
 	"clear/internal/power"
 	"clear/internal/prog"
+	"clear/internal/recovery"
 	"clear/internal/resilient"
 	"clear/internal/sim"
 	"clear/internal/singleflight"
@@ -96,6 +97,14 @@ type Engine struct {
 	programSF  singleflight.Group[*prog.Program]
 	nominalSF  singleflight.Group[int]
 
+	// maxPlans memoizes the max plan (+Inf target) of each pass-option
+	// key with its implementation (guarded by mu; see maxPlan).
+	maxPlans map[maxPlanKey]*maxPlanEntry
+	// recBits[k] tells, per flip-flop, whether recovery k recovers it
+	// (recoverableBits; built once under recOnce). EIR is the last kind.
+	recOnce sync.Once
+	recBits [recovery.EIR + 1][]bool
+
 	// Inj scopes the fault-injection engine's counters (prune rate, cache
 	// hits, quarantines) to this engine, so two engines sweeping in one
 	// process never conflate each other's numbers. Set by NewEngine.
@@ -158,6 +167,7 @@ func NewEngine(kind inject.CoreKind) *Engine {
 		campaigns: make(map[string]*inject.Result),
 		programs:  make(map[string]*prog.Program),
 		nomCycles: make(map[string]int),
+		maxPlans:  make(map[maxPlanKey]*maxPlanEntry),
 	}
 	if kind == inject.InO {
 		e.Space = ino.Space()
@@ -217,7 +227,13 @@ func (v Variant) has(s SWTechnique) bool {
 // benchmark. ABFT falls back to the unprotected kernel for benchmarks the
 // algorithm technique does not apply to (the paper's Sec 3.2.1 situation).
 func (e *Engine) BuildProgram(b *bench.Benchmark, v Variant) (*prog.Program, error) {
-	key := b.Name + "|" + v.Tag()
+	return e.buildProgram(b, v, v.Tag())
+}
+
+// buildProgram is BuildProgram of a variant whose tag the caller has
+// computed.
+func (e *Engine) buildProgram(b *bench.Benchmark, v Variant, tag string) (*prog.Program, error) {
+	key := b.Name + "|" + tag
 	e.mu.Lock()
 	if p, ok := e.programs[key]; ok {
 		e.mu.Unlock()
@@ -377,7 +393,12 @@ func (c checkerChain) Equal(other sim.Checker) bool {
 // variant. Concurrent callers asking for the same (benchmark, variant) are
 // deduplicated: the campaign is computed exactly once and shared.
 func (e *Engine) Campaign(b *bench.Benchmark, v Variant) (*inject.Result, error) {
-	key := b.Name + "|" + inject.ModelTag(e.FaultModel, v.Tag())
+	return e.campaign(b, v, v.Tag())
+}
+
+// campaign is Campaign of a variant whose tag the caller has computed.
+func (e *Engine) campaign(b *bench.Benchmark, v Variant, tag string) (*inject.Result, error) {
+	key := b.Name + "|" + inject.ModelTag(e.FaultModel, tag)
 	e.mu.Lock()
 	if r, ok := e.campaigns[key]; ok {
 		e.mu.Unlock()
@@ -392,13 +413,12 @@ func (e *Engine) Campaign(b *bench.Benchmark, v Variant) (*inject.Result, error)
 			return r, nil
 		}
 		e.mu.Unlock()
-		p, err := e.BuildProgram(b, v)
+		p, err := e.buildProgram(b, v, tag)
 		if err != nil {
 			return nil, err
 		}
-		tag := v.Tag()
 		samples := e.SamplesTech
-		if tag == "base" {
+		if tag == baseTag {
 			samples = e.SamplesBase
 		}
 		cfg := inject.Config{
@@ -436,7 +456,7 @@ func (e *Engine) Campaign(b *bench.Benchmark, v Variant) (*inject.Result, error)
 
 // Base returns the baseline (unprotected) campaign for a benchmark.
 func (e *Engine) Base(b *bench.Benchmark) (*inject.Result, error) {
-	return e.Campaign(b, Variant{})
+	return e.campaign(b, Variant{}, baseTag)
 }
 
 // ExecOverhead returns the error-free execution-time overhead of a variant
@@ -448,25 +468,31 @@ func (e *Engine) Base(b *bench.Benchmark) (*inject.Result, error) {
 // commits). The counts therefore come from the campaigns this engine has
 // run or loaded; only a program with no campaign yet is simulated, once.
 func (e *Engine) ExecOverhead(b *bench.Benchmark, v Variant) (float64, error) {
-	if v.Tag() == "base" {
+	return e.execOverhead(b, v, v.Tag())
+}
+
+// execOverhead is ExecOverhead of a variant whose tag the caller has
+// computed.
+func (e *Engine) execOverhead(b *bench.Benchmark, v Variant, tag string) (float64, error) {
+	if tag == baseTag {
 		return 0, nil
 	}
-	base, err := e.nominalCycles(b, Variant{})
+	base, err := e.nominalCycles(b, Variant{}, baseTag)
 	if err != nil {
 		return 0, err
 	}
-	n, err := e.nominalCycles(b, v)
+	n, err := e.nominalCycles(b, v, tag)
 	if err != nil {
 		return 0, err
 	}
 	return float64(n)/float64(base) - 1, nil
 }
 
-// nominalCycles returns the fault-free cycle count of a variant's program,
-// simulating it only when no campaign or earlier call has recorded it.
-// Concurrent callers share one in-flight run.
-func (e *Engine) nominalCycles(b *bench.Benchmark, v Variant) (int, error) {
-	key := b.Name + "|" + v.Tag()
+// nominalCycles returns the fault-free cycle count of a variant's program
+// (tagged tag), simulating it only when no campaign or earlier call has
+// recorded it. Concurrent callers share one in-flight run.
+func (e *Engine) nominalCycles(b *bench.Benchmark, v Variant, tag string) (int, error) {
+	key := b.Name + "|" + tag
 	e.mu.Lock()
 	n, ok := e.nomCycles[key]
 	e.mu.Unlock()
@@ -480,13 +506,13 @@ func (e *Engine) nominalCycles(b *bench.Benchmark, v Variant) (int, error) {
 		if ok {
 			return n, nil
 		}
-		p, err := e.BuildProgram(b, v)
+		p, err := e.buildProgram(b, v, tag)
 		if err != nil {
 			return 0, err
 		}
 		r := inject.NewCore(e.Kind, p).Run(20_000_000)
 		if r.Status != prog.StatusHalted {
-			return 0, fmt.Errorf("core: exec overhead run failed for %s/%s", b.Name, v.Tag())
+			return 0, fmt.Errorf("core: exec overhead run failed for %s/%s", b.Name, tag)
 		}
 		e.statOverheadsRun.Add(1)
 		e.mu.Lock()

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"clear/internal/inject"
 	"clear/internal/recovery"
@@ -36,10 +34,9 @@ const parityTreeSlack = 7
 // when timing slack allows a 32-bit tree, and LEAP-DICE (or EDS, when the
 // combination includes it) otherwise.
 func (e *Engine) chooseCell(bit int, hasDICE, hasParity, hasEDS bool, rec recovery.Kind) CellKind {
-	coreName := e.Kind.String()
 	needHarden := false
 	if rec == recovery.Flush || rec == recovery.RoB {
-		needHarden = !recovery.Recoverable(rec, coreName, e.Space, bit)
+		needHarden = !e.recoverableBits(rec)[bit]
 	}
 	if hasDICE && needHarden {
 		return CellDICE
@@ -88,30 +85,44 @@ func failCounts(st inject.FFStats) (sdc, due float64) {
 	return float64(st.OMM), float64(st.UT) + float64(st.Hang) + float64(st.ED)
 }
 
-// failKey returns a flip-flop's measured failure count under a metric.
-func failKey(st inject.FFStats, m Metric) float64 {
-	sdc, due := failCounts(st)
+// failCount returns a flip-flop's measured failure count under a metric:
+// failCounts' SDC or DUE count, as an integer.
+func failCount(st inject.FFStats, m Metric) int {
 	if m == SDC {
-		return sdc
+		return int(st.OMM)
 	}
-	return due
+	return int(st.UT) + int(st.Hang) + int(st.ED)
 }
 
 // failingOrder returns the flip-flops with a non-zero failure count under
 // a metric, most failures first and ties in index order. It is the prefix
 // of a stable descending sort of every flip-flop by that count: the
 // flip-flops it leaves out all count zero, so that sort places them after
-// these, in index order.
+// these, in index order. The counts are integers no larger than a
+// flip-flop's sample count, so a counting sort gives that order in linear
+// time.
 func failingOrder(res *inject.Result, m Metric) []int {
-	var order []int
+	maxCount := 0
+	for _, st := range res.PerFF {
+		maxCount = max(maxCount, failCount(st, m))
+	}
+	// next[c] is the next slot of the flip-flops counting c: after every
+	// flip-flop with a higher count and every earlier one counting c.
+	next := make([]int, maxCount+1)
+	for _, st := range res.PerFF {
+		next[failCount(st, m)]++
+	}
+	failing := 0
+	for c := maxCount; c > 0; c-- {
+		next[c], failing = failing, failing+next[c]
+	}
+	order := make([]int, failing)
 	for bit, st := range res.PerFF {
-		if failKey(st, m) != 0 {
-			order = append(order, bit)
+		if c := failCount(st, m); c > 0 {
+			order[next[c]] = bit
+			next[c]++
 		}
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		return cmp.Compare(failKey(res.PerFF[b], m), failKey(res.PerFF[a], m))
-	})
 	return order
 }
 
@@ -127,9 +138,18 @@ func failingOrder(res *inject.Result, m Metric) []int {
 // enough, the remaining flip-flops follow in index order (an upper-bound
 // design).
 func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric Metric, target float64) *Plan {
-	plan := NewPlan(len(res.PerFF), opt.Recovery)
+	plan, _, _ := e.selectiveHarden(res, opt, metric, target)
+	return plan
+}
+
+// selectiveHarden is SelectiveHarden returning as well the implementation
+// of the returned plan when it has one at hand: the memoized max plan's
+// (maxPlan), or the one its last exact check formed. ok reports whether im
+// is that implementation.
+func (e *Engine) selectiveHarden(res *inject.Result, opt HardenOptions, metric Metric, target float64) (plan *Plan, im planImpl, ok bool) {
+	plan = NewPlan(len(res.PerFF), opt.Recovery)
 	if !opt.DICE && !opt.Parity && !opt.EDS {
-		return plan
+		return plan, im, false
 	}
 	// Detection without recovery turns every detected flip into a DUE, so a
 	// DUE-targeting pass must only use correcting cells (the paper's
@@ -137,21 +157,22 @@ func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric M
 	// detection-only protection).
 	if metric == DUE && opt.Recovery == recovery.None {
 		if !opt.DICE {
-			return plan // nothing useful to insert
+			return plan, im, false // nothing useful to insert
 		}
 		opt.Parity, opt.EDS = false, false
 	}
 	if math.IsInf(target, 1) {
-		for bit := range plan.Assign {
-			plan.Assign[bit] = e.chooseCell(bit, opt.DICE, opt.Parity, opt.EDS, opt.Recovery)
-		}
-		return plan
+		mp := e.maxPlan(opt, len(plan.Assign))
+		copy(plan.Assign, mp.assign)
+		return plan, mp.im, true
 	}
 
 	// Exact target check: full residual evaluation with the implemented
-	// parity grouping's γ contribution.
+	// parity grouping's γ contribution. im keeps the implementation it
+	// formed.
 	achieved := func() bool {
-		sdcImp, dueImp, _ := e.improvements(res, plan, e.implement(plan), opt)
+		im = e.implement(plan)
+		sdcImp, dueImp, _ := e.improvements(res, plan, im, opt)
 		if metric == SDC {
 			return sdcImp >= target
 		}
@@ -171,6 +192,7 @@ func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric M
 	parityish := 0
 	coreName := e.Kind.String()
 	serDICE := serOf(CellDICE)
+	recoverable := e.recoverableBits(plan.Recovery)
 	applyDelta := func(bit int, cell CellKind) {
 		st := res.PerFF[bit]
 		sdc, due := failCounts(st)
@@ -183,8 +205,7 @@ func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric M
 			curDUE -= due * 0.75
 		case CellParity, CellEDS:
 			parityish++
-			if plan.Recovery != recovery.None &&
-				recovery.Recoverable(plan.Recovery, coreName, e.Space, bit) {
+			if recoverable[bit] {
 				curSDC -= sdc
 				curDUE -= due
 			} else {
@@ -212,11 +233,11 @@ func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric M
 		plan.Assign[bit] = cell
 		applyDelta(bit, cell)
 		if quickMet() && achieved() {
-			return plan
+			return plan, im, true
 		}
 	}
 	if achieved() {
-		return plan
+		return plan, im, true
 	}
 	// Target not reachable with measured-error flip-flops alone: extend to
 	// every flip-flop (upper-bound design).
@@ -229,11 +250,55 @@ func (e *Engine) SelectiveHarden(res *inject.Result, opt HardenOptions, metric M
 		if since++; since >= 64 {
 			since = 0
 			if achieved() {
-				return plan
+				return plan, im, true
 			}
 		}
 	}
-	return plan
+	// since is zero when no flip-flop was protected after the last check
+	return plan, im, since == 0
+}
+
+// maxPlanKey is what a "max" plan (a +Inf target) depends on besides the
+// engine: Heuristic 1's cell for each flip-flop is a function of the bit
+// and the pass options alone.
+type maxPlanKey struct {
+	dice, parity, eds bool
+	rec               recovery.Kind
+	n                 int // flip-flops
+}
+
+// maxPlanEntry is a memoized max plan's cells and implementation, shared
+// read-only by every pass that asks for it.
+type maxPlanEntry struct {
+	assign []CellKind
+	im     planImpl
+}
+
+// maxPlan returns the max plan of n flip-flops under pass options opt
+// (after selectiveHarden's DUE adjustment) and its implementation, formed
+// once per engine and key: at most 8 option masks × 5 recovery kinds.
+func (e *Engine) maxPlan(opt HardenOptions, n int) *maxPlanEntry {
+	key := maxPlanKey{opt.DICE, opt.Parity, opt.EDS, opt.Recovery, n}
+	e.mu.Lock()
+	mp, ok := e.maxPlans[key]
+	e.mu.Unlock()
+	if ok {
+		return mp
+	}
+	plan := NewPlan(n, opt.Recovery)
+	for bit := range plan.Assign {
+		plan.Assign[bit] = e.chooseCell(bit, opt.DICE, opt.Parity, opt.EDS, opt.Recovery)
+	}
+	mp = &maxPlanEntry{assign: plan.Assign, im: e.implement(plan)}
+	// Two passes that miss at once form identical entries; keep the first.
+	e.mu.Lock()
+	if prev, ok := e.maxPlans[key]; ok {
+		mp = prev
+	} else {
+		e.maxPlans[key] = mp
+	}
+	e.mu.Unlock()
+	return mp
 }
 
 // JointHarden meets an SDC and a DUE target simultaneously (paper Sec 3.1,

@@ -47,15 +47,39 @@ type Residuals struct {
 	DUE float64 // expected UT+Hang+ED count
 }
 
+// Soft-error-rate ratios of the correcting cells, read once from the
+// circuit library.
+var (
+	serLEAPDICE = circuitlib.Get(circuitlib.LEAPDICE).SERRatio
+	serLHL      = circuitlib.Get(circuitlib.LHL).SERRatio
+)
+
 // serOf returns the soft-error-rate residual factor of a correcting cell.
 func serOf(c CellKind) float64 {
 	switch c {
 	case CellDICE, CellCtrlRes:
-		return circuitlib.Get(circuitlib.LEAPDICE).SERRatio
+		return serLEAPDICE
 	case CellLHL:
-		return circuitlib.Get(circuitlib.LHL).SERRatio
+		return serLHL
 	}
 	return 1
+}
+
+// recoverableBits returns, for each flip-flop of the engine's space,
+// whether recovery k can replay an error detected in it
+// (recovery.Recoverable). The tables are built once per engine.
+func (e *Engine) recoverableBits(k recovery.Kind) []bool {
+	e.recOnce.Do(func() {
+		coreName := e.Kind.String()
+		for k := range e.recBits {
+			tab := make([]bool, e.Space.NumBits())
+			for bit := range tab {
+				tab[bit] = recovery.Recoverable(recovery.Kind(k), coreName, e.Space, bit)
+			}
+			e.recBits[k] = tab
+		}
+	})
+	return e.recBits[k]
 }
 
 // ffProtector resolves a registered technique's FFProtector capability
@@ -84,11 +108,17 @@ func ffProtector(name string) technique.FFProtector {
 // LEAP-DICE technique and keep their SER-ratio math here.
 func (e *Engine) Evaluate(res *inject.Result, plan *Plan) Residuals {
 	var out Residuals
-	coreName := e.Kind.String()
 	var prot [numCellKinds]technique.FFProtector
 	prot[CellDICE] = ffProtector(technique.NameLEAPDICE)
 	prot[CellParity] = ffProtector(technique.NameParity)
 	prot[CellEDS] = ffProtector(technique.NameEDS)
+	// detects[c]: cell c detects without correcting, so the recovery
+	// decides whether its detections are replayed
+	var detects [numCellKinds]bool
+	for c, p := range prot {
+		detects[c] = p != nil && !p.Corrects()
+	}
+	recoverable := e.recoverableBits(plan.Recovery)
 	for bit, st := range res.PerFF {
 		sdc, due := failCounts(st)
 		switch c := plan.Assign[bit]; c {
@@ -108,9 +138,7 @@ func (e *Engine) Evaluate(res *inject.Result, plan *Plan) Residuals {
 				out.DUE += due
 				continue
 			}
-			recovered := !p.Corrects() && plan.Recovery != recovery.None &&
-				recovery.Recoverable(plan.Recovery, coreName, e.Space, bit)
-			rs, rd := p.Residual(float64(st.N), sdc, due, recovered)
+			rs, rd := p.Residual(float64(st.N), sdc, due, detects[c] && recoverable[bit])
 			out.SDC += rs
 			out.DUE += rd
 		}

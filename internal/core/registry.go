@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"clear/internal/recovery"
@@ -112,11 +113,11 @@ func ComboFor(names []string, rec recovery.Kind) (Combo, error) {
 // canonical registry order.
 func (c Combo) ActiveTechniques() []technique.Technique {
 	var out []technique.Technique
-	for _, t := range technique.Default().Techniques() {
+	technique.Default().Walk(func(t technique.Technique) {
 		if c.Active(t.Name()) {
 			out = append(out, t)
 		}
-	}
+	})
 	return out
 }
 
@@ -134,6 +135,10 @@ func (v Variant) hasExtra(name string) bool {
 	return false
 }
 
+// baseTag is the campaign cache tag of the variant with no
+// campaign-affecting technique: the unprotected design.
+const baseTag = "base"
+
 // tagOf renders the variant's campaign cache tag from the registry: the
 // campaign-affecting active techniques' frozen fragments sorted by
 // (TagRank, registry order). Tag strings are on-disk campaign cache keys,
@@ -141,26 +146,22 @@ func (v Variant) hasExtra(name string) bool {
 // before Monitor, as the caches have always been keyed).
 func (v Variant) tagOf() string {
 	type frag struct {
-		rank, idx int
-		s         string
+		rank int
+		s    string
 	}
 	var frags []frag
 	opt := v.options()
-	for idx, t := range technique.Default().Techniques() {
-		if !v.activeName(t.Name()) || !technique.AffectsCampaign(t) {
-			continue
+	technique.Default().Walk(func(t technique.Technique) {
+		if v.activeName(t.Name()) && technique.AffectsCampaign(t) {
+			frags = append(frags, frag{technique.TagRankOf(t), technique.CampaignTagOf(t, opt)})
 		}
-		frags = append(frags, frag{technique.TagRankOf(t), idx, technique.CampaignTagOf(t, opt)})
-	}
-	if len(frags) == 0 {
-		return "base"
-	}
-	sort.SliceStable(frags, func(a, b int) bool {
-		if frags[a].rank != frags[b].rank {
-			return frags[a].rank < frags[b].rank
-		}
-		return frags[a].idx < frags[b].idx
 	})
+	if len(frags) == 0 {
+		return baseTag
+	}
+	// frags are in registry order, so a stable sort by rank sorts them by
+	// (rank, registry order)
+	slices.SortStableFunc(frags, func(a, b frag) int { return cmp.Compare(a.rank, b.rank) })
 	parts := make([]string, len(frags))
 	for i, f := range frags {
 		parts[i] = f.s

@@ -175,6 +175,10 @@ func (monitorTech) StandsAlone() bool                   { return false }
 
 type diceTech struct{ Info }
 
+// diceSER is the LEAP-DICE cell's soft-error-rate ratio, read once from
+// the circuit library.
+var diceSER = circuitlib.Get(circuitlib.LEAPDICE).SERRatio
+
 func (diceTech) Corrects() bool { return true }
 
 // AppliesToModel: a LEAP-DICE cell hardens the storage nodes against
@@ -185,8 +189,7 @@ func (diceTech) AppliesToModel(model string) bool { return model != "set" }
 
 // Residual: a LEAP-DICE cell scales every error class by its SER ratio.
 func (diceTech) Residual(n, sdc, due float64, recovered bool) (float64, float64) {
-	f := circuitlib.Get(circuitlib.LEAPDICE).SERRatio
-	return sdc * f, due * f
+	return sdc * diceSER, due * diceSER
 }
 
 type detectorCell struct{ Info }

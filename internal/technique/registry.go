@@ -3,6 +3,7 @@ package technique
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -18,6 +19,12 @@ type Registry struct {
 	mu     sync.RWMutex
 	order  []Technique
 	byName map[string]Technique
+	// techs and recs are order split into the non-recovery techniques and
+	// the recovery mechanisms. Every registration change replaces both with
+	// new slices and never writes into the old ones, so Walk and Recovery
+	// read them without copying.
+	techs []Technique
+	recs  []RecoveryTechnique
 }
 
 // NewRegistry returns an empty registry.
@@ -51,7 +58,22 @@ func (r *Registry) Register(t Technique) error {
 	}
 	r.byName[name] = t
 	r.order = append(r.order, t)
+	r.split()
 	return nil
+}
+
+// split rebuilds techs and recs from order; r.mu is held for writing.
+func (r *Registry) split() {
+	var techs []Technique
+	var recs []RecoveryTechnique
+	for _, t := range r.order {
+		if t.Layer() != Recovery {
+			techs = append(techs, t)
+		} else if rt, ok := t.(RecoveryTechnique); ok {
+			recs = append(recs, rt)
+		}
+	}
+	r.techs, r.recs = techs, recs
 }
 
 // mustRegister is Register for the built-in seeding, where failure is a
@@ -78,6 +100,7 @@ func (r *Registry) Unregister(name string) bool {
 			break
 		}
 	}
+	r.split()
 	return true
 }
 
@@ -107,32 +130,34 @@ func (r *Registry) All() []Technique {
 func (r *Registry) Techniques() []Technique {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Technique, 0, len(r.order))
-	for _, t := range r.order {
-		if t.Layer() != Recovery {
-			out = append(out, t)
-		}
+	return slices.Clone(r.techs)
+}
+
+// Walk calls fn on each registered non-recovery technique in canonical
+// order, without copying the registry.
+func (r *Registry) Walk(fn func(Technique)) {
+	r.mu.RLock()
+	techs := r.techs
+	r.mu.RUnlock()
+	for _, t := range techs {
+		fn(t)
 	}
-	return out
 }
 
 // Recoveries returns the registered recovery mechanisms in canonical order.
 func (r *Registry) Recoveries() []RecoveryTechnique {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []RecoveryTechnique
-	for _, t := range r.order {
-		if rt, ok := t.(RecoveryTechnique); ok && t.Layer() == Recovery {
-			out = append(out, rt)
-		}
-	}
-	return out
+	return slices.Clone(r.recs)
 }
 
 // Recovery returns the registered recovery technique implementing kind k,
 // or nil (recovery.None has no technique).
 func (r *Registry) Recovery(k recovery.Kind) RecoveryTechnique {
-	for _, rt := range r.Recoveries() {
+	r.mu.RLock()
+	recs := r.recs
+	r.mu.RUnlock()
+	for _, rt := range recs {
 		if rt.Kind() == k {
 			return rt
 		}

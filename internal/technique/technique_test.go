@@ -1,6 +1,7 @@
 package technique
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,6 +109,34 @@ func TestUnregister(t *testing.T) {
 	}
 	if _, err := r.Lookup("Tmp"); err == nil {
 		t.Error("lookup after unregister should error")
+	}
+}
+
+// Walk and Recovery read the views that every registration change
+// rebuilds.
+func TestWalkFollowsRegistrationChanges(t *testing.T) {
+	r := NewRegistry()
+	walked := func() []string {
+		var out []string
+		r.Walk(func(t Technique) { out = append(out, t.Name()) })
+		return out
+	}
+	r.mustRegister(Info{TechName: "A", TechLayer: Software})
+	r.mustRegister(recTech{Info: Info{TechName: "IR", TechLayer: Recovery}, kind: recovery.IR})
+	r.mustRegister(Info{TechName: "B", TechLayer: Software})
+	if got := walked(); !slices.Equal(got, []string{"A", "B"}) {
+		t.Errorf("Walk visits %q, want [A B]", got)
+	}
+	if r.Recovery(recovery.IR) == nil {
+		t.Error("registered IR recovery not found")
+	}
+	r.Unregister("A")
+	r.Unregister("IR")
+	if got := walked(); !slices.Equal(got, []string{"B"}) {
+		t.Errorf("after unregistering A, Walk visits %q, want [B]", got)
+	}
+	if r.Recovery(recovery.IR) != nil {
+		t.Error("unregistered IR recovery still found")
 	}
 }
 
