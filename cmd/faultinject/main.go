@@ -122,9 +122,10 @@ func main() {
 	// the fault-free run; inert and dead ones were decided Vanished without
 	// stepping a cycle (inert: empty scenarios and strikes only on state the
 	// core never reads; dead: strikes on payloads the core overwrites before
-	// reading them); deadlocked ones were decided Hang at a checkpoint
-	// boundary, their core a fixed point of Step. A campaign read from the
-	// cache runs no injections.
+	// reading them); deadlocked ones were decided Hang at a stop of the
+	// warm tail (a checkpoint boundary or every 32 cycles), their core a
+	// fixed point of Step. A campaign read from the cache runs no
+	// injections.
 	if s := e.Inj.Snapshot(); s.TotalInjections > 0 {
 		fmt.Printf("  engine: %d injections run, %d pruned, %d inert, %d dead, %d deadlocked\n",
 			s.TotalInjections, s.PrunedInjections, s.InertInjections, s.DeadInjections, s.DeadlockedInjections)

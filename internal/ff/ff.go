@@ -18,6 +18,7 @@ package ff
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -32,6 +33,11 @@ type Space struct {
 	// frozen flips exactly once, at the first NewState/Freeze; it is
 	// atomic because shared spaces hand out states from many goroutines.
 	frozen atomic.Bool
+	// unitOf holds each bit's UnitIndex and nunits the number of units,
+	// built once, when the space is frozen.
+	unitsOnce sync.Once
+	unitOf    []int32
+	nunits    int
 }
 
 type fieldInfo struct {
@@ -105,8 +111,46 @@ func (s *Space) EqualExceptInert(a, b *State) bool {
 	return true
 }
 
-// Freeze marks the space complete; further Alloc calls panic.
-func (s *Space) Freeze() { s.frozen.Store(true) }
+// Freeze marks the space complete, so further Alloc calls panic, and
+// builds its per-bit unit index (UnitIndex).
+func (s *Space) Freeze() { s.indexUnits() }
+
+// indexUnits freezes the space and, the first time, builds the per-bit
+// unit index UnitIndex reads.
+func (s *Space) indexUnits() {
+	s.frozen.Store(true)
+	s.unitsOnce.Do(func() {
+		s.unitOf = make([]int32, s.nbits)
+		seen := make(map[string]int32)
+		for _, f := range s.fields {
+			u, ok := seen[f.unit]
+			if !ok {
+				u = int32(len(seen))
+				seen[f.unit] = u
+			}
+			for b := f.off; b < f.off+f.width; b++ {
+				s.unitOf[b] = u
+			}
+		}
+		s.nunits = len(seen)
+	})
+}
+
+// UnitIndex returns the index of the functional unit of the field
+// containing bit, a bit of the space: units are numbered from 0 to
+// NumUnits()-1 in the order their first field was allocated. The per-bit
+// index is built once, when the space is frozen; UnitIndex freezes it.
+func (s *Space) UnitIndex(bit int) int {
+	s.indexUnits()
+	return int(s.unitOf[bit])
+}
+
+// NumUnits reports the number of distinct functional units; like
+// UnitIndex, it freezes the space.
+func (s *Space) NumUnits() int {
+	s.indexUnits()
+	return s.nunits
+}
 
 // NumBits reports the total number of flip-flops (bits) in the space.
 func (s *Space) NumBits() int { return s.nbits }

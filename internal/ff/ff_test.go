@@ -1,7 +1,9 @@
 package ff
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -87,6 +89,59 @@ func TestUnitsAndBitsOf(t *testing.T) {
 	}
 	if s.BitsOf("missing") != nil {
 		t.Fatal("BitsOf(missing) should be nil")
+	}
+}
+
+// TestUnitIndex requires UnitIndex to number units in the order their
+// first field was allocated, to agree with UnitOf on which bits share a
+// unit, and to freeze the space.
+func TestUnitIndex(t *testing.T) {
+	s := NewSpace()
+	s.Alloc("rob", "rob.head", 3)
+	s.Alloc("fetch", "f.pc", 5)
+	s.Alloc("rob", "rob.tail", 2)
+	s.Alloc("lsu", "lsu.addr", 4)
+	if got := s.NumUnits(); got != 3 {
+		t.Fatalf("NumUnits = %d, want 3", got)
+	}
+	want := map[string]int{"rob": 0, "fetch": 1, "lsu": 2}
+	for b := range s.NumBits() {
+		if got := s.UnitIndex(b); got != want[s.UnitOf(b)] {
+			t.Fatalf("bit %d (unit %s): UnitIndex = %d, want %d", b, s.UnitOf(b), got, want[s.UnitOf(b)])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Alloc after UnitIndex did not panic")
+		}
+	}()
+	s.Alloc("rob", "rob.count", 3)
+}
+
+// TestUnitIndexConcurrent reads the unit index of a space no one froze
+// from several goroutines at once, as parallel sweep workers read a shared
+// space's: the first reads build it once, and all agree with UnitOf.
+func TestUnitIndexConcurrent(t *testing.T) {
+	s := NewSpace()
+	for i := range 40 {
+		s.Alloc(fmt.Sprintf("u%d", i%7), fmt.Sprintf("f%d", i), 1+i%5)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range s.NumBits() {
+				if got, want := s.UnitIndex(b), int(s.UnitOf(b)[1]-'0'); got != want {
+					t.Errorf("bit %d: UnitIndex = %d, want %d", b, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := s.NumUnits(); n != 7 {
+		t.Errorf("NumUnits = %d, want 7", n)
 	}
 }
 

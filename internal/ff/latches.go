@@ -21,12 +21,15 @@ import (
 // unsigned word with at least as many bits as the array has elements — a
 // mask word — whose bit j holds element j. A Latches is immutable once
 // built and safe to share across goroutines.
-type Latches[L any] struct {
+type Latches[L comparable] struct {
 	bits []latchBit // indexed by space bit
 	// at maps each bit position of L, numbered as diffs numbers them, to
 	// the space bit it holds, or to -1 for padding and for the bits of a
 	// word above its field's width or its mask's elements.
 	at []int32
+	// live holds, for each word of L's alignment, the mask of its bits
+	// that belong to a field of L: every bit but padding.
+	live []uint64
 }
 
 // latchBit locates one bit of the space inside L.
@@ -44,7 +47,7 @@ type latchBit struct {
 // 1-bit fields a mask word — every word of L has a handle, and the handles
 // cover every bit of s exactly once: the declarations are
 // programmer-controlled, so a mismatch is a bug.
-func NewLatches[L any](s *Space, handles any) *Latches[L] {
+func NewLatches[L comparable](s *Space, handles any) *Latches[L] {
 	lt := reflect.TypeFor[L]()
 	hv := reflect.Indirect(reflect.ValueOf(handles))
 	if lt.Kind() != reflect.Struct || hv.Kind() != reflect.Struct {
@@ -119,6 +122,21 @@ func NewLatches[L any](s *Space, handles any) *Latches[L] {
 		})
 		m.Flip(&one, bit)
 	}
+	// one, all zero again, becomes a scratch image whose field bytes are
+	// all ones: it is read only as words, never as an L.
+	m.live = make([]uint64, lt.Size()/uintptr(lt.Align()))
+	fields := unsafe.Slice((*byte)(unsafe.Pointer(&one)), lt.Size())
+	for i := range lt.NumField() {
+		f := lt.Field(i)
+		for off := f.Offset; off < f.Offset+f.Type.Size(); off++ {
+			fields[off] = 0xFF
+		}
+	}
+	wordBits := 8 * lt.Align()
+	m.diffs(&one, &zero, 0, lt.Size(), func(pos int) bool {
+		m.live[pos/wordBits] |= 1 << (pos % wordBits)
+		return true
+	})
 	return m
 }
 
@@ -171,7 +189,8 @@ func (m *Latches[L]) place(s *Space, covered []bool, name string, f Field, off u
 // Flip inverts bit of the space in the latch struct u: the soft-error
 // primitive on a core's latch state. It XORs one bit of one word in place.
 //
-// Flip, and EqualExcept below, are the module's only unsafe code. Flip is
+// Flip, and EqualExcept and Differ below, are the module's only unsafe
+// code (with NewLatches' scratch images of L). Flip is
 // sound: each offset and size comes from L's own reflect layout, so the
 // write stays inside *u and has the word's own type; the shift is below
 // the field's width, or in a mask word below its number of elements, so
@@ -222,10 +241,68 @@ func (m *Latches[L]) EqualExcept(a, b *L, skip func(bit int) bool) bool {
 	return true
 }
 
-// equalBlock is the span, in bytes, that EqualExcept compares whole before
-// it looks for differing bits word by word: most blocks of a lane that
-// nearly matches its checkpoint are identical. It is a multiple of every
-// alignment, so a block starts on a word.
+// Differ reports whether *a != *b; only its cost depends on hint, the
+// caller's memory of where such structs last differed. It first tests the
+// word of L's alignment at index *hint, on the bits that belong to a
+// field of L, and reports a difference there at once. Otherwise — the
+// hint is out of range, or names padding or equal words — it compares the
+// structs whole with !=, and on a difference stores in *hint the index of
+// the first word that differs in a field's bits. A lane struck in one
+// latch differs from its fault-free twin in the same word cycle after
+// cycle, so the hinted word usually answers alone. It reads L through
+// unsafe as soundly as EqualExcept, and allocates nothing.
+func (m *Latches[L]) Differ(a, b *L, hint *int) bool {
+	if w := *hint; uint(w) < uint(len(m.live)) && m.wordDiffers(a, b, w) {
+		return true
+	}
+	if *a == *b {
+		return false
+	}
+	n := unsafe.Sizeof(*a)
+	ba := unsafe.Slice((*byte)(unsafe.Pointer(a)), n)
+	bb := unsafe.Slice((*byte)(unsafe.Pointer(b)), n)
+	wordBits := 8 * int(unsafe.Alignof(*a))
+	first := func(pos int) bool {
+		w := pos / wordBits
+		if m.live[w]>>(pos%wordBits)&1 == 0 {
+			return true // padding
+		}
+		*hint = w
+		return false
+	}
+	for lo := uintptr(0); lo < n; lo += equalBlock {
+		hi := min(lo+equalBlock, n)
+		if !bytes.Equal(ba[lo:hi], bb[lo:hi]) && !m.diffs(a, b, lo, hi, first) {
+			break
+		}
+	}
+	return true
+}
+
+// wordDiffers reports whether a and b differ in a field's bits of their
+// word w of L's alignment, which lies inside L.
+func (m *Latches[L]) wordDiffers(a, b *L, w int) bool {
+	size := unsafe.Alignof(*a)
+	pa := unsafe.Add(unsafe.Pointer(a), uintptr(w)*size)
+	pb := unsafe.Add(unsafe.Pointer(b), uintptr(w)*size)
+	var x uint64
+	switch size {
+	case 8:
+		x = *(*uint64)(pa) ^ *(*uint64)(pb)
+	case 4:
+		x = uint64(*(*uint32)(pa) ^ *(*uint32)(pb))
+	case 2:
+		x = uint64(*(*uint16)(pa) ^ *(*uint16)(pb))
+	default:
+		x = uint64(*(*uint8)(pa) ^ *(*uint8)(pb))
+	}
+	return x&m.live[w] != 0
+}
+
+// equalBlock is the span, in bytes, that EqualExcept and Differ compare
+// whole before they look for differing bits word by word: most blocks of
+// a lane that nearly matches its checkpoint are identical. It is a
+// multiple of every alignment, so a block starts on a word.
 const equalBlock = 256
 
 // diffs calls f with the position of each bit in which a and b differ, in

@@ -345,3 +345,127 @@ func FuzzEqualExcept(f *testing.F) {
 		}
 	})
 }
+
+// requireDiffer fails t unless Differ(a, b) answers a != b from hint, and
+// leaves a hint that, when the structs differ, names a word in which they
+// differ in a field's bits.
+func requireDiffer(t *testing.T, m *Latches[latchWords], a, b *latchWords, hint int, what string) {
+	t.Helper()
+	h := hint
+	if got, want := m.Differ(a, b, &h), *a != *b; got != want {
+		t.Fatalf("%s, hint %d: Differ = %v, != says %v", what, hint, got, want)
+	}
+	if *a != *b && (uint(h) >= uint(len(m.live)) || !m.wordDiffers(a, b, h)) {
+		t.Fatalf("%s, hint %d: Differ leaves hint %d, which names no differing word", what, hint, h)
+	}
+}
+
+// TestDiffer pins Differ to != on the valid pair for every hint in range
+// and hints below, above and far outside it: identical structs, a
+// difference in each word (a pc bit, the bool, a mask bit, a bit above a
+// field's width, each regs word, the flags word), differences in two
+// words, whose first word the hint must learn, and a difference only in
+// padding, which != ignores and so must Differ, also when the hint names
+// the padded word.
+func TestDiffer(t *testing.T) {
+	s, h := newLatchPair()
+	m := NewLatches[latchWords](s, &h)
+	if n := len(m.live); n != int(unsafe.Sizeof(latchWords{})/8) {
+		t.Fatalf("%d live masks for a %d-byte struct of 8-byte words", n, unsafe.Sizeof(latchWords{}))
+	}
+	var base latchWords
+	base.pc, base.cnt, base.regs, base.flags = 0x1234, 5, [3]uint64{7, 1 << 40, 3}, 0b10110
+	flipped := func(bits ...int) latchWords {
+		u := base
+		for _, b := range bits {
+			m.Flip(&u, b)
+		}
+		return u
+	}
+	padded := base
+	pad := unsafe.Offsetof(padded.cnt) + 1
+	(*[unsafe.Sizeof(padded)]byte)(unsafe.Pointer(&padded))[pad] = 0xA5
+	wide := base
+	wide.cnt |= 1 << 6
+	cases := []struct {
+		name string
+		b    latchWords
+	}{
+		{"identical", base},
+		{"pc bit", flipped(h.pc.Offset() + 31)},
+		{"bool", flipped(h.valid.Offset())},
+		{"mask bit", flipped(h.flags[4].Offset())},
+		{"bit above a field's width", wide},
+		{"regs[0]", flipped(h.regs[0].Offset())},
+		{"regs[1]", flipped(h.regs[1].Offset() + 47)},
+		{"regs[2]", flipped(h.regs[2].Offset() + 9)},
+		{"regs[2] and the flags word", flipped(h.regs[2].Offset()+9, h.flags[0].Offset())},
+		{"padding only", padded},
+	}
+	words := len(m.live)
+	hints := []int{-1, words, words + 7, -1 << 62, 1<<62 - 1}
+	for w := range words {
+		hints = append(hints, w)
+	}
+	for _, tc := range cases {
+		for _, hint := range hints {
+			requireDiffer(t, m, &base, &tc.b, hint, tc.name)
+			requireDiffer(t, m, &tc.b, &base, hint, tc.name+", operands swapped")
+		}
+	}
+	two := flipped(h.regs[0].Offset()+1, h.regs[2].Offset()+1)
+	hint := -1
+	if !m.Differ(&base, &two, &hint) || hint != int(unsafe.Offsetof(base.regs)/8) {
+		t.Errorf("differences in regs[0] and regs[2]: hint %d, want regs[0]'s word %d", hint, unsafe.Offsetof(base.regs)/8)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		hint := -1
+		m.Differ(&base, &two, &hint)
+	}); n != 0 {
+		t.Errorf("Differ allocates %v times per call", n)
+	}
+}
+
+// FuzzDiffer pins Differ to != on latchWords decoded from the fuzz bytes
+// as FuzzEqualExcept decodes them, b differing from a in the bits the flip
+// bytes name (0xFF sets a bit above cnt's width, 0xFE one above the flags
+// mask's elements, and 0xFD a padding byte), from the fuzz-chosen hint and
+// again from the hint the first call leaves.
+func FuzzDiffer(f *testing.F) {
+	f.Add([]byte{}, []byte{}, int64(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0, 64, 150, 179}, int64(-1))
+	f.Add([]byte{0xAA, 0x55}, []byte{3, 70, 0xFF}, int64(4))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0x0A}, []byte{182, 0xFE}, int64(1<<40))
+	f.Add([]byte{7}, []byte{0xFD}, int64(0))
+	s, h := newLatchPair()
+	m := NewLatches[latchWords](s, &h)
+	f.Fuzz(func(t *testing.T, data, flips []byte, hint int64) {
+		word := func(i int) uint64 {
+			var buf [8]byte
+			if i*8 < len(data) {
+				copy(buf[:], data[i*8:])
+			}
+			return binary.LittleEndian.Uint64(buf[:])
+		}
+		a := latchWords{pc: uint32(word(0)), valid: word(0)>>32&1 != 0, cnt: uint8(word(0)>>40) & 7,
+			regs:  [3]uint64{word(1) & (1<<40 - 1), word(2) & (1<<48 - 1), word(3) & (1<<56 - 1)},
+			flags: uint8(word(0)>>48) & 0x1F}
+		b := a
+		for _, d := range flips {
+			switch d {
+			case 0xFF:
+				b.cnt ^= 0x80
+			case 0xFE:
+				b.flags ^= 0x80
+			case 0xFD:
+				(*[unsafe.Sizeof(b)]byte)(unsafe.Pointer(&b))[unsafe.Offsetof(b.cnt)+1] ^= 0x3C
+			default:
+				m.Flip(&b, int(d)%s.NumBits())
+			}
+		}
+		hn := int(hint)
+		requireDiffer(t, m, &a, &b, hn, "fuzz")
+		m.Differ(&a, &b, &hn)
+		requireDiffer(t, m, &a, &b, hn, "fuzz, learned hint")
+	})
+}

@@ -66,12 +66,15 @@ import (
 )
 
 // plannedLane is one planned injection: its compact strike-population index
-// (the worker tally slot), the struck bit, the injection cycle, and the
-// sample hash, from which the lane's scenario is re-expanded when it runs.
+// (the worker tally slot, whose struck bit campaign.bit gives), the
+// injection cycle, and the sample hash, from which the lane's scenario is
+// re-expanded when it runs. It takes 16 bytes, because a campaign holds
+// every lane twice while it plans: a population index lies below the
+// space's size and a cycle below the nominal-run budget (nomBudget), so
+// both fit an int32.
 type plannedLane struct {
-	pop   int
-	bit   int
-	cycle int
+	pop   int32
+	cycle int32
 	h     uint64
 }
 
@@ -114,7 +117,7 @@ func planCampaign(c *campaign) campaignPlan {
 				plan.vanished = append(plan.vanished, bit)
 				continue
 			}
-			drawn = append(drawn, plannedLane{pop: i, bit: bit, cycle: cycle, h: h})
+			drawn = append(drawn, plannedLane{pop: int32(i), cycle: int32(cycle), h: h})
 			first[cycle+1]++
 		}
 	}
@@ -127,9 +130,9 @@ func planCampaign(c *campaign) campaignPlan {
 		first[ln.cycle]++
 	}
 	for lo := 0; lo < len(sorted); {
-		idx := sorted[lo].cycle / c.interval
+		idx := int(sorted[lo].cycle) / c.interval
 		hi := lo + 1
-		for hi < len(sorted) && hi-lo < lanes.Width && sorted[hi].cycle/c.interval == idx {
+		for hi < len(sorted) && hi-lo < lanes.Width && int(sorted[hi].cycle)/c.interval == idx {
 			hi++
 		}
 		plan.gangs = append(plan.gangs, laneGang{ckpt: idx, lanes: sorted[lo:hi:hi]})
@@ -181,7 +184,7 @@ func (w *worker) lane(slot int) sim.Core {
 
 // expand re-expands ln's scenario into the worker's buffer.
 func (w *worker) expand(ln plannedLane) Scenario {
-	w.sc = w.c.model.Expand(w.c.env, ln.bit, ln.cycle, ln.h, w.sc[:0])
+	w.sc = w.c.model.Expand(w.c.env, w.c.bit(int(ln.pop)), int(ln.cycle), ln.h, w.sc[:0])
 	return w.sc
 }
 
@@ -199,7 +202,7 @@ func laneDiff(lc, car sim.Core, lchk, carChk sim.Checker) uint8 {
 // decide tallies the outcome of lane ln, live in slot s, and emits the
 // record observed at its fork.
 func (w *worker) decide(s int, ln plannedLane, out Outcome, det int) {
-	w.add(ln.pop, ln.cycle, out, det)
+	w.add(int(ln.pop), int(ln.cycle), out, det)
 	if w.rec != nil {
 		w.rec.emit(w.recs[s], out, det)
 	}
@@ -208,7 +211,7 @@ func (w *worker) decide(s int, ln plannedLane, out Outcome, det int) {
 // finish continues lane ln, live in slot s, from its current state through
 // the warm body's tail and decides it.
 func (w *worker) finish(s int, ln plannedLane) {
-	out, det := w.in.finishInjected(w.lane(s), w.chks[s], &w.scratch, w.c.p, w.c.ref, ln.cycle, w.c.nomCycles)
+	out, det := w.in.finishInjected(w.lane(s), w.chks[s], &w.scratch, w.c.p, w.c.ref, int(ln.cycle), w.c.nomCycles)
 	w.decide(s, ln, out, det)
 }
 
@@ -233,7 +236,7 @@ func (w *worker) run(g laneGang) {
 	next := 0
 	for {
 		t := car.Cycles()
-		for ; next < len(g.lanes) && g.lanes[next].cycle == t; next++ {
+		for ; next < len(g.lanes) && int(g.lanes[next].cycle) == t; next++ {
 			ln := g.lanes[next]
 			sc := w.expand(ln)
 			if vanished, inert := c.atFork(gang, sc); vanished {
@@ -242,9 +245,9 @@ func (w *worker) run(g laneGang) {
 				} else {
 					w.in.injDead.Add(1)
 				}
-				w.add(ln.pop, ln.cycle, Vanished, -1)
+				w.add(int(ln.pop), t, Vanished, -1)
 				if w.rec != nil {
-					w.rec.emit(w.rec.observe(car, sc[0], ln.cycle), Vanished, -1)
+					w.rec.emit(w.rec.observe(car, sc[0], t), Vanished, -1)
 				}
 				continue
 			}
@@ -255,7 +258,7 @@ func (w *worker) run(g laneGang) {
 				w.chks[s].CopyFrom(w.carrierChk)
 			}
 			if w.rec != nil {
-				w.recs[s] = w.rec.observe(lc, sc[0], ln.cycle)
+				w.recs[s] = w.rec.observe(lc, sc[0], t)
 			}
 			strike(lc, sc)
 			slot[s] = ln
@@ -283,7 +286,7 @@ func (w *worker) run(g laneGang) {
 				// reference future — provably Vanished, same accounting as a
 				// boundary prune.
 				w.in.injPruned.Add(1)
-				w.in.pruneCycles.Observe(int64(lc.Cycles() - slot[s].cycle))
+				w.in.pruneCycles.Observe(int64(lc.Cycles() - int(slot[s].cycle)))
 				w.decide(s, slot[s], Vanished, -1)
 				live.Clear(s)
 			case d&(sim.DiffCtl|sim.DiffAux) != 0:

@@ -99,7 +99,7 @@ func (in *Injector) Snapshot() Snapshot {
 //	<prefix>injections.inert        counter (empty or all-inert strikes, decided Vanished without stepping a cycle)
 //	<prefix>injections.dead         counter (strikes on dead payloads, decided Vanished at the fork)
 //	<prefix>injections.pruned       counter
-//	<prefix>injections.deadlocked   counter (decided Hang at a boundary: the core is a fixed point of Step)
+//	<prefix>injections.deadlocked   counter (decided Hang at a stop of the tail, a boundary or every 32 cycles: the core is a fixed point of Step)
 //	<prefix>injections.prune_cycles histogram (cycles simulated before prune)
 //	<prefix>outcome.vanished|omm|ut|hang|ed  counters
 //	<prefix>cache.hits|misses|quarantined    counters

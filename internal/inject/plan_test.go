@@ -27,7 +27,7 @@ func referencePlan(c *campaign) campaignPlan {
 				continue
 			}
 			idx := cycle / c.interval
-			byWindow[idx] = append(byWindow[idx], plannedLane{pop: i, bit: bit, cycle: cycle, h: h})
+			byWindow[idx] = append(byWindow[idx], plannedLane{pop: int32(i), cycle: int32(cycle), h: h})
 		}
 	}
 	windows := make([]int, 0, len(byWindow))

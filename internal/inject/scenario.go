@@ -127,29 +127,33 @@ func strike(c sim.Core, sc Scenario) { c.FlipBits(sc...) }
 // copy), so the continuation's boundary checks and classification
 // reproduce the warm body's outcome bit for bit.
 //
-// The deadlock test runs only at a boundary where the retired count has
-// not moved since the previous one: it copies the core into *scratch
-// (created on first use) and steps the copy once (deadlocked). A run
-// stuck at such a fixed point would step on to the hang budget and
-// classify as Hang with no detection, which is what it is decided as.
+// The run stops at each boundary and every deadlockStride cycles. The
+// deadlock test runs at a stop where the retired count has not moved since
+// the previous stop: it copies the core into *scratch (created on first
+// use) and steps the copy once (deadlocked). A run stuck at such a fixed
+// point would step on to the hang budget and classify as Hang with no
+// detection, which is what it is decided as. A stop between boundaries
+// never changes what a boundary decides: a fixed point never halts, so it
+// never matches a checkpoint of the fault-free run, which does.
 func (in *Injector) finishInjected(c sim.Core, chk sim.Checker, scratch *sim.Core, p *prog.Program,
 	ref *Reference, cycle, nomCycles int) (Outcome, int) {
 	budget := HangFactor * nomCycles
-	retired := int64(-1) // the retired count at the previous boundary; none yet
+	retired := int64(-1) // the retired count at the previous stop; none yet
 	for !c.Done() && c.Cycles() < budget {
-		if t := c.Cycles(); t%ref.Interval == 0 {
+		t := c.Cycles()
+		if t%ref.Interval == 0 {
 			if i := t / ref.Interval; i < len(ref.Ckpts) && ref.matches(c, chk, i) {
 				in.injPruned.Add(1)
 				in.pruneCycles.Observe(int64(t - cycle))
 				return Vanished, -1
 			}
-			if c.Retired() == retired && deadlocked(c, scratch, p) {
-				in.injDeadlock.Add(1)
-				return Hang, -1
-			}
-			retired = c.Retired()
 		}
-		next := min((c.Cycles()/ref.Interval+1)*ref.Interval, budget)
+		if c.Retired() == retired && deadlocked(c, scratch, p) {
+			in.injDeadlock.Add(1)
+			return Hang, -1
+		}
+		retired = c.Retired()
+		next := min((t/ref.Interval+1)*ref.Interval, (t/deadlockStride+1)*deadlockStride, budget)
 		for !c.Done() && c.Cycles() < next {
 			c.Step()
 		}
@@ -159,6 +163,12 @@ func (in *Injector) finishInjected(c sim.Core, chk sim.Checker, scratch *sim.Cor
 	}
 	return classifyRun(p, prog.Result{Status: prog.StatusMaxSteps, Output: c.Output(), Steps: c.Cycles()})
 }
+
+// deadlockStride is the most cycles finishInjected steps between two
+// stops. Stopping only at boundaries would let a deadlocked lane step on
+// until the second boundary after it stuck, up to two checkpoint
+// intervals, before it was decided.
+const deadlockStride = 32
 
 // deadlocked reports whether c's state is a fixed point of Step: a copy of
 // it in *scratch, created on first use, stepped once, is not done, has

@@ -40,10 +40,12 @@ func (c *Core) Snapshot() *sim.Checkpoint {
 }
 
 // Restore rewinds the core to ck, which must have been taken from an
-// out-of-order core bound to the same program.
+// out-of-order core bound to the same program, and derives what the
+// restored latch words determine.
 func (c *Core) Restore(ck *sim.Checkpoint) {
 	e := ck.Extra.(*extra)
 	c.u = e.u
+	c.deriveLatches()
 	c.arf = ck.Regs
 	if cap(c.mem) >= len(ck.Mem) {
 		c.mem = c.mem[:len(ck.Mem)]

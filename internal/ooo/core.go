@@ -39,8 +39,17 @@ type Core struct {
 
 	// u is the core's flip-flop state, one machine word per field
 	// (unpacked.go), which Step runs on, checkpoints carry and FlipBits
-	// strikes in place.
+	// strikes in place. d is what those words determine (derived.go): the
+	// translation each fetch-buffer, ROB and issue-queue entry carries and
+	// the issue queue's tag index.
 	u uLatches
+	d derived
+
+	// diffHint is DiffFrom's memory of the latch word in which the core
+	// last differed from the core it was compared with (ff.Latches.Differ):
+	// it steers only the cost of the comparison, and is never compared or
+	// copied.
+	diffHint int
 
 	hook sim.CommitHook
 }
@@ -80,13 +89,18 @@ func (c *Core) Reset(p *prog.Program) {
 	c.done = false
 	c.status = prog.StatusHalted
 	c.tp = p.Threaded()
+	c.deriveLatches()
 }
 
 // FlipBits flips the given bits of the core's flip-flop state, numbered as
-// in its ff.Space: each flips its latch word in place.
+// in its ff.Space: each flips its latch word in place, and the derived
+// entry that reads the word, if any, is derived again (entryOf).
 func (c *Core) FlipBits(bits ...int) {
 	for _, b := range bits {
+		e := entryOf[b]
+		c.untag(e)
 		latches.Flip(&c.u, b)
+		c.deriveEntry(e)
 	}
 }
 

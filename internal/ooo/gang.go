@@ -9,15 +9,17 @@ import "clear/internal/sim"
 var _ sim.GangCore = (*Core)(nil)
 
 // CopyStateFrom makes the core's state bit-for-bit identical to src, a
-// second out-of-order core bound to the same program: the latch state and
-// everything outside the flip-flop space. The decode cache and threaded
-// translation are shared/memoized derivations of the program, not state;
-// the commit hook is left untouched, like Restore.
+// second out-of-order core bound to the same program: the latch state, what
+// it determines (derived.go), and everything outside the flip-flop space.
+// The decode cache and threaded translation are shared/memoized
+// derivations of the program, not state; the commit hook and DiffFrom's
+// hint are left untouched, like Restore.
 func (c *Core) CopyStateFrom(src sim.Core) {
 	s := src.(*Core)
 	c.program = s.program
 	c.tp = s.tp
 	c.u = s.u
+	c.d = s.d
 	c.arf = s.arf
 	if cap(c.mem) >= len(s.mem) {
 		c.mem = c.mem[:len(s.mem)]
@@ -45,13 +47,16 @@ func (c *Core) CopyStateFrom(src sim.Core) {
 // carry no architectural values but steer latencies and redirects, so they
 // gate reconvergence exactly as they do in Matches). The cycle and retired
 // counters are not compared: Step reads neither. A zero result certifies
-// identical state apart from them, which shares ref's future.
+// identical state apart from them, which shares ref's future. The latch
+// words are compared from the word in which the core last differed from a
+// core it was compared with (ff.Latches.Differ), and the state derived
+// from them is not compared at all: equal words determine it.
 func (c *Core) DiffFrom(ref sim.Core) uint8 {
 	o := ref.(*Core)
 	if c.done != o.done || c.status != o.status || c.u.pc != o.u.pc {
 		return sim.DiffCtl
 	}
-	if c.arf != o.arf || c.u != o.u {
+	if c.arf != o.arf || latches.Differ(&c.u, &o.u, &c.diffHint) {
 		return sim.DiffState
 	}
 	if !sim.WordsEqual(c.out, o.out) || !sim.WordsEqual(c.mem, o.mem) ||

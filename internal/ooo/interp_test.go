@@ -1103,19 +1103,30 @@ func TestInFlightCompiledMatchesInterpreter(t *testing.T) {
 //     a completion of tag 2 wakes only the second;
 //   - all IQSize entries valid and none ready, with instructions in the
 //     fetch buffer: no entry is free, so dispatch stalls and the queue
-//     stays full.
+//     stays full;
+//   - two ready loads older than a ready ALU op while the load port is
+//     busy with an outstanding access: select passes over both loads, so
+//     the ALU op issues and both loads still wait;
+//   - a ready MUL behind a busy multiplier beside a ready ALU op: the
+//     oldest entry, a MUL, takes the multiplier's first stage, so the
+//     second-oldest, another MUL, is passed over and the ALU op issues;
+//   - a waiting source whose tag latch a strike (FlipBits) moved to
+//     another live tag, when that tag completes: the struck source wakes
+//     and a source still waiting on its old tag does not.
 func TestSelectWakeupCorners(t *testing.T) {
 	p := tinyProgram(t)
 	r := &sharedRegs
 	alu := func(imm int32) uint64 {
 		return uint64(isa.Encode(isa.Inst{Op: isa.ADDI, Rd: 5, Rs1: 1, Imm: imm}))
 	}
-	// entry makes issue-queue entry i an ALU instruction of ROB entry rob
-	// whose source 2 is ready and whose source 1 is ready when tag1 < 0,
-	// and otherwise waits on tag1.
-	entry := func(st *ff.State, i int, rob uint64, tag1 int) {
+	load := uint64(isa.Encode(isa.Inst{Op: isa.LW, Rd: 6, Rs1: 0, Imm: 4}))
+	mul := uint64(isa.Encode(isa.Inst{Op: isa.MUL, Rd: 7, Rs1: 1, Rs2: 2}))
+	// entryWord makes issue-queue entry i hold word, an instruction of ROB
+	// entry rob whose source 2 is ready and whose source 1 is ready when
+	// tag1 < 0, and otherwise waits on tag1.
+	entryWord := func(st *ff.State, i int, rob uint64, tag1 int, word uint64) {
 		r.iqValid[i].Set(st, 1)
-		r.iqInst[i].Set(st, alu(int32(i)))
+		r.iqInst[i].Set(st, word)
 		r.iqRob[i].Set(st, rob)
 		r.iqS2Rdy[i].Set(st, 1)
 		r.iqS2Val[i].Set(st, 7)
@@ -1127,16 +1138,29 @@ func TestSelectWakeupCorners(t *testing.T) {
 			r.iqS1Tag[i].Set(st, uint64(tag1))
 		}
 	}
+	// entry makes issue-queue entry i an ALU instruction (entryWord).
+	entry := func(st *ff.State, i int, rob uint64, tag1 int) {
+		entryWord(st, i, rob, tag1, alu(int32(i)))
+	}
 	only := func(st *ff.State) {
 		for i := range IQSize {
 			r.iqValid[i].Set(st, 0)
 		}
 	}
+	// idle empties the load unit and the multiplier, so that nothing but
+	// the case's own entries completes a tag in the first cycle.
+	idle := func(st *ff.State) {
+		r.ldValid.Set(st, 0)
+		for i := range 4 {
+			r.muV[i].Set(st, 0)
+		}
+	}
 	bit := func(w uint16, i int) bool { return w>>i&1 == 1 }
 	cases := []struct {
-		name  string
-		edit  func(st *ff.State, head uint64)
-		check func(ci, ct *imaged) bool
+		name   string
+		edit   func(st *ff.State, head uint64)
+		strike []int // bits FlipBits strikes after the edit
+		check  func(ci, ct *imaged) bool
 	}{
 		{"tied ages", func(st *ff.State, head uint64) {
 			only(st)
@@ -1144,7 +1168,7 @@ func TestSelectWakeupCorners(t *testing.T) {
 			entry(st, 9, head, -1)
 			entry(st, 3, (head+5)%RobSize, -1)
 			entry(st, 7, (head+5)%RobSize, -1)
-		}, func(_, ct *imaged) bool {
+		}, nil, func(_, ct *imaged) bool {
 			return !bit(ct.u.iqValid, 9) && !bit(ct.u.iqValid, 3) && bit(ct.u.iqValid, 7)
 		}},
 		{"tag above the ROB", func(st *ff.State, head uint64) {
@@ -1152,7 +1176,7 @@ func TestSelectWakeupCorners(t *testing.T) {
 			entry(st, 2, 2, -1)
 			entry(st, 4, (head+1)%RobSize, RobSize+2)
 			entry(st, 5, (head+1)%RobSize, 2)
-		}, func(_, ct *imaged) bool {
+		}, nil, func(_, ct *imaged) bool {
 			u := &ct.u
 			return bit(u.iqValid&^u.iqS1Rdy, 4) && bit(u.iqValid&u.iqS1Rdy, 5)
 		}},
@@ -1169,8 +1193,51 @@ func TestSelectWakeupCorners(t *testing.T) {
 				r.fbPred[k].Set(st, 0)
 			}
 			r.robCount.Set(st, min(r.robCount.Get(st), RobSize-2))
-		}, func(ci, ct *imaged) bool {
+		}, nil, func(ci, ct *imaged) bool {
 			return ct.freeIQU() == -1 && ci.freeIQ() == -1 && ct.u.fbCount >= 2
+		}},
+		{"loads behind a busy load port", func(st *ff.State, head uint64) {
+			only(st)
+			idle(st)
+			r.robDone[head].Set(st, 0)
+			for k := range uint64(3) { // no older store holds the loads back
+				r.robFlags[(head+k)%RobSize].Set(st, 0)
+			}
+			r.ldValid.Set(st, 1)
+			r.ldCnt.Set(st, 8)
+			r.ldRob.Set(st, (head+9)%RobSize)
+			entryWord(st, 6, (head+1)%RobSize, -1, load)
+			entryWord(st, 2, (head+2)%RobSize, -1, load)
+			entry(st, 4, (head+3)%RobSize, -1)
+		}, nil, func(_, ct *imaged) bool {
+			u := &ct.u
+			return u.ldValid == 1 && bit(u.iqValid, 6) && bit(u.iqValid, 2) && !bit(u.iqValid, 4)
+		}},
+		{"MUL behind a busy multiplier", func(st *ff.State, head uint64) {
+			only(st)
+			idle(st)
+			r.robDone[head].Set(st, 0)
+			entryWord(st, 8, (head+1)%RobSize, -1, mul)
+			entryWord(st, 3, (head+2)%RobSize, -1, mul)
+			entry(st, 5, (head+3)%RobSize, -1)
+		}, nil, func(_, ct *imaged) bool {
+			u := &ct.u
+			return u.muV[0] == 1 && !bit(u.iqValid, 8) && bit(u.iqValid, 3) && !bit(u.iqValid, 5)
+		}},
+		{"tag struck to another live tag", func(st *ff.State, head uint64) {
+			only(st)
+			idle(st)
+			// entry 2 completes tag live; entries 4 and 5 wait on its
+			// neighbour live^1 until the strike flips bit 0 of entry 4's
+			// tag latch
+			live := (head + 2) % RobSize
+			r.robDone[head].Set(st, 0)
+			entry(st, 2, live, -1)
+			entry(st, 4, (head+5)%RobSize, int(live^1))
+			entry(st, 5, (head+6)%RobSize, int(live^1))
+		}, []int{r.iqS1Tag[4].Offset()}, func(_, ct *imaged) bool {
+			u := &ct.u
+			return bit(u.iqValid&u.iqS1Rdy, 4) && bit(u.iqValid&^u.iqS1Rdy, 5)
 		}},
 	}
 	for _, tc := range cases {
@@ -1183,7 +1250,9 @@ func TestSelectWakeupCorners(t *testing.T) {
 			c.packU()
 			tc.edit(c.st, r.robHead.Get(c.st)%RobSize)
 			c.unpackU()
+			c.FlipBits(tc.strike...)
 		}
+		requireDerived(t, ct.Core, tc.name)
 		for cyc := 0; cyc < 64 && !ci.done; cyc++ {
 			ci.stepInterp()
 			ct.Step()

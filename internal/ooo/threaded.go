@@ -10,13 +10,16 @@ import (
 )
 
 // This file is the out-of-order core's Step: compiled execution, where every
-// unit looks up a pre-translated tcode.DInst instead of calling isa.Decode
-// and running execute switches, and every ROB/IQ/SQ/rename/latch access
-// reads a machine word (unpacked.go) rather than a field of the packed bit
-// array. Each unit is the compiled twin of a unit (commit, execute, ...) of
-// the decode-switch interpreter in interp_test.go, the independent test
-// oracle: FuzzInterpEquivalence and the lockstep tests there pin Step to it
-// cycle for cycle and bit for bit.
+// unit runs a pre-translated tcode.DInst instead of calling isa.Decode and
+// running execute switches, and every ROB/IQ/SQ/rename/latch access reads a
+// machine word (unpacked.go) rather than a field of the packed bit array.
+// An instruction word is looked up once, as fetch latches it; its
+// translation then travels with it into the ROB and the issue queue
+// (derived.go), and the issue queue's tag index tells a wakeup which
+// entries wait on the completing tag. Each unit is the compiled twin of a
+// unit (commit, execute, ...) of the decode-switch interpreter in
+// interp_test.go, the independent test oracle: FuzzInterpEquivalence and
+// the lockstep tests there pin Step to it cycle for cycle and bit for bit.
 
 // dec returns the translation of instruction word w that the machine
 // associates with pc. Uncorrupted program text hits the per-PC table;
@@ -66,7 +69,7 @@ func (c *Core) commitU() {
 		}
 		word := uint32(u.robInst[head])
 		pc := uint32(u.robPC[head])
-		d := c.dec(pc, word)
+		d := c.d.rob[head]
 		val := uint32(u.robVal[head])
 		flags := u.robFlags[head]
 		var addr, storeVal uint32
@@ -124,22 +127,21 @@ func (c *Core) commitU() {
 	}
 }
 
-// broadcastU is the compiled twin of broadcast. It visits only the valid
-// entries whose source is still waiting: a wakeup of one source neither
-// reads nor writes the other's slot.
+// broadcastU is the compiled twin of broadcast, for a tag below RobSize.
+// It visits only the valid entries whose source waits on tag, which the
+// tag index names: a wakeup of one source neither reads nor writes the
+// other's slot.
 func (c *Core) broadcastU(tag uint64, val uint32) {
 	u := &c.u
-	for w := u.iqValid &^ u.iqS1Rdy; w != 0; w &= w - 1 {
-		if i := bits.TrailingZeros16(w); u.iqS1Tag[i] == tag {
-			u.iqS1Val[i] = uint64(val)
-			u.iqS1Rdy |= 1 << i
-		}
+	for w := c.d.s1Holds[tag] & u.iqValid &^ u.iqS1Rdy; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros16(w)
+		u.iqS1Val[i] = uint64(val)
+		u.iqS1Rdy |= 1 << i
 	}
-	for w := u.iqValid &^ u.iqS2Rdy; w != 0; w &= w - 1 {
-		if i := bits.TrailingZeros16(w); u.iqS2Tag[i] == tag {
-			u.iqS2Val[i] = uint64(val)
-			u.iqS2Rdy |= 1 << i
-		}
+	for w := c.d.s2Holds[tag] & u.iqValid &^ u.iqS2Rdy; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros16(w)
+		u.iqS2Val[i] = uint64(val)
+		u.iqS2Rdy |= 1 << i
 	}
 }
 
@@ -208,20 +210,34 @@ func (c *Core) mulPipeTickU() {
 // executeU is the compiled twin of execute. The entries ready at the start
 // of the cycle are selected oldest first, the lower index first among
 // equal ages (corrupted ROB indices can tie): the order of the
-// interpreter's stable sort.
+// interpreter's stable sort. Loads are dropped from the candidates while
+// the load port is busy and multiplies while the multiplier's first stage
+// is: the interpreter selects and skips them, which changes no state and
+// issues nothing, and within a cycle a port only goes from free to busy.
 func (c *Core) executeU() {
 	u := &c.u
 	ready := u.iqValid & u.iqS1Rdy & u.iqS2Rdy
 	head := u.robHead % RobSize
 	var ages [IQSize]uint8
+	var loads, muls uint16
 	for w := ready; w != 0; w &= w - 1 {
 		i := bits.TrailingZeros16(w)
 		ages[i] = uint8(robAge(head, u.iqRob[i]%RobSize))
+		switch c.d.iq[i].In.Op {
+		case isa.LW:
+			loads |= 1 << i
+		case isa.MUL, isa.MULH:
+			muls |= 1 << i
+		}
+	}
+	if u.ldValid == 1 {
+		ready &^= loads
+	}
+	if u.muV[0] == 1 {
+		ready &^= muls
 	}
 
 	issued := 0
-	loadPortBusy := u.ldValid == 1
-	mulPortBusy := u.muV[0] == 1
 	for ready != 0 && issued < IssueWidth {
 		i := bits.TrailingZeros16(ready)
 		for w := ready & (ready - 1); w != 0; w &= w - 1 {
@@ -230,25 +246,18 @@ func (c *Core) executeU() {
 			}
 		}
 		ready &^= 1 << i
-		word := uint32(u.iqInst[i])
 		tag := u.iqRob[i] % RobSize
-		d := c.dec(uint32(u.robPC[tag]), word)
+		d := c.d.iq[i]
 		s1 := uint32(u.iqS1Val[i])
 		s2 := uint32(u.iqS2Val[i])
 
 		switch {
 		case d.In.Op == isa.LW:
-			if loadPortBusy {
-				continue // structural hazard: try again next cycle
-			}
 			if !c.tryIssueLoadU(i, tag, d.In.Imm, s1, head) {
 				continue
 			}
-			loadPortBusy = true
+			ready &^= loads // the port is busy: the rest try again next cycle
 		case d.In.Op == isa.MUL || d.In.Op == isa.MULH:
-			if mulPortBusy {
-				continue
-			}
 			u.muA[0] = uint64(s1)
 			u.muB[0] = uint64(s2)
 			u.muRob[0] = tag
@@ -258,7 +267,7 @@ func (c *Core) executeU() {
 				u.muHi[0] = 0
 			}
 			u.muV[0] = 1
-			mulPortBusy = true
+			ready &^= muls
 			u.iqValid &^= 1 << i
 		case d.In.Op == isa.SW:
 			addr := uint32(int32(s1) + d.In.Imm)
@@ -445,8 +454,7 @@ func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32)
 	}
 	for a := uint64(0); a <= bAge; a++ {
 		idx := (head + a) % RobSize
-		wd := c.dec(uint32(u.robPC[idx]), uint32(u.robInst[idx]))
-		if wd.Valid && wd.WritesReg && wd.In.Rd != 0 {
+		if wd := c.d.rob[idx]; wd.Valid && wd.WritesReg && wd.In.Rd != 0 {
 			u.rat[wd.In.Rd] = 0x40 | idx
 		}
 	}
@@ -476,7 +484,7 @@ func (c *Core) dispatchU() {
 		fh := u.fbHead % FBSize
 		word := uint32(u.fbInst[fh])
 		pcv := u.fbPC[fh]
-		d := c.dec(uint32(pcv), word)
+		d := c.d.fb[fh]
 
 		needIQ := d.Valid && d.In.Op != isa.NOP && d.In.Op != isa.HALT && d.In.Op != isa.TRAPD
 		if needIQ {
@@ -491,6 +499,7 @@ func (c *Core) dispatchU() {
 		// allocate ROB entry
 		tail := u.robTail % RobSize
 		u.robInst[tail] = uint64(word)
+		c.d.rob[tail] = d
 		u.robPC[tail] = pcv
 		u.robVal[tail] = 0
 		var flags uint64
@@ -518,6 +527,7 @@ func (c *Core) dispatchU() {
 			iq := c.freeIQU()
 			u.iqValid |= 1 << iq
 			u.iqInst[iq] = uint64(word)
+			c.d.iq[iq] = d
 			u.iqRob[iq] = tail
 			c.renameSourceU(iq, 0, d)
 			c.renameSourceU(iq, 1, d)
@@ -544,62 +554,45 @@ func (c *Core) dispatchU() {
 	}
 }
 
-// renameSourceU is the compiled twin of renameSource.
+// renameSourceU is the compiled twin of renameSource. Where it writes the
+// entry's tag latch it moves the entry's bit in the tag index with it.
 func (c *Core) renameSourceU(iq, k int, d *tcode.DInst) {
 	u := &c.u
-	var reg uint8
-	var used bool
-	if k == 0 {
-		reg, used = d.In.Rs1, d.NeedsRs1
-	} else {
+	reg, used := d.In.Rs1, d.NeedsRs1
+	tags, vals, rdy, holds := &u.iqS1Tag, &u.iqS1Val, &u.iqS1Rdy, &c.d.s1Holds
+	if k == 1 {
 		reg, used = d.In.Rs2, d.NeedsRs2
+		tags, vals, rdy, holds = &u.iqS2Tag, &u.iqS2Val, &u.iqS2Rdy, &c.d.s2Holds
 	}
-	var tagV, valV uint64
-	var rdyV uint16
-	setSlot := func() {
-		if k == 0 {
-			u.iqS1Tag[iq], u.iqS1Val[iq] = tagV, valV
-			u.iqS1Rdy = u.iqS1Rdy&^(1<<iq) | rdyV<<iq
-		} else {
-			u.iqS2Tag[iq], u.iqS2Val[iq] = tagV, valV
-			u.iqS2Rdy = u.iqS2Rdy&^(1<<iq) | rdyV<<iq
-		}
-	}
-	// the interpreter's renameSource (interp_test.go) leaves the tag slot
-	// untouched on the ready paths; preserve the stale tag bits so the
-	// packed layouts stay identical
-	if k == 0 {
-		tagV = u.iqS1Tag[iq]
-	} else {
-		tagV = u.iqS2Tag[iq]
-	}
+	bit := uint16(1) << iq
+	// The ready paths leave the tag latch as it is, as the interpreter's
+	// renameSource (interp_test.go) does, so the packed layouts stay
+	// identical.
 	if !used || reg == 0 {
-		rdyV = 1
-		valV = uint64(c.arf[reg&31])
+		vals[iq] = uint64(c.arf[reg&31])
 		if reg == 0 {
-			valV = 0
+			vals[iq] = 0
 		}
-		setSlot()
+		*rdy |= bit
 		return
 	}
 	m := u.rat[reg]
 	if m&0x40 == 0 {
-		valV = uint64(c.arf[reg])
-		rdyV = 1
-		setSlot()
+		vals[iq] = uint64(c.arf[reg])
+		*rdy |= bit
 		return
 	}
 	t := m & 0x3F % RobSize
 	if u.robDone[t] == 1 && u.robExc[t] == 0 {
-		valV = u.robVal[t]
-		rdyV = 1
-		setSlot()
+		vals[iq] = u.robVal[t]
+		*rdy |= bit
 		return
 	}
-	tagV = t
-	rdyV = 0
-	valV = 0
-	setSlot()
+	holds[tags[iq]] &^= bit
+	holds[t] |= bit
+	tags[iq] = t
+	vals[iq] = 0
+	*rdy &^= bit
 }
 
 // freeIQU is the compiled twin of freeIQ: the lowest invalid entry, or -1
@@ -623,13 +616,13 @@ func (c *Core) fetchU() {
 		if int(pc) < len(c.program.Words) {
 			word = c.program.Words[pc]
 		}
+		d := c.dec(pc, word)
 		// branch prediction: BTB hit + gshare direction
 		predTaken := false
 		var predTgt uint32
 		bi := pc % btbSize
 		if c.btbValid[bi] && c.btbTag[bi] == pc {
 			h := (uint64(pc) ^ u.lhist) % gshareSize
-			d := c.dec(pc, word)
 			if d.IsJump || c.gshare[h] >= 2 {
 				predTaken = true
 				predTgt = c.btbTgt[bi]
@@ -637,6 +630,7 @@ func (c *Core) fetchU() {
 		}
 		ft := u.fbTail % FBSize
 		u.fbInst[ft] = uint64(word)
+		c.d.fb[ft] = d
 		u.fbPC[ft] = uint64(pc)
 		u.fbPred[ft] = b2u(predTaken)
 		u.fbPTgt[ft] = uint64(predTgt)

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,8 @@ func newImaged(p *prog.Program) *imaged {
 	return &imaged{Core: New(p), st: sharedSpace.NewState()}
 }
 
-// unpackU loads the latch state from its packed image st.
+// unpackU loads the latch state from its packed image st, and derives what
+// the latch words determine (derived.go).
 func (c *imaged) unpackU() {
 	st := c.st
 	r := &sharedRegs
@@ -110,6 +112,7 @@ func (c *imaged) unpackU() {
 	for i := 0; i < 8; i++ {
 		u.wbRet[i] = r.wbRet[i].Get(st)
 	}
+	c.deriveLatches()
 }
 
 // packU stores the latch state into its packed image st.
@@ -298,10 +301,11 @@ func scenarioBytes(bits ...int) []byte {
 // FuzzFlipBits pins FlipBits, which flips each struck bit in its latch
 // word through the ff.Latches map, to the codec: from an arbitrary packed
 // image, a strike of 1-8 bits (scenarioBits) must leave the latch state
-// packU, ff.State.FlipBit of each bit and unpackU leave. The seeds strike
-// every bit of the space at least once, eight bits a fuzz input spread
-// across the space, each on its own random image, plus strikes that repeat
-// a bit.
+// packU, ff.State.FlipBit of each bit and unpackU leave, and derived state
+// that follows it (requireDerived), re-derived only where the strike
+// landed. The seeds strike every bit of the space at least once, eight
+// bits a fuzz input spread across the space, each on its own random image,
+// plus strikes that repeat a bit.
 func FuzzFlipBits(f *testing.F) {
 	n := sharedSpace.NumBits()
 	rng := rand.New(rand.NewSource(0xF11B))
@@ -324,6 +328,7 @@ func FuzzFlipBits(f *testing.F) {
 		got.loadImage(image)
 		want.loadImage(image)
 		got.FlipBits(bits...)
+		requireDerived(t, got.Core, fmt.Sprintf("FlipBits(%v)", bits))
 		want.packU()
 		for _, b := range bits {
 			want.st.FlipBit(b)

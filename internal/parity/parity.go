@@ -7,7 +7,6 @@
 package parity
 
 import (
-	"slices"
 	"sort"
 
 	"clear/internal/ff"
@@ -175,26 +174,20 @@ func Interleave(bits []int, size int) Grouping {
 // the cross-unit wiring penalty is charged by the wire-length model.
 //
 // Units keep their order of first appearance in bits and bits keep their
-// order within a unit. A core has about ten units, so a bit finds its
-// unit's bucket by comparing with the previous bit's unit (units are
-// contiguous in index order) and otherwise scanning the units seen so far.
+// order within a unit. A bit finds its unit's bucket through the space's
+// per-bit unit index (ff.Space.UnitIndex), built once per space.
 func localityGroups(space *ff.Space, bits []int, size int) [][]int {
-	var units []string
+	slot := make([]int, space.NumUnits()) // a unit's bucket + 1; 0 until it appears
 	var counts []int
 	bucket := make([]int, len(bits))
-	last := -1
 	for i, b := range bits {
-		u := space.UnitOf(b)
-		if last < 0 || units[last] != u {
-			last = slices.Index(units, u)
-			if last < 0 {
-				last = len(units)
-				units = append(units, u)
-				counts = append(counts, 0)
-			}
+		u := space.UnitIndex(b)
+		if slot[u] == 0 {
+			counts = append(counts, 0)
+			slot[u] = len(counts)
 		}
-		bucket[i] = last
-		counts[last]++
+		bucket[i] = slot[u] - 1
+		counts[bucket[i]]++
 	}
 	// counts becomes each bucket's next write position in seq.
 	next := 0
