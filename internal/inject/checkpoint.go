@@ -90,13 +90,13 @@ func buildReferenceCore(k CoreKind, p *prog.Program, interval, maxCycles int,
 	c, chk := newChecked(k, p, cf)
 	ref := &Reference{Interval: interval}
 	for !c.Done() && c.Cycles() < maxCycles {
-		if c.Cycles()%interval == 0 {
-			ref.Ckpts = append(ref.Ckpts, c.Snapshot())
-			if chk != nil {
-				ref.Checks = append(ref.Checks, chk.Clone())
-			}
+		// c stands at a boundary: it starts at cycle 0, and Run stops at
+		// the next boundary or the budget
+		ref.Ckpts = append(ref.Ckpts, c.Snapshot())
+		if chk != nil {
+			ref.Checks = append(ref.Checks, chk.Clone())
 		}
-		c.Step()
+		c.Run(min(c.Cycles()+interval, maxCycles))
 	}
 	if !c.Done() {
 		return ref, prog.Result{Status: prog.StatusMaxSteps, Output: c.Output(), Steps: c.Cycles()}, c, nil

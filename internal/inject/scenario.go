@@ -48,9 +48,7 @@ func runCold(r *recorder, c sim.Core, p *prog.Program, sc Scenario, cycle, nomCy
 		hook = cf(p).Observe
 	}
 	c.SetCommitHook(hook)
-	for i := 0; i < cycle && !c.Done(); i++ {
-		c.Step()
-	}
+	c.Run(cycle)
 	var rec Record
 	if r != nil {
 		rec = r.observe(c, sc[0], cycle)
@@ -96,9 +94,7 @@ func (in *Injector) RunOneFrom(c sim.Core, p *prog.Program, ref *Reference, bit,
 func (in *Injector) runWarm(r *recorder, c sim.Core, chk sim.Checker, p *prog.Program, ref *Reference,
 	sc Scenario, cycle, nomCycles int) (Outcome, int) {
 	ref.restore(c, chk, min(cycle/ref.Interval, len(ref.Ckpts)-1))
-	for c.Cycles() < cycle && !c.Done() {
-		c.Step()
-	}
+	c.Run(cycle)
 	var rec Record
 	if r != nil {
 		rec = r.observe(c, sc[0], cycle)
@@ -127,10 +123,11 @@ func strike(c sim.Core, sc Scenario) { c.FlipBits(sc...) }
 // copy), so the continuation's boundary checks and classification
 // reproduce the warm body's outcome bit for bit.
 //
-// The run stops at each boundary and every deadlockStride cycles. The
-// deadlock test runs at a stop where the retired count has not moved since
-// the previous stop: it copies the core into *scratch (created on first
-// use) and steps the copy once (deadlocked). A run stuck at such a fixed
+// The run stops at each boundary and every deadlockStride cycles, and
+// steps the core from one stop to the next with one Run call. The deadlock
+// test runs at a stop where the retired count has not moved since the
+// previous stop: it copies the core into *scratch (created on first use)
+// and steps the copy once (deadlocked). A run stuck at such a fixed
 // point would step on to the hang budget and classify as Hang with no
 // detection, which is what it is decided as. A stop between boundaries
 // never changes what a boundary decides: a fixed point never halts, so it
@@ -153,10 +150,7 @@ func (in *Injector) finishInjected(c sim.Core, chk sim.Checker, scratch *sim.Cor
 			return Hang, -1
 		}
 		retired = c.Retired()
-		next := min((t/ref.Interval+1)*ref.Interval, (t/deadlockStride+1)*deadlockStride, budget)
-		for !c.Done() && c.Cycles() < next {
-			c.Step()
-		}
+		c.Run(min((t/ref.Interval+1)*ref.Interval, (t/deadlockStride+1)*deadlockStride, budget))
 	}
 	if c.Done() {
 		return classifyRun(p, c.Result())

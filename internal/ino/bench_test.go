@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clear/internal/bench"
+	"clear/internal/prog"
 )
 
 // midRunCore returns a core halfway through gzip's fault-free run: a
@@ -55,4 +56,31 @@ func BenchmarkCheckpoint(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkStepSuite steps every benchmark program of the in-order core
+// from reset to halt, one core per program, and reports the mean cost of a
+// simulated cycle: the in-package twin of clearbench's
+// ino.step_ns_per_cycle probe, and of the out-of-order core's benchmark of
+// the same name. One iteration is one pass over the suite.
+func BenchmarkStepSuite(b *testing.B) {
+	var ps []*prog.Program
+	var cores []*Core
+	for _, bm := range bench.All() {
+		p := bm.MustProgram()
+		ps, cores = append(ps, p), append(cores, New(p))
+	}
+	cycles := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, c := range cores {
+			c.Reset(ps[k])
+			r := c.Run(10_000_000)
+			if r.Status != prog.StatusHalted {
+				b.Fatalf("%s: run ended %v after %d cycles", ps[k].Name, r.Status, r.Steps)
+			}
+			cycles += r.Steps
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 }

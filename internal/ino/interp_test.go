@@ -560,6 +560,67 @@ func addFuzzSeeds(f *testing.F) {
 		0x01, 0x00, 0x20, 0x74, // sw-ish
 		0x00, 0x00, 0x00, 0x04, // halt
 	}, uint32(100), uint32(2))
+	// Forwarding corners, unstruck: the flip and the exchange points fall at
+	// cycle 255, after these runs end.
+	f.Add(invalidDstProgram(1), uint32(0), uint32(255))
+	f.Add(invalidDstProgram(2), uint32(0), uint32(255))
+	f.Add(r0Program(), uint32(0), uint32(255))
+}
+
+// wordImage renders instruction words as a fuzzProgram image.
+func wordImage(words ...uint32) []byte {
+	var b []byte
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+// enc encodes one instruction.
+func enc(op isa.Op, rd, rs1, rs2 uint8, imm int32) uint32 {
+	return isa.Encode(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2, Imm: imm})
+}
+
+// invalidDstProgram is an image in which an invalid-opcode word whose rd
+// field (and every other register field) names register r sits in M, then
+// X, then W while the instruction in execute reads r, as rs1 and as rs2.
+// r1 holds 5 in the register file and r2's writer, which sets 7, sits
+// directly ahead of the invalid word, so forwarding from the invalid word
+// (a trapped word's result is 0) would change the readers' results. Its
+// trap in W ends the run before the reader then in execute executes.
+func invalidDstProgram(r uint8) []byte {
+	return wordImage(
+		enc(isa.ADDI, 1, 0, 0, 5),
+		enc(isa.NOP, 0, 0, 0, 0),
+		enc(isa.NOP, 0, 0, 0, 0),
+		enc(isa.NOP, 0, 0, 0, 0),
+		enc(isa.NOP, 0, 0, 0, 0),
+		enc(isa.ADDI, 2, 0, 0, 7),
+		0xFC000000|uint32(r)<<21|uint32(r)<<16|uint32(r)<<11, // opcode 63: illegal
+		enc(isa.ADD, 3, r, 3-r, 0),                           // in E while the invalid word is in M
+		enc(isa.ADD, 4, 3-r, r, 0),                           // ... in X
+		enc(isa.ADD, 5, r, r, 0),                             // ... in W
+		enc(isa.OUT, 0, 3, 0, 0),
+		enc(isa.HALT, 0, 0, 0, 0),
+	)
+}
+
+// r0Program is an image in which a writer of r0 sits in M, then X, then W
+// ahead of readers of r0, which must read 0, not the 9 it writes, from the
+// bypass latches or, once it has written back, from the register file.
+func r0Program() []byte {
+	return wordImage(
+		enc(isa.ADDI, 0, 0, 0, 9),
+		enc(isa.ADD, 1, 0, 0, 0), // in E while the writer is in M
+		enc(isa.ADD, 2, 0, 0, 0), // ... in X
+		enc(isa.ADD, 3, 0, 0, 0), // ... in W
+		enc(isa.ADD, 4, 0, 0, 0), // after it has written back
+		enc(isa.OUT, 0, 1, 0, 0),
+		enc(isa.OUT, 0, 2, 0, 0),
+		enc(isa.OUT, 0, 3, 0, 0),
+		enc(isa.OUT, 0, 4, 0, 0),
+		enc(isa.HALT, 0, 0, 0, 0),
+	)
 }
 
 // fuzzProgram turns fuzz bytes into a program image of up to 32 words: any

@@ -54,66 +54,35 @@ func (c *Core) decodeLatches() {
 	}
 }
 
-// Step advances the pipeline by one clock cycle.
+// Step advances the pipeline by one clock cycle. It updates the latch state
+// in place, with no clock-edge copy of it, running the stages in an order
+// where each reads its input latch before the stage that overwrites that
+// latch runs:
+//
+//  1. W, which alone can end the run (a trap, halt, detection or checker
+//     detection leaves every other latch as it stands);
+//  2. E, computed into locals from the e latch and from the m, x and w
+//     latches it forwards from;
+//  3. the load-use stall test, on the a and e latches;
+//  4. X (w <- x), then M (x <- m, with the memory access);
+//  5. E's results into the m latch;
+//  6. A (e <- a), D (a <- d) and F (d <- f).
+//
+// Every stage therefore sees the latches as they stood at the clock edge,
+// and the e latch's Y takes E's new Y, which is the m latch's after E. M's
+// flush-recovery update runs between W and E, since E overwrites nextAtM.
 func (c *Core) Step() {
 	if c.done {
 		return
 	}
 	c.cycles++
-	u := &c.u
-
-	// ---- Snapshot current latches (the "clock edge" read). ----
-	fPC := u.fPC
-
-	dInst := u.dInst
-	dPC := u.dPC
-	dValid := u.dValid
-
-	aInstW := u.aInst
-	aPC := u.aPC
-	aValid := u.aValid
-	aRs1 := u.aRs1
-	aRs2 := u.aRs2
-
-	eInstW := u.eInst
-	ePC := u.ePC
-	eValid := u.eValid
-	eOp1 := u.eOp1
-	eOp2 := u.eOp2
-
-	mInstW := u.mInst
-	mPC := u.mPC
-	mValid := u.mValid
-	mResult := u.mResult
-	mStoreVal := u.mStoreVal
-	mTrap := u.mTrap
-	mICC := u.mICC
-	mY := u.mY
-
-	xInstW := u.xInst
-	xPC := u.xPC
-	xValid := u.xValid
-	xResult := u.xResult
-	xTrap := u.xTrap
-	xTT := u.xTT
-	xICC := u.xICC
-	xAddr := u.xAddr
-	xStoreVal := u.xStoreVal
-
-	wInstW := u.wInst
-	wPC := u.wPC
-	wValid := u.wValid
-	wResult := u.wResult
-	wTrap := u.wTrap
-	wAddr := u.wAddr
-	wStoreVal := u.wStoreVal
-
-	aD, eD, mD, xD, wD := c.ud.a, c.ud.e, c.ud.m, c.ud.x, c.ud.w
+	u, ud := &c.u, &c.ud
 
 	// ---- W: writeback / commit. ----
-	if wValid {
+	if u.wValid {
+		wD := ud.w
 		c.retired++
-		if wTrap || !wD.Valid {
+		if u.wTrap || !wD.Valid {
 			c.done = true
 			c.status = prog.StatusTrap
 			u.wSTT = u.wTT // trap type to status reg
@@ -129,21 +98,21 @@ func (c *Core) Step() {
 			c.status = prog.StatusDetected
 			return
 		case isa.OUT:
-			c.out = append(c.out, wResult)
+			c.out = append(c.out, u.wResult)
 		default:
-			if wD.WritesReg && wD.In.Rd != 0 {
-				c.regfile[wD.In.Rd] = wResult
+			if wD.Dst != 0 {
+				c.regfile[wD.Dst] = u.wResult
 			}
 		}
 		// Status-register side effects (condition codes, Y): architectural
 		// state that these workloads never read back.
-		u.wSICC = xICC
+		u.wSICC = u.xICC
 		if wD.In.Op == isa.MULH {
-			u.wSY = wResult
+			u.wSY = u.wResult
 		}
 		if c.hook != nil {
-			ev := sim.CommitEvent{PC: wPC, Word: wInstW, Result: wResult,
-				StoreVal: wStoreVal, Addr: wAddr}
+			ev := sim.CommitEvent{PC: u.wPC, Word: u.wInst, Result: u.wResult,
+				StoreVal: u.wStoreVal, Addr: u.wAddr}
 			if c.hook(ev) {
 				c.done = true
 				c.status = prog.StatusDetected
@@ -152,31 +121,85 @@ func (c *Core) Step() {
 		}
 	}
 
+	if u.mValid {
+		// the instruction in M completes its access this cycle: it is now
+		// beyond the flush-recovery window (read before E stages the next
+		// refetch point)
+		c.recoveryNext = c.nextAtM
+	}
+
+	// ---- E: execute, branch resolution, forwarding (into locals). ----
+	eD := ud.e
+	var (
+		result, storeVal, y uint32
+		trap                bool
+		tt                  uint64
+		icc                 uint8
+		redirect            bool
+		redirectPC          uint32
+	)
+	if u.eValid {
+		if !eD.Valid {
+			trap = true
+			tt = 2 // illegal instruction
+		} else {
+			op1 := c.forward(eD.In.Rs1, u.eOp1)
+			op2 := u.eOp2
+			if eD.NeedsRs2 {
+				op2 = c.forward(eD.In.Rs2, op2)
+			}
+			result, storeVal, y, trap, tt = eD.Exec(op1, op2, u.ePC)
+			if !trap && eD.IsControl {
+				redirect, redirectPC = eD.Br(op1, op2, u.ePC)
+			}
+			if !trap {
+				// stage the refetch point for when this instruction
+				// finishes its memory access
+				if redirect {
+					c.nextAtM = redirectPC
+				} else {
+					c.nextAtM = u.ePC + 1
+				}
+			}
+			// condition codes (unread by these workloads)
+			if result == 0 {
+				icc |= 4 // Z
+			}
+			if int32(result) < 0 {
+				icc |= 8 // N
+			}
+		}
+	}
+
+	// ---- A: load-use interlock. ----
+	// Stall when the instruction entering execute needs a register that the
+	// load currently in execute will only produce at the end of memory.
+	stall := false
+	if u.aValid && u.eValid && eD.In.Op == isa.LW && eD.In.Rd != 0 {
+		aD := ud.a
+		stall = (aD.NeedsRs1 && aD.In.Rs1 == eD.In.Rd) || (aD.NeedsRs2 && aD.In.Rs2 == eD.In.Rd)
+	}
+
 	// ---- X: exception stage (pass-through, trap priority resolution). ----
-	u.wInst = xInstW
-	c.ud.w = xD
-	u.wPC = xPC
-	u.wValid = xValid
-	u.wResult = xResult
-	u.wTrap = xTrap
-	u.wTT = xTT
-	u.wAddr = xAddr
-	u.wStoreVal = xStoreVal
+	u.wInst = u.xInst
+	ud.w = ud.x
+	u.wPC = u.xPC
+	u.wValid = u.xValid
+	u.wResult = u.xResult
+	u.wTrap = u.xTrap
+	u.wTT = u.xTT
+	u.wAddr = u.xAddr
+	u.wStoreVal = u.xStoreVal
 	u.wSCWP = u.eCWP // window pointer shadow (unused)
 
 	// ---- M: memory access. ----
 	{
-		if mValid {
-			// the instruction in M completes its access this cycle: it is
-			// now beyond the flush-recovery window
-			c.recoveryNext = c.nextAtM
-		}
-		trap := mTrap
+		trap := u.mTrap
 		tt := u.mTT
-		result := mResult
-		addr := mResult
-		if mValid && !trap && mD.Valid {
-			switch mD.In.Op {
+		result := u.mResult
+		addr := u.mResult
+		if u.mValid && !trap && ud.m.Valid {
+			switch ud.m.In.Op {
 			case isa.LW:
 				if int(int32(addr)) < 0 || int(int32(addr)) >= len(c.mem) {
 					trap = true
@@ -189,122 +212,45 @@ func (c *Core) Step() {
 					trap = true
 					tt = 9
 				} else {
-					c.mem[int32(addr)] = mStoreVal
+					c.mem[int32(addr)] = u.mStoreVal
 				}
 			}
 		}
-		u.xInst = mInstW
-		c.ud.x = mD
-		u.xPC = mPC
-		u.xValid = mValid
+		u.xInst = u.mInst
+		ud.x = ud.m
+		u.xPC = u.mPC
+		u.xValid = u.mValid
 		u.xResult = result
 		u.xTrap = trap
 		u.xTT = tt
-		u.xICC = mICC
-		u.xY = mY
+		u.xICC = u.mICC
+		u.xY = u.mY
 		u.xAddr = addr
-		u.xStoreVal = mStoreVal
-		u.xNPC = mPC + 1
+		u.xStoreVal = u.mStoreVal
+		u.xNPC = u.mPC + 1
 	}
 
-	// ---- E: execute, branch resolution, forwarding. ----
-	redirect := false
-	var redirectPC uint32
-	var stall bool
+	// ---- E's results into the memory latch. ----
+	u.mInst = u.eInst
+	ud.m = eD
+	u.mPC = u.ePC
+	u.mValid = u.eValid
+	u.mResult = result
+	u.mStoreVal = storeVal
+	u.mTrap = trap
+	u.mTT = uint8(tt)
+	u.mY = y
+	u.mICC = icc
 
-	// forward returns the freshest in-flight value of register idx, falling
-	// back to the register file. Bypass sources are the E/M, M/X and X/W
-	// latches — exactly the wires a hardware bypass network taps.
-	forward := func(idx uint8, raw uint32) uint32 {
-		if idx == 0 {
-			return 0
-		}
-		if mValid && mD.Valid && mD.WritesReg && mD.In.Rd == idx {
-			return mResult
-		}
-		if xValid && xD.Valid && xD.WritesReg && xD.In.Rd == idx {
-			return xResult
-		}
-		if wValid && wD.Valid && wD.WritesReg && wD.In.Rd == idx {
-			return wResult
-		}
-		return raw
-	}
-
-	{
-		trap := false
-		var tt uint64
-		var result, storeVal uint32
-		var y uint32
-		icc := uint8(0)
-		if eValid {
-			if !eD.Valid {
-				trap = true
-				tt = 2 // illegal instruction
-			} else {
-				op1 := forward(eD.In.Rs1, eOp1)
-				var op2 uint32
-				if eD.NeedsRs2 {
-					op2 = forward(eD.In.Rs2, eOp2)
-				} else {
-					op2 = eOp2
-				}
-				result, storeVal, y, trap, tt = eD.Exec(op1, op2, ePC)
-				if !trap && eD.IsControl {
-					taken, target := eD.Br(op1, op2, ePC)
-					if taken {
-						redirect = true
-						redirectPC = target
-					}
-				}
-				if !trap {
-					// stage the refetch point for when this instruction
-					// finishes its memory access
-					if redirect {
-						c.nextAtM = redirectPC
-					} else {
-						c.nextAtM = ePC + 1
-					}
-				}
-				// condition codes (unread by these workloads)
-				if result == 0 {
-					icc |= 4 // Z
-				}
-				if int32(result) < 0 {
-					icc |= 8 // N
-				}
-			}
-		}
-		u.mInst = eInstW
-		c.ud.m = eD
-		u.mPC = ePC
-		u.mValid = eValid
-		u.mResult = result
-		u.mStoreVal = storeVal
-		u.mTrap = trap
-		u.mTT = uint8(tt)
-		u.mY = y
-		u.mICC = icc
-	}
-
-	// ---- A: register access + load-use interlock. ----
-	// Stall when the instruction entering execute needs a register that the
-	// load currently in execute will only produce at the end of memory.
-	if aValid && eValid && eD.In.Op == isa.LW && eD.In.Rd != 0 {
-		if (aD.NeedsRs1 && aD.In.Rs1 == eD.In.Rd) || (aD.NeedsRs2 && aD.In.Rs2 == eD.In.Rd) {
-			stall = true
-		}
-	}
-
+	// ---- A: register access. ----
 	if redirect || !stall {
-		valid := aValid && !redirect
-		u.eInst = aInstW
-		c.ud.e = aD
-		u.ePC = aPC
-		u.eValid = valid
-		u.eOp1 = c.regfile[aRs1]
-		u.eOp2 = c.regfile[aRs2]
-		u.eY = u.mY
+		u.eInst = u.aInst
+		ud.e = ud.a
+		u.ePC = u.aPC
+		u.eValid = u.aValid && !redirect
+		u.eOp1 = c.regfile[u.aRs1]
+		u.eOp2 = c.regfile[u.aRs2]
+		u.eY = y // the memory latch's new Y
 		u.eCWP = u.aCWP
 	} else {
 		// Bubble into execute; hold younger stages.
@@ -315,11 +261,11 @@ func (c *Core) Step() {
 	if redirect {
 		u.aValid = false
 	} else if !stall {
-		dD := c.dec(dPC, dInst)
-		u.aInst = dInst
-		c.ud.a = dD
-		u.aPC = dPC
-		u.aValid = dValid
+		dD := c.dec(u.dPC, u.dInst)
+		u.aInst = u.dInst
+		ud.a = dD
+		u.aPC = u.dPC
+		u.aValid = u.dValid
 		u.aRs1 = dD.In.Rs1
 		u.aRs2 = dD.In.Rs2
 	}
@@ -329,6 +275,7 @@ func (c *Core) Step() {
 		u.dValid = false
 		u.fPC = redirectPC
 	} else if !stall {
+		fPC := u.fPC
 		var word uint32 = illegalWord
 		if int(fPC) < len(c.program.Words) {
 			word = c.program.Words[fPC]
@@ -338,4 +285,25 @@ func (c *Core) Step() {
 		u.dValid = true
 		u.fPC = fPC + 1
 	}
+}
+
+// forward returns the freshest in-flight value of register r for the
+// instruction in execute, falling back to raw, the value register access
+// read. Bypass sources are the E/M, M/X and X/W latches, exactly the wires
+// a hardware bypass network taps; Step calls it before any of them is
+// overwritten. A latch forwards only if its instruction writes r (Dst),
+// which an invalid word never does; r0 always reads zero.
+func (c *Core) forward(r uint8, raw uint32) uint32 {
+	u, ud := &c.u, &c.ud
+	switch {
+	case r == 0:
+		return 0
+	case u.mValid && ud.m.Dst == r:
+		return u.mResult
+	case u.xValid && ud.x.Dst == r:
+		return u.xResult
+	case u.wValid && ud.w.Dst == r:
+		return u.wResult
+	}
+	return raw
 }

@@ -102,11 +102,11 @@ func (c *Core) commitU() {
 				}
 			}
 		default:
-			if d.Valid && d.WritesReg && d.In.Rd != 0 {
-				c.arf[d.In.Rd] = val
+			if rd := d.Dst; rd != 0 {
+				c.arf[rd] = val
 				// release the rename mapping if it still points here
-				if m := u.rat[d.In.Rd]; m&0x40 != 0 && m&0x3F == head {
-					u.rat[d.In.Rd] = 0
+				if m := u.rat[rd]; m&0x40 != 0 && m&0x3F == head {
+					u.rat[rd] = 0
 				}
 			}
 		}
@@ -454,8 +454,8 @@ func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32)
 	}
 	for a := uint64(0); a <= bAge; a++ {
 		idx := (head + a) % RobSize
-		if wd := c.d.rob[idx]; wd.Valid && wd.WritesReg && wd.In.Rd != 0 {
-			u.rat[wd.In.Rd] = 0x40 | idx
+		if rd := c.d.rob[idx].Dst; rd != 0 {
+			u.rat[rd] = 0x40 | idx
 		}
 	}
 	// flush the fetch buffer and redirect
@@ -543,8 +543,8 @@ func (c *Core) dispatchU() {
 		}
 
 		// rename destination
-		if d.Valid && d.WritesReg && d.In.Rd != 0 {
-			u.rat[d.In.Rd] = 0x40 | tail
+		if d.Dst != 0 {
+			u.rat[d.Dst] = 0x40 | tail
 		}
 
 		u.robTail = (tail + 1) % RobSize

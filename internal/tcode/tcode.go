@@ -5,7 +5,9 @@
 // execute closures with the opcode dispatch and immediate already baked in.
 // The per-cycle hot loops of internal/ino and internal/ooo then execute
 // closures instead of re-running the decode switches of package isa on
-// every pipeline stage of every cycle.
+// every pipeline stage of every cycle. A DInst names the register it writes
+// in Dst (0 when it writes none), so a forwarding, writeback or rename test
+// is one compare.
 //
 // Translation is a pure function of the 32-bit instruction word, which is
 // what makes compiled execution exact even under fault injection: a flipped
@@ -45,9 +47,9 @@ type DInst struct {
 	In    isa.Inst
 	Valid bool // In.Op.Valid()
 
-	WritesReg bool // In.Op.WritesReg() (false for invalid opcodes)
-	NeedsRs1  bool // format reads rs1
-	NeedsRs2  bool // format reads rs2 (FmtR, FmtStore, FmtBranch)
+	Dst       uint8 // In.Rd when In.Op.WritesReg() (never for invalid opcodes), else 0
+	NeedsRs1  bool  // format reads rs1
+	NeedsRs2  bool  // format reads rs2 (FmtR, FmtStore, FmtBranch)
 	IsControl bool
 	IsBranch  bool
 	IsJump    bool
@@ -65,10 +67,12 @@ func Compile(w uint32) DInst {
 	d := DInst{
 		In:        in,
 		Valid:     in.Op.Valid(),
-		WritesReg: in.Op.WritesReg(),
 		IsControl: in.Op.IsControl(),
 		IsBranch:  in.Op.IsBranch(),
 		IsJump:    in.Op.IsJump(),
+	}
+	if in.Op.WritesReg() {
+		d.Dst = in.Rd
 	}
 	switch in.Op.Fmt() {
 	case isa.FmtR, isa.FmtStore, isa.FmtBranch:

@@ -28,18 +28,40 @@ func randWords(n int) []uint32 {
 
 // TestCompileMatchesDecode pins every translated fact to the decode it
 // summarizes: the embedded isa.Inst and each predicate must agree with
-// isa.Decode over a large word sample.
+// isa.Decode over a large word sample plus every value of the opcode field,
+// defined or not, crossed with several rd and low-bit fields. Dst, which the
+// cores' forwarding, writeback and rename tests compare on its own, must be
+// In.Rd when the op writes a register and 0 otherwise, and only a valid op
+// may write one.
 func TestCompileMatchesDecode(t *testing.T) {
-	for _, w := range randWords(20000) {
+	words := randWords(20000)
+	for op := uint32(0); op < 64; op++ {
+		for _, rd := range []uint32{0, 1, 2, 17, 31} {
+			for _, low := range []uint32{0, 0x0AAAAA, 1<<21 - 1} {
+				words = append(words, op<<26|rd<<21|low)
+			}
+		}
+	}
+	for _, w := range words {
 		d := Compile(w)
 		in := isa.Decode(w)
 		if d.In != in {
 			t.Fatalf("word %#08x: Compile embedded %+v, isa.Decode gives %+v", w, d.In, in)
 		}
-		if d.Valid != in.Op.Valid() || d.WritesReg != in.Op.WritesReg() ||
+		if d.Valid != in.Op.Valid() ||
 			d.IsControl != in.Op.IsControl() || d.IsBranch != in.Op.IsBranch() ||
 			d.IsJump != in.Op.IsJump() {
 			t.Fatalf("word %#08x (%v): predicate mismatch vs opcode methods", w, in.Op)
+		}
+		if in.Op.WritesReg() && !d.Valid {
+			t.Fatalf("word %#08x (%v): WritesReg without Valid", w, in.Op)
+		}
+		wantDst := uint8(0)
+		if in.Op.WritesReg() {
+			wantDst = in.Rd
+		}
+		if d.Dst != wantDst {
+			t.Fatalf("word %#08x (%v, rd %d): Dst = %d, want %d", w, in.Op, in.Rd, d.Dst, wantDst)
 		}
 		wantRs1, wantRs2 := false, false
 		switch in.Op.Fmt() {
