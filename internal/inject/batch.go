@@ -68,10 +68,10 @@ import (
 // plannedLane is one planned injection: its compact strike-population index
 // (the worker tally slot, whose struck bit campaign.bit gives), the
 // injection cycle, and the sample hash, from which the lane's scenario is
-// re-expanded when it runs. It takes 16 bytes, because a campaign holds
-// every lane twice while it plans: a population index lies below the
-// space's size and a cycle below the nominal-run budget (nomBudget), so
-// both fit an int32.
+// re-expanded when it runs. The plan holds every lane of the campaign for
+// the campaign's whole run, so a lane takes 16 bytes: a population index
+// lies below the space's size and a cycle below the nominal-run budget
+// (nomBudget), so both fit an int32.
 type plannedLane struct {
 	pop   int32
 	cycle int32
@@ -100,39 +100,51 @@ type campaignPlan struct {
 // decided.
 //
 // The sort is a stable counting sort on the strike cycle, O(lanes +
-// nomCycles): the lanes are drawn in stream order and counted per cycle,
-// the counts' prefix sums give each cycle its first slot, and the lanes
-// are scattered there in stream order. Each window is then a contiguous
-// run of the sorted lanes.
+// nomCycles), over two walks of the sample stream. The first counts the
+// lanes per cycle and marks each draw whose scenario expands to nothing;
+// the counts' prefix sums give each cycle its first slot. The second
+// redraws each unmarked sample and scatters its lane straight into that
+// slot, in stream order, so the plan holds every lane once and runs the
+// fault model once per draw. Each window is then a contiguous run of the
+// sorted lanes.
 func planCampaign(c *campaign) campaignPlan {
 	var plan campaignPlan
-	drawn := make([]plannedLane, 0, c.nStrikes*c.cfg.SamplesPerFF)
+	n := c.nStrikes * c.cfg.SamplesPerFF
+	empty := make([]uint64, (n+63)/64)    // bit k: draw k expanded to nothing
 	first := make([]int32, c.nomCycles+1) // a campaign plans far fewer than 2^31 lanes
 	var sc Scenario
-	for i := 0; i < c.nStrikes; i++ {
+	for i, k := 0, uint(0); i < c.nStrikes; i++ {
 		bit := c.bit(i)
-		for s := 0; s < c.cfg.SamplesPerFF; s++ {
+		for s := 0; s < c.cfg.SamplesPerFF; s, k = s+1, k+1 {
 			h, cycle := c.sample(bit, s)
 			if sc = c.model.Expand(c.env, bit, cycle, h, sc[:0]); len(sc) == 0 {
+				empty[k/64] |= 1 << (k % 64)
 				plan.vanished = append(plan.vanished, bit)
 				continue
 			}
-			drawn = append(drawn, plannedLane{pop: int32(i), cycle: int32(cycle), h: h})
 			first[cycle+1]++
 		}
 	}
 	for t := 1; t < len(first); t++ {
 		first[t] += first[t-1]
 	}
-	sorted := make([]plannedLane, len(drawn))
-	for _, ln := range drawn {
-		sorted[first[ln.cycle]] = ln
-		first[ln.cycle]++
+	sorted := make([]plannedLane, first[c.nomCycles])
+	for i, k := 0, uint(0); i < c.nStrikes; i++ {
+		bit := c.bit(i)
+		for s := 0; s < c.cfg.SamplesPerFF; s, k = s+1, k+1 {
+			if empty[k/64]&(1<<(k%64)) != 0 {
+				continue
+			}
+			h, cycle := c.sample(bit, s)
+			sorted[first[cycle]] = plannedLane{pop: int32(i), cycle: int32(cycle), h: h}
+			first[cycle]++
+		}
 	}
 	for lo := 0; lo < len(sorted); {
 		idx := int(sorted[lo].cycle) / c.interval
+		end := int32((idx + 1) * c.interval) // the first cycle past the window
 		hi := lo + 1
-		for hi < len(sorted) && hi-lo < lanes.Width && int(sorted[hi].cycle)/c.interval == idx {
+		for hi < len(sorted) && hi-lo < lanes.Width && sorted[hi].cycle < end {
 			hi++
 		}
 		plan.gangs = append(plan.gangs, laneGang{ckpt: idx, lanes: sorted[lo:hi:hi]})

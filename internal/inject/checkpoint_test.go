@@ -233,6 +233,7 @@ func BenchmarkCampaign(b *testing.B) {
 	for _, kind := range []CoreKind{InO, OoO} {
 		b.Run(kind.String(), func(b *testing.B) {
 			cfg := Config{Core: kind, Bench: "tiny", SamplesPerFF: 1, Seed: 0xC1EA5}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := NewInjector().Run(cfg, p, nil); err != nil {
 					b.Fatal(err)
@@ -252,11 +253,13 @@ func BenchmarkCampaignInO(b *testing.B) {
 	p := bench.ByName("gzip").MustProgram()
 	cfg := Config{Core: InO, Bench: "gzip", SamplesPerFF: 1, Seed: 0xC1EA5}
 	b.Run("from-reset", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			referenceCampaign(b, cfg, p, nil, nil)
 		}
 	})
 	b.Run("checkpointed", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := NewInjector().Run(cfg, p, nil); err != nil {
 				b.Fatal(err)
@@ -275,6 +278,7 @@ func BenchmarkCampaignOoO(b *testing.B) {
 		model, _ := SplitModelTag(tag)
 		b.Run(model, func(b *testing.B) {
 			cfg := Config{Core: OoO, Bench: "gzip", Tag: tag, SamplesPerFF: 1, Seed: 0xC1EA5}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := NewInjector().Run(cfg, p, nil); err != nil {
 					b.Fatal(err)

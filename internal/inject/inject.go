@@ -36,6 +36,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"clear/internal/ino"
 	"clear/internal/ooo"
@@ -421,16 +422,22 @@ func (t *tally) mergeInto(res *Result, c *campaign) {
 	res.DetN += t.latN
 }
 
-// fanOut runs work items 0..items-1 on GOMAXPROCS workers. newWorker runs
-// once on each worker and returns the worker's item body and its merge
-// step, which runs under a mutex shared by all workers. A panic on a
-// worker is recovered there: the feed stops, the other workers finish the
-// items they hold, and fanOut returns the first panic as a
-// *resilient.PanicError carrying the worker's value and stack.
+// fanOut runs work items 0..items-1 on GOMAXPROCS workers, each claiming
+// the next unclaimed item from a shared counter until none is left, so no
+// goroutine feeds them and the caller only waits. A worker yields its CPU
+// between items: it never blocks, and without the yield the runtime's
+// background GC mark worker waits for the 10 ms preemption tick to run,
+// which keeps the write barrier on every pointer store that long. newWorker
+// runs once on each worker and returns the worker's item body and its
+// merge step, which runs under a mutex shared by all workers. A panic on a
+// worker is recovered there and raises the stop flag: the other workers
+// finish the items they hold and claim no more, and fanOut returns the
+// first panic as a *resilient.PanicError carrying the worker's value and
+// stack.
 func fanOut(items int, newWorker func() (do func(item int), merge func())) error {
 	workers := max(runtime.GOMAXPROCS(0), 1)
-	next := make(chan int)
-	failed := make(chan struct{})
+	var next atomic.Int64
+	var stop atomic.Bool
 	var failure error
 	var once sync.Once
 	var mu sync.Mutex
@@ -441,8 +448,13 @@ func fanOut(items int, newWorker func() (do func(item int), merge func())) error
 			defer wg.Done()
 			_, err := resilient.Safe(func() (struct{}, error) {
 				do, merge := newWorker()
-				for item := range next {
+				for !stop.Load() {
+					item := int(next.Add(1)) - 1
+					if item >= items {
+						break
+					}
 					do(item)
+					runtime.Gosched()
 				}
 				mu.Lock()
 				defer mu.Unlock()
@@ -450,22 +462,11 @@ func fanOut(items int, newWorker func() (do func(item int), merge func())) error
 				return struct{}{}, nil
 			})
 			if err != nil {
-				once.Do(func() {
-					failure = err
-					close(failed)
-				})
+				stop.Store(true)
+				once.Do(func() { failure = err })
 			}
 		}()
 	}
-feed:
-	for item := 0; item < items; item++ {
-		select {
-		case next <- item:
-		case <-failed:
-			break feed
-		}
-	}
-	close(next)
 	wg.Wait()
 	return failure
 }

@@ -3,6 +3,7 @@ package inject
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"clear/internal/bench"
@@ -34,6 +35,35 @@ func tinyProgram(t testing.TB) *prog.Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// coreSink keeps TestNewCoreFootprint's cores live.
+var coreSink sim.Core
+
+// TestNewCoreFootprint guards what a campaign pays for each lane core it
+// builds: over 1,000 NewCore calls on gzip, a core may allocate at most
+// 1 KiB (InO) or 10.5 KiB (OoO) beyond its memory image of 4×MemWords
+// bytes, so no per-core table creeps back into the cores.
+func TestNewCoreFootprint(t *testing.T) {
+	const calls = 1000
+	p := bench.ByName("gzip").MustProgram()
+	for _, tc := range []struct {
+		kind  CoreKind
+		limit uint64
+	}{{InO, 1024}, {OoO, 10752}} {
+		coreSink = NewCore(tc.kind, p) // translate the program first
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			coreSink = NewCore(tc.kind, p)
+		}
+		runtime.ReadMemStats(&after)
+		perCore := (after.TotalAlloc - before.TotalAlloc) / calls
+		if beyond := int64(perCore) - 4*int64(p.MemWords); beyond > int64(tc.limit) {
+			t.Errorf("%v: a new core allocates %d bytes, %d beyond its %d-byte memory image; the limit is %d",
+				tc.kind, perCore, beyond, 4*p.MemWords, tc.limit)
+		}
+	}
 }
 
 func TestClassify(t *testing.T) {

@@ -10,9 +10,9 @@ var _ sim.GangCore = (*Core)(nil)
 
 // CopyStateFrom makes the core's state bit-for-bit identical to src, a
 // second in-order core bound to the same program: the latch state with its
-// stage decodes, and everything outside the flip-flop space. The decode
-// cache and threaded translation are shared/memoized derivations of the
-// program, not state; the commit hook is left untouched, like Restore.
+// stage decodes, and everything outside the flip-flop space. The threaded
+// translation is a memoized derivation of the program, not state; the
+// commit hook is left untouched, like Restore.
 func (c *Core) CopyStateFrom(src sim.Core) {
 	s := src.(*Core)
 	c.program = s.program

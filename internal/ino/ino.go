@@ -118,10 +118,9 @@ type Core struct {
 	nextAtM      uint32
 
 	// tp is the program's threaded-code translation, which Step executes;
-	// dcache memoizes decodes of words that miss the per-PC translation
-	// (corrupted latches, bubbles, out-of-range fetches).
-	tp     *tcode.Program
-	dcache tcode.Cache
+	// words that miss it (corrupted latches, bubbles, out-of-range
+	// fetches) decode through tcode.Decode's process-wide memo.
+	tp *tcode.Program
 
 	// u is the core's flip-flop state, one machine word per field
 	// (unpacked.go), which Step executes on, checkpoints carry and FlipBits

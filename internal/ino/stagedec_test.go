@@ -39,7 +39,7 @@ func requireStageDecodes(t testing.TB, c *Core, what string) {
 
 // latchFields are the instruction and PC latches of each stage that
 // carries a decode; a flip in either makes FlipBits decode through the
-// decode cache instead of the per-PC table.
+// decode memo instead of the per-PC table.
 var latchFields = []string{
 	"a.ctrl.inst", "a.ctrl.pc",
 	"e.ctrl.inst", "e.ctrl.pc",

@@ -20,14 +20,16 @@ import (
 // dec returns the translation of latch word w whose stage believes it sits
 // at pc. The per-PC table hits whenever the latch is uncorrupted program
 // text (virtually every decode of a fault-free run); anything else —
-// injected flips, bubbles, out-of-range fetch words — compiles through the
-// core's decode cache. Both paths are pure functions of w, so corrupted
-// words behave exactly as under isa.Decode.
+// injected flips, bubbles, out-of-range fetch words — goes through
+// tcode.Decode, the memo every core shares. Both paths are pure functions
+// of w, so corrupted words behave exactly as under isa.Decode, and both
+// return translations that never change, so a decode can travel down the
+// pipe with its word.
 func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	if d := c.tp.AtPC(pc, w); d != nil {
 		return d
 	}
-	return c.dcache.Decode(w)
+	return tcode.Decode(w)
 }
 
 // stageDecodes is the translation of the instruction word in each stage
@@ -36,8 +38,9 @@ func (c *Core) dec(pc, w uint32) *tcode.DInst {
 // Restore, FlipBits), and Step moves each decode with its word, so a cycle
 // looks up only the word entering register access. It lives outside
 // uLatches because two cores holding the same word may hold different
-// pointers to equal translations (the per-PC table's or a decode cache's),
-// and DiffFrom compares uLatches with ==.
+// pointers to equal translations (the per-PC table's, or two entries of the
+// decode memo when a miss recompiled the word in between), and DiffFrom
+// compares uLatches with ==.
 type stageDecodes struct {
 	a, e, m, x, w *tcode.DInst
 }

@@ -32,10 +32,9 @@ type Core struct {
 	status  prog.Status
 
 	// tp is the program's threaded-code translation, which Step executes;
-	// dcache memoizes decodes of words that miss the per-PC translation
-	// (corrupted state, out-of-range fetch words).
-	tp     *tcode.Program
-	dcache tcode.Cache
+	// words that miss it (corrupted state, out-of-range fetch words)
+	// decode through tcode.Decode's process-wide memo.
+	tp *tcode.Program
 
 	// u is the core's flip-flop state, one machine word per field
 	// (unpacked.go), which Step runs on, checkpoints carry and FlipBits

@@ -23,8 +23,9 @@ import (
 //
 // The last rule is sound because equal latch words give equal derived
 // state up to pointer identity: two cores holding the same word may hold
-// different pointers to equal translations (the per-PC table's or a decode
-// cache's), so comparing the pointers would call equal states different.
+// different pointers to equal translations (the per-PC table's, or two
+// entries of the decode memo when a miss recompiled the word in between),
+// so comparing the pointers would call equal states different.
 type derived struct {
 	fb  [FBSize]*tcode.DInst  // translation of fbInst[i]
 	rob [RobSize]*tcode.DInst // translation of robInst[i]

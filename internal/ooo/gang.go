@@ -11,9 +11,9 @@ var _ sim.GangCore = (*Core)(nil)
 // CopyStateFrom makes the core's state bit-for-bit identical to src, a
 // second out-of-order core bound to the same program: the latch state, what
 // it determines (derived.go), and everything outside the flip-flop space.
-// The decode cache and threaded translation are shared/memoized
-// derivations of the program, not state; the commit hook and DiffFrom's
-// hint are left untouched, like Restore.
+// The threaded translation is a memoized derivation of the program, not
+// state; the commit hook and DiffFrom's hint are left untouched, like
+// Restore.
 func (c *Core) CopyStateFrom(src sim.Core) {
 	s := src.(*Core)
 	c.program = s.program

@@ -23,13 +23,15 @@ import (
 
 // dec returns the translation of instruction word w that the machine
 // associates with pc. Uncorrupted program text hits the per-PC table;
-// everything else compiles through the core's decode cache. Both are pure
-// functions of w, so corrupted words decode exactly as under isa.Decode.
+// everything else goes through tcode.Decode, the memo every core shares.
+// Both are pure functions of w, so corrupted words decode exactly as under
+// isa.Decode, and neither ever changes a translation it returned, so an
+// entry's decode stays valid while the entry holds its word.
 func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	if d := c.tp.AtPC(pc, w); d != nil {
 		return d
 	}
-	return c.dcache.Decode(w)
+	return tcode.Decode(w)
 }
 
 // Step advances the machine one clock cycle.

@@ -12,9 +12,11 @@
 // Translation is a pure function of the 32-bit instruction word, which is
 // what makes compiled execution exact even under fault injection: a flipped
 // bit in an instruction latch produces a word that simply misses the per-PC
-// translation table and is compiled on demand (memoized in a small per-core
-// Cache), yielding exactly the semantics isa.Decode plus the decode-switch
-// interpreter would give the corrupted word.
+// translation table and is compiled on demand through Decode, yielding
+// exactly the semantics isa.Decode plus the decode-switch interpreter would
+// give the corrupted word. Decode memoizes Compile in one bounded table
+// shared by every core and goroutine of the process, so a corrupted word one
+// lane compiles serves every lane, worker and campaign that meets it.
 //
 // Compiled execution is the cores' only Step. The decode-switch interpreter
 // survives as a test oracle in the interp_test.go files of internal/ino and
@@ -22,7 +24,11 @@
 // it cycle for cycle.
 package tcode
 
-import "clear/internal/isa"
+import (
+	"sync/atomic"
+
+	"clear/internal/isa"
+)
 
 // ExecFn is the in-order core's execute-stage semantics of one instruction:
 // ALU result, store value, the Y byproduct, and trap information. It mirrors
@@ -349,7 +355,7 @@ func Translate(words []uint32) *Program {
 // matches the program text there — the uncorrupted case, hit on virtually
 // every decode of a fault-free cycle. A mismatch (injected bit flip in an
 // instruction or PC latch, bubble word, out-of-range fetch) returns nil and
-// the caller falls back to its Cache. Because ByPC[pc] was compiled from
+// the caller falls back to Decode. Because ByPC[pc] was compiled from
 // Words[pc] == w, the result is a pure function of w, exactly like Compile.
 func (t *Program) AtPC(pc, w uint32) *DInst {
 	if uint(pc) < uint(len(t.Words)) && t.Words[pc] == w {
@@ -358,40 +364,42 @@ func (t *Program) AtPC(pc, w uint32) *DInst {
 	return nil
 }
 
-// cacheBits sizes the per-core fallback decode cache (direct-mapped,
-// 1<<cacheBits entries). Corrupted words seen after an injection recur for
-// a handful of cycles while they drain the pipeline, so even a small cache
-// absorbs nearly all fallback decodes.
-const cacheBits = 9
+// memoBits sizes the decode memo: 1<<memoBits word-tagged slots. A
+// corrupted word recurs while it drains a pipeline, and lanes that flip the
+// same bit of the same instruction word meet the same corrupted word.
+const memoBits = 12
 
-// Cache memoizes Compile for words outside (or corrupted away from) the
-// per-PC translation: a direct-mapped, word-tagged table. Each core owns
-// one — it is mutable and must not be shared across goroutines. Entries are
-// pure functions of the word, so the cache survives Reset and program
-// rebinds unchanged.
-//
-// A returned *DInst may outlive its slot: the in-order core carries each
-// stage's decode down the pipeline beside the instruction word, and a lane
-// core copies its carrier's decodes at a fork. Decode therefore allocates
-// a fresh DInst on every miss and only ever replaces a slot's pointer; it
-// must never overwrite an entry in place, which would change a carried
-// decode under its word.
-type Cache struct {
-	tags [1 << cacheBits]uint32
-	ents [1 << cacheBits]*DInst
+// memoEntry is one published translation and the word it was compiled
+// from. It is never written after Decode publishes it.
+type memoEntry struct {
+	w uint32
+	d DInst
 }
 
-// Decode returns the translation of w, compiling and caching on miss.
-func (dc *Cache) Decode(w uint32) *DInst {
-	i := (w * 2654435761) >> (32 - cacheBits)
-	if d := dc.ents[i]; d != nil && dc.tags[i] == w {
-		return d
+// memo is the process-wide memo of Compile for words outside (or corrupted
+// away from) a per-PC translation: direct-mapped, each slot pointing to an
+// immutable entry. A slot is only ever repointed, never overwritten in
+// place, because a returned *DInst outlives its slot: the cores carry each
+// latched word's decode down the pipe beside the word, and a lane core
+// copies its carrier's decodes at a fork. Racing misses on one slot may
+// compile the same word twice or evict each other's entries; every entry
+// any of them returns is the translation of its word.
+var memo [1 << memoBits]atomic.Pointer[memoEntry]
+
+// memoSlot returns w's slot in memo.
+func memoSlot(w uint32) uint32 { return (w * 2654435761) >> (32 - memoBits) }
+
+// Decode returns the translation of w, compiling it and publishing it to
+// the memo on a miss. It is safe for concurrent use, and the DInst it
+// returns is never modified.
+func Decode(w uint32) *DInst {
+	slot := &memo[memoSlot(w)]
+	if e := slot.Load(); e != nil && e.w == w {
+		return &e.d
 	}
-	d := new(DInst)
-	*d = Compile(w)
-	dc.tags[i] = w
-	dc.ents[i] = d
-	return d
+	e := &memoEntry{w: w, d: Compile(w)}
+	slot.Store(e)
+	return &e.d
 }
 
 func b2u32(b bool) uint32 {

@@ -1,7 +1,9 @@
 package tcode
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"clear/internal/isa"
@@ -113,33 +115,131 @@ func TestTranslateAtPC(t *testing.T) {
 	}
 }
 
-// TestCacheDecode pins the fallback cache: every lookup must return the
-// exact compilation of the requested word (purity), across repeats, index
-// collisions, and evictions.
-func TestCacheDecode(t *testing.T) {
-	var c Cache
-	words := randWords(4096) // 8x the cache size: plenty of collisions
-	for round := 0; round < 2; round++ {
+// observed is what can be observed of a translation: its decode facts and
+// what its closures return on fixed operands.
+type observed struct {
+	in                                    isa.Inst
+	valid, rs1, rs2, control, branch, jmp bool
+	dst                                   uint8
+	res, store, y, val, target            uint32
+	trap, exc, taken                      bool
+	tt                                    uint64
+}
+
+func observe(d *DInst) observed {
+	o := observed{in: d.In, valid: d.Valid, rs1: d.NeedsRs1, rs2: d.NeedsRs2,
+		control: d.IsControl, branch: d.IsBranch, jmp: d.IsJump, dst: d.Dst}
+	o.res, o.store, o.y, o.trap, o.tt = d.Exec(0x9E3779B9, 7, 100)
+	o.val, o.exc = d.ALU(0x9E3779B9, 7)
+	if d.Br != nil {
+		o.taken, o.target = d.Br(0x9E3779B9, 7, 100)
+	}
+	return o
+}
+
+// collider returns a word other than w that maps to w's memo slot.
+func collider(w uint32) uint32 {
+	c := w + 1
+	for memoSlot(c) != memoSlot(w) {
+		c++
+	}
+	return c
+}
+
+// held is a translation Decode returned and the word it was asked for.
+type held struct {
+	w uint32
+	d *DInst
+}
+
+// checkDecode decodes w through the memo and reports an error unless the
+// result is w's exact compilation.
+func checkDecode(w uint32) (*DInst, error) {
+	d := Decode(w)
+	if d == nil {
+		return nil, fmt.Errorf("word %#08x: nil decode", w)
+	}
+	if d.In != isa.Decode(w) {
+		return nil, fmt.Errorf("word %#08x: memo returned the decode of %#08x", w, isa.Encode(d.In))
+	}
+	want := Compile(w)
+	if observe(d) != observe(&want) {
+		return nil, fmt.Errorf("word %#08x: memo entry differs from Compile", w)
+	}
+	return d, nil
+}
+
+// TestDecodeMemo pins the process-wide decode memo: every lookup returns
+// the exact compilation of the requested word (purity) over four times the
+// slot count, repeated; a repeated lookup hits; a colliding pair thrashing
+// one slot stays exact; eight goroutines decoding overlapping, colliding
+// word sets at once get exact results; and no translation the memo ever
+// returned changes afterwards, whatever was evicted since.
+func TestDecodeMemo(t *testing.T) {
+	var kept []held
+	words := randWords(4 << memoBits)
+	for round := 0; round < 3; round++ {
 		for _, w := range words {
-			d := c.Decode(w)
-			if d == nil {
-				t.Fatalf("word %#08x: nil decode", w)
+			d, err := checkDecode(w)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
 			}
-			if d.In != isa.Decode(w) {
-				t.Fatalf("word %#08x: cache returned decode of %#08x — collision served stale entry",
-					w, isa.Encode(d.In))
+			if Decode(w) != d {
+				t.Fatalf("round %d: word %#08x: an immediate second lookup missed", round, w)
+			}
+			if round == 0 {
+				kept = append(kept, held{w, d})
 			}
 		}
 	}
-	// Interleave two words that share a cache index to force eviction
-	// thrash; semantics must stay exact.
-	a, b := words[0], words[0]^0x80000000
+
+	// Two words sharing a slot evict each other on every lookup.
+	a := words[0]
+	b := collider(a)
 	for i := 0; i < 64; i++ {
-		if d := c.Decode(a); d.In != isa.Decode(a) {
-			t.Fatalf("thrash round %d: wrong decode for %#08x", i, a)
+		for _, w := range []uint32{a, b} {
+			d, err := checkDecode(w)
+			if err != nil {
+				t.Fatalf("thrash round %d: %v", i, err)
+			}
+			kept = append(kept, held{w, d})
 		}
-		if d := c.Decode(b); d.In != isa.Decode(b) {
-			t.Fatalf("thrash round %d: wrong decode for %#08x", i, b)
+	}
+
+	// Eight goroutines over overlapping windows of one word set, in which
+	// every word of the first 256 has a collider.
+	shared := randWords(2 << memoBits)
+	for _, w := range shared[:256] {
+		shared = append(shared, collider(w))
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	keptBy := make([][]held, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := g * len(shared) / (2 * goroutines)
+			for i := range len(shared) / 2 {
+				w := shared[(start+i)%len(shared)]
+				d, err := checkDecode(w)
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				keptBy[g] = append(keptBy[g], held{w, d})
+			}
+		}()
+	}
+	wg.Wait()
+	for _, k := range keptBy {
+		kept = append(kept, k...)
+	}
+
+	for _, k := range kept {
+		want := Compile(k.w)
+		if observe(k.d) != observe(&want) {
+			t.Fatalf("word %#08x: a returned translation changed after later decodes", k.w)
 		}
 	}
 }
