@@ -4,7 +4,8 @@
 // "clear" under the user cache directory (see inject.CacheDir). From an
 // empty cache the whole warm-up takes about 10 s on a 2-vCPU Linux VM and
 // writes every campaign cmd/tables reads (CI checks that a following
-// tables -exp all adds no cache entry).
+// tables -exp all adds no cache entry). It first deletes the entries of
+// other results versions (inject.PruneCache) and prints how many.
 //
 // The warm loop is fault-tolerant: each campaign runs under panic
 // isolation, a failing configuration is recorded and skipped instead of
@@ -47,6 +48,13 @@ func main() {
 
 	if inject.LookupModel(*faultModel) == nil {
 		log.Fatalf("unknown -fault-model %q (accepted: %s)", *faultModel, strings.Join(inject.ModelNames(), ", "))
+	}
+	// Entries of other results versions are never read again. Failing to
+	// delete them costs disk space only, so warming goes on.
+	if n, err := inject.PruneCache(inject.CacheDir()); err != nil {
+		log.Printf("prune: %v", err)
+	} else {
+		log.Printf("pruned %d cache entries of other results versions", n)
 	}
 	inoE := core.NewEngine(inject.InO)
 	oooE := core.NewEngine(inject.OoO)

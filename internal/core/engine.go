@@ -253,10 +253,6 @@ func (e *Engine) buildProgram(b *bench.Benchmark, v Variant, tag string) (*prog.
 		if err != nil {
 			return nil, err
 		}
-		// Pre-warm the threaded-code translation inside the flight: every
-		// campaign sharing this (benchmark, variant) program steps it
-		// without paying translation again.
-		p.Threaded()
 		e.statProgramsBuilt.Add(1)
 		e.mu.Lock()
 		e.programs[key] = p

@@ -115,15 +115,7 @@ func requireIdentical(t testing.TB, label string, want, got *Result) {
 		t.Fatalf("%s: campaign differs from the reference\nreference: %+v\ncampaign:  %+v",
 			label, want.Totals, got.Totals)
 	}
-	bw, err := encodeCache(want)
-	if err != nil {
-		t.Fatalf("%s: encode reference: %v", label, err)
-	}
-	bg, err := encodeCache(got)
-	if err != nil {
-		t.Fatalf("%s: encode campaign: %v", label, err)
-	}
-	if !bytes.Equal(bw, bg) {
+	if !bytes.Equal(encodeCache(want), encodeCache(got)) {
 		t.Fatalf("%s: cache bytes differ from the reference", label)
 	}
 }

@@ -2,7 +2,6 @@ package inject
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
@@ -98,16 +97,9 @@ func TestRunOneFromEquivalence(t *testing.T) {
 func TestCampaignBitIdentical(t *testing.T) {
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 2, Seed: 0xC1EA5}
-	encode := func(r *Result) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := encode(referenceCampaign(t, cfg, p, nil, nil))
+	want := encodeCache(referenceCampaign(t, cfg, p, nil, nil))
 	for _, interval := range []int{64, 256, 1024} {
-		if !bytes.Equal(want, encode(runCampaign(t, cfg, p, interval, nil))) {
+		if !bytes.Equal(want, encodeCache(runCampaign(t, cfg, p, interval, nil))) {
 			t.Fatalf("interval %d: campaign result differs from the from-reset reference", interval)
 		}
 	}
@@ -187,14 +179,9 @@ func TestCampaignCacheRejectsForeign(t *testing.T) {
 	}
 
 	plant := func(r *Result, path string) {
-		f, err := os.Create(path)
-		if err != nil {
+		if err := os.WriteFile(path, encodeCache(r), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := gob.NewEncoder(f).Encode(r); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
 	}
 
 	// foreign Config at cfgB's path: must be rejected and regenerated

@@ -178,7 +178,7 @@ func TestCampaignCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gob"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*"+entryExt))
 	if len(files) != 1 {
 		t.Fatalf("cache files: %v", files)
 	}

@@ -171,7 +171,7 @@ func TestQuarantineScoped(t *testing.T) {
 	if _, err := in.Campaign(cfg, p, nil); err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*rot*.gob"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*rot*"+entryExt))
 	if len(files) != 1 {
 		t.Fatalf("cache files: %v", files)
 	}

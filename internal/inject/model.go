@@ -22,7 +22,7 @@ import (
 //
 //	ssb    — single-bit upset in core flip-flops: the paper's model and
 //	         the default. Its one-flip scenarios reproduce the pre-model
-//	         results and cache gobs bit for bit.
+//	         results bit for bit.
 //	mbu    — spatial multi-bit upset: one particle flips the struck
 //	         flip-flop and every neighbour within layout.SEMURadius of it
 //	         (the Table 5/6 cluster population). This is the k-flip
@@ -40,10 +40,10 @@ import (
 //	         Azambuja et al.'s SEU/SET software-detection study.
 //
 // The model is carried inside Config.Tag as a "<model>/" prefix (ssb is
-// the unprefixed legacy form), so the campaign cache, the sweep state
-// identity, and every existing Config-keyed surface distinguish models
-// without changing the gob schema — adding a Config field would alter the
-// type descriptor of every cached campaign and break ssb byte-identity.
+// the unprefixed form), so the campaign cache, the sweep state identity,
+// and every existing Config-keyed surface distinguish models without a
+// Config field: ssb tags, sweep state files and clearbench's result
+// digests read the same as before fault models existed.
 
 // Scenario is the set of flip-flops one strike flips together at the
 // injection cycle. Attribution records report its first flip as the struck
@@ -194,8 +194,8 @@ func ModelNames() []string {
 const DefaultModel = "ssb"
 
 // ModelTag folds a fault model into a campaign tag: the ssb default keeps
-// the tag untouched (legacy form — cache filenames, gobs, and sweep state
-// stay bit-identical), any other model prefixes "<model>/".
+// the tag untouched (so sweep state identities and result digests of ssb
+// campaigns stay as they were), any other model prefixes "<model>/".
 func ModelTag(model, tag string) string {
 	if model == "" || model == DefaultModel {
 		return tag

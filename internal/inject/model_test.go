@@ -3,12 +3,12 @@ package inject
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -354,9 +354,18 @@ func TestUncoreCampaignOnlyStrikesUncore(t *testing.T) {
 
 func unitOfBit(env *ModelEnv, bit int) string { return env.Pl.Space.UnitOf(bit) }
 
-// TestCacheModelTrailerRoundTrip covers the CLRM trailer: a non-ssb result
-// round-trips with its model, and renaming it into another model's slot is
-// rejected by the Campaign validity check (model mismatch).
+// The offsets of the tag's length byte and of the tag's first byte in an
+// entry whose Core and name lengths each take one byte.
+const entryTagLen = entryHeader + 2
+
+func entryTagAt(bench string) int { return entryTagLen + 1 + len(bench) }
+
+// TestCacheModelTrailerRoundTrip checks that an entry carries its fault
+// model without a trailer of its own: the model rides in Config.Tag, so a
+// non-ssb result round-trips with its model, the entry ends in the CRC of
+// every byte before it, and bit-rot in the tag, its length byte, the magic
+// or the CRC is rejected. TestCampaignRejectsCrossModelCache covers an
+// intact entry renamed into another model's slot.
 func TestCacheModelTrailerRoundTrip(t *testing.T) {
 	r := &Result{
 		Config:    Config{Core: InO, Bench: "x", Tag: "mbu/base", SamplesPerFF: 1, Seed: 5},
@@ -365,38 +374,38 @@ func TestCacheModelTrailerRoundTrip(t *testing.T) {
 		PerFF:     []FFStats{{N: 1, OMM: 1}},
 		Totals:    Counts{N: 1, OMM: 1},
 	}
-	data, err := encodeCache(r)
+	data := encodeCache(r)
+	n := len(data) - entryTrailer
+	if got := binary.LittleEndian.Uint32(data[n:]); got != crc32.Checksum(data[:n], castagnoli) {
+		t.Fatalf("entry does not end in the CRC of its body: % x", data[n:])
+	}
+	tag, at := r.Config.Tag, entryTagAt(r.Config.Bench)
+	if int(data[entryTagLen]) != len(tag) || string(data[at:at+len(tag)]) != tag {
+		t.Fatalf("tag %q not at byte %d of % x", tag, at, data)
+	}
+	got, err := decodeCache(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data[len(data)-8:len(data)-4]) != "CLRM" {
-		t.Fatalf("non-ssb entry lacks the CLRM trailer: % x", data[len(data)-12:])
+	if model, base := SplitModelTag(got.Config.Tag); model != "mbu" || base != "base" {
+		t.Fatalf("decoded tag %q splits to (%q, %q), want (mbu, base)", got.Config.Tag, model, base)
 	}
-	got, model, err := decodeCache(data)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got, r) {
+		t.Fatalf("round-trip mismatch: %+v", got)
 	}
-	if model != "mbu" {
-		t.Fatalf("decoded model %q, want mbu", model)
-	}
-	if got.Totals != r.Totals || got.Config != r.Config {
-		t.Fatalf("CLRM round-trip mismatch: %+v", got)
-	}
-	// Bit-rot in the CRC-covered region — the payload, the model name
-	// bytes, the length byte — must be caught, and so must a corrupted
-	// magic, which leaves the entry without a trailer.
-	for _, i := range []int{0, len(data) - 9, len(data) - 10, len(data) - 8} {
+	for _, i := range []int{0, entryTagLen, at, at + 2, at + 3, at + len(tag) - 1, n, len(data) - 1} {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x40
-		if _, _, err := decodeCache(bad); err == nil {
-			t.Fatalf("decodeCache accepted a corrupted CLRM entry (byte %d)", i)
+		if _, err := decodeCache(bad); err == nil {
+			t.Fatalf("decodeCache accepted an mbu entry corrupted at byte %d", i)
 		}
 	}
 }
 
-// TestCacheSSBFormatPinned freezes the legacy trailer: an ssb entry must
-// end in CLRC with the CRC over the gob payload alone, so cache files
-// written before fault models existed stay byte-compatible.
+// TestCacheSSBFormatPinned pins that ssb entries have no format of their
+// own: an ssb result keeps its bare tag in the entry and in the file name,
+// and its entry is the mbu entry of the same result with only the tag, its
+// length byte and the CRC changed.
 func TestCacheSSBFormatPinned(t *testing.T) {
 	r := &Result{
 		Config:    Config{Core: InO, Bench: "x", Tag: "base", SamplesPerFF: 1, Seed: 5},
@@ -405,15 +414,34 @@ func TestCacheSSBFormatPinned(t *testing.T) {
 		PerFF:     []FFStats{{N: 1}},
 		Totals:    Counts{N: 1, Vanished: 1},
 	}
-	data, err := encodeCache(r)
+	data := encodeCache(r)
+	header := binary.LittleEndian.AppendUint32(slices.Clone(entryMagic[:]), ResultsVersion)
+	if !bytes.HasPrefix(data, header) {
+		t.Fatalf("ssb entry does not open with % x: % x", header, data[:entryHeader])
+	}
+	got, err := decodeCache(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data[len(data)-8:len(data)-4]) != "CLRC" {
-		t.Fatalf("ssb entry lost its legacy CLRC trailer: % x", data[len(data)-8:])
+	if model, base := SplitModelTag(got.Config.Tag); model != DefaultModel || base != "base" {
+		t.Fatalf("decoded tag %q splits to (%q, %q), want (ssb, base)", got.Config.Tag, model, base)
 	}
-	if _, model, err := decodeCache(data); err != nil || model != "ssb" {
-		t.Fatalf("ssb entry decoded as (%q, %v)", model, err)
+	mbu := *r
+	mbu.Config.Tag = ModelTag("mbu", r.Config.Tag)
+	other := encodeCache(&mbu)
+	at := entryTagAt(r.Config.Bench)
+	want := sealed(slices.Concat(other[:entryTagLen], []byte{byte(len(r.Config.Tag))},
+		other[entryTagLen+1:at], other[at+len("mbu/"):]))
+	if !bytes.Equal(data, want) {
+		t.Fatalf("ssb entry is not the mbu entry with its tag cut:\ngot  % x\nwant % x", data, want)
+	}
+	p := tinyProgram(t)
+	for cfg, prefix := range map[Config]string{r.Config: "InO-x-base-", mbu.Config: "InO-x-mbu_base-"} {
+		name := cacheKey(cfg, p)
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, entryExt) ||
+			len(name) != len(prefix)+16+len(entryExt) {
+			t.Fatalf("tag %q names its entry %q, want %s<16 hex digits>%s", cfg.Tag, name, prefix, entryExt)
+		}
 	}
 }
 
@@ -499,9 +527,10 @@ func FuzzScenarioDeterminism(f *testing.F) {
 	})
 }
 
-// TestCampaignRejectsCrossModelCache plants an mbu result in the slot an
-// ssb campaign would read (the hand-rename scenario the CLRM trailer
-// exists for) and checks the campaign recomputes instead of trusting it.
+// TestCampaignRejectsCrossModelCache plants an mbu entry in the slot an
+// ssb campaign reads (a hand-renamed or cross-model-copied file) and checks
+// the campaign recomputes instead of serving it: the entry's stored Config
+// carries the model in its Tag, so it cannot equal the ssb request.
 func TestCampaignRejectsCrossModelCache(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("CLEAR_CACHE_DIR", dir)
@@ -513,17 +542,8 @@ func TestCampaignRejectsCrossModelCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Forge the attack: the mbu result re-labeled as the ssb campaign and
-	// re-encoded into the ssb cache slot. The Config comparison alone
-	// cannot catch this — only the model trailer disagrees.
-	forged := *mbuRes
-	forged.Config = ssbCfg
-	data, err := encodeCacheAs(&forged, "mbu")
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, cacheKey(ssbCfg, p))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.Rename(filepath.Join(dir, cacheKey(mbuCfg, p)), path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -532,28 +552,10 @@ func TestCampaignRejectsCrossModelCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.cacheHits.Value() != 0 {
-		t.Fatal("forged cross-model cache entry was served as a hit")
+	if s := in.Snapshot(); s.CacheHits != 0 || s.CacheMisses != 1 {
+		t.Fatalf("injector counters = %+v: the mbu entry in the ssb slot was served", s)
 	}
-	if reflect.DeepEqual(got.PerFF, mbuRes.PerFF) {
+	if got.Config != ssbCfg || reflect.DeepEqual(got.PerFF, mbuRes.PerFF) {
 		t.Fatal("ssb campaign returned the planted mbu numbers")
 	}
-}
-
-// encodeCacheAs gob-encodes r exactly as stored and hand-appends a CLRM
-// trailer claiming the given model, regardless of what r's Tag implies —
-// the test-only forgery encodeCache would refuse to produce.
-func encodeCacheAs(r *Result, model string) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, err
-	}
-	buf.WriteString(model)
-	buf.WriteByte(byte(len(model)))
-	buf.Write(cacheModelMagic[:])
-	sum := crc32.Checksum(buf.Bytes(), castagnoli)
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], sum)
-	buf.Write(tr[:])
-	return buf.Bytes(), nil
 }

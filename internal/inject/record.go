@@ -17,8 +17,9 @@ import (
 // behavior — outcomes, Result contents, cache bytes — exactly as before.
 // Records arrive in no particular order, and RecordBuffer sorts them by
 // content. Records never enter Result or
-// the on-disk cache: the gob format is frozen (DESIGN.md §13), so
-// attribution flows only through the sink.
+// the on-disk cache: a record field there would change every entry and
+// every results fingerprint (DESIGN.md §8), so attribution flows only
+// through the sink.
 
 // NoRootPC marks a record whose struck structure held no attributable
 // instruction at the injection cycle (an empty buffer slot, a

@@ -50,17 +50,17 @@ func HarmonicImp(invSum float64, n int) float64 {
 	return float64(n) / invSum
 }
 
-// buildRows aggregates the cell grid into one ranked row per combination.
-// Cells are visited in (combination, benchmark) index order, so the
+// buildRows aggregates the cell grid into one ranked row per combination,
+// names[ci] naming sw.Combos[ci]. Cells are visited in (combination, benchmark) index order, so the
 // floating-point folds — and therefore the rows — are bit-identical for
 // any worker count or completion order. nil cells (possible only after a
 // canceled run) and failed cells are excluded from the means and counted
 // in Failed/Benches instead.
-func buildRows(sw Sweep, cells []*CellOutcome) []Row {
+func buildRows(sw Sweep, names []string, cells []*CellOutcome) []Row {
 	nB := len(sw.Benches)
 	rows := make([]Row, 0, len(sw.Combos))
-	for ci, c := range sw.Combos {
-		row := Row{Name: c.Name(), Met: true}
+	for ci, name := range names {
+		row := Row{Name: name, Met: true}
 		var sdcInv, dueInv, energy, area float64
 		for bi := 0; bi < nB; bi++ {
 			co := cells[ci*nB+bi]

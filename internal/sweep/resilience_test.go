@@ -250,15 +250,15 @@ func TestChaosSweepSurvivesEverything(t *testing.T) {
 	}
 
 	// Chaos ingredient 1: corrupt one cached campaign (truncate mid-file).
-	gobs, _ := filepath.Glob(filepath.Join(cacheDir, "*.gob"))
-	if len(gobs) == 0 {
+	entries, _ := filepath.Glob(filepath.Join(cacheDir, fmt.Sprintf("*.v%d", inject.ResultsVersion)))
+	if len(entries) == 0 {
 		t.Fatal("reference run produced no cache entries")
 	}
-	data, err := os.ReadFile(gobs[0])
+	data, err := os.ReadFile(entries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(gobs[0], data[:len(data)*2/3], 0o644); err != nil {
+	if err := os.WriteFile(entries[0], data[:len(data)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -249,6 +249,12 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 		}
 	}
 
+	// Name walks the technique registry: render each combination once.
+	names := make([]string, len(sw.Combos))
+	for i, c := range sw.Combos {
+		names[i] = c.Name()
+	}
+
 	var pending []int
 	for i := range cells {
 		if cells[i] == nil {
@@ -298,7 +304,6 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 	runWorkStealing(ctx, len(pending), opt.Workers, func(_, k int) {
 		idx := pending[k]
 		ci, bi := idx/nB, idx%nB
-		comboName, benchName := sw.Combos[ci].Name(), sw.Benches[bi].Name
 
 		ins.workersActive.Add(1)
 		cellStart := time.Now()
@@ -343,8 +348,8 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 		}
 		ev := Event{
 			Type:     EventCellDone,
-			Combo:    comboName,
-			Bench:    benchName,
+			Combo:    names[ci],
+			Bench:    sw.Benches[bi].Name,
 			Done:     done,
 			Failed:   failed,
 			Total:    total,
@@ -397,14 +402,14 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		Rows:      buildRows(sw, cells),
+		Rows:      buildRows(sw, names, cells),
 		Evaluated: evaluated,
 		Restored:  restored,
 	}
 	for idx, co := range cells {
 		if co != nil && co.Err != "" {
 			res.Failures = append(res.Failures, CellFailure{
-				Combo: sw.Combos[idx/nB].Name(),
+				Combo: names[idx/nB],
 				Bench: sw.Benches[idx%nB].Name,
 				Err:   co.Err,
 				Kind:  co.Kind,
